@@ -28,9 +28,10 @@ persist the results::
 
 The same sweep is available from the shell: ``python -m repro --designs
 unison alloy --capacities 512MB 1GB --jobs 4`` prints the table and exports
-JSON.  Designs are pluggable: every family registers a builder with
-:func:`repro.sim.registry.register_design`, and anything registered is
-immediately usable in specs, sweeps, and the CLI.
+JSON.  Designs are pluggable: every design is a
+:class:`repro.dramcache.spec.DesignSpec` of policy components, registered
+with ``DESIGNS.register_spec``, and anything registered is immediately
+usable in specs, sweeps, and the CLI.
 
 Sweeps scale past one process through the durable work queue
 (:mod:`repro.queue`): ``SweepExecutor(queue=SweepService()).run(spec)``
@@ -51,14 +52,14 @@ the lower-level :class:`ExperimentRunner` remains available::
     result = runner.run_design("unison", workload_by_name("Web Search"), "1GB")
 """
 
-from repro.baselines import AlloyCache, FootprintCache, IdealCache, NoDramCache
+from repro.baselines import NoDramCache
 from repro.config import (
     AlloyCacheConfig,
     FootprintCacheConfig,
     SystemConfig,
     UnisonCacheConfig,
 )
-from repro.core import UnisonCache, UnisonRowLayout
+from repro.core import UnisonRowLayout
 from repro.queue import ResultArchive, SweepService
 from repro.sampling import (
     SampledRun,
@@ -75,11 +76,9 @@ from repro.sim import (
     ExperimentSpec,
     PerformanceModel,
     ResultSet,
-    SamplingRunner,
     SweepExecutor,
     SweepSpec,
     make_design,
-    register_design,
     run_sweep,
 )
 from repro.trace import (
@@ -103,11 +102,7 @@ from repro.workloads import (
 __version__ = "1.2.0"
 
 __all__ = [
-    "AlloyCache",
-    "FootprintCache",
-    "IdealCache",
     "NoDramCache",
-    "UnisonCache",
     "UnisonRowLayout",
     "AlloyCacheConfig",
     "FootprintCacheConfig",
@@ -116,7 +111,6 @@ __all__ = [
     "DESIGN_NAMES",
     "DESIGNS",
     "DesignRegistry",
-    "register_design",
     "make_design",
     "ExperimentConfig",
     "ExperimentResult",
@@ -131,7 +125,6 @@ __all__ = [
     "PerformanceModel",
     "SampledRun",
     "SamplingConfig",
-    "SamplingRunner",
     "WindowedSampler",
     "AccessType",
     "MemoryAccess",

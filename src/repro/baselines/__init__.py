@@ -1,25 +1,14 @@
-"""Baseline DRAM cache designs the paper compares against.
+"""The no-cache reference system.
 
-* :class:`repro.baselines.alloy.AlloyCache` -- the state-of-the-art
-  block-based design (Qureshi & Loh, MICRO 2012): direct-mapped tag-and-data
-  units streamed in one access, plus a per-core miss predictor.
-* :class:`repro.baselines.footprint.FootprintCache` -- the state-of-the-art
-  page-based design (Jevdjic et al., ISCA 2013): SRAM tags, 2 KB pages,
-  footprint prediction; tag latency grows with capacity (Table IV).
-* :class:`repro.baselines.loh_hill.LohHillCache` -- the earlier tags-in-DRAM
-  block-based design with a MissMap (Loh & Hill, MICRO 2011), provided as an
-  extension: Section II-A uses it to motivate Alloy Cache.
-* :class:`repro.baselines.ideal.IdealCache` -- the latency-optimized reference
-  point used in Figures 7 and 8: 100% hit rate, zero tag overhead.
 * :class:`repro.baselines.no_cache.NoDramCache` -- a system without any
-  stacked-DRAM cache; every request goes off-chip.
+  stacked-DRAM cache; every request goes off-chip.  The experiment runners
+  construct it directly as the speedup baseline.
+
+The baseline DRAM-cache designs the paper compares against (Alloy,
+Footprint, Loh-Hill, Ideal) are design specs in
+:mod:`repro.dramcache.designs`, like Unison Cache itself.
 """
 
-from repro.baselines.alloy import AlloyCache
-from repro.baselines.footprint import FootprintCache
-from repro.baselines.ideal import IdealCache
-from repro.baselines.loh_hill import LohHillCache
 from repro.baselines.no_cache import NoDramCache
 
-__all__ = ["AlloyCache", "FootprintCache", "IdealCache", "LohHillCache",
-           "NoDramCache"]
+__all__ = ["NoDramCache"]

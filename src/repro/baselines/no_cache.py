@@ -7,22 +7,19 @@ access (the baseline the paper's bandwidth discussion compares against).
 The class is a named composition on the
 :class:`repro.dramcache.composed.ComposedDramCache` engine: the no-cache tag
 organization, which forwards reads and writes straight off chip.  The
-canonical ``no_cache`` design name is registered as a spec in
+experiment runners construct it directly as the speedup baseline; the
+``no_cache`` design name is the equivalent spec in
 :mod:`repro.dramcache.designs`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.dramcache.components import NoCacheTags
 from repro.dramcache.composed import ComposedDramCache
 from repro.mem.main_memory import MainMemory
 from repro.mem.stacked import StackedDram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dramcache.spec import DesignSpec
-    from repro.sim.registry import DesignBuildContext
 
 
 class NoDramCache(ComposedDramCache):
@@ -38,13 +35,3 @@ class NoDramCache(ComposedDramCache):
             memory=memory,
             interarrival_cycles=interarrival_cycles,
         )
-
-    @classmethod
-    def from_design_spec(cls, context: "DesignBuildContext",
-                         spec: "DesignSpec") -> "NoDramCache":
-        from repro.dramcache.spec import require_components, take_params
-
-        require_components(spec, tags=("no-cache",), hit_predictor=("none",),
-                           fetch=("demand",), writeback=("none",))
-        take_params(spec.tags, "tag organization", ())
-        return cls()

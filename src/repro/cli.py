@@ -15,8 +15,8 @@ Two entry points share the program:
   windows, with per-design confidence intervals and matched-pair deltas.
 * **Design catalog** (``repro designs``): every registered design with its
   component breakdown -- tag organization, hit predictor, fetch policy,
-  writeback policy -- for the spec-registered entries, plus the component
-  kinds available for composing new designs (``--components``).
+  writeback policy, replacement -- plus the component kinds available for
+  composing new designs (``--components``).
 * **Durable sweeps** (``repro queue ...``): submit a sweep as idempotent
   on-disk jobs, run any number of crash-tolerant workers against the shared
   store (``repro queue work``, or the short alias ``repro work``), check
@@ -206,8 +206,8 @@ def _list_workloads() -> int:
 def build_designs_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro designs",
-        description="List registered DRAM-cache designs and, for "
-                    "spec-registered entries, their component breakdown.",
+        description="List registered DRAM-cache designs and their "
+                    "component breakdown.",
     )
     parser.add_argument("--components", action="store_true",
                         help="also list the registered component kinds "
@@ -223,8 +223,7 @@ def designs_main(argv: List[str]) -> int:
     for name in names:
         entry = DESIGNS.resolve(name)
         print(f"{name:<{width}}  {entry.description}")
-        if entry.spec is not None:
-            print(f"{'':<{width}}    {entry.spec.describe_components()}")
+        print(f"{'':<{width}}    {entry.spec.describe_components()}")
     if args.components:
         from repro.dramcache.components import (
             FETCH_POLICIES,

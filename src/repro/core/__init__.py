@@ -1,32 +1,15 @@
-"""Unison Cache -- the paper's primary contribution.
+"""Unison Cache's in-DRAM row organization.
 
 * :mod:`repro.core.row_layout` -- how pages, embedded tags, bit vectors,
   (PC, offset) pairs and LRU state are packed into an 8 KB DRAM row
   (Figures 2 and 3).
-* :mod:`repro.core.unison` -- the functional + timing model of the cache:
-  page-based allocation with footprint fetching, DRAM-embedded tags read in
-  unison with the predicted way's data block, set-associativity with way
-  prediction, singleton bypass, and eviction-time footprint learning.
 
-``UnisonCache`` loads lazily (PEP 562): the design class sits on top of the
-component layer (:mod:`repro.dramcache.components`), which itself needs
-:mod:`repro.core.row_layout` -- the lazy export keeps this package importable
-from the component layer without a cycle.
+The cache itself is the ``unison`` design spec in
+:mod:`repro.dramcache.designs`: in-DRAM page tags
+(:class:`~repro.dramcache.components.DramPageTags`, which owns this
+layout), way prediction and footprint fetching on the composed engine.
 """
 
 from repro.core.row_layout import UnisonRowLayout
 
-__all__ = ["UnisonRowLayout", "UnisonCache"]
-
-
-def __getattr__(name: str):
-    if name == "UnisonCache":
-        from repro.core.unison import UnisonCache
-
-        globals()["UnisonCache"] = UnisonCache
-        return UnisonCache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | {"UnisonCache"})
+__all__ = ["UnisonRowLayout"]

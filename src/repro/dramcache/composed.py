@@ -17,15 +17,14 @@ pluggable policy components (see :mod:`repro.dramcache.components`):
    allocates, evicting through the
    :class:`~repro.dramcache.components.WritebackPolicy`.
 
-All six pre-existing designs (Unison, Alloy, Footprint, Loh-Hill, Ideal,
-NoCache) are re-expressed as component sets on this engine -- bit-identically
-to their former monolithic ``_service_request`` bodies -- and new hybrids
-(e.g. ``alloy+footprint``) are just different component sets, declared with
-a :class:`repro.dramcache.spec.DesignSpec`.
-
 6. eviction victims come from the
    :class:`~repro.dramcache.components.ReplacementComponent`-built per-set
    policies living inside the tag organization (LRU by default).
+
+Every design is a component set on this engine, declared with a
+:class:`repro.dramcache.spec.DesignSpec`: the paper's six (Unison, Alloy,
+Footprint, Loh-Hill, Ideal, NoCache) and hybrids such as
+``alloy+footprint`` alike.
 
 Component state folds into the accumulated ``_STATE_ATTRS`` snapshot
 mechanism: the engine declares its five component slots, so
@@ -196,7 +195,7 @@ class ComposedDramCache(DramCacheModel):
         return group
 
     # ------------------------------------------------------------------ #
-    # Compatibility accessors into the components
+    # Accessors into the components
     # ------------------------------------------------------------------ #
     @property
     def way_predictor(self) -> Optional[WayPredictor]:

@@ -1,15 +1,15 @@
 """The design catalog: every shipped design as a :class:`DesignSpec`.
 
-This module is where the registry gets populated.  The six pre-existing
-designs (nine registered names: four Unison variants plus the five
-baselines) are re-expressed as canonical component specs; their ``model``
-field points at the concrete class so ``make_design`` keeps returning
-``UnisonCache``/``AlloyCache``/... instances with their full compatibility
-surface, while :meth:`DesignSpec.build_composed` provides the pure-engine
-re-expression the composition tests hold bit-identical.
+This module is where the registry gets populated.  The paper's six designs
+(nine registered names: four Unison variants plus the five baselines) are
+canonical component specs, and every registered name builds one
+:class:`~repro.dramcache.composed.ComposedDramCache` from its components.
+Unison Cache itself is the composition its baselines suggest: Loh-Hill's
+tags in DRAM, Alloy's single-access hit path (via way prediction) and
+Footprint Cache's footprint fetching.
 
-Below them, the *hybrid* designs: new points in the paper's design space
-expressible purely from components, with no class of their own --
+Below them, the *hybrid* designs: new points in the paper's design space,
+declared the same way --
 
 * ``alloy+footprint`` -- Alloy's direct-mapped single-access TAD hit path
   and MAP-I miss predictor, combined with Footprint-style predicted region
@@ -25,24 +25,8 @@ it for that side effect.
 
 from __future__ import annotations
 
-from repro.baselines.alloy import AlloyCache
-from repro.baselines.footprint import FootprintCache
-from repro.baselines.ideal import IdealCache
-from repro.baselines.loh_hill import LohHillCache
-from repro.baselines.no_cache import NoDramCache
-from repro.core.unison import UnisonCache
-from repro.dramcache.spec import ComponentSpec, DesignSpec, register_model_class
+from repro.dramcache.spec import ComponentSpec, DesignSpec
 from repro.sim.registry import DESIGNS
-
-# --------------------------------------------------------------------- #
-# Model carriers: the concrete classes the canonical specs construct.
-# --------------------------------------------------------------------- #
-register_model_class("unison", UnisonCache.from_design_spec)
-register_model_class("alloy", AlloyCache.from_design_spec)
-register_model_class("footprint", FootprintCache.from_design_spec)
-register_model_class("loh_hill", LohHillCache.from_design_spec)
-register_model_class("ideal", IdealCache.from_design_spec)
-register_model_class("no_cache", NoDramCache.from_design_spec)
 
 
 def _unison_spec(name: str, description: str, *, blocks_per_page: int,
@@ -58,7 +42,6 @@ def _unison_spec(name: str, description: str, *, blocks_per_page: int,
         fetch=ComponentSpec("footprint"),
         description=description,
         supports_associativity=True,
-        model="unison",
     )
 
 
@@ -83,7 +66,6 @@ CANONICAL_SPECS = (
         fetch=ComponentSpec("demand"),
         description="direct-mapped tag-and-data block cache with a "
                     "per-core miss predictor (Qureshi & Loh)",
-        model="alloy",
     ),
     DesignSpec(
         name="footprint",
@@ -92,7 +74,6 @@ CANONICAL_SPECS = (
         description="2KB pages with footprint prediction and SRAM tags "
                     "whose latency grows with capacity (Jevdjic et al., "
                     "ISCA'13)",
-        model="footprint",
     ),
     DesignSpec(
         name="loh_hill",
@@ -100,14 +81,12 @@ CANONICAL_SPECS = (
         fetch=ComponentSpec("demand"),
         description="tags-in-DRAM block cache with a MissMap "
                     "(Loh & Hill, MICRO'11; extension)",
-        model="loh_hill",
     ),
     DesignSpec(
         name="ideal",
         tags=ComponentSpec("always-hit"),
         description="100% hit rate, zero tag overhead -- the "
                     "latency-optimized reference point of Figs. 7-8",
-        model="ideal",
     ),
     DesignSpec(
         name="no_cache",
@@ -115,12 +94,11 @@ CANONICAL_SPECS = (
         writeback=ComponentSpec("none"),
         description="no stacked-DRAM cache; every request goes "
                     "off-chip (the speedup baseline)",
-        model="no_cache",
     ),
 )
 
 # --------------------------------------------------------------------- #
-# Hybrid designs: new component combinations, pure engine builds.
+# Hybrid designs: new component combinations beyond the paper's six.
 # --------------------------------------------------------------------- #
 HYBRID_SPECS = (
     DesignSpec(

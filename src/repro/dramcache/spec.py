@@ -4,14 +4,18 @@ A :class:`DesignSpec` names a complete design as *components plus geometry*:
 which :class:`~repro.dramcache.components.TagOrganization`, which
 :class:`~repro.dramcache.components.HitPredictor`, which
 :class:`~repro.dramcache.components.FetchPolicy`, which
-:class:`~repro.dramcache.components.WritebackPolicy`, each with its
+:class:`~repro.dramcache.components.WritebackPolicy` and which
+:class:`~repro.dramcache.components.ReplacementComponent`, each with its
 parameters.  Specs are frozen, picklable, order-canonical -- and therefore
 hashable into a stable :meth:`DesignSpec.token` that the on-disk checkpoint
 store uses for invalidation: change any component or parameter and every
 stale warm checkpoint misses.
 
-Specs build through the per-role component registries, so the whole design
-space the components span is reachable declaratively::
+A spec is the only way to declare a design.  It builds through the per-role
+component registries into a
+:class:`~repro.dramcache.composed.ComposedDramCache`, so the paper's designs
+and any new point of the design space the components span are declared the
+same way::
 
     spec = DesignSpec(
         name="alloy+footprint",
@@ -21,23 +25,15 @@ space the components span is reachable declaratively::
     )
     model = spec.build(context)          # a ComposedDramCache
 
-The six pre-existing designs keep their concrete classes (``UnisonCache``
-etc. -- now thin compositions themselves); their canonical specs set
-``model`` to the class's registered model name so ``make_design("unison")``
-still returns a ``UnisonCache`` instance.  :meth:`DesignSpec.build_composed`
-always builds the pure generic engine, which the test suite uses to prove
-each class and its spec re-expression are bit-identical.
-
 Specs register in the design registry with
 :meth:`repro.sim.registry.DesignRegistry.register_spec`;
-:func:`repro.sim.factory.make_design` then resolves classes and specs
-uniformly.
+:func:`repro.sim.factory.make_design` then builds them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from repro.dramcache.components import (
     FETCH_POLICIES,
@@ -102,21 +98,6 @@ def _coerce_component(value: Union[ComponentSpec, str, Tuple], role: str,
     )
 
 
-#: Model carriers a spec may name: "composed" is the generic engine; the
-#: pre-existing design classes register themselves so their canonical specs
-#: keep constructing real ``UnisonCache``/``AlloyCache``/... instances.
-MODEL_CLASSES: Dict[str, Callable] = {}
-
-
-def register_model_class(name: str, builder: Callable, *,
-                         replace: bool = False) -> None:
-    """Register ``builder(context, spec) -> DramCacheModel`` under ``name``."""
-    key = name.lower()
-    if not replace and key in MODEL_CLASSES:
-        raise ValueError(f"model class {name!r} is already registered")
-    MODEL_CLASSES[key] = builder
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     """A complete DRAM-cache design, declared as components + geometry."""
@@ -134,8 +115,6 @@ class DesignSpec:
     description: str = ""
     #: Whether :func:`make_design` may override the tag associativity.
     supports_associativity: bool = False
-    #: Which model carrier builds the instance ("composed" = generic engine).
-    model: str = "composed"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tags",
@@ -160,25 +139,8 @@ class DesignSpec:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def build(self, context) -> "ComposedDramCache":
+    def build(self, context) -> ComposedDramCache:
         """Build the design for a :class:`DesignBuildContext`."""
-        if self.model != "composed":
-            builder = MODEL_CLASSES.get(self.model)
-            if builder is None:
-                raise ValueError(
-                    f"design spec {self.name!r} names unknown model "
-                    f"{self.model!r}; registered: {sorted(MODEL_CLASSES)}"
-                )
-            return builder(context, self)
-        return self.build_composed(context)
-
-    def build_composed(self, context) -> ComposedDramCache:
-        """Build the pure generic engine, regardless of ``model``.
-
-        This is the spec's *re-expression* of a design: for the canonical
-        six it must behave bit-identically to the concrete class (the
-        composition test suite enforces exactly that).
-        """
         tags = TAG_ORGANIZATIONS.resolve(self.tags.kind)(
             context, **self.tags.params_dict())
         hit_predictor = HIT_PREDICTORS.resolve(self.hit_predictor.kind)(
@@ -208,7 +170,7 @@ class DesignSpec:
         which is the point: on-disk checkpoints key on it, so editing a
         design invalidates its stale warm states instead of reusing them.
         """
-        return (f"design:{self.name};model:{self.model};"
+        return (f"design:{self.name};"
                 f"tags:{self.tags.token()};"
                 f"hit:{self.hit_predictor.token()};"
                 f"fetch:{self.fetch.token()};"
@@ -224,64 +186,7 @@ class DesignSpec:
                 f"repl={self.replacement.describe()}")
 
 
-def require_components(spec: "DesignSpec", *, tags: "tuple[str, ...]",
-                       hit_predictor: "tuple[str, ...]",
-                       fetch: "tuple[str, ...]",
-                       writeback: "tuple[str, ...]" = ("dirty",),
-                       replacement: "tuple[str, ...]" = ("lru",)) -> None:
-    """Reject component *kinds* a concrete model class cannot embody.
-
-    A class carrier hard-codes its composition; a spec naming a different
-    kind (``model='alloy'`` with ``hit_predictor='none'``, say) would build
-    a model that contradicts its own declaration -- and its checkpoint
-    token.  Unsupported kinds fail loudly at build time instead.
-    """
-    for role, kind, allowed in (
-        ("tags", spec.tags.kind, tags),
-        ("hit_predictor", spec.hit_predictor.kind, hit_predictor),
-        ("fetch", spec.fetch.kind, fetch),
-        ("writeback", spec.writeback.kind, writeback),
-        ("replacement", spec.replacement.kind, replacement),
-    ):
-        if kind not in allowed:
-            raise ValueError(
-                f"design spec {spec.name!r}: component {role}={kind!r} is "
-                f"not supported by model {spec.model!r} (allowed: "
-                f"{sorted(allowed)}); declare the spec with "
-                f"model='composed' to use it"
-            )
-
-
-def take_params(component: ComponentSpec, role: str,
-                allowed: "tuple[str, ...]") -> Dict[str, ParamValue]:
-    """The component's params, rejecting any a model carrier cannot honor.
-
-    The concrete design classes build from their own config objects, so a
-    spec parameter they silently ignored would make ``build()`` and
-    ``build_composed()`` diverge behaviourally while the spec token claims
-    otherwise.  Unknown keys therefore fail loudly, pointing at the pure
-    engine as the way to use the full component parameter space.
-    """
-    params = component.params_dict()
-    unknown = sorted(k for k in params if k not in allowed)
-    if unknown:
-        raise ValueError(
-            f"{role} parameters {unknown} are not supported by this "
-            f"design's concrete model class (allowed: {sorted(allowed)}); "
-            f"declare the spec with model='composed' to use them"
-        )
-    return params
-
-
-register_model_class(
-    "composed", lambda context, spec: spec.build_composed(context))
-
-
 __all__ = [
     "ComponentSpec",
     "DesignSpec",
-    "MODEL_CLASSES",
-    "register_model_class",
-    "require_components",
-    "take_params",
 ]

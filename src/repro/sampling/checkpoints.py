@@ -15,11 +15,9 @@ produced by, so the file name is a SHA-256 over:
 * the **trace identity** -- for synthetic workloads the same profile/config
   fields (plus generator version) that key the trace store; for trace files
   the resolved path, size, and mtime;
-* the **design identity** -- the registry entry's stable token.  For
-  spec-registered designs that is the canonical
-  :meth:`repro.dramcache.spec.DesignSpec.token`, so *changing any component
-  or parameter of a design invalidates its stale checkpoints*; for plain
-  builder registrations it is the builder's qualified name;
+* the **design identity** -- the registry entry's stable token, the
+  canonical :meth:`repro.dramcache.spec.DesignSpec.token`, so *changing any
+  component or parameter of a design invalidates its stale checkpoints*;
 * the **build parameters** (capacity, scale, cores, associativity) and the
   **prologue extent** (checkpoint access range);
 * two versions: the snapshot-layout format version here, and
@@ -119,8 +117,8 @@ def sequence_token(trace) -> str:
 def design_token(design_name: str) -> str:
     """The registry entry's stable identity for ``design_name``.
 
-    Spec-registered designs hash their full component declaration, so any
-    edit to the design's composition invalidates existing checkpoints.
+    The token spells out the design's full component declaration, so any
+    edit to its composition invalidates existing checkpoints.
     """
     from repro.sim.registry import DESIGNS
 

@@ -406,10 +406,7 @@ class TuneSearch:
         for data in state.candidates:
             if data["name"] == name:
                 return deserialize_spec(data)
-        entry = DESIGNS.resolve(name)
-        if entry.spec is None:
-            raise ValueError(f"design {name!r} has no declarative spec")
-        return entry.spec
+        return DESIGNS.resolve(name).spec
 
     def build_frontier(self, state: TuneState) -> Dict[str, object]:
         """The frontier artifact of the search's final (full-fidelity) rung."""

@@ -134,35 +134,24 @@ class ReadModel:
     # /api/designs
     # ------------------------------------------------------------------ #
     def designs(self) -> Dict[str, object]:
-        """The design catalog: every registered design, all five roles.
-
-        Spec-registered entries expose their full component breakdown
-        (including the replacement role); plain builder entries report
-        ``components: null`` -- they predate the declarative layer and
-        have no spec to decompose.
-        """
+        """The design catalog: every registered design, all five roles."""
         from repro.sim.factory import design_names
         from repro.sim.registry import DESIGNS
 
         designs = []
         for name in design_names():
             entry = DESIGNS.resolve(name)
-            spec = entry.spec
-            components = None
-            if spec is not None:
-                components = {
-                    role: {
-                        "kind": getattr(spec, role).kind,
-                        "params": getattr(spec, role).params_dict(),
-                    }
-                    for role in ("tags", "hit_predictor", "fetch",
-                                 "writeback", "replacement")
-                }
             designs.append({
                 "name": entry.name,
                 "description": entry.description,
-                "model": None if spec is None else spec.model,
-                "components": components,
+                "components": {
+                    role: {
+                        "kind": getattr(entry.spec, role).kind,
+                        "params": getattr(entry.spec, role).params_dict(),
+                    }
+                    for role in ("tags", "hit_predictor", "fetch",
+                                 "writeback", "replacement")
+                },
             })
         return {"designs": designs}
 

@@ -1,7 +1,8 @@
 """Simulation and experiment layer.
 
-* :mod:`repro.sim.registry` -- the design registry: every design family
-  registers a builder via :func:`repro.sim.registry.register_design`.
+* :mod:`repro.sim.registry` -- the design registry: every design registers
+  a :class:`~repro.dramcache.spec.DesignSpec` via
+  :meth:`~repro.sim.registry.DesignRegistry.register_spec`.
 * :mod:`repro.sim.factory` -- ``make_design``, now a thin registry lookup
   kept for backwards compatibility, and the registry-derived
   :data:`~repro.sim.factory.DESIGN_NAMES`.
@@ -18,14 +19,14 @@
   Figures 7 and 8.
 * :mod:`repro.sim.experiment` -- the single-trial experiment runner: warm-up,
   measurement, and a uniform result record.
-* :mod:`repro.sim.sampling` -- deprecated whole-trace repeated measurement;
-  the real SimFlex-style windowed sampler lives in :mod:`repro.sampling`
-  and plugs into sweeps via ``SweepSpec(sampling=SamplingConfig())``.
+
+The SimFlex-style windowed sampler lives in :mod:`repro.sampling` and plugs
+into sweeps via ``SweepSpec(sampling=SamplingConfig())``.
 
 Only the registry is imported eagerly; everything else loads on first
 attribute access (PEP 562).  This keeps :mod:`repro.sim.registry` importable
-from the design modules themselves -- each registers its builder at import
-time -- without creating an import cycle through this package.
+from the design catalog, which registers its specs at import time, without
+creating an import cycle through this package.
 """
 
 from importlib import import_module
@@ -35,7 +36,6 @@ from repro.sim.registry import (  # noqa: F401  (re-exported)
     DesignBuildContext,
     DesignEntry,
     DesignRegistry,
-    register_design,
 )
 
 #: Attribute name -> defining module, resolved lazily on first access.
@@ -54,8 +54,6 @@ _LAZY_EXPORTS = {
     "SweepExecutor": "repro.sim.executor",
     "run_sweep": "repro.sim.executor",
     "run_trial": "repro.sim.executor",
-    "SampledMeasurement": "repro.sim.sampling",
-    "SamplingRunner": "repro.sim.sampling",
 }
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "DesignBuildContext",
     "DesignEntry",
     "DesignRegistry",
-    "register_design",
     *_LAZY_EXPORTS,
 ]
 

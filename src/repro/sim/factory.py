@@ -3,10 +3,11 @@
 Construction logic lives in the design catalog: every shipped design is a
 declarative :class:`repro.dramcache.spec.DesignSpec` registered in
 :data:`repro.sim.registry.DESIGNS` by :mod:`repro.dramcache.designs` (new
-designs register there, or at runtime via ``DESIGNS.register_spec`` /
-``@register_design``).  :func:`make_design` resolves a name in that registry
-and :data:`DESIGN_NAMES` is derived from it, so this module contains no
-design-specific branches.
+designs register there, or at runtime via ``DESIGNS.register_spec``).
+:func:`make_design` resolves a name in that registry and builds its spec
+into a :class:`~repro.dramcache.composed.ComposedDramCache`;
+:data:`DESIGN_NAMES` is derived from the registry, so this module contains
+no design-specific branches.
 
 Capacity semantics (shared by every design, see
 :func:`repro.config.cache_configs.scaled_capacity`): structural parameters
@@ -24,7 +25,7 @@ from typing import Optional
 # design -- the canonical six families and the component-composed hybrids --
 # registers there as a declarative DesignSpec.
 import repro.dramcache.designs  # noqa: F401
-from repro.dramcache.base import DramCacheModel
+from repro.dramcache.composed import ComposedDramCache
 from repro.sim.registry import DESIGNS
 from repro.utils.units import SizeLike
 
@@ -79,8 +80,8 @@ def unison_design_for_ways(ways: int) -> "tuple[str, str]":
 
 def make_design(name: str, capacity: SizeLike, scale: int = 1,
                 num_cores: int = 16,
-                associativity: Optional[int] = None) -> DramCacheModel:
-    """Construct a DRAM cache design by registered name.
+                associativity: Optional[int] = None) -> ComposedDramCache:
+    """Build a registered design's spec into a composed DRAM cache.
 
     Parameters
     ----------

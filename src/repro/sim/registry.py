@@ -1,44 +1,45 @@
-"""Design registry: pluggable construction of DRAM cache designs.
+"""Design registry: every DRAM-cache design, by name.
 
-Every design family registers a *builder* under one or more public names with
-the :func:`register_design` decorator, typically at the bottom of the module
-that defines the design class::
+Each registered name maps to one declarative
+:class:`repro.dramcache.spec.DesignSpec`, registered with
+:meth:`DesignRegistry.register_spec` -- the shipped catalog does so in
+:mod:`repro.dramcache.designs`::
 
-    @register_design("alloy", description="direct-mapped TAD cache")
-    def _build_alloy(ctx: DesignBuildContext) -> AlloyCache:
-        return AlloyCache(AlloyCacheConfig(capacity=ctx.scaled_capacity_bytes),
-                          num_cores=ctx.num_cores)
+    DESIGNS.register_spec(DesignSpec(
+        name="alloy",
+        tags=ComponentSpec("direct-mapped"),
+        hit_predictor=ComponentSpec("map-i"),
+        description="direct-mapped TAD cache",
+    ))
 
-The registry replaces the old hard-coded ``if/elif`` chain in
-:mod:`repro.sim.factory`: ``make_design`` is now a thin lookup, and new
-designs (in this repository or in downstream code) become available to every
-sweep, benchmark, and the ``python -m repro`` CLI simply by registering.
+:func:`repro.sim.factory.make_design` is a thin lookup into the registry, so
+a registered design (in this repository or in downstream code) is available
+to every sweep, benchmark, and the ``python -m repro`` CLI.
 
-Builders receive a :class:`DesignBuildContext` carrying both the *paper*
+Specs build from a :class:`DesignBuildContext` carrying both the *paper*
 capacity (which sizes latency parameters such as the Footprint Cache SRAM tag
 latency or the Unison way-predictor index) and the *scaled* capacity actually
-simulated, plus any keyword defaults supplied at registration time (used by
-the Unison variants to share one builder).
+simulated.
 
 This module is intentionally a leaf: it imports nothing from the design
-modules, so designs can import it without circularity.
+modules, so they can import it without circularity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional, TYPE_CHECKING
 
 from repro.config.cache_configs import scaled_capacity
 from repro.utils.units import parse_size, SizeLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.dramcache.base import DramCacheModel
+    from repro.dramcache.composed import ComposedDramCache
 
 
 @dataclass(frozen=True)
 class DesignBuildContext:
-    """Everything a design builder needs to construct one design instance."""
+    """Everything a design spec needs to build one design instance."""
 
     #: The *paper* capacity in bytes (sizes capacity-dependent latencies).
     paper_capacity_bytes: int
@@ -52,48 +53,37 @@ class DesignBuildContext:
     associativity: Optional[int] = None
 
 
-#: A builder constructs one design instance from a build context.  Extra
-#: keyword arguments are the defaults captured at registration time.
-DesignBuilder = Callable[..., "DramCacheModel"]
-
-
 @dataclass(frozen=True)
 class DesignEntry:
-    """One registered design variant."""
+    """One registered design: its lookup name and its declarative spec."""
 
     name: str
-    builder: DesignBuilder
-    description: str = ""
-    #: Whether the design accepts an ``associativity`` override.
-    supports_associativity: bool = False
-    #: Keyword defaults forwarded to the builder (variant parameters).
-    params: Mapping[str, Any] = field(default_factory=dict)
-    #: The declarative :class:`repro.dramcache.spec.DesignSpec` this entry
-    #: was registered from, if any (``None`` for plain builder functions).
-    #: Spec entries expose their component breakdown to ``repro designs``
-    #: and a stable identity token to the checkpoint store.
-    spec: Optional[Any] = None
+    #: The :class:`repro.dramcache.spec.DesignSpec` the entry builds.
+    spec: Any
 
-    def build(self, context: DesignBuildContext) -> "DramCacheModel":
-        return self.builder(context, **dict(self.params))
+    @property
+    def description(self) -> str:
+        return self.spec.description
+
+    @property
+    def supports_associativity(self) -> bool:
+        """Whether the design accepts an ``associativity`` override."""
+        return self.spec.supports_associativity
+
+    def build(self, context: DesignBuildContext) -> "ComposedDramCache":
+        return self.spec.build(context)
 
     def token(self) -> str:
         """Stable identity of this entry's construction *recipe*.
 
         Used (together with capacity/scale/cores) to key on-disk warm-state
-        checkpoints: changing a spec component or parameter -- or swapping
-        in a differently-named builder -- changes the token.  It cannot see
-        *implementation* edits inside an unchanged recipe (a bug fix in a
-        component, a builder body edit); those must bump
+        checkpoints: changing a spec component or parameter changes the
+        token.  It cannot see *implementation* edits inside an unchanged
+        recipe (a bug fix in a component); those must bump
         :data:`repro.dramcache.base.MODEL_BEHAVIOR_VERSION`, which the
         checkpoint store keys on alongside this token.
         """
-        if self.spec is not None:
-            return self.spec.token()
-        builder = self.builder
-        params = ",".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
-        return (f"builder:{getattr(builder, '__module__', '?')}."
-                f"{getattr(builder, '__qualname__', repr(builder))}({params})")
+        return self.spec.token()
 
 
 class DesignRegistry:
@@ -105,45 +95,18 @@ class DesignRegistry:
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
-    def register(self, name: str, builder: DesignBuilder, *,
-                 description: str = "",
-                 supports_associativity: bool = False,
-                 replace: bool = False,
-                 **params: Any) -> DesignEntry:
-        """Register ``builder`` under ``name`` (case-insensitive lookup)."""
-        key = name.lower()
-        if not replace and key in self._entries:
-            raise ValueError(f"design {name!r} is already registered")
-        entry = DesignEntry(
-            name=key,
-            builder=builder,
-            description=description,
-            supports_associativity=supports_associativity,
-            params=dict(params),
-        )
-        self._entries[key] = entry
-        return entry
-
     def register_spec(self, spec: Any, *, replace: bool = False) -> DesignEntry:
         """Register a declarative design spec under its own name.
 
         ``spec`` is duck-typed (a :class:`repro.dramcache.spec.DesignSpec`;
         this module stays a leaf and never imports it): it must carry
         ``name``, ``description``, ``supports_associativity``, a
-        ``build(context)`` method, and a ``token()`` identity.  Spec entries
-        and builder entries are resolved and built uniformly.
+        ``build(context)`` method, and a ``token()`` identity.
         """
         key = spec.name.lower()
         if not replace and key in self._entries:
             raise ValueError(f"design {spec.name!r} is already registered")
-        entry = DesignEntry(
-            name=key,
-            builder=spec.build,
-            description=spec.description,
-            supports_associativity=spec.supports_associativity,
-            params={},
-            spec=spec,
-        )
+        entry = DesignEntry(name=key, spec=spec)
         self._entries[key] = entry
         return entry
 
@@ -181,7 +144,7 @@ class DesignRegistry:
     # ------------------------------------------------------------------ #
     def build(self, name: str, capacity: SizeLike, scale: int = 1,
               num_cores: int = 16,
-              associativity: Optional[int] = None) -> "DramCacheModel":
+              associativity: Optional[int] = None) -> "ComposedDramCache":
         """Construct design ``name`` at a (possibly scaled-down) capacity."""
         entry = self.resolve(name)
         if associativity is not None and not entry.supports_associativity:
@@ -204,34 +167,9 @@ class DesignRegistry:
 #: The process-wide default registry used by ``make_design`` and the sweeps.
 DESIGNS = DesignRegistry()
 
-
-def register_design(name: str, *, description: str = "",
-                    supports_associativity: bool = False,
-                    registry: Optional[DesignRegistry] = None,
-                    **params: Any) -> Callable[[DesignBuilder], DesignBuilder]:
-    """Decorator registering a builder in ``registry`` (default: global).
-
-    Stackable: apply it several times to one builder to register multiple
-    variants with different keyword defaults (see the Unison variants).
-    """
-
-    def decorator(builder: DesignBuilder) -> DesignBuilder:
-        (registry if registry is not None else DESIGNS).register(
-            name, builder,
-            description=description,
-            supports_associativity=supports_associativity,
-            **params,
-        )
-        return builder
-
-    return decorator
-
-
 __all__ = [
     "DesignBuildContext",
-    "DesignBuilder",
     "DesignEntry",
     "DesignRegistry",
     "DESIGNS",
-    "register_design",
 ]

@@ -2,8 +2,8 @@
 
 The paper follows the SimFlex sampling methodology and reports performance
 "with an average error of less than 2% at a 95% confidence level".  The
-reproduction's sampling driver (:mod:`repro.sim.sampling`) aggregates
-per-sample measurements with the helpers here.
+reproduction's windowed sampler (:mod:`repro.sampling`) aggregates
+per-window measurements with the helpers here.
 """
 
 from __future__ import annotations

@@ -11,11 +11,6 @@ import os
 
 import pytest
 
-from repro.config.cache_configs import (
-    AlloyCacheConfig,
-    FootprintCacheConfig,
-    UnisonCacheConfig,
-)
 from repro.trace.record import AccessType, MemoryAccess
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profile import WorkloadProfile
@@ -37,24 +32,6 @@ def _isolated_trace_store(tmp_path_factory):
         os.environ.pop("REPRO_TRACE_STORE", None)
     else:
         os.environ["REPRO_TRACE_STORE"] = previous
-
-
-@pytest.fixture
-def small_unison_config() -> UnisonCacheConfig:
-    """A Unison Cache of 64 DRAM rows (512 KB): 128 sets, 4 ways, 960 B pages."""
-    return UnisonCacheConfig(capacity=64 * 8192)
-
-
-@pytest.fixture
-def small_alloy_config() -> AlloyCacheConfig:
-    """An Alloy Cache of 64 DRAM rows (512 KB)."""
-    return AlloyCacheConfig(capacity=64 * 8192)
-
-
-@pytest.fixture
-def small_footprint_config() -> FootprintCacheConfig:
-    """A Footprint Cache of 512 KB with 2 KB pages and 8 ways."""
-    return FootprintCacheConfig(capacity=64 * 8192, associativity=8)
 
 
 @pytest.fixture

@@ -2,13 +2,25 @@
 
 import pytest
 
-from repro.baselines.alloy import AlloyCache
-from repro.baselines.footprint import FootprintCache
-from repro.baselines.ideal import IdealCache
 from repro.baselines.no_cache import NoDramCache
 from repro.config.cache_configs import AlloyCacheConfig, FootprintCacheConfig
+from repro.dramcache.components import (
+    DirectMappedBlockTags,
+    DisabledMissPrediction,
+    FootprintFetch,
+    SramPageTags,
+)
+from repro.dramcache.composed import ComposedDramCache
+from repro.dramcache.spec import ComponentSpec, DesignSpec
+from repro.predictors.footprint import FootprintPredictor
+from repro.predictors.singleton import SingletonTable
+from repro.sim.factory import make_design
+from repro.sim.registry import DesignBuildContext
 from repro.trace.record import AccessType, MemoryAccess
 from repro.utils.bitvector import BitVector
+
+#: Simulated capacity of the small designs: 64 DRAM rows (512 KB).
+SMALL = 64 * 8192
 
 
 def read(block: int, pc: int = 0x400100, core: int = 0) -> MemoryAccess:
@@ -21,10 +33,16 @@ def write(block: int, pc: int = 0x400100, core: int = 0) -> MemoryAccess:
 
 
 class TestAlloyCache:
-    def make(self, **overrides) -> AlloyCache:
-        params = dict(capacity=64 * 8192)
-        params.update(overrides)
-        return AlloyCache(AlloyCacheConfig(**params), num_cores=4)
+    def make(self) -> ComposedDramCache:
+        return make_design("alloy", SMALL, num_cores=4)
+
+    def make_without_miss_predictor(self) -> ComposedDramCache:
+        # No spec parameter removes MAP-I from the Alloy organization, so
+        # this one is assembled from its components.
+        return ComposedDramCache(
+            tags=DirectMappedBlockTags(AlloyCacheConfig(capacity=SMALL)),
+            hit_predictor=DisabledMissPrediction(),
+        )
 
     def test_miss_then_hit_same_block(self):
         cache = self.make()
@@ -40,7 +58,7 @@ class TestAlloyCache:
 
     def test_direct_mapped_conflict(self):
         cache = self.make()
-        conflicting = 5 + cache.num_blocks
+        conflicting = 5 + cache.tags.num_blocks
         cache.access(read(5))
         cache.access(read(conflicting))
         assert not cache.access(read(5)).hit
@@ -54,7 +72,7 @@ class TestAlloyCache:
     def test_dirty_victim_written_back(self):
         cache = self.make()
         cache.access(write(7))
-        cache.access(read(7 + cache.num_blocks))
+        cache.access(read(7 + cache.tags.num_blocks))
         assert cache.memory.blocks_written == 1
 
     def test_predicted_miss_bypasses_lookup_latency(self):
@@ -62,18 +80,18 @@ class TestAlloyCache:
         pc = 0x400900
         # Train the miss predictor with a stream of misses from one PC.
         for i in range(16):
-            cache.access(read(1000 + i * cache.num_blocks, pc=pc))
-        trained_miss = cache.access(read(5000 + cache.num_blocks * 3, pc=pc))
+            cache.access(read(1000 + i * cache.tags.num_blocks, pc=pc))
+        trained_miss = cache.access(read(5000 + cache.tags.num_blocks * 3, pc=pc))
         # Compare against a fresh cache whose predictor predicts "hit".
-        fresh = self.make(use_miss_predictor=False)
-        unpredicted_miss = fresh.access(read(5000 + fresh.num_blocks * 3, pc=pc))
+        fresh = self.make_without_miss_predictor()
+        unpredicted_miss = fresh.access(read(5000 + fresh.tags.num_blocks * 3, pc=pc))
         assert trained_miss.latency_cycles < unpredicted_miss.latency_cycles
 
     def test_false_miss_prediction_creates_extra_traffic(self):
         cache = self.make()
         pc = 0x400A00
         for i in range(16):
-            cache.access(read(2000 + i * cache.num_blocks, pc=pc))   # all misses
+            cache.access(read(2000 + i * cache.tags.num_blocks, pc=pc))   # all misses
         # Now access a block that IS cached using the same (miss-biased) PC.
         cache.access(read(2000, pc=pc))
         hit = cache.access(read(2000, pc=pc))
@@ -87,19 +105,37 @@ class TestAlloyCache:
         assert 0.0 <= cache.miss_prediction_accuracy <= 1.0
 
     def test_without_miss_predictor(self):
-        cache = self.make(use_miss_predictor=False)
+        cache = self.make_without_miss_predictor()
         cache.access(read(1))
         assert cache.miss_predictor is None
         assert cache.miss_prediction_accuracy == 0.0
 
 
 class TestFootprintCache:
-    def make(self, **overrides) -> FootprintCache:
-        tag_latency = overrides.pop("tag_latency_cycles", None)
-        params = dict(capacity=64 * 8192, associativity=8)
-        params.update(overrides)
-        return FootprintCache(FootprintCacheConfig(**params),
-                              tag_latency_cycles=tag_latency)
+    def make(self, associativity: int = 8) -> ComposedDramCache:
+        spec = DesignSpec(
+            name="footprint",
+            tags=ComponentSpec("sram-page", {"associativity": associativity}),
+            fetch=ComponentSpec("footprint"),
+        )
+        # Unscaled: the SRAM tag latency follows the simulated capacity.
+        return spec.build(DesignBuildContext(
+            paper_capacity_bytes=SMALL, scaled_capacity_bytes=SMALL,
+            scale=1, num_cores=4))
+
+    def make_with_tag_latency(self, cycles: int) -> ComposedDramCache:
+        # The SRAM tag latency is derived from the capacity, never a spec
+        # parameter, so a pinned latency is assembled from the components.
+        tags = SramPageTags(
+            FootprintCacheConfig(capacity=SMALL, associativity=8),
+            tag_latency_cycles=cycles)
+        blocks = tags.blocks_per_page
+        return ComposedDramCache(
+            tags=tags,
+            fetch=FootprintFetch(
+                FootprintPredictor(blocks_per_page=blocks),
+                SingletonTable(blocks_per_page=blocks)),
+        )
 
     def test_page_allocation_gives_spatial_hits(self):
         cache = self.make()
@@ -108,8 +144,8 @@ class TestFootprintCache:
             assert cache.access(read(32 * 5 + offset)).hit
 
     def test_tag_latency_added_to_every_access(self):
-        fast = self.make(tag_latency_cycles=1)
-        slow = self.make(tag_latency_cycles=48)
+        fast = self.make_with_tag_latency(1)
+        slow = self.make_with_tag_latency(48)
         # Warm the page and let the fill traffic drain before comparing hits.
         for offset in range(4):
             fast.access(read(offset))
@@ -120,17 +156,17 @@ class TestFootprintCache:
         assert hit_slow.latency_cycles - hit_fast.latency_cycles >= 40
 
     def test_default_tag_latency_follows_table_iv(self):
-        cache = FootprintCache(FootprintCacheConfig(capacity="1GB"))
-        assert cache.tag_latency_cycles == 16
+        cache = make_design("footprint", "1GB", scale=1024)
+        assert cache.tags.tag_latency_cycles == 16
 
     def test_eviction_trains_footprint_predictor(self):
         cache = self.make()
         pc = 0x400700
         page = 3
-        sets = cache.num_sets
+        sets = cache.tags.num_sets
         for offset in (0, 1, 2):
             cache.access(read(32 * page + offset, pc=pc))
-        for i in range(1, cache.associativity + 1):
+        for i in range(1, cache.tags.associativity + 1):
             cache.access(read(32 * (page + i * sets), pc=pc + 64))
         prediction = cache.footprint_predictor.predict(pc, 0)
         assert prediction.from_history
@@ -148,7 +184,7 @@ class TestFootprintCache:
 
     def test_dirty_blocks_written_back_on_eviction(self):
         cache = self.make(associativity=2)
-        sets = cache.num_sets
+        sets = cache.tags.num_sets
         cache.access(write(32 * 1))
         for i in range(1, 4):
             cache.access(read(32 * (1 + i * sets)))
@@ -164,19 +200,19 @@ class TestFootprintCache:
 
 class TestIdealCache:
     def test_every_access_hits(self):
-        cache = IdealCache(capacity="1GB")
+        cache = make_design("ideal", "1GB")
         for i in range(100):
             assert cache.access(read(i * 17)).hit
         assert cache.cache_stats.miss_ratio == 0.0
 
     def test_no_offchip_traffic(self):
-        cache = IdealCache()
+        cache = make_design("ideal", "1GB")
         for i in range(50):
             cache.access(read(i))
         assert cache.memory.blocks_transferred == 0
 
     def test_latency_is_one_stacked_access(self):
-        cache = IdealCache()
+        cache = make_design("ideal", "1GB")
         result = cache.access(read(0))
         assert 20 <= result.latency_cycles <= 80
 

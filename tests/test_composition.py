@@ -2,11 +2,9 @@
 
 Covers the three contracts the composition refactor makes:
 
-* **Bit-equality** -- every canonical design name resolves to a class that
-  is a thin composition, and building the *same* spec through the pure
-  generic engine (:meth:`DesignSpec.build_composed`) reproduces the class's
-  behaviour access-for-access: hits, latencies, off-chip traffic, device
-  counters, metrics.
+* **One constructor** -- every registered design name builds a plain
+  :class:`ComposedDramCache` from its :class:`DesignSpec`, through
+  :func:`make_design` and :meth:`DesignSpec.build` alike.
 * **Hybrids are first-class** -- the component-composed designs
   (``alloy+footprint``, ``unison-nowp``) run through sweeps, sampled
   trials, and the snapshot/rewind protocol like any canonical design.
@@ -18,7 +16,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config.cache_configs import scaled_capacity
+from repro.config.cache_configs import AlloyCacheConfig, scaled_capacity
+from repro.dramcache.components import (
+    DirectMappedBlockTags,
+    DisabledMissPrediction,
+)
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.spec import ComponentSpec, DesignSpec
 from repro.sim.executor import group_trials_by_trace, run_trial
@@ -31,8 +33,6 @@ from repro.utils.units import parse_size
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profile import WorkloadProfile
 
-CANONICAL = ["unison", "unison-1984", "unison-dm", "unison-32way",
-             "alloy", "footprint", "loh_hill", "ideal", "no_cache"]
 HYBRIDS = ["alloy+footprint", "unison-nowp"]
 
 
@@ -84,87 +84,54 @@ def replay_fingerprint(design, trace):
     )
 
 
-class TestClassSpecBitEquality:
-    @pytest.mark.parametrize("name", CANONICAL)
-    def test_class_and_composed_spec_are_bit_identical(self, name, trace):
-        """The legacy class and its DesignSpec re-expression must agree on
-        every access of a shared trace."""
-        entry = DESIGNS.resolve(name)
-        assert entry.spec is not None, f"{name} is not spec-registered"
-        via_class = make_design(name, "1GB", scale=1024, num_cores=4)
-        via_spec = entry.spec.build_composed(build_context())
-        assert type(via_spec) is ComposedDramCache
-        assert type(via_class) is not ComposedDramCache  # a real subclass
-        assert replay_fingerprint(via_class, trace) == replay_fingerprint(
+class TestOneConstructor:
+    def test_every_registered_name_builds_a_composed_engine(self):
+        """No design has a class of its own: every name is a pure spec."""
+        for name in DESIGNS:
+            design = make_design(name, "1GB", scale=1024)
+            assert type(design) is ComposedDramCache, name
+
+    def test_make_design_matches_direct_spec_build(self, trace):
+        """The registry lookup adds nothing to the spec's own build."""
+        via_registry = make_design("unison", "1GB", scale=1024, num_cores=4)
+        via_spec = DESIGNS.resolve("unison").spec.build(build_context())
+        assert replay_fingerprint(via_registry, trace) == replay_fingerprint(
             via_spec, trace)
 
-    def test_degenerate_predictors_keep_metric_keys(self):
-        """unison-dm must still report way_prediction_accuracy == 1.0 (the
-        legacy perfect-knowledge value), through both build paths."""
-        entry = DESIGNS.resolve("unison-dm")
-        via_class = make_design("unison-dm", "1GB", scale=1024, num_cores=4)
-        via_spec = entry.spec.build_composed(build_context())
-        for design in (via_class, via_spec):
-            assert design.extra_metrics()["way_prediction_accuracy"] == 1.0
-        from repro.baselines.alloy import AlloyCache
-        from repro.config.cache_configs import AlloyCacheConfig
-
-        bare = AlloyCache(AlloyCacheConfig(capacity=64 * 8192,
-                                           use_miss_predictor=False),
-                          num_cores=4)
-        assert bare.extra_metrics() == {
-            "miss_prediction_accuracy": 0.0,
-            "miss_predictor_overfetch": 0.0,
-        }
-
-    def test_class_carrier_rejects_unsupported_params(self):
-        """A class-backed spec must not silently drop component params."""
-        spec = DesignSpec(
-            name="bad-unison",
-            tags=ComponentSpec("dram-page", {"hit_path": "serialized"}),
-            hit_predictor=ComponentSpec("way"),
-            fetch=ComponentSpec("footprint"),
-            model="unison",
-        )
-        with pytest.raises(ValueError, match="composed"):
-            spec.build(build_context())
-
-    def test_class_carrier_rejects_mismatched_component_kinds(self):
-        """A class-backed spec naming a component kind the class cannot
-        embody must fail at build, not silently build something else."""
-        spec = DesignSpec(
-            name="alloy-nomapi",
-            tags=ComponentSpec("direct-mapped"),
-            hit_predictor=ComponentSpec("none"),
-            model="alloy",
-        )
-        with pytest.raises(ValueError, match="hit_predictor='none'"):
-            spec.build(build_context())
-
-    def test_class_carrier_honors_shared_params(self, trace):
-        """Params both carriers understand must build identical models."""
+    def test_spec_params_reach_the_components(self):
         spec = DesignSpec(
             name="tuned-unison",
             tags=ComponentSpec("dram-page", {"blocks_per_page": 15,
                                              "associativity": 4}),
             hit_predictor=ComponentSpec("way", {"index_bits": 10}),
             fetch=ComponentSpec("footprint", {"table_entries": 2048}),
-            model="unison",
         )
-        context = build_context()
-        via_class = spec.build(context)
-        via_spec = spec.build_composed(context)
-        assert via_class.way_predictor.index_bits == 10
-        assert via_class.footprint_predictor.num_entries == 2048
-        assert replay_fingerprint(via_class, trace) == replay_fingerprint(
-            via_spec, trace)
+        design = spec.build(build_context())
+        assert design.way_predictor.index_bits == 10
+        assert design.footprint_predictor.num_entries == 2048
+
+    def test_degenerate_predictors_keep_metric_keys(self):
+        """unison-dm must still report way_prediction_accuracy == 1.0 (the
+        legacy perfect-knowledge value), and an Alloy organization without
+        its miss predictor keeps reporting the MAP-I metric keys."""
+        design = make_design("unison-dm", "1GB", scale=1024, num_cores=4)
+        assert design.extra_metrics()["way_prediction_accuracy"] == 1.0
+        bare = ComposedDramCache(
+            tags=DirectMappedBlockTags(AlloyCacheConfig(capacity=64 * 8192)),
+            hit_predictor=DisabledMissPrediction(),
+        )
+        assert bare.extra_metrics() == {
+            "miss_prediction_accuracy": 0.0,
+            "miss_predictor_overfetch": 0.0,
+        }
 
     def test_associativity_override_matches(self, trace):
-        entry = DESIGNS.resolve("unison")
-        via_class = make_design("unison", "1GB", scale=1024, num_cores=4,
-                                associativity=8)
-        via_spec = entry.spec.build_composed(build_context(associativity=8))
-        assert replay_fingerprint(via_class, trace) == replay_fingerprint(
+        via_registry = make_design("unison", "1GB", scale=1024, num_cores=4,
+                                   associativity=8)
+        via_spec = DESIGNS.resolve("unison").spec.build(
+            build_context(associativity=8))
+        assert via_registry.tags.associativity == 8
+        assert replay_fingerprint(via_registry, trace) == replay_fingerprint(
             via_spec, trace)
 
 

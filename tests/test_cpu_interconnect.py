@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.baselines.ideal import IdealCache
 from repro.baselines.no_cache import NoDramCache
 from repro.config.system import CoreConfig, SystemConfig
 from repro.cpu.cmp import TraceDrivenCmp
 from repro.cpu.core import TraceDrivenCore
 from repro.interconnect.crossbar import Crossbar
+from repro.sim.factory import make_design
 from repro.trace.record import MemoryAccess
 
 
@@ -98,14 +98,14 @@ class TestTraceDrivenCmp:
 
     def test_uipc_positive_after_run(self):
         system = SystemConfig(num_cores=4)
-        cmp = TraceDrivenCmp(IdealCache(), config=system)
+        cmp = TraceDrivenCmp(make_design("ideal", "1GB"), config=system)
         cmp.run(self._trace(400, 4))
         assert cmp.user_instructions_per_cycle > 0
         assert cmp.total_instructions > 0
 
     def test_faster_memory_gives_higher_uipc(self):
         system = SystemConfig(num_cores=4)
-        fast = TraceDrivenCmp(IdealCache(), config=system)
+        fast = TraceDrivenCmp(make_design("ideal", "1GB"), config=system)
         slow = TraceDrivenCmp(NoDramCache(), config=system)
         trace = self._trace(400, 4)
         fast.run(trace)
@@ -114,13 +114,13 @@ class TestTraceDrivenCmp:
 
     def test_total_cycles_is_slowest_core(self):
         system = SystemConfig(num_cores=2)
-        cmp = TraceDrivenCmp(IdealCache(), config=system)
+        cmp = TraceDrivenCmp(make_design("ideal", "1GB"), config=system)
         cmp.run(self._trace(100, 2))
         per_core = [core.progress.cycles for core in cmp.cores]
         assert cmp.total_cycles == max(per_core)
 
     def test_stats_include_dram_cache_section(self):
-        cmp = TraceDrivenCmp(IdealCache(), config=SystemConfig(num_cores=2))
+        cmp = TraceDrivenCmp(make_design("ideal", "1GB"), config=SystemConfig(num_cores=2))
         cmp.run(self._trace(50, 2))
         keys = cmp.stats().as_dict()
         assert any(k.startswith("crossbar.") for k in keys)

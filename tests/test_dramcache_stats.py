@@ -70,15 +70,16 @@ class TestBaseModelBehaviour:
         assert stats.accesses == 20
 
     def test_invalid_capacity_rejected(self):
-        from repro.baselines.ideal import IdealCache
+        from repro.dramcache.components import AlwaysHitTags
+        from repro.dramcache.composed import ComposedDramCache
 
         with pytest.raises(ValueError):
-            IdealCache(capacity=0)
+            ComposedDramCache(tags=AlwaysHitTags(0))
 
     def test_describe_mentions_capacity(self):
-        from repro.baselines.ideal import IdealCache
+        from repro.sim.factory import make_design
 
-        assert "ideal" in IdealCache(capacity="1GB").describe()
+        assert make_design("ideal", "1GB").describe() == "ideal(1GB)"
 
     def test_closed_loop_clock_advances(self):
         design = NoDramCache()

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.baselines.alloy import AlloyCache
-from repro.baselines.loh_hill import LohHillCache
-from repro.config.cache_configs import AlloyCacheConfig
+from repro.dramcache.components import MissMapBlockTags
+from repro.dramcache.composed import ComposedDramCache
 from repro.sim.factory import make_design
 from repro.trace.record import AccessType, MemoryAccess
 
@@ -19,30 +18,30 @@ def write(block: int) -> MemoryAccess:
 
 
 @pytest.fixture
-def cache() -> LohHillCache:
-    return LohHillCache(capacity=64 * 8192)
+def cache() -> ComposedDramCache:
+    return make_design("loh_hill", 64 * 8192)
 
 
 class TestOrganization:
     def test_set_per_row_geometry(self, cache):
         # An 8KB row holds 128 block slots; 11 hold tags, 117 hold data.
-        assert cache.tag_blocks_per_row == 11
-        assert cache.associativity == 117
-        assert cache.num_sets == 64
+        assert cache.tags.tag_blocks_per_row == 11
+        assert cache.tags.associativity == 117
+        assert cache.tags.num_sets == 64
 
     def test_original_2kb_row_organization(self):
         # The original Loh-Hill design: 2KB rows -> 3 tag blocks + 29 ways.
-        cache = LohHillCache(capacity=64 * 2048, row_buffer_size=2048)
-        assert cache.tag_blocks_per_row == 3
-        assert cache.associativity == 29
+        tags = MissMapBlockTags(64 * 2048, row_buffer_size=2048)
+        assert tags.tag_blocks_per_row == 3
+        assert tags.associativity == 29
 
     def test_invalid_row_size(self):
         with pytest.raises(ValueError):
-            LohHillCache(capacity=64 * 8192, row_buffer_size=1000)
+            MissMapBlockTags(64 * 8192, row_buffer_size=1000)
 
     def test_capacity_too_small(self):
         with pytest.raises(ValueError):
-            LohHillCache(capacity=1024)
+            MissMapBlockTags(1024)
 
 
 class TestBehaviour:
@@ -61,7 +60,7 @@ class TestBehaviour:
         assert cache.stacked.controller.total_requests >= before
 
     def test_hit_pays_serialized_tag_then_data(self, cache):
-        alloy = AlloyCache(AlloyCacheConfig(capacity=64 * 8192), num_cores=4)
+        alloy = make_design("alloy", 64 * 8192, num_cores=4)
         cache.access(read(9))
         alloy.access(read(9))
         lh_hit = cache.access(read(9))
@@ -72,7 +71,7 @@ class TestBehaviour:
 
     def test_set_associativity_within_row(self, cache):
         # Many blocks mapping to the same set coexist (29-way associativity).
-        conflicting = [5 + i * cache.num_sets for i in range(10)]
+        conflicting = [5 + i * cache.tags.num_sets for i in range(10)]
         for block in conflicting:
             cache.access(read(block))
         hits = sum(cache.access(read(block)).hit for block in conflicting)
@@ -82,8 +81,8 @@ class TestBehaviour:
         victim = 3
         cache.access(write(victim))
         # Overflow the set so the dirty victim is evicted.
-        for i in range(1, cache.associativity + 2):
-            cache.access(read(victim + i * cache.num_sets))
+        for i in range(1, cache.tags.associativity + 2):
+            cache.access(read(victim + i * cache.tags.num_sets))
         assert cache.memory.blocks_written >= 1
         assert cache.cache_stats.pages_evicted >= 1
 
@@ -93,5 +92,6 @@ class TestBehaviour:
 
     def test_factory_constructs_loh_hill(self):
         design = make_design("loh_hill", "1GB", scale=1024)
-        assert isinstance(design, LohHillCache)
+        assert isinstance(design.tags, MissMapBlockTags)
+        assert design.tags.num_sets == 128  # 1MB of 8KB set-per-row rows
         assert design.cache_stats.accesses == 0

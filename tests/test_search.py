@@ -105,7 +105,6 @@ class TestSearchSpace:
 
     def test_every_candidate_validates_as_a_spec(self):
         for spec in default_space().candidates():
-            assert spec.model == "composed"
             assert "repl:" in spec.token()
 
     def test_config_round_trip(self):
@@ -148,7 +147,7 @@ class TestReplacementRole:
             fetch=ComponentSpec("demand"),
             replacement=ComponentSpec(kind),
         )
-        design = spec.build_composed(build_context())
+        design = spec.build(build_context())
         from repro.workloads.generator import SyntheticWorkload
         from repro.workloads.profile import WorkloadProfile
 
@@ -172,8 +171,8 @@ class TestReplacementRole:
                           fetch=ComponentSpec("demand"),
                           replacement=ComponentSpec("rrip"))
         context = build_context()
-        assert select_kernel(lru.build_composed(context)) is not None
-        assert select_kernel(rrip.build_composed(context)) is None
+        assert select_kernel(lru.build(context)) is not None
+        assert select_kernel(rrip.build(context)) is None
 
     def test_parameterless_replacement_rejects_stray_params(self):
         context = build_context()
@@ -193,7 +192,7 @@ class TestReplacementRole:
         spec = DesignSpec(name="t-bad", tags=ComponentSpec("direct-mapped"),
                           replacement=ComponentSpec("rrip"))
         with pytest.raises(ValueError, match="no per-set replacement"):
-            spec.build_composed(build_context())
+            spec.build(build_context())
 
 
 # --------------------------------------------------------------------- #
@@ -552,7 +551,8 @@ class TestDesignSurfaces:
         by_name = {d["name"]: d for d in data["designs"]}
         assert "unison" in by_name
         for design in data["designs"]:
-            if design["components"] is not None:
-                assert "replacement" in design["components"]
+            assert "model" not in design
+            assert design["components"] is not None, design["name"]
+            assert "replacement" in design["components"]
         assert (by_name["unison"]["components"]["replacement"]["kind"]
                 == "lru")

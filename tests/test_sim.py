@@ -1,15 +1,17 @@
-"""Tests for the performance model, design factory, experiment runner, sampling."""
+"""Tests for the performance model, design factory and experiment runner."""
 
 import pytest
 
-from repro.baselines.footprint import FootprintCache
-from repro.baselines.alloy import AlloyCache
-from repro.core.unison import UnisonCache
+from repro.dramcache.components import (
+    DirectMappedBlockTags,
+    DramPageTags,
+    SramPageTags,
+)
+from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.stats import DramCacheStats
 from repro.sim.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
 from repro.sim.factory import DESIGN_NAMES, make_design
 from repro.sim.performance import PerformanceModel
-from repro.sim.sampling import SamplingRunner
 from repro.workloads.cloudsuite import web_search
 from repro.workloads.profile import WorkloadProfile
 
@@ -81,7 +83,8 @@ class TestFactory:
     def test_scale_shrinks_capacity(self):
         big = make_design("unison", "1GB", scale=1)
         small = make_design("unison", "1GB", scale=256)
-        assert isinstance(big, UnisonCache)
+        assert isinstance(big, ComposedDramCache)
+        assert isinstance(big.tags, DramPageTags)
         assert small.capacity_bytes < big.capacity_bytes
 
     def test_invalid_scale(self):
@@ -91,15 +94,15 @@ class TestFactory:
     def test_unison_variants(self):
         dm = make_design("unison-dm", "1GB", scale=1024)
         wide = make_design("unison-1984", "1GB", scale=1024)
-        assert dm.config.associativity == 1
-        assert wide.config.blocks_per_page == 31
+        assert dm.tags.config.associativity == 1
+        assert wide.tags.config.blocks_per_page == 31
 
     def test_footprint_tag_latency_uses_paper_capacity(self):
         small = make_design("footprint", "128MB", scale=64)
         large = make_design("footprint", "8GB", scale=64)
-        assert isinstance(small, FootprintCache)
-        assert small.tag_latency_cycles == 6
-        assert large.tag_latency_cycles == 48
+        assert isinstance(small.tags, SramPageTags)
+        assert small.tags.tag_latency_cycles == 6
+        assert large.tags.tag_latency_cycles == 48
 
     def test_unison_way_predictor_sized_by_paper_capacity(self):
         small = make_design("unison", "1GB", scale=256)
@@ -109,7 +112,7 @@ class TestFactory:
 
     def test_alloy_has_miss_predictor(self):
         design = make_design("alloy", "1GB", scale=1024, num_cores=4)
-        assert isinstance(design, AlloyCache)
+        assert isinstance(design.tags, DirectMappedBlockTags)
         assert design.miss_predictor is not None
 
 
@@ -170,29 +173,3 @@ class TestExperimentRunner:
         result = fast_runner.run_design("ideal", fast_profile, "1GB")
         assert result.miss_ratio == 0.0
         assert result.speedup_vs_no_cache > 1.0
-
-
-class TestSamplingRunner:
-    def test_construction_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="WindowedSampler"):
-            SamplingRunner(num_samples=2)
-
-    def test_measure_miss_ratio_aggregates(self, fast_profile):
-        with pytest.warns(DeprecationWarning):
-            sampler = SamplingRunner(
-                ExperimentConfig(scale=4096, num_accesses=6_000, num_cores=4, seed=11),
-                num_samples=3,
-            )
-        measurement = sampler.measure_miss_ratio("unison", fast_profile, "1GB")
-        assert len(measurement.samples) == 3
-        assert 0.0 <= measurement.mean <= 1.0
-        assert measurement.interval.lower <= measurement.mean <= measurement.interval.upper
-
-    def test_aggregate_external_samples(self):
-        measurement = SamplingRunner.aggregate([1.0, 1.1, 0.9], "speedup")
-        assert measurement.metric == "speedup"
-        assert measurement.mean == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_sample_count(self):
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            SamplingRunner(num_samples=0)

@@ -8,11 +8,12 @@ import json
 
 import pytest
 
-from repro.dramcache.base import DramCacheModel
+from repro.dramcache.composed import ComposedDramCache
+from repro.dramcache.spec import ComponentSpec, DesignSpec
 from repro.sim.executor import SweepExecutor, clear_caches, run_sweep, run_trial
 from repro.sim.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
 from repro.sim.factory import DESIGN_NAMES, make_design, unison_design_for_ways
-from repro.sim.registry import DESIGNS, DesignRegistry, register_design
+from repro.sim.registry import DESIGNS, DesignRegistry
 from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
 from repro.workloads.cloudsuite import data_serving, web_search
@@ -68,22 +69,23 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         registry = DesignRegistry()
-        registry.register("x", lambda ctx: None)
+        spec = DesignSpec(name="x", tags=ComponentSpec("no-cache"))
+        registry.register_spec(spec)
         with pytest.raises(ValueError, match="already registered"):
-            registry.register("x", lambda ctx: None)
-        registry.register("x", lambda ctx: None, replace=True)
+            registry.register_spec(spec)
+        registry.register_spec(spec, replace=True)
 
     def test_custom_registration_builds(self):
         registry = DesignRegistry()
-
-        @register_design("tiny-ideal", registry=registry, capacity_cap=64 * 1024)
-        def _build(context, *, capacity_cap):
-            from repro.baselines.ideal import IdealCache
-            return IdealCache(min(context.scaled_capacity_bytes, capacity_cap))
-
-        design = registry.build("tiny-ideal", "1GB", scale=1024)
-        assert isinstance(design, DramCacheModel)
-        assert design.capacity_bytes <= 64 * 1024
+        registry.register_spec(DesignSpec(
+            name="tiny-missmap",
+            tags=ComponentSpec("missmap", {"missmap_latency_cycles": 4}),
+        ))
+        design = registry.build("TINY-MISSMAP", "1GB", scale=1024)
+        assert isinstance(design, ComposedDramCache)
+        assert design.capacity_bytes == 1024 * 1024
+        assert design.tags.missmap_latency_cycles == 4
+        assert "tiny-missmap" not in DESIGNS  # private registries stay private
 
     def test_make_design_rejects_associativity_for_fixed_geometry(self):
         for name in ("alloy", "footprint", "loh_hill", "ideal", "no_cache"):
@@ -92,7 +94,7 @@ class TestRegistry:
 
     def test_make_design_accepts_associativity_for_unison(self):
         design = make_design("unison", "1GB", scale=1024, associativity=8)
-        assert design.config.associativity == 8
+        assert design.tags.config.associativity == 8
 
     def test_extra_metrics_uniform_hook(self):
         unison = make_design("unison", "1GB", scale=1024)

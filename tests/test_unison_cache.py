@@ -2,22 +2,22 @@
 
 import pytest
 
-from repro.config.cache_configs import UnisonCacheConfig
-from repro.core.unison import UnisonCache
+from repro.dramcache.composed import ComposedDramCache
+from repro.sim.factory import make_design
 from repro.trace.record import AccessType, MemoryAccess
 from repro.utils.bitvector import BitVector
 
 
-def make_cache(**overrides) -> UnisonCache:
-    params = dict(capacity=64 * 8192)
-    params.update(overrides)
-    return UnisonCache(UnisonCacheConfig(**params))
+def make_cache(associativity: int = 4) -> ComposedDramCache:
+    """A Unison Cache of 64 DRAM rows (512 KB), simulated unscaled."""
+    return make_design("unison", 64 * 8192, associativity=associativity)
 
 
-def access_for(cache: UnisonCache, page: int, offset: int, pc: int = 0x400100,
-               write: bool = False, core: int = 0) -> MemoryAccess:
+def access_for(cache: ComposedDramCache, page: int, offset: int,
+               pc: int = 0x400100, write: bool = False,
+               core: int = 0) -> MemoryAccess:
     """Build a request that lands on (page, offset) of the cache's mapping."""
-    block = page * cache.config.blocks_per_page + offset
+    block = page * cache.tags.config.blocks_per_page + offset
     return MemoryAccess(
         address=block * 64,
         pc=pc,
@@ -53,7 +53,7 @@ class TestBasicHitMiss:
         cache = make_cache()
         cache.access(access_for(cache, page=9, offset=0))
         hit = cache.access(access_for(cache, page=9, offset=1))
-        assert hit.latency_cycles >= cache.config.tag_read_overhead_cycles
+        assert hit.latency_cycles >= cache.tags.config.tag_read_overhead_cycles
 
     def test_trigger_miss_fetches_footprint_from_memory(self):
         cache = make_cache()
@@ -64,11 +64,11 @@ class TestBasicHitMiss:
 
     def test_writes_mark_dirty_and_write_back_on_eviction(self):
         cache = make_cache()
-        sets = cache.config.num_sets
+        sets = cache.tags.config.num_sets
         victim_page = sets * 10          # maps to set 0
         cache.access(access_for(cache, page=victim_page, offset=0, write=True))
         # Fill set 0 with other pages until the dirty page is evicted.
-        for i in range(1, cache.config.associativity + 1):
+        for i in range(1, cache.tags.config.associativity + 1):
             cache.access(access_for(cache, page=victim_page + i * sets, offset=0))
         assert cache.memory.blocks_written > 0
         assert cache.cache_stats.offchip_writeback_blocks > 0
@@ -77,13 +77,13 @@ class TestBasicHitMiss:
 class TestFootprintLearning:
     def test_eviction_trains_predictor(self):
         cache = make_cache()
-        sets = cache.config.num_sets
+        sets = cache.tags.config.num_sets
         pc = 0x400200
         page = 11
         # Touch only three blocks of the page, then evict it.
         for offset in (2, 3, 4):
             cache.access(access_for(cache, page=page, offset=offset, pc=pc))
-        for i in range(1, cache.config.associativity + 1):
+        for i in range(1, cache.tags.config.associativity + 1):
             cache.access(access_for(cache, page=page + i * sets, offset=0))
         prediction = cache.footprint_predictor.predict(pc, 2)
         assert prediction.from_history
@@ -91,12 +91,12 @@ class TestFootprintLearning:
 
     def test_underprediction_fetches_single_block(self):
         cache = make_cache()
-        sets = cache.config.num_sets
+        sets = cache.tags.config.num_sets
         pc = 0x400300
         page = 13
         # Train the predictor that this PC touches only block 0.
         cache.access(access_for(cache, page=page, offset=0, pc=pc))
-        for i in range(1, cache.config.associativity + 1):
+        for i in range(1, cache.tags.config.associativity + 1):
             cache.access(access_for(cache, page=page + i * sets, offset=0))
         # Re-allocate via the trained (non-singleton-aware) PC at offset 0 and
         # then demand an unpredicted block: that is an underprediction miss.
@@ -112,7 +112,7 @@ class TestFootprintLearning:
     def test_singleton_bypass_does_not_allocate(self):
         cache = make_cache()
         pc = 0x400500
-        sets = cache.config.num_sets
+        sets = cache.tags.config.num_sets
         page = 17
         # Train a singleton footprint for (pc, offset 4).
         cache.footprint_predictor.update(pc, 4, BitVector.from_indices(15, [4]))
@@ -140,7 +140,7 @@ class TestAssociativityAndWayPrediction:
     def test_set_associativity_avoids_direct_mapped_conflicts(self):
         four_way = make_cache(associativity=4)
         direct = make_cache(associativity=1)
-        sets_dm = direct.config.num_sets
+        sets_dm = direct.tags.config.num_sets
         # Two pages that conflict in the direct-mapped cache.
         a, b = 1, 1 + sets_dm
         for cache in (four_way, direct):
@@ -156,7 +156,7 @@ class TestAssociativityAndWayPrediction:
         assert cache.way_prediction_accuracy > 0.5
 
     def test_direct_mapped_has_no_way_predictor(self):
-        cache = make_cache(associativity=1, use_way_prediction=False)
+        cache = make_cache(associativity=1)
         assert cache.way_predictor is None
         assert cache.way_prediction_accuracy == 1.0
 
@@ -185,12 +185,12 @@ class TestStatsAndBookkeeping:
 
     def test_capacity_bounded_page_count(self):
         cache = make_cache()
-        for page in range(cache.config.num_pages * 2):
+        for page in range(cache.tags.config.num_pages * 2):
             cache.access(access_for(cache, page=page, offset=0))
         resident = sum(
-            1 for set_frames in cache._frames for f in set_frames if f.valid
+            1 for set_frames in cache.tags.frames for f in set_frames if f.valid
         )
-        assert resident <= cache.config.num_pages
+        assert resident <= cache.tags.config.num_pages
 
     def test_stacked_dram_sees_traffic(self):
         cache = make_cache()
