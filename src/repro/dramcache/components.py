@@ -930,13 +930,12 @@ class DramPageTags(_SetAssocPageTags):
 
     def _tag_read(self, engine: "ComposedDramCache", set_index: int) -> int:
         tag_frame = self._tag_frame(set_index)
-        result = engine.stacked.read(
+        return engine.stacked.read(
             self.layout.frame_row(tag_frame),
             self.layout.presence_metadata_offset(tag_frame),
             self.layout.presence_bytes_per_set,
             engine._now,
         )
-        return result.latency_cpu_cycles
 
     def block_hit_latency(self, engine: "ComposedDramCache",
                           request: MemoryAccess, lookup: Lookup,
@@ -944,7 +943,7 @@ class DramPageTags(_SetAssocPageTags):
         read_way = pred.way if pred.way is not None else lookup.way
         tag_latency = self._tag_read(engine, lookup.set_index)
         data_frame = self.layout.frame_index(lookup.set_index, read_way)
-        data_result = engine.stacked.read_block(
+        data_latency = engine.stacked.read_block(
             self.layout.frame_row(data_frame),
             self.layout.block_offset(data_frame, lookup.offset),
             engine._now,
@@ -952,12 +951,12 @@ class DramPageTags(_SetAssocPageTags):
         if self.hit_path == "serialized":
             # No way knowledge: the tag read resolves the way before the data
             # read can be issued, so the two latencies add (Loh-Hill style).
-            latency = tag_latency + data_result.latency_cpu_cycles
+            latency = tag_latency + data_latency
         else:
             # The tag burst goes first and the data read follows back-to-back
             # in the same open row: the pair costs a single row access plus
             # the tag-transfer overhead (Section III-A.6).
-            latency = max(tag_latency, data_result.latency_cpu_cycles)
+            latency = max(tag_latency, data_latency)
         latency += self.config.tag_read_overhead_cycles
         if pred.way is not None and pred.way != lookup.way:
             # Misprediction: the correct way is re-read from the now-open row
@@ -1062,11 +1061,10 @@ class SramPageTags(_SetAssocPageTags):
                           request: MemoryAccess, lookup: Lookup,
                           pred: HitPrediction) -> int:
         row, page_base = self._row_of(lookup.set_index, lookup.way)
-        data = engine.stacked.read(
+        return self.tag_latency_cycles + engine.stacked.read(
             row, page_base + lookup.offset * self.config.block_size,
             self.config.block_size, engine._now,
         )
-        return self.tag_latency_cycles + data.latency_cpu_cycles
 
     def on_hit_write(self, engine: "ComposedDramCache",
                      request: MemoryAccess, lookup: Lookup) -> None:
@@ -1161,9 +1159,8 @@ class DirectMappedBlockTags(TagOrganization):
 
     def _tad_read(self, engine: "ComposedDramCache", frame: int) -> int:
         row, offset = self._row_of_frame(frame)
-        result = engine.stacked.read(row, offset, self.config.tad_bytes,
-                                     engine._now)
-        return result.latency_cpu_cycles
+        return engine.stacked.read(row, offset, self.config.tad_bytes,
+                                   engine._now)
 
     def block_hit_latency(self, engine: "ComposedDramCache",
                           request: MemoryAccess, lookup: Lookup,
@@ -1354,18 +1351,16 @@ class MissMapBlockTags(TagOrganization):
         self.lru[lookup.set_index].on_access(max(lookup.way, 0))
 
     def _tag_read(self, engine: "ComposedDramCache", set_index: int) -> int:
-        result = engine.stacked.read(
+        return engine.stacked.read(
             set_index, 0, self.tag_blocks_per_row * self.block_size,
             engine._now,
         )
-        return result.latency_cpu_cycles
 
     def _data_read(self, engine: "ComposedDramCache", set_index: int,
                    way: int) -> int:
         offset = (self.tag_blocks_per_row + way) * self.block_size
-        result = engine.stacked.read(set_index, offset, self.block_size,
-                                     engine._now)
-        return result.latency_cpu_cycles
+        return engine.stacked.read(set_index, offset, self.block_size,
+                                   engine._now)
 
     def block_hit_latency(self, engine: "ComposedDramCache",
                           request: MemoryAccess, lookup: Lookup,
@@ -1448,9 +1443,8 @@ class AlwaysHitTags(TagOrganization):
         row = request.address // self.row_buffer_size
         offset = ((request.address % self.row_buffer_size)
                   // self.block_size * self.block_size)
-        result = engine.stacked.read(row, offset, self.block_size,
-                                     engine._now)
-        return result.latency_cpu_cycles
+        return engine.stacked.read(row, offset, self.block_size,
+                                   engine._now)
 
 
 class NoCacheTags(TagOrganization):

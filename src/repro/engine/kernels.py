@@ -5,21 +5,23 @@ effects -- tag arrays, LRU clocks, predictor tables, DRAM bank/channel
 timing horizons -- and then calls ``reset_stats()``, discarding every
 resettable statistic the replay produced.  The scalar path still pays for
 those statistics: each access walks four policy-role objects, builds
-``Lookup``/``HitPrediction``/``FetchDecision``/``AccessResult`` instances,
-and updates a dozen counters that are about to be zeroed.
+``Lookup``/``HitPrediction``/``FetchDecision`` instances, and updates a
+dozen counters that are about to be zeroed.
 
 Each kernel below fuses one tag organization's entire service loop
-(composed engine + tag organization + predictors + DRAM timing) into a
-single Python loop over flat locals.  The rules that make the result
-*bit-identical* to ``warm_up`` followed by ``reset_stats()``:
+(composed engine + tag organization + predictors) into a single Python
+loop over flat locals, and drives DRAM timing through the controllers'
+own closures (:meth:`repro.dram.controller.DramController.ops`), which
+mutate the controllers' state lists in place.  The rules that make the
+result *bit-identical* to ``warm_up`` followed by ``reset_stats()``:
 
 * every persistent state mutation happens in the same order, with the
   same values, as the scalar engine (including dict/OrderedDict insertion
   order, which pickles);
 * every DRAM device operation is issued in the same order with the same
-  (address, num_bytes, now, is_write) arguments, so the flattened timing
-  state (:mod:`repro.engine.dramflat`) and the non-resettable
-  request/byte counters come out identical;
+  (address, num_bytes, now, is_write) arguments, so the bank/channel
+  timing state and the non-resettable traffic counters come out
+  identical;
 * purely resettable statistics are skipped entirely.
 
 :func:`select_kernel` gates dispatch on *exact* component types: a
@@ -52,7 +54,6 @@ from repro.dramcache.components import (
     WayPredictionPolicy,
     WritebackDirtyPolicy,
 )
-from repro.engine.dramflat import flatten_controller
 from repro.predictors.singleton import SingletonEntry
 from repro.trace.record import BLOCK_SIZE
 from repro.utils.bitvector import BitVector
@@ -263,13 +264,8 @@ def _warm_page_set_assoc(design, cols) -> None:
     frames = tags.frames
     lru = tags.lru
 
-    stacked_flat = flatten_controller(design.stacked.controller)
-    memory_flat = flatten_controller(design.memory.controller)
-    s_access = stacked_flat.access
-    s_burst = stacked_flat.burst
-    s_pair = stacked_flat.read_pair
-    m_access = memory_flat.access
-    m_burst = memory_flat.burst
+    s_access, s_burst, s_pair = design.stacked.controller.ops()
+    m_access, m_burst, _ = design.memory.controller.ops()
     srow_bytes = design.stacked.row_bytes
     memory = design.memory
     m_read = m_written = m_req = 0
@@ -508,8 +504,6 @@ def _warm_page_set_assoc(design, cols) -> None:
     design._now = now
     for policy, clock in zip(lru, lru_clock):
         policy._clock = clock
-    stacked_flat.writeback()
-    memory_flat.writeback()
     memory.blocks_read += m_read
     memory.blocks_written += m_written
     memory.requests += m_req
@@ -532,10 +526,8 @@ def _warm_direct_mapped(design, cols) -> None:
     regions = tags._regions
     region_cap = tags.region_observer_entries
 
-    stacked_flat = flatten_controller(design.stacked.controller)
-    memory_flat = flatten_controller(design.memory.controller)
-    s_access = stacked_flat.access
-    m_access = memory_flat.access
+    s_access = design.stacked.controller.ops().access
+    m_access = design.memory.controller.ops().access
     srow_bytes = design.stacked.row_bytes
     memory = design.memory
     m_read = m_written = m_req = 0
@@ -700,8 +692,6 @@ def _warm_direct_mapped(design, cols) -> None:
         now += pred_lat + lookup_lat + offchip
 
     design._now = now
-    stacked_flat.writeback()
-    memory_flat.writeback()
     memory.blocks_read += m_read
     memory.blocks_written += m_written
     memory.requests += m_req
@@ -724,10 +714,8 @@ def _warm_missmap(design, cols) -> None:
     lru = tags.lru
     missmap = tags.missmap
 
-    stacked_flat = flatten_controller(design.stacked.controller)
-    memory_flat = flatten_controller(design.memory.controller)
-    s_access = stacked_flat.access
-    m_access = memory_flat.access
+    s_access = design.stacked.controller.ops().access
+    m_access = design.memory.controller.ops().access
     srow_bytes = design.stacked.row_bytes
     memory = design.memory
     m_read = m_written = m_req = 0
@@ -803,8 +791,6 @@ def _warm_missmap(design, cols) -> None:
         now += mm_latency + offchip
 
     design._now = now
-    stacked_flat.writeback()
-    memory_flat.writeback()
     memory.blocks_read += m_read
     memory.blocks_written += m_written
     memory.requests += m_req
@@ -817,8 +803,7 @@ def _warm_always_hit(design, cols) -> None:
     tags = design.tags
     row_bytes = tags.row_buffer_size
     block_bytes = tags.block_size
-    stacked_flat = flatten_controller(design.stacked.controller)
-    s_access = stacked_flat.access
+    s_access = design.stacked.controller.ops().access
     srow_bytes = design.stacked.row_bytes
 
     now = design._now
@@ -830,15 +815,13 @@ def _warm_always_hit(design, cols) -> None:
         now += s_access(row * srow_bytes + offset, block_bytes, now, False)
 
     design._now = now
-    stacked_flat.writeback()
 
 
 # --------------------------------------------------------------------- #
 # Kernel E: no stacked cache, everything off chip
 # --------------------------------------------------------------------- #
 def _warm_no_cache(design, cols) -> None:
-    memory_flat = flatten_controller(design.memory.controller)
-    m_access = memory_flat.access
+    m_access = design.memory.controller.ops().access
     memory = design.memory
     m_read = m_written = 0
 
@@ -854,7 +837,6 @@ def _warm_no_cache(design, cols) -> None:
             m_read += 1
 
     design._now = now
-    memory_flat.writeback()
     memory.blocks_read += m_read
     memory.blocks_written += m_written
     memory.requests += m_read + m_written

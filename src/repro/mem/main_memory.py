@@ -39,21 +39,21 @@ class MainMemory:
     # ------------------------------------------------------------------ #
     def read_block(self, block_address: int, now_cpu: int = 0) -> int:
         """Fetch one 64-byte block; returns latency in CPU cycles."""
-        result = self.controller.access(
+        latency = self.controller.access(
             block_address * BLOCK_SIZE, BLOCK_SIZE, now_cpu, is_write=False
         )
         self.blocks_read += 1
         self.requests += 1
-        return result.latency_cpu_cycles
+        return latency
 
     def write_block(self, block_address: int, now_cpu: int = 0) -> int:
         """Write one 64-byte block back; returns latency in CPU cycles."""
-        result = self.controller.access(
+        latency = self.controller.access(
             block_address * BLOCK_SIZE, BLOCK_SIZE, now_cpu, is_write=True
         )
         self.blocks_written += 1
         self.requests += 1
-        return result.latency_cpu_cycles
+        return latency
 
     def fetch_blocks(self, block_addresses: Sequence[int], now_cpu: int = 0) -> int:
         """Fetch a batch of blocks (a page footprint) from memory.
@@ -68,12 +68,12 @@ class MainMemory:
             return 0
         critical_latency = 0
         for index, block in enumerate(block_addresses):
-            result = self.controller.access(
+            latency = self.controller.access(
                 block * BLOCK_SIZE, BLOCK_SIZE, now_cpu, is_write=False
             )
             self.blocks_read += 1
             if index == 0:
-                critical_latency = result.latency_cpu_cycles
+                critical_latency = latency
         self.requests += 1
         return critical_latency
 

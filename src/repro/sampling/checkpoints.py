@@ -48,7 +48,7 @@ from repro.workloads.profile import WorkloadProfile
 from repro.workloads.tracefile import TraceFileWorkload
 
 #: Bumped whenever the pickled snapshot layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Environment switch: ``0``/``off``/``false`` disables the checkpoint store.
 ENV_CHECKPOINTS = "REPRO_CHECKPOINTS"

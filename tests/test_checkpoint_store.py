@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import pickle
 
 import pytest
 
 from repro.sampling.checkpoints import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
     checkpoints_enabled,
     design_token,
@@ -86,6 +88,15 @@ class TestStore:
         key = _key(store)
         (tmp_path / f"{key}.ckpt").write_bytes(b"not a pickle")
         assert store.load(key) is None
+
+        # A snapshot pickled in the v1 layout (Bank/Channel object graph)
+        # is a miss as well, never a half-compatible hit.
+        assert CHECKPOINT_FORMAT_VERSION == 2
+        snapshot = make_design("no_cache", "1GB", scale=4096).snapshot_state()
+        (tmp_path / f"{key}.ckpt").write_bytes(pickle.dumps((1, snapshot)))
+        assert store.load(key) is None
+        store.save(key, snapshot)
+        assert store.load(key) is not None
 
     def test_gc_evicts_lru(self, tmp_path, profile):
         store = CheckpointStore(tmp_path)

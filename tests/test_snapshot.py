@@ -1,5 +1,7 @@
 """Tests for the StateSnapshot protocol on the DRAM-cache designs."""
 
+import pickle
+
 import pytest
 
 from repro.dramcache.base import StateSnapshot
@@ -126,3 +128,39 @@ class TestSnapshotRestore:
         design.reset_stats()
         design.run(replay[3000:6000])
         assert (_stats_tuple(design), design.extra_metrics()) == fresh
+
+
+def _dram_requests(design):
+    return (design.stacked.controller.total_requests,
+            design.memory.controller.total_requests)
+
+
+class TestDramStateAliasing:
+    """The controllers' bound timing closures never leak across copies."""
+
+    @pytest.mark.parametrize("serve", ["run", "warm_up_array"])
+    @pytest.mark.parametrize("design_name", ["unison", "alloy", "no_cache"])
+    def test_restored_design_serves_on_its_own_lists(self, design_name,
+                                                     serve, replay):
+        design = _make(design_name)
+        getattr(design, serve)(replay[:1000])  # binds the closures
+        snapshot = design.snapshot_state()
+        frozen = pickle.dumps(snapshot)
+
+        getattr(design, serve)(replay[1000:2000])
+        design.restore_state(snapshot)
+        restored = _dram_requests(design)
+        getattr(design, serve)(replay[2000:2001])
+
+        assert sum(_dram_requests(design)) > sum(restored)
+        assert pickle.dumps(snapshot) == frozen
+
+    def test_bound_controller_pickles(self, replay):
+        design = _make("unison")
+        design.run(replay[:500])
+        controller = design.stacked.controller
+        copy = pickle.loads(pickle.dumps(controller))
+        before = controller.total_requests
+        copy.access(0, 64, 0)
+        assert copy.total_requests == before + 1
+        assert controller.total_requests == before
