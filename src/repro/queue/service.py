@@ -18,9 +18,9 @@ The service is the glue between the declarative layer
    lease.
 3. **Assemble.**  Finished rows reassemble in exact grid order into a
    :class:`~repro.sim.resultset.ResultSet` that is bit-identical to the
-   serial ``SweepExecutor(workers=1)`` run -- sampled trials replay the
-   adaptive stopper over their window batches and discard speculative
-   windows past the termination point.
+   serial ``SweepExecutor(workers=1)`` run -- sampled trials run the same
+   stop walk as the serial sampler, looking windows up in their finished
+   batches, and discard speculative windows past the termination point.
 4. **Archive.**  Every assembled sweep (and every trial as it finishes) is
    written to the schema-versioned result archive, so re-running a sweep
    whose token is already archived costs zero simulation.
@@ -312,8 +312,9 @@ class SweepService:
                     measurements: Dict[int, object] = {}
                     for job in jobs:
                         measurements.update(pickle.loads(job.result))
-                    # assemble_sampled_trial attributes its stopper replay
-                    # to this run's "assemble" phase via obs.current().
+                    # assemble_sampled_trial attributes its stop walk (and
+                    # its per-window convergence events) to this run's
+                    # "assemble" phase via obs.current().
                     result = assemble_sampled_trial(trial, measurements)
                 archive.put(plan.token, trial_index, result)
                 results.append(result)

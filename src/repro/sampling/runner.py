@@ -9,15 +9,21 @@ One sampled run of N designs over one trace proceeds as:
    once and freezes its warm state via the
    :class:`~repro.dramcache.base.StateSnapshot` protocol.  This is the only
    long replay; every window afterwards starts from the checkpoint.
-3. **Measure** -- windows are taken in plan order.  Per window, per design:
-   restore the checkpoint, replay the window's short warm-up slice, measure
-   the window.  A fresh no-DRAM-cache baseline replays the *same* window, so
-   per-window speedups are matched pairs.
-4. **Terminate** -- after each window the
-   :class:`~repro.stats.sampling.AdaptiveStopper` checks every tracked
-   series (miss ratio and speedup of every design); measurement stops as
-   soon as all 95% CIs meet the target relative error, or at the window
-   budget.
+3. **Measure** -- one window routine measures a window for every warm
+   design: read the window's warm-up and measure slices, replay the
+   measure slice through a fresh no-DRAM-cache baseline (so per-window
+   speedups are matched pairs), then per design restore the checkpoint,
+   replay the short warm-up slice, and measure.
+4. **Terminate** -- one stop walk takes windows in plan order, feeds each
+   design's per-window series, and after every window asks the
+   :class:`~repro.stats.sampling.AdaptiveStopper` whether every tracked
+   series (miss ratio and speedup of every design) has converged: it stops
+   as soon as all 95% CIs meet the target relative error, or at the window
+   budget.  The serial sampler (:meth:`WindowedSampler.compare`) feeds the
+   walk live from the window routine; the work queue's window-batch jobs
+   (:meth:`WindowedSampler.measure_windows`) run only the window routine,
+   and their reassembly (:meth:`WindowedSampler.assemble_run`) feeds the
+   same walk from the jobs' results.
 
 Everything derives from ``(SamplingConfig, ExperimentConfig, trace)``; no
 global state, so sampled sweeps are bit-identical between the serial and
@@ -26,12 +32,12 @@ process-parallel executors.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.no_cache import NoDramCache
 from repro.config.system import SystemConfig
-from repro.dramcache.base import DramCacheModel
 from repro.obs.core import current as obs_current
 from repro.sampling.seekable import FileWindows, InMemoryWindows
 from repro.sampling.windows import (
@@ -41,10 +47,14 @@ from repro.sampling.windows import (
     plan_windows,
 )
 from repro.sim.experiment import (
+    MEAN_FIELDS,
+    SUM_FIELDS,
     ExperimentConfig,
     ExperimentResult,
     ExperimentRunner,
     Workload,
+    measured_fields,
+    warm_up,
 )
 from repro.sim.factory import make_design
 from repro.sim.performance import PerformanceModel
@@ -160,33 +170,24 @@ class SampledRun:
         if n == 0:
             raise ValueError(f"design {label!r} measured no windows")
 
-        def mean(metric: str) -> float:
-            return sum(getattr(w, metric) for w in windows) / n
-
-        def total(metric: str) -> int:
+        def total(metric: str):
             return sum(getattr(w, metric) for w in windows)
 
+        fields = {name: total(name) / n for name in MEAN_FIELDS}
+        fields.update((name, total(name)) for name in SUM_FIELDS)
         miss_interval = sampled.interval("miss_ratio")
         speedup_interval = sampled.interval("speedup_vs_no_cache")
+        # The tracked metrics report their CI's mean (window-index order).
+        fields["miss_ratio"] = miss_interval.mean
         result = ExperimentResult(
             design=label,
             workload=self.workload,
             capacity=self.capacity,
             scale=self.scale,
             accesses_measured=sum(w.window.measure_accesses for w in windows),
-            miss_ratio=miss_interval.mean,
-            hit_ratio=mean("hit_ratio"),
-            average_hit_latency=mean("average_hit_latency"),
-            average_miss_latency=mean("average_miss_latency"),
-            average_access_latency=mean("average_access_latency"),
-            offchip_blocks_per_access=mean("offchip_blocks_per_access"),
-            offchip_demand_blocks=total("offchip_demand_blocks"),
-            offchip_prefetch_blocks=total("offchip_prefetch_blocks"),
-            offchip_writeback_blocks=total("offchip_writeback_blocks"),
-            offchip_row_activations=total("offchip_row_activations"),
-            stacked_row_activations=total("stacked_row_activations"),
+            **fields,
             speedup_vs_no_cache=speedup_interval.mean,
-            user_ipc=mean("user_ipc"),
+            user_ipc=total("user_ipc") / n,
         )
         extra_keys = sorted({k for w in windows for k in w.extra_metrics})
         for key in extra_keys:
@@ -210,37 +211,21 @@ class SampledRun:
 class WindowedSampler:
     """Runs checkpointed, window-scheduled, adaptively-terminated trials.
 
-    ``use_checkpoints`` controls the on-disk warm-state store
-    (:mod:`repro.sampling.checkpoints`): ``None`` (default) enables it
-    whenever the trace store is enabled, ``False`` forces prologue replay,
-    ``True`` requires the configured store.  Checkpoints are keyed on the
-    trace identity, the design's registry token (its component spec), the
-    build parameters, and the prologue extent -- a hit skips the one long
-    replay entirely, bit-identically.
+    Warm states persist in the on-disk checkpoint store
+    (:mod:`repro.sampling.checkpoints`) whenever it is enabled
+    (``REPRO_TRACE_STORE`` / ``REPRO_CHECKPOINTS``).  Checkpoints are keyed
+    on the trace identity, the design's registry token (its component spec),
+    the build parameters, and the prologue extent -- a hit skips the one
+    long replay entirely, bit-identically.
     """
 
     def __init__(self, sampling: Optional[SamplingConfig] = None,
                  config: Optional[ExperimentConfig] = None,
-                 system: Optional[SystemConfig] = None,
-                 use_checkpoints: Optional[bool] = None) -> None:
+                 system: Optional[SystemConfig] = None) -> None:
         self.sampling = sampling or SamplingConfig()
         self.config = config or ExperimentConfig()
         self.system = system or SystemConfig()
         self.performance = PerformanceModel(self.system)
-        self.use_checkpoints = use_checkpoints
-
-    def _checkpoint_store(self):
-        from repro.sampling.checkpoints import CheckpointStore
-
-        if self.use_checkpoints is False:
-            return None
-        store = CheckpointStore.default()
-        if store is None and self.use_checkpoints is True:
-            raise ValueError(
-                "on-disk checkpoints requested but the checkpoint store is "
-                "disabled (REPRO_TRACE_STORE / REPRO_CHECKPOINTS)"
-            )
-        return store
 
     # ------------------------------------------------------------------ #
     def _provider(self, workload: Workload,
@@ -274,45 +259,47 @@ class WindowedSampler:
                 return read_array(start, stop)
         return provider.read(start, stop)
 
-    def _measure_window(self, design: DramCacheModel,
-                        window: MeasurementWindow,
-                        warmup: Sequence[MemoryAccess],
-                        measure: Sequence[MemoryAccess],
-                        baseline_stats, profile,
-                        span=None) -> WindowMeasurement:
-        if len(warmup):
-            engine = design.warm_up_array(warmup)
-            if span is not None:
-                span.add("engine_" + engine, 1)
-                if engine == "batch":
-                    span.add("batch_accesses", len(warmup))
-        else:
-            design.reset_stats()
-        activations_before = (design.memory.row_activations,
-                              design.stacked.row_activations)
-        design.run(measure)
-        stats = design.cache_stats
-        speedup = self.performance.speedup(stats, baseline_stats, profile)
-        estimate = self.performance.estimate(stats, profile)
-        return WindowMeasurement(
-            window=window,
-            miss_ratio=stats.miss_ratio,
-            hit_ratio=stats.hit_ratio,
-            average_hit_latency=stats.average_hit_latency,
-            average_miss_latency=stats.average_miss_latency,
-            average_access_latency=stats.average_access_latency,
-            offchip_blocks_per_access=stats.offchip_blocks_per_access,
-            offchip_demand_blocks=stats.offchip_demand_blocks,
-            offchip_prefetch_blocks=stats.offchip_prefetch_blocks,
-            offchip_writeback_blocks=stats.offchip_writeback_blocks,
-            offchip_row_activations=(design.memory.row_activations
-                                     - activations_before[0]),
-            stacked_row_activations=(design.stacked.row_activations
-                                     - activations_before[1]),
-            speedup_vs_no_cache=speedup,
-            user_ipc=estimate.user_ipc,
-            extra_metrics=dict(design.extra_metrics()),
-        )
+    def _measure_window(self, provider, plan: WindowPlan, window_index: int,
+                        designs, profile, span) -> List[WindowMeasurement]:
+        """Measure one planned window for every warm design, in order.
+
+        Reads the window's warm-up and measure slices, replays the measure
+        slice through one fresh no-DRAM-cache baseline (a fresh model per
+        window keeps windows independent, and every design's speedup is a
+        matched pair against it), then per design restores the checkpoint,
+        warms, and measures.  The one window routine of :meth:`compare` and
+        :meth:`measure_windows`.
+        """
+        window = plan.windows[window_index]
+        warmup = self._read_warm(provider, window.warmup_start, window.start)
+        measure = provider.read(window.start, window.stop)
+        baseline = NoDramCache()
+        baseline.run(measure)
+        outcomes = []
+        for design, checkpoint in designs:
+            design.restore_state(checkpoint)
+            if len(warmup):
+                warm_up(design, warmup, span)
+            else:
+                design.reset_stats()
+            activations_before = (design.memory.row_activations,
+                                  design.stacked.row_activations)
+            design.run(measure)
+            stats = design.cache_stats
+            outcomes.append(WindowMeasurement(
+                window=window,
+                **measured_fields(design, activations_before),
+                speedup_vs_no_cache=self.performance.speedup(
+                    stats, baseline.cache_stats, profile),
+                user_ipc=self.performance.estimate(stats, profile).user_ipc,
+                extra_metrics=dict(design.extra_metrics()),
+            ))
+        span.add("windows", 1)
+        obs_run = obs_current()
+        if obs_run.enabled:
+            obs_run.counter("accesses", len(measure) * len(designs))
+            obs_run.counter("warmup_accesses", len(warmup) * len(designs))
+        return outcomes
 
     # ------------------------------------------------------------------ #
     def compare(self, design_names: Sequence[str], workload: Workload,
@@ -343,14 +330,16 @@ class WindowedSampler:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate sampled design labels: {labels}")
 
-        with obs_current().span("trace_load"):
-            provider = self._provider(workload, trace)
-        try:
-            return self._compare(provider, design_names, labels, workload,
-                                 capacity, associativity, trace,
-                                 trace_identity)
-        finally:
-            provider.close()
+        with self._warmed(design_names, workload, capacity, trace,
+                          associativity, trace_identity) as (provider, plan,
+                                                             designs):
+            with obs_current().span("measure") as span:
+                return self._walk(
+                    plan, labels,
+                    lambda index: self._measure_window(
+                        provider, plan, index, designs, workload, span),
+                    workload.name, capacity,
+                )
 
     def _stream_token(self, workload, trace, trace_identity, store) -> str:
         """The checkpoint-keying identity of the measured access stream."""
@@ -390,35 +379,30 @@ class WindowedSampler:
         fields = {}
         for metric in TRACKED_METRICS:
             worst = 0.0
-            for _, _, _, series in designs:
+            for sampled in designs:
                 try:
-                    error = series[metric].interval().relative_error
+                    error = sampled.series[metric].interval().relative_error
                 except (ValueError, ZeroDivisionError):
                     continue
                 if error != error:  # NaN (undefined near-zero mean)
                     continue
                 worst = max(worst, error)
             fields[f"rel_err_{metric}"] = round(worst, 6)
-        obs_run.event("window", index=window_index, measured=len(measured),
+        obs_run.event("window", index=window_index, measured=measured,
                       **fields)
 
-    def _checkpoint_designs(self, provider, design_names, labels, capacity,
-                            associativity, plan, store, stream_token,
-                            span=None):
+    def _checkpoint_designs(self, provider, design_names, capacity,
+                            associativity, plan, store, stream_token, span):
         """Build every design warm: restore its checkpoint or replay once.
 
-        Returns ``[(label, design, checkpoint, series)]`` -- the shared
-        setup of live measurement (:meth:`_compare`) and distributed
-        window-batch jobs (:meth:`measure_windows`), so both start every
-        window from bit-identical warm state.  ``span`` (the enclosing
-        warmup span) is tagged with which warming engine ran per design.
+        Returns ``[(design, checkpoint)]``; ``span`` (the enclosing warmup
+        span) is tagged with which warming engine ran per design.
         """
         from repro.sampling.checkpoints import design_token
 
         prologue = None
-
         designs = []
-        for name, label in zip(design_names, labels):
+        for name in design_names:
             design = make_design(
                 name, capacity, scale=self.config.scale,
                 num_cores=self.config.num_cores, associativity=associativity,
@@ -452,97 +436,92 @@ class WindowedSampler:
                     prologue = self._read_warm(provider,
                                                plan.checkpoint_start,
                                                plan.checkpoint_stop)
-                engine = design.warm_up_array(prologue)
-                if span is not None:
-                    span.add("engine_" + engine, 1)
-                    if engine == "batch":
-                        span.add("batch_accesses", len(prologue))
+                warm_up(design, prologue, span)
                 checkpoint = design.snapshot_state()
-                if store is not None and key is not None:
+                if store is not None:
                     store.save(key, checkpoint)
-            series = {metric: WindowSeries(f"{metric}[{label}]")
-                      for metric in TRACKED_METRICS}
-            designs.append((label, design, checkpoint, series))
+            designs.append((design, checkpoint))
         return designs
 
-    def _compare(self, provider, design_names, labels, workload, capacity,
-                 associativity, trace=None,
-                 trace_identity=None) -> SampledRun:
+    @contextmanager
+    def _warmed(self, design_names, workload, capacity, trace,
+                associativity, trace_identity):
+        """Open the window source, plan the windows, build every design warm.
+
+        Yields ``(provider, plan, [(design, checkpoint)])`` and closes the
+        provider on exit: the shared setup of :meth:`compare` and
+        :meth:`measure_windows`, so both start every window from the same
+        warm state.
+        """
+        from repro.sampling.checkpoints import CheckpointStore
+
         obs_run = obs_current()
-        plan = plan_windows(provider.total, self.config.warmup_fraction,
-                            self.sampling)
-        store = self._checkpoint_store()
-        stream_token = self._stream_token(workload, trace, trace_identity,
-                                          store)
-        # The checkpoint prologue is the sampled path's functional warming:
-        # it shows up in the ledger under the same "warmup" phase a full
-        # replay's warm-up does.
-        with obs_run.span("warmup") as warm_span:
-            designs = self._checkpoint_designs(provider, design_names,
-                                               labels, capacity,
-                                               associativity, plan, store,
-                                               stream_token, span=warm_span)
+        with obs_run.span("trace_load"):
+            provider = self._provider(workload, trace)
+        try:
+            plan = plan_windows(provider.total, self.config.warmup_fraction,
+                                self.sampling)
+            store = CheckpointStore.default()
+            stream_token = self._stream_token(workload, trace, trace_identity,
+                                              store)
+            # The checkpoint prologue is the sampled path's functional
+            # warming: it shows up in the ledger under the same "warmup"
+            # phase a full replay's warm-up does.
+            with obs_run.span("warmup") as span:
+                designs = self._checkpoint_designs(
+                    provider, design_names, capacity, associativity, plan,
+                    store, stream_token, span)
+            yield provider, plan, designs
+        finally:
+            provider.close()
+
+    def _walk(self, plan: WindowPlan, labels: Sequence[str],
+              measure: Callable[[int], List[WindowMeasurement]],
+              workload_name: str, capacity: SizeLike) -> SampledRun:
+        """The one stop walk: windows in plan order until the CIs converge.
+
+        ``measure(index)`` yields window ``index``'s measurements, one per
+        label -- measured live by :meth:`compare`, looked up in finished
+        window-batch jobs by :meth:`assemble_run`.  Each feeds one series
+        per (design, tracked metric); after every window the stoppers judge
+        all designs' series together, so both callers stop after the same
+        window and build the same :class:`SampledRun`.
+        """
+        obs_run = obs_current()
         stoppers = self._stoppers(plan)
-
-        def all_converged() -> bool:
-            return all(
-                stoppers[metric].converged(series[metric])
-                for _, _, _, series in designs
+        designs = {
+            label: SampledDesignResult(design=label, series={
+                metric: WindowSeries(f"{metric}[{label}]")
                 for metric in TRACKED_METRICS
-            )
-
-        results = {label: SampledDesignResult(design=label, series=series)
-                   for label, _, _, series in designs}
+            })
+            for label in labels
+        }
         measured: List[int] = []
-        with obs_run.span("measure") as measure_span:
-            for window_index in plan.order:
-                window = plan.windows[window_index]
-                warmup = self._read_warm(provider, window.warmup_start,
-                                         window.start)
-                measure = provider.read(window.start, window.stop)
-
-                # Matched-pair baseline: the same window through a
-                # no-DRAM-cache system (cheap, and stateless beyond DRAM
-                # timing -- a fresh model per window keeps windows
-                # independent).
-                baseline = NoDramCache()
-                baseline.run(measure)
-                baseline_stats = baseline.cache_stats
-
-                for label, design, checkpoint, series in designs:
-                    design.restore_state(checkpoint)
-                    outcome = self._measure_window(
-                        design, window, warmup, measure, baseline_stats,
-                        workload, span=measure_span,
-                    )
-                    results[label].windows.append(outcome)
-                    for metric in TRACKED_METRICS:
-                        series[metric].add(window_index,
-                                           getattr(outcome, metric))
-                measured.append(window_index)
-                measure_span.add("windows", 1)
-                if obs_run.enabled:
-                    obs_run.counter("accesses",
-                                    len(measure) * len(designs))
-                    obs_run.counter("warmup_accesses",
-                                    len(warmup) * len(designs))
-                    self._trace_convergence(obs_run, window_index, measured,
-                                            designs)
-
-                if all(stopper.should_stop([s[metric]
-                                            for _, _, _, s in designs])
-                       for metric, stopper in stoppers.items()):
-                    break
-
+        for window_index in plan.order:
+            for sampled, outcome in zip(designs.values(),
+                                        measure(window_index)):
+                sampled.windows.append(outcome)
+                for metric, series in sampled.series.items():
+                    series.add(window_index, getattr(outcome, metric))
+            measured.append(window_index)
+            if obs_run.enabled:
+                self._trace_convergence(obs_run, window_index, len(measured),
+                                        designs.values())
+            if all(stopper.should_stop([sampled.series[metric]
+                                        for sampled in designs.values()])
+                   for metric, stopper in stoppers.items()):
+                break
         return SampledRun(
             plan=plan,
             sampling=self.sampling,
-            workload=workload.name,
+            workload=workload_name,
             capacity=format_size(parse_size(capacity)),
             scale=self.config.scale,
-            designs=results,
+            designs=designs,
             measured=measured,
-            converged=all_converged(),
+            converged=all(stoppers[metric].converged(sampled.series[metric])
+                          for sampled in designs.values()
+                          for metric in TRACKED_METRICS),
         )
 
     def measure_windows(self, design_name: str, workload: Workload,
@@ -550,66 +529,36 @@ class WindowedSampler:
                         window_indices: Sequence[int],
                         trace: Optional[Sequence[MemoryAccess]] = None,
                         associativity: Optional[int] = None,
-                        label: Optional[str] = None,
                         trace_identity: Optional[str] = None,
                         ) -> Dict[int, WindowMeasurement]:
         """Measure an explicit subset of the planned windows for one design.
 
         This is the distributed-execution primitive: the work queue splits a
         sampled trial's window plan into independent batches, and each batch
-        job calls this with its indices.  Every window starts from the same
-        warm checkpoint (loaded from the on-disk store, or rebuilt by one
-        prologue replay) and uses a fresh matched-pair baseline, so a window
-        measured here is bit-identical to the same window measured by the
-        serial :meth:`compare` loop -- regardless of which process, batch,
-        or ordering produced it.
+        job calls this with its indices.  It runs the same window routine as
+        :meth:`compare` -- same warm checkpoint, same fresh matched-pair
+        baseline -- so a window measured here equals the one the live walk
+        measures, whichever process, batch, or ordering produced it.
         """
         from repro.sim.registry import DESIGNS
 
         DESIGNS.resolve(design_name)
-        obs_run = obs_current()
-        with obs_run.span("trace_load"):
-            provider = self._provider(workload, trace)
-        try:
-            plan = plan_windows(provider.total, self.config.warmup_fraction,
-                                self.sampling)
-            store = self._checkpoint_store()
-            stream_token = self._stream_token(workload, trace, trace_identity,
-                                              store)
-            with obs_run.span("warmup") as warm_span:
-                designs = self._checkpoint_designs(
-                    provider, [design_name], [label or design_name],
-                    capacity, associativity, plan, store, stream_token,
-                    span=warm_span,
-                )
-            _, design, checkpoint, _ = designs[0]
-            measurements: Dict[int, WindowMeasurement] = {}
-            with obs_run.span("measure") as measure_span:
-                for index in window_indices:
-                    if not 0 <= index < len(plan.windows):
-                        raise ValueError(
-                            f"window index {index} outside the plan "
-                            f"({len(plan.windows)} windows); was the trace "
-                            f"modified after the sweep was planned?"
-                        )
-                    window = plan.windows[index]
-                    warmup = self._read_warm(provider, window.warmup_start,
-                                             window.start)
-                    measure = provider.read(window.start, window.stop)
-                    baseline = NoDramCache()
-                    baseline.run(measure)
-                    design.restore_state(checkpoint)
-                    measurements[index] = self._measure_window(
-                        design, window, warmup, measure,
-                        baseline.cache_stats, workload, span=measure_span,
+        with self._warmed([design_name], workload, capacity, trace,
+                          associativity, trace_identity) as (provider, plan,
+                                                             designs):
+            for index in window_indices:
+                if not 0 <= index < len(plan.windows):
+                    raise ValueError(
+                        f"window index {index} outside the plan "
+                        f"({len(plan.windows)} windows); was the trace "
+                        f"modified after the sweep was planned?"
                     )
-                    measure_span.add("windows", 1)
-                    if obs_run.enabled:
-                        obs_run.counter("accesses", len(measure))
-                        obs_run.counter("warmup_accesses", len(warmup))
-            return measurements
-        finally:
-            provider.close()
+            with obs_current().span("measure") as span:
+                return {
+                    index: self._measure_window(provider, plan, index,
+                                                designs, workload, span)[0]
+                    for index in window_indices
+                }
 
     def assemble_run(self, label: str,
                      measurements: "Dict[int, WindowMeasurement]",
@@ -617,44 +566,22 @@ class WindowedSampler:
                      plan: WindowPlan) -> SampledRun:
         """Reconstruct a :class:`SampledRun` from pre-measured windows.
 
-        Walks the plan's measurement order feeding the same adaptive
-        stoppers the live loop uses, so it terminates at exactly the window
-        the serial run would have stopped at -- measurements past that point
+        Runs the same stop walk as :meth:`compare`, looking each window up
+        in ``measurements``, so it terminates at exactly the window the live
+        run would have stopped at -- measurements past that point
         (speculative windows a distributed execution measured eagerly) are
-        discarded, and the aggregate result is bit-identical to the serial
-        path's.
+        discarded.
         """
-        series = {metric: WindowSeries(f"{metric}[{label}]")
-                  for metric in TRACKED_METRICS}
-        stoppers = self._stoppers(plan)
-        sampled = SampledDesignResult(design=label, series=series)
-        measured: List[int] = []
-        for window_index in plan.order:
+        def lookup(window_index: int) -> List[WindowMeasurement]:
             outcome = measurements.get(window_index)
             if outcome is None:
                 raise ValueError(
                     f"window {window_index} has no measurement; the sweep's "
                     f"window-batch jobs are incomplete"
                 )
-            sampled.windows.append(outcome)
-            for metric in TRACKED_METRICS:
-                series[metric].add(window_index, getattr(outcome, metric))
-            measured.append(window_index)
-            if all(stopper.should_stop([series[metric]])
-                   for metric, stopper in stoppers.items()):
-                break
-        converged = all(stoppers[metric].converged(series[metric])
-                        for metric in TRACKED_METRICS)
-        return SampledRun(
-            plan=plan,
-            sampling=self.sampling,
-            workload=workload_name,
-            capacity=format_size(parse_size(capacity)),
-            scale=self.config.scale,
-            designs={label: sampled},
-            measured=measured,
-            converged=converged,
-        )
+            return [outcome]
+
+        return self._walk(plan, [label], lookup, workload_name, capacity)
 
     def run_design(self, design_name: str, workload: Workload,
                    capacity: SizeLike,

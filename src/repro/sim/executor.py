@@ -327,9 +327,9 @@ def run_trial_windows(trial: ExperimentSpec,
                       window_indices: Sequence[int]) -> Dict[int, object]:
     """Measure a batch of a sampled trial's windows (a work-queue job).
 
-    Returns ``{window_index: WindowMeasurement}``; the measurements are
-    bit-identical to the ones the serial sampled path produces for the same
-    windows, so batches measured by different workers reassemble exactly.
+    Returns ``{window_index: WindowMeasurement}`` from the same window
+    routine the serial sampled path runs, so batches measured by different
+    workers reassemble exactly.
     """
     with start_run("windows", design=trial.design, label=trial.result_label,
                    workload=trial.workload.name,
@@ -340,7 +340,6 @@ def run_trial_windows(trial: ExperimentSpec,
             trial.design, trial.workload, trial.capacity, window_indices,
             trace=trace,
             associativity=trial.associativity,
-            label=trial.result_label,
             trace_identity=trace_identity,
         )
 
@@ -350,10 +349,11 @@ def assemble_sampled_trial(trial: ExperimentSpec,
                            ) -> ExperimentResult:
     """Aggregate window-batch measurements into the trial's final result.
 
-    Replays the adaptive stopper over the plan's measurement order, so the
-    aggregation stops at exactly the window the serial run would have
-    stopped at; measurements past that point (speculatively measured
-    batches) are discarded.
+    Runs the same stop walk as the serial sampled path over the plan's
+    measurement order, so the aggregation stops at exactly the window the
+    serial run would have stopped at; measurements past that point
+    (speculatively measured batches) are discarded, and a window missing
+    before it raises ``ValueError``.
     """
     from repro.sampling.runner import WindowedSampler
 

@@ -119,6 +119,48 @@ class ExperimentResult:
         return 100.0 * self.miss_ratio
 
 
+#: The stats-derived fields of a measurement (:func:`measured_fields`): the
+#: ratios and latencies a sampled run averages across its windows ...
+MEAN_FIELDS = ("miss_ratio", "hit_ratio", "average_hit_latency",
+               "average_miss_latency", "average_access_latency",
+               "offchip_blocks_per_access")
+#: ... and the off-chip traffic and row-activation counts it sums.
+SUM_FIELDS = ("offchip_demand_blocks", "offchip_prefetch_blocks",
+              "offchip_writeback_blocks", "offchip_row_activations",
+              "stacked_row_activations")
+
+
+def warm_up(design: DramCacheModel, accesses, span) -> None:
+    """Functionally warm ``design``, tagging ``span`` with the engine run."""
+    engine = design.warm_up_array(accesses)
+    span.add("engine_" + engine, 1)
+    if engine == "batch":
+        span.add("batch_accesses", len(accesses))
+
+
+def measured_fields(design: DramCacheModel,
+                    activations_before: "tuple[int, int]",
+                    ) -> Dict[str, Union[int, float]]:
+    """Every :data:`MEAN_FIELDS`/:data:`SUM_FIELDS` value of a measurement.
+
+    Row activations count from ``activations_before`` (off-chip, stacked),
+    read when measurement began; every other field comes straight off the
+    design's cache stats.  Full replay and each sampled window read their
+    results through this one helper.
+    """
+    fields: Dict[str, Union[int, float]] = {
+        "offchip_row_activations": (design.memory.row_activations
+                                    - activations_before[0]),
+        "stacked_row_activations": (design.stacked.row_activations
+                                    - activations_before[1]),
+    }
+    stats = design.cache_stats
+    for name in MEAN_FIELDS + SUM_FIELDS:
+        if name not in fields:
+            fields[name] = getattr(stats, name)
+    return fields
+
+
 class ExperimentRunner:
     """Builds designs, replays workloads, and produces :class:`ExperimentResult`."""
 
@@ -173,9 +215,6 @@ class ExperimentRunner:
         split = int(len(trace) * self.config.warmup_fraction)
         return trace[:split], trace[split:]
 
-    # Backwards-compatible alias (pre-sweep-API name).
-    _split = split_trace
-
     # ------------------------------------------------------------------ #
     # Running designs
     # ------------------------------------------------------------------ #
@@ -205,10 +244,7 @@ class ExperimentRunner:
             num_cores=self.config.num_cores, associativity=associativity,
         )
         with obs_run.span("warmup") as warm_span:
-            engine = design.warm_up_array(warmup)
-            warm_span.add("engine_" + engine, 1)
-            if engine == "batch":
-                warm_span.add("batch_accesses", len(warmup))
+            warm_up(design, warmup, warm_span)
         activations_before = (design.memory.row_activations,
                               design.stacked.row_activations)
         with obs_run.span("measure"):
@@ -241,27 +277,13 @@ class ExperimentRunner:
                      activations_before: "tuple[int, int]",
                      speedup: Optional[float],
                      user_ipc: Optional[float]) -> ExperimentResult:
-        stats = design.cache_stats
-        offchip_act = design.memory.row_activations - activations_before[0]
-        stacked_act = design.stacked.row_activations - activations_before[1]
-
         result = ExperimentResult(
             design=design_name,
             workload=profile.name,
             capacity=format_size(parse_size(capacity)),
             scale=self.config.scale,
             accesses_measured=measured,
-            miss_ratio=stats.miss_ratio,
-            hit_ratio=stats.hit_ratio,
-            average_hit_latency=stats.average_hit_latency,
-            average_miss_latency=stats.average_miss_latency,
-            average_access_latency=stats.average_access_latency,
-            offchip_blocks_per_access=stats.offchip_blocks_per_access,
-            offchip_demand_blocks=stats.offchip_demand_blocks,
-            offchip_prefetch_blocks=stats.offchip_prefetch_blocks,
-            offchip_writeback_blocks=stats.offchip_writeback_blocks,
-            offchip_row_activations=offchip_act,
-            stacked_row_activations=stacked_act,
+            **measured_fields(design, activations_before),
             speedup_vs_no_cache=speedup,
             user_ipc=user_ipc,
         )

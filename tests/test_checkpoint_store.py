@@ -208,19 +208,3 @@ class TestSamplerIntegration:
         WindowedSampler(sampling, config=config).compare(
             ["no_cache"], profile, "256MB")
         assert not (tmp_path / "store" / "checkpoints").exists()
-
-    def test_use_checkpoints_true_requires_store(self, monkeypatch, config,
-                                                 sampling, profile):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-        sampler = WindowedSampler(sampling, config=config,
-                                  use_checkpoints=True)
-        with pytest.raises(ValueError, match="checkpoint"):
-            sampler.compare(["no_cache"], profile, "256MB")
-
-    def test_opt_out_per_sampler(self, tmp_path, monkeypatch, profile,
-                                 config, sampling):
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "store"))
-        WindowedSampler(sampling, config=config,
-                        use_checkpoints=False).compare(
-            ["no_cache"], profile, "256MB")
-        assert not (tmp_path / "store" / "checkpoints").exists()

@@ -30,10 +30,18 @@ from repro.queue import (
     SweepService,
     plan_sweep,
 )
+from repro.sampling.runner import WindowedSampler
 from repro.sampling.windows import SamplingConfig
-from repro.sim.executor import SweepExecutor, run_trial
+from repro.sim.executor import (
+    SweepExecutor,
+    assemble_sampled_trial,
+    run_trial,
+    run_trial_windows,
+    sampled_window_plan,
+)
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.spec import SweepSpec
+from repro.workloads import workload_by_name
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -314,6 +322,40 @@ class TestSweepService:
         token = service.submit(spec).token
         serial = SweepExecutor(workers=1).run(spec)
         assert service.resume(token) == serial
+
+
+# --------------------------------------------------------------------- #
+# Window-batch jobs and their reassembly
+# --------------------------------------------------------------------- #
+class TestWindowReassembly:
+    @pytest.fixture
+    def trial(self, queue_root):
+        return sampled_spec(designs=("unison",)).trials()[0]
+
+    def test_missing_window_before_stop_point_is_named(self, trial):
+        plan = sampled_window_plan(trial)
+        measurements = run_trial_windows(trial, plan.order)
+        missing = plan.order[1]  # every run measures >= min_windows (4)
+        del measurements[missing]
+        with pytest.raises(ValueError, match=f"window {missing} has no"):
+            assemble_sampled_trial(trial, measurements)
+
+    def test_window_index_outside_plan_is_rejected(self, trial):
+        plan = sampled_window_plan(trial)
+        with pytest.raises(ValueError, match="outside the plan"):
+            run_trial_windows(trial, [len(plan.windows)])
+
+    def test_compare_measures_what_window_jobs_measure(self, queue_root):
+        """The shared-baseline live loop and the per-design job path agree."""
+        spec = sampled_spec()
+        sampler = WindowedSampler(spec.sampling, config=spec.config)
+        profile = workload_by_name("Web Search")
+        run = sampler.compare(["unison", "alloy"], profile, "512MB")
+        for design in ("unison", "alloy"):
+            jobs = sampler.measure_windows(design, profile, "512MB",
+                                           run.measured)
+            assert ([jobs[index] for index in run.measured]
+                    == run.designs[design].windows)
 
 
 # --------------------------------------------------------------------- #
