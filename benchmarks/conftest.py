@@ -103,11 +103,30 @@ def trace_cache(runner) -> TraceCache:
 
 
 def write_report(results_dir: Path, name: str, lines: Sequence[str]) -> None:
-    """Persist one regenerated table/figure and echo it to the console."""
+    """Persist one regenerated table/figure and echo it to the console.
+
+    Reports are tracked in git and must come out byte-identical on every
+    run: wall-clock measurements go through :func:`write_timings`.
+    """
     path = results_dir / f"{name}.txt"
     text = "\n".join(lines) + "\n"
     path.write_text(text, encoding="utf-8")
     print(f"\n=== {name} ===")
+    print(text)
+
+
+def write_timings(results_dir: Path, filename: str,
+                  lines: Sequence[str]) -> None:
+    """Persist a run's wall-clock measurements, untracked.
+
+    They land in ``results/timings/`` (ignored by git), so regenerating the
+    tables never leaves timing noise in the working tree.
+    """
+    timings = results_dir / "timings"
+    timings.mkdir(exist_ok=True)
+    text = "\n".join(lines) + "\n"
+    (timings / filename).write_text(text, encoding="utf-8")
+    print(f"\n=== timings/{filename} ===")
     print(text)
 
 

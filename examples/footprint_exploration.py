@@ -56,13 +56,16 @@ def explore(workload_name: str, accesses: int, scale: int) -> None:
     print(f"\nLearned footprint entries (of {table.updates} updates, "
           f"{table.trained_hits} trained lookups):")
     shown = 0
-    for entries in table._sets.values():
-        for (pc, offset), footprint in entries.items():
-            print(f"  PC {pc:#x} offset {offset:2d} -> "
-                  f"{footprint.popcount():2d} blocks {footprint.indices()}")
-            shown += 1
-            if shown >= 5:
-                return
+    for key, footprint in zip(table._keys, table._footprints):
+        if not key:
+            continue  # an empty history entry
+        pc, offset = key
+        blocks = [i for i in range(table.blocks_per_page) if footprint >> i & 1]
+        print(f"  PC {pc:#x} offset {offset:2d} -> "
+              f"{len(blocks):2d} blocks {blocks}")
+        shown += 1
+        if shown >= 5:
+            return
     return
 
 

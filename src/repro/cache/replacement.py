@@ -105,39 +105,6 @@ class NruPolicy(ReplacementPolicy):
         return 0
 
 
-class RripPolicy(ReplacementPolicy):
-    """Static RRIP (SRRIP) with 2-bit re-reference prediction values.
-
-    Fills insert at a *long* re-reference interval (RRPV = max - 1), hits
-    promote to *near-immediate* (RRPV = 0), and the victim scan walks the
-    ways looking for RRPV = max, aging every way when none qualifies --
-    the deterministic SRRIP-HP variant of Jaleel et al. (ISCA 2010).
-    """
-
-    MAX_RRPV = 3  # 2-bit counters
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        self._rrpv = [self.MAX_RRPV] * associativity
-
-    def on_access(self, way: int) -> None:
-        self._rrpv[way] = 0
-
-    def on_fill(self, way: int) -> None:
-        self._rrpv[way] = self.MAX_RRPV - 1
-
-    def victim(self, valid_ways: List[bool]) -> int:
-        invalid = self._first_invalid(valid_ways)
-        if invalid >= 0:
-            return invalid
-        while True:
-            for way in range(self.associativity):
-                if self._rrpv[way] >= self.MAX_RRPV:
-                    return way
-            for way in range(self.associativity):
-                self._rrpv[way] += 1
-
-
 class RandomPolicy(ReplacementPolicy):
     """Random replacement with a deterministic per-set generator."""
 
@@ -162,13 +129,11 @@ _POLICIES = {
     "lru": LruPolicy,
     "nru": NruPolicy,
     "random": RandomPolicy,
-    "rrip": RripPolicy,
 }
 
 
 def make_policy(name: str, associativity: int) -> ReplacementPolicy:
-    """Instantiate a replacement policy by name (``lru``, ``nru``, ``random``,
-    ``rrip``)."""
+    """Instantiate a replacement policy by name (``lru``, ``nru``, ``random``)."""
     key = name.lower()
     if key not in _POLICIES:
         raise ValueError(f"unknown replacement policy {name!r}; options: {sorted(_POLICIES)}")

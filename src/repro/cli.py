@@ -1488,10 +1488,10 @@ def _summary_lines(summary: dict) -> List[str]:
         value = metrics[name]
         text = f"{value:g}" if value == int(value) else f"{value:.4f}"
         lines.append(f"  {name:<22} {text}")
-    for name in ("accesses_per_sec", "trace_store_hit_rate",
+    for name in ("accesses_per_sec", "restore_share", "trace_store_hit_rate",
                  "checkpoint_hit_rate"):
         if name in summary:
-            if name.endswith("rate"):
+            if name.endswith(("rate", "share")):
                 lines.append(f"{name}: {100 * summary[name]:.1f}%")
             else:
                 lines.append(f"{name}: {summary[name]:,.0f}")

@@ -13,10 +13,12 @@ counters.  :func:`_bind` closes over those lists and returns the access
 arithmetic once, as :class:`DramOps`: ``access`` serves one request;
 ``burst`` and ``read_pair`` are fused forms of repeated ``access`` calls,
 bit-identical to them, that the batch-warming kernels
-(:mod:`repro.engine.kernels`) call directly.  The closures are never
-pickled or copied: :meth:`DramController.__getstate__` drops them and the
-controller rebinds on first use, so a restored snapshot always serves
-accesses on its own lists.
+(:mod:`repro.engine.kernels`) call directly.  The lists are the
+controller's warm state (``_STATE_ATTRS``): a design snapshot copies them
+and a restore writes them back in place, so the bound closures stay valid
+across restores.  The closures are never pickled:
+:meth:`DramController.__getstate__` drops them and a copy rebinds on first
+use, so it always serves accesses on its own lists.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ class DramController:
     cpu_frequency_ghz:
         CPU frequency used to convert latencies to CPU cycles.
     """
+
+    #: Warm-state buffers (see :func:`repro.dramcache.base.state_leaves`).
+    _STATE_ATTRS = ("open_row", "next_activate", "next_column",
+                    "next_precharge", "activations", "row_hits", "row_misses",
+                    "row_conflicts", "bus_free", "last_activate",
+                    "recent_activates", "reads", "writes",
+                    "bytes_transferred")
 
     def __init__(self, config: DramChannelConfig, cpu_frequency_ghz: float = 3.0) -> None:
         config.validate()

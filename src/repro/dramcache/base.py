@@ -10,9 +10,9 @@ model and the benchmark suite treat all designs uniformly.
 from __future__ import annotations
 
 import abc
-import copy
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.dramcache.stats import DramCacheStats
 from repro.mem.main_memory import MainMemory
@@ -24,7 +24,7 @@ from repro.trace.record import MemoryAccess
 #: device timing).  Bump this whenever a change alters what any design
 #: computes for a given trace -- the on-disk warm-state checkpoint store
 #: (:mod:`repro.sampling.checkpoints`) folds it into every key, so stale
-#: checkpoints pickled by older model code are invalidated instead of
+#: checkpoints written by older model code are invalidated instead of
 #: silently reused.  The design/component *composition* is keyed separately
 #: (the registry entry token); this constant covers implementation changes
 #: the composition cannot see, playing the role ``GENERATOR_VERSION`` plays
@@ -37,17 +37,69 @@ class StateSnapshot:
     """A design's warm state, frozen at one point of a replay.
 
     Produced by :meth:`DramCacheModel.snapshot_state` and consumed by
-    :meth:`DramCacheModel.restore_state`.  The payload maps attribute names
-    to deep copies of the design's mutable components -- tag/frame arrays,
-    replacement state, predictor tables (footprint, way, singleton, miss),
-    statistics, and the DRAM device models with their timing state -- so one
-    warm checkpoint can seed arbitrarily many downstream measurement windows
-    (the checkpointed-sampling workflow of :mod:`repro.sampling`).  Restoring
-    deep-copies again, leaving the snapshot reusable.
+    :meth:`DramCacheModel.restore_state`.  The payload maps dotted buffer
+    names (``"tags.page"``, ``"memory.controller.open_row"``) to plain
+    copies of every warm-state buffer -- tag arrays, replacement state,
+    predictor tables, statistics, DRAM timing state -- as tuples, dicts and
+    scalars.  It holds no model objects, so one warm checkpoint can seed
+    any number of measurement windows (:mod:`repro.sampling`) and is
+    written to disk as plain data.
     """
 
     design_name: str
     state: Dict[str, object]
+
+    def differing_buffers(self, other: "StateSnapshot") -> List[str]:
+        """Names of the buffers whose contents differ from ``other``'s.
+
+        Buffers compare by ``repr``, exact for this plain data (it tells
+        ``True`` from ``1`` and sees dict order); a one-sided buffer differs.
+        """
+        names = sorted(set(self.state) | set(other.state))
+        return [name for name in names
+                if repr(self.state.get(name, ...))
+                != repr(other.state.get(name, ...))]
+
+
+@functools.lru_cache(maxsize=None)
+def _state_attrs(cls) -> "tuple[str, ...]":
+    """Every ``_STATE_ATTRS`` declaration along ``cls``'s hierarchy."""
+    return tuple(dict.fromkeys(name for klass in reversed(cls.__mro__)
+                               for name in vars(klass).get("_STATE_ATTRS", ())))
+
+
+def state_leaves(obj, prefix: str = "") -> Iterator[Tuple[str, object, str]]:
+    """``(name, owner, attribute)`` of every warm-state buffer under ``obj``.
+
+    An object takes part by declaring ``_STATE_ATTRS``, the attribute names
+    of its warm state.  A value that itself declares ``_STATE_ATTRS`` is
+    walked (its buffers are named ``"<attr>.<buffer>"``); any other value is
+    a buffer.  Lists (of ints, or of int lists) and dicts are restored in
+    place, so the batch kernels and DRAM timing closures that alias them
+    stay valid; scalars are restored by assignment.  A computed buffer (a
+    property, such as packed RNG states) is restored through its setter,
+    and its owner defines ``state_fits(attribute, saved)`` to check a saved
+    value without computing the live one.
+    """
+    cls = type(obj)
+    for name in _state_attrs(cls):
+        if not isinstance(getattr(cls, name, None), property):
+            value = getattr(obj, name)
+            if hasattr(type(value), "_STATE_ATTRS"):
+                yield from state_leaves(value, f"{prefix}{name}.")
+                continue
+        yield prefix + name, obj, name
+
+
+def _capture(value):
+    """A plain, independent copy of one buffer's contents."""
+    if type(value) is dict:
+        return dict(value)
+    if type(value) is not list:
+        return value
+    if value and type(value[0]) is list:
+        return tuple(map(tuple, value))
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -80,10 +132,11 @@ class DramCacheModel(abc.ABC):
     #: Short machine-readable design name, overridden by subclasses.
     design_name: str = "base"
 
-    #: Mutable attributes captured by :meth:`snapshot_state`.  Subclasses
-    #: declare *their own additions* (tag arrays, predictor tables, ...);
-    #: declarations accumulate across the class hierarchy, so this base list
-    #: of the universally-shared state is inherited by every design.
+    #: Warm state captured by :meth:`snapshot_state` (see
+    #: :func:`state_leaves`).  Subclasses declare *their own additions*
+    #: (the composed engine's components); declarations accumulate across
+    #: the class hierarchy, so this base list of the universally-shared
+    #: state is inherited by every design.
     _STATE_ATTRS: "tuple[str, ...]" = ("_now", "cache_stats", "memory",
                                        "stacked")
 
@@ -144,44 +197,77 @@ class DramCacheModel(abc.ABC):
     # ------------------------------------------------------------------ #
     # Snapshot/restore of warm state (checkpointed sampling)
     # ------------------------------------------------------------------ #
-    @classmethod
-    def _snapshot_attrs(cls) -> "tuple[str, ...]":
-        """Every ``_STATE_ATTRS`` declaration along the class hierarchy."""
-        attrs = []
-        for klass in reversed(cls.__mro__):
-            for name in vars(klass).get("_STATE_ATTRS", ()):
-                if name not in attrs:
-                    attrs.append(name)
-        return tuple(attrs)
-
     def snapshot_state(self) -> StateSnapshot:
         """Freeze the design's warm state (contents, predictors, timing).
 
-        The snapshot is independent of the live model: continuing to replay
-        accesses never disturbs it, and it can seed any number of
-        :meth:`restore_state` calls.
+        Copies every buffer :func:`state_leaves` names into plain tuples,
+        dicts and scalars.  The snapshot is independent of the live model:
+        continuing to replay accesses never disturbs it, and it can seed any
+        number of :meth:`restore_state` calls.
         """
         return StateSnapshot(
             design_name=self.design_name,
-            state={name: copy.deepcopy(getattr(self, name))
-                   for name in self._snapshot_attrs()},
+            state={name: _capture(getattr(owner, attr))
+                   for name, owner, attr in state_leaves(self)},
         )
 
     def restore_state(self, snapshot: StateSnapshot) -> None:
-        """Rewind the design to a previously captured snapshot."""
+        """Rewind the design to a previously captured snapshot.
+
+        Every buffer name, type and length is checked before anything is
+        written, so a snapshot that does not fit raises ``ValueError`` and
+        leaves the design untouched.  Buffers are then overwritten in
+        place.
+        """
         if snapshot.design_name != self.design_name:
             raise ValueError(
                 f"snapshot of design {snapshot.design_name!r} cannot "
                 f"restore a {self.design_name!r} model"
             )
-        expected = set(self._snapshot_attrs())
-        if set(snapshot.state) != expected:
+        leaves = list(state_leaves(self))
+        state = snapshot.state
+        if sorted(state) != sorted(name for name, *_ in leaves):
             raise ValueError(
-                f"snapshot state keys {sorted(snapshot.state)} do not match "
-                f"this design's state attributes {sorted(expected)}"
+                f"snapshot state keys {sorted(state)} do not match this "
+                f"design's state buffers {sorted(n for n, *_ in leaves)}"
             )
-        for name, value in snapshot.state.items():
-            setattr(self, name, copy.deepcopy(value))
+        # Slice assignment silently resizes a list, and a computed buffer (a
+        # property) is unpacked by its setter, so every buffer is checked
+        # before the first one is written: a stored buffer by type and
+        # length against the live one, a computed one by its owner's
+        # ``state_fits`` (cheaper than computing the live value to compare).
+        live_values = {}
+        for name, owner, attr in leaves:
+            saved = state[name]
+            if isinstance(getattr(type(owner), attr, None), property):
+                if not owner.state_fits(attr, saved):
+                    raise ValueError(
+                        f"snapshot buffer {name!r} does not fit this "
+                        f"design's geometry"
+                    )
+                continue
+            live = live_values[name] = getattr(owner, attr)
+            sized = type(live) is list
+            if (type(saved) is not (tuple if sized else type(live))
+                    or sized and len(saved) != len(live)):
+                raise ValueError(
+                    f"snapshot buffer {name!r} ({type(saved).__name__}) does "
+                    f"not fit this design's {type(live).__name__}"
+                    + (f" of {len(live)}" if sized else "")
+                )
+        for name, owner, attr in leaves:
+            saved = state[name]
+            live = live_values.get(name)
+            if type(live) is dict:
+                live.clear()
+                live.update(saved)
+            elif type(live) is not list:
+                setattr(owner, attr, saved)
+            elif live and type(live[0]) is list:
+                for row, saved_row in zip(live, saved):
+                    row[:] = saved_row
+            else:
+                live[:] = saved
 
     # ------------------------------------------------------------------ #
     @property

@@ -21,16 +21,17 @@ interchangeable implementations:
 * :class:`WritebackPolicy` -- how dirty data leaves the cache.
 * :class:`ReplacementComponent` -- which victim a set-associative
   organization evicts: LRU (the paper's policy, the default), deterministic
-  random, or 2-bit SRRIP.  The component is a per-set state factory; the
-  policies it makes live inside the tag organization, so replacement state
-  snapshots/checkpoints through the existing ``tags`` machinery.
+  random, or 2-bit SRRIP.  The organization binds the component to its
+  geometry, and the component keeps the per-set replacement state.
 
 Components are deliberately *device-free*: they hold only their own mutable
 state (tag arrays, predictor tables) and receive the engine -- a
 :class:`repro.dramcache.composed.ComposedDramCache` -- as an argument on
-every call.  That keeps them independently deep-copyable, which is what lets
-the engine fold component state into the accumulated ``_STATE_ATTRS``
-snapshot mechanism unchanged.
+every call.  That state is flat: int/bool lists indexed by frame, dicts of
+ints and tuples, and scalars, declared per class in ``_STATE_ATTRS``.  The
+scalar service path, the batch-warming kernels (:mod:`repro.engine`) and
+the design snapshots (:func:`repro.dramcache.base.state_leaves`) all work on
+those same buffers.
 
 Each role has a registry (:data:`TAG_ORGANIZATIONS`, :data:`HIT_PREDICTORS`,
 :data:`FETCH_POLICIES`, :data:`WRITEBACK_POLICIES`,
@@ -41,15 +42,11 @@ and downstream code can register new variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.cache.replacement import (
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    RripPolicy,
-)
 from repro.config.cache_configs import (
     AlloyCacheConfig,
     FOOTPRINT_TABLE_ENTRIES,
@@ -66,7 +63,6 @@ from repro.predictors.singleton import SingletonTable
 from repro.predictors.way import WayPredictor
 from repro.stats.counters import StatGroup
 from repro.trace.record import MemoryAccess
-from repro.utils.bitvector import BitVector
 from repro.utils.residue import ResidueMapper
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,8 +115,9 @@ NO_PREDICTION = HitPrediction()
 class FetchDecision:
     """What the fetch policy wants brought on chip for a trigger miss."""
 
-    #: Blocks of the page to fetch (always includes the trigger block).
-    footprint: Optional[BitVector] = None
+    #: Bit mask of the page's blocks to fetch (always includes the trigger
+    #: block; unused on a bypass).
+    footprint: int = 0
     #: Forward the block without allocating (singleton bypass).
     bypass: bool = False
     #: The footprint came from a trained history entry.
@@ -136,6 +133,11 @@ class AllocationOutcome:
     offchip_latency: int
     blocks_fetched: int
     blocks_written: int
+
+
+def _offsets(mask: int) -> List[int]:
+    """Set bit positions of ``mask``, ascending (block offsets of a page)."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # --------------------------------------------------------------------- #
@@ -190,15 +192,16 @@ class CachePolicyComponent:
     """Base for all policy components: hooks the engine calls uniformly.
 
     Components never store a reference to the engine or its device models;
-    every method receives the engine explicitly.  This keeps a component a
-    self-contained bag of mutable state that ``copy.deepcopy`` (the
-    :class:`~repro.dramcache.base.StateSnapshot` mechanism) and ``pickle``
-    (the on-disk checkpoint store) both handle without dragging the devices
-    along twice.
+    every method receives the engine explicitly.  A component's warm state
+    is the buffers its ``_STATE_ATTRS`` names (none by default), which the
+    :class:`~repro.dramcache.base.StateSnapshot` protocol copies and
+    restores in place.
     """
 
     #: Kind name the component registers under (reports/``repro designs``).
     kind: str = ""
+
+    _STATE_ATTRS: "tuple[str, ...]" = ()
 
     def reset_stats(self) -> None:
         """Forget measurement counters; learned state persists."""
@@ -293,27 +296,61 @@ WRITEBACK_POLICIES.register(
 class ReplacementComponent(CachePolicyComponent):
     """How a set-associative organization chooses eviction victims.
 
-    The component itself is a *per-set state factory*: the tag organization
-    calls :meth:`make_set_policy` once per set at construction (through
-    :meth:`TagOrganization.apply_replacement`), and the resulting
-    :class:`~repro.cache.replacement.ReplacementPolicy` objects live inside
-    the organization's ``lru`` list -- so replacement state keeps riding the
-    existing ``tags`` snapshot/checkpoint machinery unchanged.
+    The organization binds the component to its geometry once at build
+    time (:meth:`bind`, through :meth:`TagOrganization.apply_replacement`).
+    The component then keeps the replacement state of every set, indexed
+    like the organization's frames (``set * associativity + way``), and is
+    asked for a victim only when the set has no invalid way.
     """
 
-    def make_set_policy(self, associativity: int,
-                        set_index: int) -> ReplacementPolicy:
+    def bind(self, num_sets: int, associativity: int) -> None:
+        self.associativity = associativity
+
+    def on_access(self, set_index: int, way: int) -> None:
+        """Record a hit on ``way`` of ``set_index``."""
+
+    def on_fill(self, set_index: int, way: int) -> None:
+        """Record a fill into ``way`` of ``set_index``."""
+        self.on_access(set_index, way)
+
+    def victim(self, set_index: int) -> int:
+        """The way of a full set to evict."""
         raise NotImplementedError
 
 
 class LruReplacement(ReplacementComponent):
-    """Least-recently-used (the paper's page replacement; the default)."""
+    """Least-recently-used (the paper's page replacement; the default).
+
+    ``clock[set]`` counts the set's touches and ``recency[frame]`` holds the
+    clock of the frame's last touch; the victim is the first way with the
+    oldest touch.
+    """
 
     kind = "lru"
+    _STATE_ATTRS = ("clock", "recency")
 
-    def make_set_policy(self, associativity: int,
-                        set_index: int) -> ReplacementPolicy:
-        return LruPolicy(associativity)
+    def __init__(self) -> None:
+        self.clock: List[int] = []
+        self.recency: List[int] = []
+
+    def bind(self, num_sets: int, associativity: int) -> None:
+        super().bind(num_sets, associativity)
+        self.clock = [0] * num_sets
+        self.recency = [0] * (num_sets * associativity)
+
+    def on_access(self, set_index: int, way: int) -> None:
+        clock = self.clock[set_index] + 1
+        self.clock[set_index] = clock
+        self.recency[set_index * self.associativity + way] = clock
+
+    def victim(self, set_index: int) -> int:
+        base = set_index * self.associativity
+        recency = self.recency[base:base + self.associativity]
+        return recency.index(min(recency))
+
+
+#: A packed ``random.Random`` state: 625 words of 32 bits.
+_RNG_STATE_BYTES = 625 * array("I").itemsize
 
 
 class RandomReplacement(ReplacementComponent):
@@ -321,27 +358,82 @@ class RandomReplacement(ReplacementComponent):
 
     Each set's generator is seeded from ``(seed, set_index)`` so results
     are reproducible and independent of the order sets are constructed in.
+    Its warm state is each generator's ``getstate()``, with the 625 state
+    words packed as 32-bit bytes: a tenth of the memory of a tuple of ints.
     """
 
     kind = "random"
+    _STATE_ATTRS = ("rng_states",)
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
+        self._rngs: List[random.Random] = []
 
-    def make_set_policy(self, associativity: int,
-                        set_index: int) -> ReplacementPolicy:
-        return RandomPolicy(associativity,
-                            seed=self.seed * 1000003 + set_index)
+    def bind(self, num_sets: int, associativity: int) -> None:
+        super().bind(num_sets, associativity)
+        self._rngs = [random.Random(self.seed * 1000003 + set_index)
+                      for set_index in range(num_sets)]
+
+    @property
+    def rng_states(self) -> tuple:
+        return tuple((version, array("I", words).tobytes(), gauss)
+                     for version, words, gauss in (rng.getstate()
+                                                   for rng in self._rngs))
+
+    @rng_states.setter
+    def rng_states(self, states: tuple) -> None:
+        for rng, (version, words, gauss) in zip(self._rngs, states):
+            rng.setstate((version, tuple(array("I", words)), gauss))
+
+    def state_fits(self, attr: str, states) -> bool:
+        """Whether ``states`` can be restored: one packed state per set."""
+        return type(states) is tuple and len(states) == len(self._rngs) and all(
+            type(state) is tuple and len(state) == 3
+            and type(state[0]) is int
+            and type(state[1]) is bytes and len(state[1]) == _RNG_STATE_BYTES
+            and (state[2] is None or type(state[2]) is float)
+            for state in states)
+
+    def victim(self, set_index: int) -> int:
+        return self._rngs[set_index].randrange(self.associativity)
 
 
 class RripReplacement(ReplacementComponent):
-    """Static RRIP (2-bit SRRIP) victims."""
+    """Static RRIP (2-bit SRRIP) victims.
+
+    Fills insert at a *long* re-reference interval (RRPV = max - 1), hits
+    promote to *near-immediate* (RRPV = 0), and the victim scan walks the
+    ways looking for RRPV = max, aging every way when none qualifies --
+    the deterministic SRRIP-HP variant of Jaleel et al. (ISCA 2010).
+    """
 
     kind = "rrip"
+    _STATE_ATTRS = ("rrpv",)
 
-    def make_set_policy(self, associativity: int,
-                        set_index: int) -> ReplacementPolicy:
-        return RripPolicy(associativity)
+    MAX_RRPV = 3  # 2-bit counters
+
+    def __init__(self) -> None:
+        self.rrpv: List[int] = []
+
+    def bind(self, num_sets: int, associativity: int) -> None:
+        super().bind(num_sets, associativity)
+        self.rrpv = [self.MAX_RRPV] * (num_sets * associativity)
+
+    def on_access(self, set_index: int, way: int) -> None:
+        self.rrpv[set_index * self.associativity + way] = 0
+
+    def on_fill(self, set_index: int, way: int) -> None:
+        self.rrpv[set_index * self.associativity + way] = self.MAX_RRPV - 1
+
+    def victim(self, set_index: int) -> int:
+        base = set_index * self.associativity
+        rrpv = self.rrpv[base:base + self.associativity]
+        oldest = max(rrpv)
+        if oldest < self.MAX_RRPV:
+            # Age every way until the oldest reaches MAX_RRPV.
+            self.rrpv[base:base + self.associativity] = [
+                value + self.MAX_RRPV - oldest for value in rrpv]
+        return rrpv.index(oldest)
 
 
 def _build_random_replacement(context, tags, seed: int = 0,
@@ -414,6 +506,7 @@ class WayPredictionPolicy(HitPredictor):
     """
 
     kind = "way"
+    _STATE_ATTRS = ("predictor",)
 
     def __init__(self, predictor: WayPredictor,
                  mispredict_penalty_cycles: int = 12) -> None:
@@ -450,6 +543,7 @@ class MissPredictionPolicy(HitPredictor):
     """
 
     kind = "map-i"
+    _STATE_ATTRS = ("predictor",)
 
     def __init__(self, predictor: MissPredictor,
                  latency_cycles: int = 1) -> None:
@@ -535,9 +629,12 @@ class FetchPolicy(CachePolicyComponent):
         """Bookkeeping after the engine serviced a bypassed miss."""
 
     def learn_eviction(self, trigger_pc: int, trigger_offset: int,
-                       demanded: BitVector, predicted: BitVector,
+                       demanded: int, predicted: int,
                        from_history: bool) -> None:
-        """Eviction-time training with the frame's observed footprint."""
+        """Eviction-time training with the frame's observed footprint.
+
+        ``demanded`` and ``predicted`` are bit masks over the page's blocks.
+        """
 
 
 class DemandBlockFetch(FetchPolicy):
@@ -547,10 +644,7 @@ class DemandBlockFetch(FetchPolicy):
 
     def plan(self, engine: "ComposedDramCache", request: MemoryAccess,
              lookup: Lookup) -> FetchDecision:
-        width = engine.tags.blocks_per_page
-        return FetchDecision(
-            footprint=BitVector.from_indices(width, [lookup.offset])
-        )
+        return FetchDecision(footprint=1 << lookup.offset)
 
 
 class FullPageFetch(FetchPolicy):
@@ -560,7 +654,8 @@ class FullPageFetch(FetchPolicy):
 
     def plan(self, engine: "ComposedDramCache", request: MemoryAccess,
              lookup: Lookup) -> FetchDecision:
-        return FetchDecision(footprint=BitVector.ones(engine.tags.blocks_per_page))
+        return FetchDecision(
+            footprint=(1 << engine.tags.blocks_per_page) - 1)
 
 
 class FootprintFetch(FetchPolicy):
@@ -572,34 +667,34 @@ class FootprintFetch(FetchPolicy):
     """
 
     kind = "footprint"
+    _STATE_ATTRS = ("predictor", "singleton_table")
 
     def __init__(self, predictor: FootprintPredictor,
                  singleton_table: SingletonTable) -> None:
         self.predictor = predictor
         self.singleton_table = singleton_table
 
-    def plan(self, engine: "ComposedDramCache", request: MemoryAccess,
-             lookup: Lookup) -> FetchDecision:
+    def plan_bits(self, page: int, pc: int,
+                  offset: int) -> "tuple[int, bool, bool, bool]":
+        """The :class:`FetchDecision` fields of a trigger, as a tuple.
+
+        The one planning routine of the scalar path (:meth:`plan`) and the
+        batch-warming kernels.
+        """
         # A prior singleton bypass of this page may be contradicted by this
         # access; the singleton table corrects the history table if so.
-        correction = self.singleton_table.record_access(lookup.page,
-                                                        lookup.offset)
+        correction = self.singleton_table.observe(page, offset)
         if correction is not None:
-            trigger_pc, trigger_offset, observed = correction
-            self.predictor.update(trigger_pc, trigger_offset, observed)
+            self.predictor.train(*correction)
+        footprint, from_history = self.predictor.predict_bits(pc, offset)
+        if from_history and footprint == 1 << offset:
+            return footprint, True, True, correction is None
+        return footprint, False, from_history, False
 
-        prediction = self.predictor.predict(request.pc, lookup.offset)
-        if prediction.is_singleton and prediction.from_history:
-            return FetchDecision(
-                bypass=True,
-                from_history=True,
-                note_singleton=correction is None,
-            )
-        footprint = prediction.footprint.copy()
-        footprint.set(lookup.offset)
-        return FetchDecision(
-            footprint=footprint, from_history=prediction.from_history
-        )
+    def plan(self, engine: "ComposedDramCache", request: MemoryAccess,
+             lookup: Lookup) -> FetchDecision:
+        return FetchDecision(*self.plan_bits(lookup.page, request.pc,
+                                             lookup.offset))
 
     def on_bypass(self, engine: "ComposedDramCache", request: MemoryAccess,
                   lookup: Lookup, decision: FetchDecision) -> None:
@@ -607,14 +702,11 @@ class FootprintFetch(FetchPolicy):
             self.singleton_table.insert(lookup.page, request.pc, lookup.offset)
 
     def learn_eviction(self, trigger_pc: int, trigger_offset: int,
-                       demanded: BitVector, predicted: BitVector,
+                       demanded: int, predicted: int,
                        from_history: bool) -> None:
-        actual = demanded.copy()
-        if not actual.any():
-            actual.set(trigger_offset)
-        self.predictor.update(trigger_pc, trigger_offset, actual)
-        self.predictor.record_outcome(predicted, actual,
-                                      from_history=from_history)
+        actual = demanded or 1 << trigger_offset
+        self.predictor.train(trigger_pc, trigger_offset, actual)
+        self.predictor.account(predicted, actual, from_history=from_history)
 
     def reset_stats(self) -> None:
         self.predictor.reset_stats()
@@ -650,26 +742,6 @@ FETCH_POLICIES.register("footprint", _build_footprint_fetch)
 # --------------------------------------------------------------------- #
 # Tag organizations
 # --------------------------------------------------------------------- #
-@dataclass
-class PageFrame:
-    """One way of one set of a page-based organization."""
-
-    valid: bool = False
-    page_number: int = -1
-    #: Blocks present in the cache (fetched by the footprint or on demand).
-    vbits: BitVector = field(default_factory=lambda: BitVector(15))
-    #: Blocks written by the CPU while resident.
-    dbits: BitVector = field(default_factory=lambda: BitVector(15))
-    #: Blocks actually demanded by the CPU while resident (the true footprint).
-    demanded: BitVector = field(default_factory=lambda: BitVector(15))
-    #: Footprint the fetch policy brought in at allocation.
-    predicted: BitVector = field(default_factory=lambda: BitVector(15))
-    trigger_pc: int = 0
-    trigger_offset: int = 0
-    #: Whether the fetched footprint came from a trained history entry.
-    predicted_from_history: bool = False
-
-
 class TagOrganization(CachePolicyComponent):
     """Array layout, placement, lookup/allocation mechanics, and latencies."""
 
@@ -678,22 +750,40 @@ class TagOrganization(CachePolicyComponent):
     #: Ways per set (1 == direct-mapped).
     associativity: int = 1
     capacity_bytes: int = 0
+    #: Sets choose eviction victims (``num_sets`` sets of ``associativity``
+    #: ways, state indexed ``set * associativity + way``).
+    has_victim_choice = False
 
     # -- replacement --------------------------------------------------- #
     def apply_replacement(self, replacement: ReplacementComponent) -> None:
-        """Install per-set replacement state from the replacement component.
+        """Bind the replacement component to this organization's sets.
 
         Organizations without a victim choice (direct-mapped, always-hit,
         no-cache) accept only the default ``lru`` component: any other kind
         would silently change nothing, so it fails loudly at build time
         instead.
         """
-        if replacement.kind != "lru":
+        if self.has_victim_choice:
+            replacement.bind(self.num_sets, self.associativity)
+            self.replacement = replacement
+        elif replacement.kind != "lru":
             raise ValueError(
                 f"tag organization {self.kind!r} has no per-set replacement "
                 f"choice; only the default 'lru' replacement component is "
                 f"valid (got {replacement.kind!r})"
             )
+
+    def _way_holding(self, column: list, set_index: int, value) -> int:
+        """First way of ``set_index`` whose ``column`` entry is ``value``."""
+        base = set_index * self.associativity
+        ways = column[base:base + self.associativity]
+        return ways.index(value) if value in ways else -1
+
+    def _victim_way(self, column: list, set_index: int, free) -> int:
+        """The first free way of a set (``column`` entry ``free``), else the
+        replacement component's victim."""
+        way = self._way_holding(column, set_index, free)
+        return way if way >= 0 else self.replacement.victim(set_index)
 
     # -- placement ----------------------------------------------------- #
     def probe(self, request: MemoryAccess) -> Lookup:
@@ -735,9 +825,29 @@ class _SetAssocPageTags(TagOrganization):
     """Shared mechanics of the set-associative page organizations.
 
     Subclasses provide the device-latency model (in-DRAM vs SRAM tags) and
-    the row-layout writes; placement, LRU replacement, footprint bookkeeping
+    the row-layout writes; placement, replacement, footprint bookkeeping
     and eviction-time training are identical.
+
+    **Warm-state layout.**  Frame ``f = set * associativity + way`` is entry
+    ``f`` of nine flat lists, shared by the scalar path, the batch-warming
+    kernels (:mod:`repro.engine.kernels`) and design snapshots:
+
+    * ``valid`` (bool) and ``page`` (the page number, -1 when invalid);
+    * block sets as int bit masks (bit ``i`` is block offset ``i``):
+      ``vbits`` present, ``dbits`` written, ``demanded`` demanded while
+      resident (the true footprint), ``predicted`` brought in by the fetch
+      policy at allocation;
+    * the allocating access, ``trigger_pc`` / ``trigger_offset``, and
+      ``from_history`` (bool): its footprint came from a trained entry.
+
+    The bound :class:`ReplacementComponent` keeps the per-set replacement
+    state, indexed the same way.
     """
+
+    _STATE_ATTRS = ("valid", "page", "vbits", "dbits", "demanded",
+                    "predicted", "trigger_pc", "trigger_offset",
+                    "from_history")
+    has_victim_choice = True
 
     def __init__(self, num_sets: int, associativity: int,
                  blocks_per_page: int, capacity_bytes: int) -> None:
@@ -745,34 +855,16 @@ class _SetAssocPageTags(TagOrganization):
         self.associativity = associativity
         self.blocks_per_page = blocks_per_page
         self.capacity_bytes = capacity_bytes
-        self.frames: List[List[PageFrame]] = [
-            [self._new_frame() for _ in range(associativity)]
-            for _ in range(num_sets)
-        ]
-        self.lru: List[ReplacementPolicy] = [
-            LruPolicy(associativity) for _ in range(num_sets)
-        ]
-
-    def apply_replacement(self, replacement: ReplacementComponent) -> None:
-        self.lru = [
-            replacement.make_set_policy(self.associativity, set_index)
-            for set_index in range(self.num_sets)
-        ]
-
-    def _new_frame(self) -> PageFrame:
-        blocks = self.blocks_per_page
-        return PageFrame(
-            vbits=BitVector(blocks),
-            dbits=BitVector(blocks),
-            demanded=BitVector(blocks),
-            predicted=BitVector(blocks),
-        )
-
-    def _find_way(self, set_index: int, page: int) -> int:
-        for way, frame in enumerate(self.frames[set_index]):
-            if frame.valid and frame.page_number == page:
-                return way
-        return -1
+        frames = num_sets * associativity
+        self.valid: List[bool] = [False] * frames
+        self.page: List[int] = [-1] * frames
+        self.vbits: List[int] = [0] * frames
+        self.dbits: List[int] = [0] * frames
+        self.demanded: List[int] = [0] * frames
+        self.predicted: List[int] = [0] * frames
+        self.trigger_pc: List[int] = [0] * frames
+        self.trigger_offset: List[int] = [0] * frames
+        self.from_history: List[bool] = [False] * frames
 
     def _locate(self, block_address: int) -> "tuple[int, int, int]":
         """(page, set_index, offset) for a block address."""
@@ -780,23 +872,25 @@ class _SetAssocPageTags(TagOrganization):
 
     def probe(self, request: MemoryAccess) -> Lookup:
         page, set_index, offset = self._locate(request.block_address)
-        way = self._find_way(set_index, page)
-        block_hit = way >= 0 and self.frames[set_index][way].vbits.get(offset)
+        # Invalid frames hold page -1, which no request maps to.
+        way = self._way_holding(self.page, set_index, page)
+        block_hit = way >= 0 and bool(
+            self.vbits[set_index * self.associativity + way] >> offset & 1)
         return Lookup(page=page, set_index=set_index, offset=offset, way=way,
                       block_hit=block_hit, page_hit=way >= 0)
 
     def touch(self, engine: "ComposedDramCache", request: MemoryAccess,
               lookup: Lookup) -> None:
-        frame = self.frames[lookup.set_index][lookup.way]
-        frame.demanded.set(lookup.offset)
+        frame = lookup.set_index * self.associativity + lookup.way
+        self.demanded[frame] |= 1 << lookup.offset
         if request.is_write:
-            frame.dbits.set(lookup.offset)
-        self.lru[lookup.set_index].on_access(lookup.way)
+            self.dbits[frame] |= 1 << lookup.offset
+        self.replacement.on_access(lookup.set_index, lookup.way)
 
     def fill_block(self, engine: "ComposedDramCache", request: MemoryAccess,
                    lookup: Lookup) -> None:
-        frame = self.frames[lookup.set_index][lookup.way]
-        frame.vbits.set(lookup.offset)
+        frame = lookup.set_index * self.associativity + lookup.way
+        self.vbits[frame] |= 1 << lookup.offset
         self._write_block_device(engine, lookup.set_index, lookup.way,
                                  lookup.offset)
 
@@ -819,57 +913,54 @@ class _SetAssocPageTags(TagOrganization):
     # -- allocation/eviction ------------------------------------------- #
     def _evict(self, engine: "ComposedDramCache", set_index: int,
                way: int) -> int:
-        frame = self.frames[set_index][way]
-        if not frame.valid:
+        frame = set_index * self.associativity + way
+        if not self.valid[frame]:
             return 0
         engine.cache_stats.pages_evicted += 1
         self._count_conflict_eviction(engine)
         self._read_eviction_metadata(engine, set_index, way)
         engine.fetch.learn_eviction(
-            frame.trigger_pc, frame.trigger_offset, frame.demanded,
-            frame.predicted, frame.predicted_from_history,
+            self.trigger_pc[frame], self.trigger_offset[frame],
+            self.demanded[frame], self.predicted[frame],
+            self.from_history[frame],
         )
-        dirty_offsets = frame.dbits.intersection(frame.vbits).indices()
+        dirty_offsets = _offsets(self.dbits[frame] & self.vbits[frame])
         written = 0
         if dirty_offsets:
-            base_block = frame.page_number * self.blocks_per_page
+            base_block = self.page[frame] * self.blocks_per_page
             written = engine.writeback.writeback_blocks(
                 engine, [base_block + o for o in dirty_offsets]
             )
-        frame.valid = False
-        frame.page_number = -1
+        self.valid[frame] = False
+        self.page[frame] = -1
         return written
 
     def allocate(self, engine: "ComposedDramCache", request: MemoryAccess,
                  lookup: Lookup, decision: FetchDecision) -> AllocationOutcome:
         set_index = lookup.set_index
-        victim_way = self.lru[set_index].victim(
-            [frame.valid for frame in self.frames[set_index]]
-        )
+        victim_way = self._victim_way(self.valid, set_index, False)
         written = self._evict(engine, set_index, victim_way)
 
         footprint = decision.footprint
-        fetch_offsets = footprint.indices()
+        fetch_offsets = _offsets(footprint)
         base_block = lookup.page * self.blocks_per_page
         fetch_blocks = [base_block + o for o in fetch_offsets]
         offchip_latency = engine.memory.fetch_blocks(fetch_blocks, engine._now)
         engine.cache_stats.offchip_demand_blocks += 1
         engine.cache_stats.offchip_prefetch_blocks += len(fetch_blocks) - 1
 
-        frame = self.frames[set_index][victim_way]
-        frame.valid = True
-        frame.page_number = lookup.page
-        frame.vbits = footprint.copy()
-        frame.dbits = BitVector(self.blocks_per_page)
-        frame.demanded = BitVector.from_indices(self.blocks_per_page,
-                                                [lookup.offset])
-        frame.predicted = footprint.copy()
-        frame.predicted_from_history = decision.from_history
-        frame.trigger_pc = request.pc
-        frame.trigger_offset = lookup.offset
-        if request.is_write:
-            frame.dbits.set(lookup.offset)
-        self.lru[set_index].on_fill(victim_way)
+        frame = set_index * self.associativity + victim_way
+        trigger = 1 << lookup.offset
+        self.valid[frame] = True
+        self.page[frame] = lookup.page
+        self.vbits[frame] = footprint
+        self.dbits[frame] = trigger if request.is_write else 0
+        self.demanded[frame] = trigger
+        self.predicted[frame] = footprint
+        self.from_history[frame] = decision.from_history
+        self.trigger_pc[frame] = request.pc
+        self.trigger_offset[frame] = lookup.offset
+        self.replacement.on_fill(set_index, victim_way)
         engine.cache_stats.pages_allocated += 1
 
         self._fill_frame_device(engine, set_index, victim_way, fetch_offsets)
@@ -1107,6 +1198,7 @@ class DirectMappedBlockTags(TagOrganization):
     """
 
     kind = "direct-mapped"
+    _STATE_ATTRS = ("tag_array", "dirty", "_regions")
 
     def __init__(self, config: AlloyCacheConfig, page_blocks: int = 1,
                  region_observer_entries: int = 4096) -> None:
@@ -1121,11 +1213,12 @@ class DirectMappedBlockTags(TagOrganization):
         # Direct-mapped arrays: tag per frame (-1 == invalid) and dirty flag.
         self.tag_array: List[int] = [-1] * self.num_blocks
         self.dirty: List[bool] = [False] * self.num_blocks
-        # Region observer (page_blocks > 1 only): page -> observed footprint,
-        # an LRU-bounded stand-in for the page frame's demanded vector
+        # Region observer (page_blocks > 1 only): page -> (trigger pc,
+        # trigger offset, demanded mask, predicted mask, from_history), an
+        # LRU-bounded stand-in for a page frame's footprint bookkeeping
         # (insertion-ordered dict; demands re-insert at the back).
         self.region_observer_entries = region_observer_entries
-        self._regions: "Dict[int, tuple[int, int, BitVector, BitVector, bool]]" = {}
+        self._regions: "Dict[int, tuple[int, int, int, int, bool]]" = {}
 
     # -- placement ------------------------------------------------------ #
     def _frame_of(self, block_address: int) -> int:
@@ -1155,7 +1248,8 @@ class DirectMappedBlockTags(TagOrganization):
     # -- hit path -------------------------------------------------------- #
     def touch(self, engine: "ComposedDramCache", request: MemoryAccess,
               lookup: Lookup) -> None:
-        self._observe_demand(lookup)
+        if self.blocks_per_page > 1:
+            self.observe_demand(lookup.page, lookup.offset)
 
     def _tad_read(self, engine: "ComposedDramCache", frame: int) -> int:
         row, offset = self._row_of_frame(frame)
@@ -1184,36 +1278,28 @@ class DirectMappedBlockTags(TagOrganization):
         return self._tad_read(engine, lookup.set_index)
 
     # -- region observer (footprint-fetch hybrids) ----------------------- #
-    def _observe_demand(self, lookup: Lookup) -> None:
-        if self.blocks_per_page <= 1:
-            return
-        entry = self._regions.pop(lookup.page, None)
+    # Shared with the batch-warming kernel; multi-block pages only.
+    def observe_demand(self, page: int, offset: int) -> None:
+        entry = self._regions.pop(page, None)
         if entry is not None:
-            entry[2].set(lookup.offset)
+            pc, trigger, demanded, predicted, from_history = entry
             # Re-insert at the back: a still-demanded region stays resident
             # in the observer (true LRU, matching the page frames it
             # stands in for).
-            self._regions[lookup.page] = entry
+            self._regions[page] = (pc, trigger, demanded | 1 << offset,
+                                   predicted, from_history)
 
-    def _observe_allocation(self, engine: "ComposedDramCache",
-                            request: MemoryAccess, lookup: Lookup,
-                            decision: FetchDecision) -> None:
-        if self.blocks_per_page <= 1:
-            return
-        stale = self._regions.pop(lookup.page, None)
+    def observe_allocation(self, engine: "ComposedDramCache", page: int,
+                           pc: int, offset: int, footprint: int,
+                           from_history: bool) -> None:
+        stale = self._regions.pop(page, None)
         if stale is None and len(self._regions) >= self.region_observer_entries:
             # Capacity eviction: the least-recently-demanded region learns.
-            lru_page = next(iter(self._regions))
-            stale = self._regions.pop(lru_page)
+            stale = self._regions.pop(next(iter(self._regions)))
         if stale is not None:
-            engine.fetch.learn_eviction(stale[0], stale[1], stale[2],
-                                        stale[3], stale[4])
-        demanded = BitVector.from_indices(self.blocks_per_page,
-                                          [lookup.offset])
-        self._regions[lookup.page] = (
-            request.pc, lookup.offset, demanded,
-            decision.footprint.copy(), decision.from_history,
-        )
+            engine.fetch.learn_eviction(*stale)
+        self._regions[page] = (pc, offset, 1 << offset, footprint,
+                               from_history)
 
     # -- miss path ------------------------------------------------------- #
     def fill_block(self, engine: "ComposedDramCache", request: MemoryAccess,
@@ -1242,7 +1328,7 @@ class DirectMappedBlockTags(TagOrganization):
 
     def allocate(self, engine: "ComposedDramCache", request: MemoryAccess,
                  lookup: Lookup, decision: FetchDecision) -> AllocationOutcome:
-        offsets = decision.footprint.indices()
+        offsets = _offsets(decision.footprint)
         base_block = lookup.page * self.blocks_per_page
         if len(offsets) == 1:
             offchip = engine.memory.read_block(request.block_address,
@@ -1264,7 +1350,9 @@ class DirectMappedBlockTags(TagOrganization):
                 engine, block,
                 dirty=request.is_write and block == request.block_address,
             )
-        self._observe_allocation(engine, request, lookup, decision)
+        self.observe_allocation(engine, lookup.page, request.pc,
+                                lookup.offset, decision.footprint,
+                                decision.from_history)
         return AllocationOutcome(offchip_latency=offchip,
                                  blocks_fetched=len(fetch_blocks),
                                  blocks_written=written)
@@ -1281,6 +1369,8 @@ class MissMapBlockTags(TagOrganization):
     """
 
     kind = "missmap"
+    _STATE_ATTRS = ("tag_array", "dirty", "missmap")
+    has_victim_choice = True
 
     #: Bytes of tag metadata kept per data block (tag + state bits).
     TAG_ENTRY_BYTES = 6
@@ -1311,44 +1401,28 @@ class MissMapBlockTags(TagOrganization):
         if self.num_sets < 1:
             raise ValueError("capacity must hold at least one DRAM row")
 
-        self.tag_array: List[List[int]] = [
-            [-1] * self.associativity for _ in range(self.num_sets)
-        ]
-        self.dirty: List[List[bool]] = [
-            [False] * self.associativity for _ in range(self.num_sets)
-        ]
-        self.lru: List[ReplacementPolicy] = [
-            LruPolicy(self.associativity) for _ in range(self.num_sets)
-        ]
+        # Tag (-1 == invalid) and dirty flag of block slot
+        # ``set * associativity + way``.
+        frames = self.num_sets * self.associativity
+        self.tag_array: List[int] = [-1] * frames
+        self.dirty: List[bool] = [False] * frames
         # The MissMap: presence bits for every block the cache may hold.
         self.missmap: Dict[int, bool] = {}
-
-    def apply_replacement(self, replacement: ReplacementComponent) -> None:
-        self.lru = [
-            replacement.make_set_policy(self.associativity, set_index)
-            for set_index in range(self.num_sets)
-        ]
 
     def _locate(self, block_address: int) -> "tuple[int, int]":
         return block_address % self.num_sets, block_address // self.num_sets
 
-    def _find_way(self, set_index: int, tag: int) -> int:
-        for way, existing in enumerate(self.tag_array[set_index]):
-            if existing == tag:
-                return way
-        return -1
-
     def probe(self, request: MemoryAccess) -> Lookup:
         block = request.block_address
         set_index, tag = self._locate(block)
-        way = self._find_way(set_index, tag)
+        way = self._way_holding(self.tag_array, set_index, tag)
         present = self.missmap.get(block, False)
         return Lookup(page=block, set_index=set_index, offset=0, way=way,
                       block_hit=present, page_hit=present)
 
     def touch(self, engine: "ComposedDramCache", request: MemoryAccess,
               lookup: Lookup) -> None:
-        self.lru[lookup.set_index].on_access(max(lookup.way, 0))
+        self.replacement.on_access(lookup.set_index, max(lookup.way, 0))
 
     def _tag_read(self, engine: "ComposedDramCache", set_index: int) -> int:
         return engine.stacked.read(
@@ -1374,7 +1448,8 @@ class MissMapBlockTags(TagOrganization):
 
     def on_hit_write(self, engine: "ComposedDramCache",
                      request: MemoryAccess, lookup: Lookup) -> None:
-        self.dirty[lookup.set_index][max(lookup.way, 0)] = True
+        self.dirty[lookup.set_index * self.associativity
+                   + max(lookup.way, 0)] = True
 
     def miss_lookup_latency(self, engine: "ComposedDramCache",
                             request: MemoryAccess, lookup: Lookup,
@@ -1390,20 +1465,19 @@ class MissMapBlockTags(TagOrganization):
         set_index = lookup.set_index
         tag = request.block_address // self.num_sets
         written = 0
-        victim_way = self.lru[set_index].victim(
-            [existing >= 0 for existing in self.tag_array[set_index]]
-        )
-        victim_tag = self.tag_array[set_index][victim_way]
+        victim_way = self._victim_way(self.tag_array, set_index, -1)
+        frame = set_index * self.associativity + victim_way
+        victim_tag = self.tag_array[frame]
         if victim_tag >= 0:
             victim_block = victim_tag * self.num_sets + set_index
             self.missmap.pop(victim_block, None)
-            if self.dirty[set_index][victim_way]:
+            if self.dirty[frame]:
                 written = engine.writeback.writeback_block(engine,
                                                            victim_block)
             engine.cache_stats.pages_evicted += 1
-        self.tag_array[set_index][victim_way] = tag
-        self.dirty[set_index][victim_way] = request.is_write
-        self.lru[set_index].on_fill(victim_way)
+        self.tag_array[frame] = tag
+        self.dirty[frame] = request.is_write
+        self.replacement.on_fill(set_index, victim_way)
         self.missmap[request.block_address] = True
         engine.cache_stats.pages_allocated += 1
         # Update the in-row tag block and write the data block.
@@ -1572,7 +1646,6 @@ __all__ = [
     "NoCacheTags",
     "NoHitPrediction",
     "OracleWayPrediction",
-    "PageFrame",
     "REPLACEMENT_POLICIES",
     "RandomReplacement",
     "ReplacementComponent",

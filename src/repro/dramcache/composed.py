@@ -18,8 +18,8 @@ pluggable policy components (see :mod:`repro.dramcache.components`):
    :class:`~repro.dramcache.components.WritebackPolicy`.
 
 6. eviction victims come from the
-   :class:`~repro.dramcache.components.ReplacementComponent`-built per-set
-   policies living inside the tag organization (LRU by default).
+   :class:`~repro.dramcache.components.ReplacementComponent` the tag
+   organization is bound to (LRU by default).
 
 Every design is a component set on this engine, declared with a
 :class:`repro.dramcache.spec.DesignSpec`: the paper's six (Unison, Alloy,
@@ -27,9 +27,11 @@ Footprint, Loh-Hill, Ideal, NoCache) and hybrids such as
 ``alloy+footprint`` alike.
 
 Component state folds into the accumulated ``_STATE_ATTRS`` snapshot
-mechanism: the engine declares its five component slots, so
-:meth:`~repro.dramcache.base.DramCacheModel.snapshot_state` deep-copies the
-components wholesale (they are device-free by construction).
+mechanism: the engine declares its five component slots, and each component
+declares its own flat buffers (tag lists, replacement lists, predictor
+tables), so :meth:`~repro.dramcache.base.DramCacheModel.snapshot_state`
+copies exactly those buffers and ``restore_state`` writes them back in
+place.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class ComposedDramCache(DramCacheModel):
 
     design_name = "composed"
 
-    #: Warm state beyond the base's: the component objects themselves (tag
-    #: arrays, replacement state, predictor tables all live inside them).
+    #: Warm state beyond the base's: the component slots, each walked for
+    #: the buffers it declares (tag arrays, replacement state, predictor
+    #: tables).
     _STATE_ATTRS = ("tags", "hit_predictor", "fetch", "writeback",
                     "replacement")
 
@@ -85,10 +88,8 @@ class ComposedDramCache(DramCacheModel):
         self.fetch = fetch or DemandBlockFetch()
         self.writeback = writeback or WritebackDirtyPolicy()
         self.replacement = replacement or LruReplacement()
-        # Install the per-set replacement state before any access touches
-        # the arrays.  The default LRU component rebuilds exactly the state
-        # the organization constructed, so existing designs stay
-        # bit-identical; non-default components swap the victim policy in.
+        # Bind the replacement state to the organization's geometry before
+        # any access touches the arrays.
         self.tags.apply_replacement(self.replacement)
 
     # ------------------------------------------------------------------ #

@@ -7,7 +7,7 @@ read only this uniform record, so designs are interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.stats.counters import StatGroup
 
@@ -148,3 +148,9 @@ class DramCacheStats:
         for key, value in self.extra.items():
             group.set(f"extra.{key}", value)
         return group
+
+
+#: Warm-state buffers (see :func:`repro.dramcache.base.state_leaves`): every
+#: counter.
+DramCacheStats._STATE_ATTRS = tuple(f.name for f in fields(DramCacheStats)
+                                    if f.name != "name")

@@ -10,14 +10,14 @@ dozen counters that are about to be zeroed.
 
 Each kernel below fuses one tag organization's entire service loop
 (composed engine + tag organization + predictors) into a single Python
-loop over flat locals, and drives DRAM timing through the controllers'
-own closures (:meth:`repro.dram.controller.DramController.ops`), which
-mutate the controllers' state lists in place.  The rules that make the
-result *bit-identical* to ``warm_up`` followed by ``reset_stats()``:
+loop that mutates the components' own flat state buffers in place (see
+:class:`repro.dramcache.components._SetAssocPageTags`) and drives DRAM
+timing through the controllers' own closures
+(:meth:`repro.dram.controller.DramController.ops`).  The rules that make
+the result *bit-identical* to ``warm_up`` followed by ``reset_stats()``:
 
 * every persistent state mutation happens in the same order, with the
-  same values, as the scalar engine (including dict/OrderedDict insertion
-  order, which pickles);
+  same values, as the scalar engine (including dict insertion order);
 * every DRAM device operation is issued in the same order with the same
   (address, num_bytes, now, is_write) arguments, so the bank/channel
   timing state and the non-resettable traffic counters come out
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from repro.cache.replacement import LruPolicy
 from repro.dramcache.base import DramCacheModel
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.components import (
@@ -45,6 +44,7 @@ from repro.dramcache.components import (
     DropDirtyPolicy,
     FootprintFetch,
     FullPageFetch,
+    LruReplacement,
     MissMapBlockTags,
     MissPredictionPolicy,
     NoCacheTags,
@@ -54,10 +54,7 @@ from repro.dramcache.components import (
     WayPredictionPolicy,
     WritebackDirtyPolicy,
 )
-from repro.predictors.singleton import SingletonEntry
 from repro.trace.record import BLOCK_SIZE
-from repro.utils.bitvector import BitVector
-from repro.utils.hashing import mix64
 
 # Exact types only: subclasses may override behaviour the kernels inline.
 _NO_PREDICTION_TYPES = (NoHitPrediction, OracleWayPrediction,
@@ -67,23 +64,15 @@ _STATELESS_FETCH_TYPES = (DemandBlockFetch, FullPageFetch)
 _FETCH_TYPES = (DemandBlockFetch, FullPageFetch, FootprintFetch)
 
 
-def _lru_only(tags) -> bool:
-    """True when every per-set replacement policy is exactly LRU.
-
-    The set-associative and MissMap kernels inline LRU's clock/recency
-    updates; any other replacement component (random, RRIP) must take the
-    scalar path, which drives the real policy objects.
-    """
-    return all(type(policy) is LruPolicy for policy in tags.lru)
-
-
 def select_kernel(design):
     """Return the fused kernel covering ``design``, or None (scalar path).
 
     Coverage is decided by identity: the design must be a
     :class:`ComposedDramCache` running the stock ``access``/
     ``_service_request`` drivers, and all four policy roles must be exact
-    instances of the component classes the kernels transliterate.
+    instances of the component classes the kernels transliterate.  The
+    set-associative and MissMap kernels inline LRU replacement; random and
+    RRIP replacement take the scalar path.
     """
     if not isinstance(design, ComposedDramCache):
         return None
@@ -97,14 +86,13 @@ def select_kernel(design):
     fetch_type = type(design.fetch)
     if type(design.writeback) not in _WRITEBACK_TYPES:
         return None
+    lru = type(design.replacement) is LruReplacement
 
     tags_type = type(design.tags)
     if tags_type in (DramPageTags, SramPageTags):
         if not (hp_none or hp_type is WayPredictionPolicy):
             return None
-        if fetch_type not in _FETCH_TYPES:
-            return None
-        if not _lru_only(design.tags):
+        if fetch_type not in _FETCH_TYPES or not lru:
             return None
         return _warm_page_set_assoc
     if tags_type is DirectMappedBlockTags:
@@ -114,9 +102,8 @@ def select_kernel(design):
             return None
         return _warm_direct_mapped
     if tags_type is MissMapBlockTags:
-        if not hp_none or fetch_type not in _STATELESS_FETCH_TYPES:
-            return None
-        if not _lru_only(design.tags):
+        if (not hp_none or fetch_type not in _STATELESS_FETCH_TYPES
+                or not lru):
             return None
         return _warm_missmap
     if tags_type is AlwaysHitTags:
@@ -130,127 +117,6 @@ def select_kernel(design):
     return None
 
 
-class _FootprintState:
-    """Flat view of a FootprintFetch (history table + singleton table).
-
-    Methods transliterate ``FootprintFetch.plan`` / ``on_bypass`` /
-    ``learn_eviction`` and ``FootprintPredictor.predict`` / ``update``,
-    mutating the *real* dicts in place (their insertion order pickles) and
-    keeping only the clock and the non-resettable singleton counters in
-    locals until :meth:`flush`.
-    """
-
-    __slots__ = ("fp", "st", "sets", "recency", "clock", "num_sets",
-                 "assoc", "default_ones", "width", "st_width", "entries",
-                 "cap", "ins", "pro", "evi")
-
-    def __init__(self, fetch: FootprintFetch) -> None:
-        fp = fetch.predictor
-        st = fetch.singleton_table
-        self.fp = fp
-        self.st = st
-        self.sets = fp._sets
-        self.recency = fp._recency
-        self.clock = fp._clock
-        self.num_sets = fp.num_sets
-        self.assoc = fp.associativity
-        self.default_ones = fp.default_all_blocks
-        self.width = fp.blocks_per_page
-        self.st_width = st.blocks_per_page
-        self.entries = st._entries
-        self.cap = st.num_entries
-        self.ins = st.insertions
-        self.pro = st.promotions
-        self.evi = st.evictions
-
-    def update(self, pc: int, offset: int, value: int) -> None:
-        """FootprintPredictor.update with the footprint as a plain int."""
-        set_index = mix64(pc * 1000003 + offset) % self.num_sets
-        key = (pc, offset)
-        entries = self.sets.setdefault(set_index, {})
-        if key not in entries and len(entries) >= self.assoc:
-            recency = self.recency.get(set_index)
-            if recency:
-                victim = min(entries, key=lambda k: recency.get(k, 0))
-                recency.pop(victim, None)
-            else:
-                # No recency info: min() over all-equal keys picks the
-                # first in iteration order, exactly like the scalar path.
-                victim = next(iter(entries))
-            del entries[victim]
-        entries[key] = BitVector(self.width, value)
-        self.clock += 1
-        recency = self.recency.get(set_index)
-        if recency is None:
-            recency = {}
-            self.recency[set_index] = recency
-        recency[key] = self.clock
-
-    def plan(self, page: int, pc: int, offset: int):
-        """FootprintFetch.plan -> (footprint_value, from_history, bypass,
-        note_singleton)."""
-        bit = 1 << offset
-        entries = self.entries
-        entry = entries.get(page)
-        corrected = False
-        if entry is not None:
-            entries.move_to_end(page)
-            observed = entry.observed
-            value = observed._value | bit
-            observed._value = value
-            if value & (value - 1):
-                # A second block was demanded: not a singleton after all.
-                del entries[page]
-                self.pro += 1
-                self.update(entry.trigger_pc, entry.trigger_offset, value)
-                corrected = True
-        set_index = mix64(pc * 1000003 + offset) % self.num_sets
-        history = self.sets.get(set_index)
-        trained = history.get((pc, offset)) if history is not None else None
-        if trained is not None:
-            self.clock += 1
-            recency = self.recency.get(set_index)
-            if recency is None:
-                recency = {}
-                self.recency[set_index] = recency
-            recency[(pc, offset)] = self.clock
-            footprint = trained._value | bit
-            if footprint == bit:
-                return bit, True, True, not corrected
-            return footprint, True, False, False
-        if self.default_ones:
-            return (1 << self.width) - 1, False, False, False
-        return bit, False, False, False
-
-    def insert_singleton(self, page: int, pc: int, offset: int) -> None:
-        """SingletonTable.insert (the on_bypass path)."""
-        entries = self.entries
-        if page in entries:
-            entries.pop(page)
-        elif len(entries) >= self.cap:
-            entries.popitem(last=False)
-            self.evi += 1
-        entries[page] = SingletonEntry(
-            page_number=page,
-            trigger_pc=pc,
-            trigger_offset=offset,
-            observed=BitVector(self.st_width, 1 << offset),
-        )
-        self.ins += 1
-
-    def learn_eviction(self, trigger_pc: int, trigger_offset: int,
-                       demanded_value: int) -> None:
-        if demanded_value == 0:
-            demanded_value = 1 << trigger_offset
-        self.update(trigger_pc, trigger_offset, demanded_value)
-
-    def flush(self) -> None:
-        self.fp._clock = self.clock
-        self.st.insertions = self.ins
-        self.st.promotions = self.pro
-        self.st.evictions = self.evi
-
-
 # --------------------------------------------------------------------- #
 # Kernel A: set-associative page organizations (Unison / Footprint Cache)
 # --------------------------------------------------------------------- #
@@ -261,8 +127,17 @@ def _warm_page_set_assoc(design, cols) -> None:
     num_sets = tags.num_sets
     assoc = tags.associativity
     bpp = tags.blocks_per_page
-    frames = tags.frames
-    lru = tags.lru
+    valid = tags.valid
+    pages = tags.page
+    vbits = tags.vbits
+    dbits = tags.dbits
+    demanded = tags.demanded
+    predicted_bits = tags.predicted
+    trigger_pc = tags.trigger_pc
+    trigger_offset = tags.trigger_offset
+    from_hist = tags.from_history
+    lru_clock = design.replacement.clock
+    lru_rec = design.replacement.recency
 
     s_access, s_burst, s_pair = design.stacked.controller.ops()
     m_access, m_burst, _ = design.memory.controller.ops()
@@ -300,18 +175,15 @@ def _warm_page_set_assoc(design, cols) -> None:
         wp_idx = repeat(0)
 
     fetch = design.fetch
-    fp = _FootprintState(fetch) if type(fetch) is FootprintFetch else None
+    fp = fetch if type(fetch) is FootprintFetch else None
     full_page = type(fetch) is FullPageFetch
     ones_mask = (1 << bpp) - 1
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
 
     # A page resides in at most one frame; allocations happen only on page
     # misses and evictions delete, so this stays a bijection.
-    page_way = {}
-    for set_index in range(num_sets):
-        for way, frame in enumerate(frames[set_index]):
-            if frame.valid:
-                page_way[frame.page_number] = way
+    page_way = {page: frame % assoc for frame, page in enumerate(pages)
+                if valid[frame]}
 
     # Device addresses are pure functions of the frame index, so derive the
     # row/slot arithmetic once per frame instead of once per access.
@@ -336,11 +208,6 @@ def _warm_page_set_assoc(design, cols) -> None:
             row = f // ppr
             frame_base.append(row * srow_bytes + (f - row * ppr) * page_bytes)
 
-    # LRU state, flattened (clocks in a list, the live recency dicts
-    # aliased so in-place mutation matches the scalar engine bit-for-bit).
-    lru_clock = [policy._clock for policy in lru]
-    lru_rec = [policy._recency for policy in lru]
-
     now = design._now
     gap = design._interarrival
 
@@ -354,7 +221,7 @@ def _warm_page_set_assoc(design, cols) -> None:
             way = -1
         if way >= 0:
             set_index = page % num_sets
-            frame = frames[set_index][way]
+            frame = set_index * assoc + way
             # Way-predictor training (observe) happens on every page hit.
             if way_pred:
                 predicted = wp_table[widx]
@@ -363,34 +230,30 @@ def _warm_page_set_assoc(design, cols) -> None:
             else:
                 correct = True
             # tags.touch
-            frame.demanded._value |= 1 << offset
+            demanded[frame] |= 1 << offset
             if is_write:
-                frame.dbits._value |= 1 << offset
+                dbits[frame] |= 1 << offset
             clock = lru_clock[set_index] + 1
             lru_clock[set_index] = clock
-            lru_rec[set_index][way] = clock
+            lru_rec[frame] = clock
 
-            if (frame.vbits._value >> offset) & 1:
+            if (vbits[frame] >> offset) & 1:
                 # Block hit.
                 if is_dram:
-                    set_base = set_index * assoc
                     read_way = way if correct else (way + 1) % wp_assoc
                     latency = s_pair(
                         tag_addr[set_index], pres_set,
-                        frame_base[set_base + read_way]
+                        frame_base[frame - way + read_way]
                         + offset * block_bytes,
                         BLOCK_SIZE, now, serialized) + overhead
                     if not correct:
                         latency += penalty
                     if is_write:
                         # on_hit_write targets the *actual* way.
-                        s_access(
-                            frame_base[set_base + way]
-                            + offset * block_bytes,
-                            block_bytes, now, True)
+                        s_access(frame_base[frame] + offset * block_bytes,
+                                 block_bytes, now, True)
                 else:
-                    address = (frame_base[set_index * assoc + way]
-                               + offset * block_bytes)
+                    address = frame_base[frame] + offset * block_bytes
                     latency = tag_latency + s_access(address, block_bytes,
                                                      now, False)
                     if is_write:
@@ -408,9 +271,8 @@ def _warm_page_set_assoc(design, cols) -> None:
             m_read += 1
             m_req += 1
             # tags.fill_block
-            frame.vbits._value |= 1 << offset
-            s_access(frame_base[set_index * assoc + way]
-                     + offset * block_bytes,
+            vbits[frame] |= 1 << offset
+            s_access(frame_base[frame] + offset * block_bytes,
                      block_bytes, now, True)
             now += lookup_lat + offchip
             continue
@@ -424,17 +286,17 @@ def _warm_page_set_assoc(design, cols) -> None:
             lookup_lat = tag_latency
 
         if fp is not None:
-            footprint, from_history, bypass, note = fp.plan(page, pc, offset)
+            footprint, bypass, from_history, note = fp.plan_bits(page, pc,
+                                                                 offset)
             if bypass:
                 offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now,
                                    False)
                 m_read += 1
                 m_req += 1
                 if note:
-                    fp.insert_singleton(page, pc, offset)
+                    fp.singleton_table.insert(page, pc, offset)
                 now += lookup_lat + offchip
                 continue
-            footprint |= 1 << offset
         elif full_page:
             footprint = ones_mask
             from_history = False
@@ -443,72 +305,60 @@ def _warm_page_set_assoc(design, cols) -> None:
             from_history = False
 
         # allocate: LRU victim, evict, fetch, install, device fill.
-        set_frames = frames[set_index]
-        victim = -1
-        for way, frame in enumerate(set_frames):
-            if not frame.valid:
-                victim = way
-                break
-        if victim < 0:
-            recency = lru_rec[set_index]
-            victim = 0
-            best = recency[0]
-            for way in range(1, assoc):
-                if recency[way] < best:
-                    best = recency[way]
-                    victim = way
-        frame = set_frames[victim]
-        if frame.valid:
+        base = set_index * assoc
+        set_valid = valid[base:base + assoc]
+        if False in set_valid:
+            victim = set_valid.index(False)
+        else:
+            recency = lru_rec[base:base + assoc]
+            victim = recency.index(min(recency))
+        frame = base + victim
+        if set_valid[victim]:
             if is_dram:
-                s_access(meta_addr[set_index * assoc + victim],
-                         meta_bytes, now, False)
+                s_access(meta_addr[frame], meta_bytes, now, False)
             if fp is not None:
-                fp.learn_eviction(frame.trigger_pc, frame.trigger_offset,
-                                  frame.demanded._value)
-            dirty = frame.dbits._value & frame.vbits._value
+                fp.learn_eviction(trigger_pc[frame], trigger_offset[frame],
+                                  demanded[frame], predicted_bits[frame],
+                                  from_hist[frame])
+            dirty = dbits[frame] & vbits[frame]
             if dirty and wb_dirty:
-                m_burst(frame.page_number * bpp * BLOCK_SIZE, BLOCK_SIZE,
+                m_burst(pages[frame] * bpp * BLOCK_SIZE, BLOCK_SIZE,
                         dirty, BLOCK_SIZE, now, True)
-                m_written += bin(dirty).count("1")
+                m_written += dirty.bit_count()
                 m_req += 1
-            del page_way[frame.page_number]
+            del page_way[pages[frame]]
 
         # Fetch the footprint's blocks; the trigger (lowest) read is the
         # critical one whose latency the request observes.
         offchip = m_burst(page * bpp * BLOCK_SIZE, BLOCK_SIZE, footprint,
                           BLOCK_SIZE, now, False)
-        m_read += bin(footprint).count("1")
+        m_read += footprint.bit_count()
         m_req += 1
 
-        frame.valid = True
-        frame.page_number = page
-        frame.vbits = BitVector(bpp, footprint)
-        frame.dbits = BitVector(bpp, (1 << offset) if is_write else 0)
-        frame.demanded = BitVector(bpp, 1 << offset)
-        frame.predicted = BitVector(bpp, footprint)
-        frame.predicted_from_history = from_history
-        frame.trigger_pc = pc
-        frame.trigger_offset = offset
+        valid[frame] = True
+        pages[frame] = page
+        vbits[frame] = footprint
+        dbits[frame] = (1 << offset) if is_write else 0
+        demanded[frame] = 1 << offset
+        predicted_bits[frame] = footprint
+        from_hist[frame] = from_history
+        trigger_pc[frame] = pc
+        trigger_offset[frame] = offset
         clock = lru_clock[set_index] + 1
         lru_clock[set_index] = clock
-        lru_rec[set_index][victim] = clock
+        lru_rec[frame] = clock
         page_way[page] = victim
 
-        fill_frame = set_index * assoc + victim
-        s_burst(frame_base[fill_frame], block_bytes, footprint, BLOCK_SIZE,
+        s_burst(frame_base[frame], block_bytes, footprint, BLOCK_SIZE,
                 now, True)
         if is_dram:
-            s_access(pres_addr[fill_frame], pres_pp, now, True)
+            s_access(pres_addr[frame], pres_pp, now, True)
         now += lookup_lat + offchip
 
     design._now = now
-    for policy, clock in zip(lru, lru_clock):
-        policy._clock = clock
     memory.blocks_read += m_read
     memory.blocks_written += m_written
     memory.requests += m_req
-    if fp is not None:
-        fp.flush()
 
 
 # --------------------------------------------------------------------- #
@@ -523,8 +373,8 @@ def _warm_direct_mapped(design, cols) -> None:
     dirty = tags.dirty
     blocks_per_row = cfg.blocks_per_row
     tad_bytes = cfg.tad_bytes
-    regions = tags._regions
-    region_cap = tags.region_observer_entries
+    observe_demand = tags.observe_demand
+    observe_allocation = tags.observe_allocation
 
     s_access = design.stacked.controller.ops().access
     m_access = design.memory.controller.ops().access
@@ -547,7 +397,7 @@ def _warm_direct_mapped(design, cols) -> None:
         mp_idx = repeat(0)
 
     fetch = design.fetch
-    fp = _FootprintState(fetch) if type(fetch) is FootprintFetch else None
+    fp = fetch if type(fetch) is FootprintFetch else None
     full_page = type(fetch) is FullPageFetch
     ones_mask = (1 << bpp) - 1
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
@@ -575,10 +425,7 @@ def _warm_direct_mapped(design, cols) -> None:
             # tags.touch -> region observer demand (multi-block pages only).
             if bpp > 1:
                 page = block // bpp
-                entry = regions.pop(page, None)
-                if entry is not None:
-                    entry[2]._value |= 1 << (block - page * bpp)
-                    regions[page] = entry
+                observe_demand(page, block - page * bpp)
             row = frame // blocks_per_row
             tad_address = (row * srow_bytes
                            + (frame - row * blocks_per_row) * tad_bytes)
@@ -607,17 +454,17 @@ def _warm_direct_mapped(design, cols) -> None:
         offset = block - page * bpp
 
         if fp is not None:
-            footprint, from_history, bypass, note = fp.plan(page, pc, offset)
+            footprint, bypass, from_history, note = fp.plan_bits(page, pc,
+                                                                 offset)
             if bypass:
                 offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now,
                                    False)
                 m_read += 1
                 m_req += 1
                 if note:
-                    fp.insert_singleton(page, pc, offset)
+                    fp.singleton_table.insert(page, pc, offset)
                 now += pred_lat + lookup_lat + offchip
                 continue
-            footprint |= 1 << offset
         elif full_page:
             footprint = ones_mask
             from_history = False
@@ -681,22 +528,14 @@ def _warm_direct_mapped(design, cols) -> None:
                      + (install_frame - row * blocks_per_row) * tad_bytes,
                      tad_bytes, now, True)
 
-        # _observe_allocation (bpp > 1 whenever the footprint is multi-bit).
-        stale = regions.pop(page, None)
-        if stale is None and len(regions) >= region_cap:
-            stale = regions.pop(next(iter(regions)))
-        if stale is not None and fp is not None:
-            fp.learn_eviction(stale[0], stale[1], stale[2]._value)
-        regions[page] = (pc, offset, BitVector(bpp, 1 << offset),
-                        BitVector(bpp, footprint), from_history)
+        # bpp > 1 whenever the footprint is multi-bit.
+        observe_allocation(design, page, pc, offset, footprint, from_history)
         now += pred_lat + lookup_lat + offchip
 
     design._now = now
     memory.blocks_read += m_read
     memory.blocks_written += m_written
     memory.requests += m_req
-    if fp is not None:
-        fp.flush()
 
 
 # --------------------------------------------------------------------- #
@@ -711,7 +550,8 @@ def _warm_missmap(design, cols) -> None:
     mm_latency = tags.missmap_latency_cycles
     tag_array = tags.tag_array
     dirty = tags.dirty
-    lru = tags.lru
+    lru_clock = design.replacement.clock
+    lru_rec = design.replacement.recency
     missmap = tags.missmap
 
     s_access = design.stacked.controller.ops().access
@@ -723,12 +563,12 @@ def _warm_missmap(design, cols) -> None:
 
     # Present block -> way, maintained alongside the real missmap dict.
     way_of = {}
-    for set_index in range(num_sets):
-        for way, tag in enumerate(tag_array[set_index]):
-            if tag >= 0:
-                block = tag * num_sets + set_index
-                if missmap.get(block, False):
-                    way_of[block] = way
+    for frame, tag in enumerate(tag_array):
+        if tag >= 0:
+            set_index, way = divmod(frame, assoc)
+            block = tag * num_sets + set_index
+            if missmap.get(block, False):
+                way_of[block] = way
 
     now = design._now
     gap = design._interarrival
@@ -740,16 +580,16 @@ def _warm_missmap(design, cols) -> None:
         set_index = block % num_sets
         way = way_of_get(block, -1)
         if way >= 0:
-            policy = lru[set_index]
-            policy._clock += 1
-            policy._recency[way] = policy._clock
+            clock = lru_clock[set_index] + 1
+            lru_clock[set_index] = clock
+            lru_rec[set_index * assoc + way] = clock
             tag_lat = s_access(set_index * srow_bytes, tag_read_bytes, now,
                                False)
             data_lat = s_access(set_index * srow_bytes
                                 + (tag_blocks + way) * block_bytes,
                                 block_bytes, now, False)
             if is_write:
-                dirty[set_index][way] = True
+                dirty[set_index * assoc + way] = True
             now += mm_latency + tag_lat + data_lat
             continue
 
@@ -757,31 +597,28 @@ def _warm_missmap(design, cols) -> None:
         offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
         m_read += 1
         m_req += 1
-        row_tags = tag_array[set_index]
-        try:
+        base = set_index * assoc
+        row_tags = tag_array[base:base + assoc]
+        if -1 in row_tags:
             victim = row_tags.index(-1)
-        except ValueError:
-            recency = lru[set_index]._recency
-            victim = 0
-            best = recency[0]
-            for way in range(1, assoc):
-                if recency[way] < best:
-                    best = recency[way]
-                    victim = way
+        else:
+            recency = lru_rec[base:base + assoc]
+            victim = recency.index(min(recency))
+        frame = base + victim
         victim_tag = row_tags[victim]
         if victim_tag >= 0:
             victim_block = victim_tag * num_sets + set_index
             missmap.pop(victim_block, None)
             way_of.pop(victim_block, None)
-            if dirty[set_index][victim] and wb_dirty:
+            if dirty[frame] and wb_dirty:
                 m_access(victim_block * BLOCK_SIZE, BLOCK_SIZE, now, True)
                 m_written += 1
                 m_req += 1
-        row_tags[victim] = block // num_sets
-        dirty[set_index][victim] = is_write
-        policy = lru[set_index]
-        policy._clock += 1
-        policy._recency[victim] = policy._clock
+        tag_array[frame] = block // num_sets
+        dirty[frame] = is_write
+        clock = lru_clock[set_index] + 1
+        lru_clock[set_index] = clock
+        lru_rec[frame] = clock
         missmap[block] = True
         way_of[block] = victim
         s_access(set_index * srow_bytes, block_bytes, now, True)

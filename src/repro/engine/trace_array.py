@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.trace.record import AccessType, MemoryAccess
+from repro.utils.hashing import fold_xor
 
 try:  # pragma: no cover - exercised via numpy_available() in tests
     import numpy as _np
@@ -134,18 +135,9 @@ class AccessColumns:
         if self._arr is not None:
             pages = self._arr["address"] >> _np.uint64(6)
             pages //= _np.uint64(blocks_per_page)
-            return _fold_xor_vector(pages, index_bits)
-        mask = (1 << index_bits) - 1
-        out = []
-        append = out.append
-        for block in self.blk:
-            value = block // blocks_per_page
-            folded = 0
-            while value:
-                folded ^= value & mask
-                value >>= index_bits
-            append(folded)
-        return out
+            return _fold_xor_vector_array(pages, index_bits).tolist()
+        return [fold_xor(block // blocks_per_page, index_bits)
+                for block in self.blk]
 
     def mapi_indices(self, index_bits: int, entries_per_core: int) -> List[int]:
         """``fold_xor(pc >> 2, bits) % entries`` for every access (MAP-I)."""
@@ -153,17 +145,8 @@ class AccessColumns:
             values = self._arr["pc"] >> _np.uint64(2)
             folded = _fold_xor_vector_array(values, index_bits)
             return (folded % _np.uint64(entries_per_core)).tolist()
-        mask = (1 << index_bits) - 1
-        out = []
-        append = out.append
-        for pc in self.pc:
-            value = pc >> 2
-            folded = 0
-            while value:
-                folded ^= value & mask
-                value >>= index_bits
-            append(folded % entries_per_core)
-        return out
+        return [fold_xor(pc >> 2, index_bits) % entries_per_core
+                for pc in self.pc]
 
 
 def _fold_xor_vector_array(values, index_bits: int):
@@ -173,10 +156,6 @@ def _fold_xor_vector_array(values, index_bits: int):
     for shift in range(0, 64, index_bits):
         folded ^= (values >> _np.uint64(shift)) & mask
     return folded
-
-
-def _fold_xor_vector(values, index_bits: int) -> List[int]:
-    return _fold_xor_vector_array(values, index_bits).tolist()
 
 
 def make_columns(accesses) -> Optional[AccessColumns]:

@@ -25,6 +25,8 @@ from repro.trace.record import BLOCK_SIZE
 class MainMemory:
     """The off-chip DRAM behind the die-stacked cache."""
 
+    _STATE_ATTRS = ("controller", "blocks_read", "blocks_written", "requests")
+
     def __init__(self, config: DramChannelConfig = None,
                  cpu_frequency_ghz: float = 3.0) -> None:
         if config is None:

@@ -19,6 +19,8 @@ from repro.trace.record import BLOCK_SIZE
 class StackedDram:
     """In-package DRAM exposed at row/block granularity to the cache models."""
 
+    _STATE_ATTRS = ("controller",)
+
     def __init__(self, config: DramChannelConfig = None,
                  cpu_frequency_ghz: float = 3.0) -> None:
         if config is None:

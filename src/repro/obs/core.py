@@ -63,7 +63,10 @@ MANIFEST_DIRNAME = "manifests"
 PROFILE_DIRNAME = "profiles"
 
 #: Preferred display order of the standard phases.
-PHASE_ORDER = ("trace_load", "warmup", "measure", "assemble", "baseline")
+#: ``restore``, ``window_warm`` and ``replay`` (and ``baseline`` on the
+#: sampled path) time the steps of each sampled window inside ``measure``.
+PHASE_ORDER = ("trace_load", "warmup", "measure", "restore", "window_warm",
+               "replay", "assemble", "baseline")
 
 
 def telemetry_enabled() -> bool:

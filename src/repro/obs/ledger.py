@@ -357,7 +357,8 @@ def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, objec
     """The aggregate report behind ``repro runs show``.
 
     Sums per-phase wall-clock over the given runs, recomputes throughput
-    (total measured accesses / total measure seconds) and the store and
+    (total measured accesses / total measure seconds), the share of
+    wall-clock spent restoring sampled checkpoints, and the store and
     checkpoint hit rates from the summed counters, and carries the run
     count and statuses.
     """
@@ -376,6 +377,10 @@ def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, objec
         "phases": phases,
         "metrics": metrics,
     }
+    restore = phases.get("restore", (0.0, 0))[0]
+    if restore > 0 and summary["wall_seconds"] > 0:
+        # The sampled path's checkpoint-restore share of the wall-clock.
+        summary["restore_share"] = restore / summary["wall_seconds"]
     measure = phases.get("measure", (0.0, 0))[0]
     accesses = metrics.get("accesses", 0.0)
     if measure > 0 and accesses:

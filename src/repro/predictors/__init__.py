@@ -11,14 +11,13 @@
   hit/miss predictor used by Alloy Cache (MAP-I style).
 """
 
-from repro.predictors.footprint import FootprintPredictor, FootprintPrediction
+from repro.predictors.footprint import FootprintPredictor
 from repro.predictors.miss import MissPredictor
 from repro.predictors.singleton import SingletonTable
 from repro.predictors.way import WayPredictor
 
 __all__ = [
     "FootprintPredictor",
-    "FootprintPrediction",
     "MissPredictor",
     "SingletonTable",
     "WayPredictor",

@@ -13,24 +13,10 @@ many active code sites (e.g. Software Testing) see realistic accuracy loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Tuple
 
 from repro.stats.counters import RatioStat, StatGroup
-from repro.utils.bitvector import BitVector
 from repro.utils.hashing import mix64
-
-
-@dataclass(frozen=True)
-class FootprintPrediction:
-    """The predictor's answer for a trigger access."""
-
-    #: Predicted footprint over the page's blocks.
-    footprint: BitVector
-    #: True if the page is predicted to contain only the trigger block.
-    is_singleton: bool
-    #: True if the prediction came from a trained entry (False == default).
-    from_history: bool
 
 
 class FootprintPredictor:
@@ -50,7 +36,17 @@ class FootprintPredictor:
         What to predict for an untrained (PC, offset) pair: the whole page
         (True, the Footprint Cache default, maximizing hit rate at the price
         of overfetch on cold code) or just the trigger block (False).
+
+    Footprints are int bit masks: bit ``i`` is block offset ``i``.
     """
+
+    _STATE_ATTRS = (
+        "_keys", "_footprints", "_recency", "_clock", "lookups",
+        "trained_hits", "updates", "accuracy", "fetched_blocks",
+        "useful_blocks", "overfetched_blocks", "underpredicted_blocks",
+        "trained_accuracy", "trained_fetched_blocks",
+        "trained_overfetched_blocks",
+    )
 
     def __init__(self, blocks_per_page: int, num_entries: int = 16 * 1024,
                  associativity: int = 4, default_all_blocks: bool = True) -> None:
@@ -65,9 +61,12 @@ class FootprintPredictor:
         self.associativity = associativity
         self.default_all_blocks = default_all_blocks
         self.num_sets = num_entries // associativity
-        # Each set maps a full (PC, offset) key to (footprint, recency).
-        self._sets: Dict[int, Dict[Tuple[int, int], BitVector]] = {}
-        self._recency: Dict[int, Dict[Tuple[int, int], int]] = {}
+        # The table, flat: entry ``set * associativity + way`` holds one
+        # (PC, offset) key, its footprint bit mask, and the clock of its last
+        # touch (0 == empty, so empty entries are always replaced first).
+        self._keys: List[Tuple[int, int]] = [()] * num_entries
+        self._footprints: List[int] = [0] * num_entries
+        self._recency: List[int] = [0] * num_entries
         self._clock = 0
         # Statistics
         self.lookups = 0
@@ -87,68 +86,59 @@ class FootprintPredictor:
         self.trained_overfetched_blocks = 0
 
     # ------------------------------------------------------------------ #
-    def _set_index(self, pc: int, offset: int) -> int:
-        return mix64(pc * 1000003 + offset) % self.num_sets
+    def _find(self, pc: int, offset: int) -> "tuple[int, int]":
+        """(first entry of the key's set, the key's entry or -1)."""
+        base = (mix64(pc * 1000003 + offset) % self.num_sets
+                * self.associativity)
+        keys = self._keys[base:base + self.associativity]
+        key = (pc, offset)
+        return base, base + keys.index(key) if key in keys else -1
 
-    def _touch(self, set_index: int, key: Tuple[int, int]) -> None:
+    def _touch(self, entry: int) -> None:
         self._clock += 1
-        self._recency.setdefault(set_index, {})[key] = self._clock
+        self._recency[entry] = self._clock
 
     # ------------------------------------------------------------------ #
-    def predict(self, pc: int, offset: int) -> FootprintPrediction:
-        """Predict the footprint for a trigger access at (pc, offset)."""
+    def predict_bits(self, pc: int, offset: int) -> "tuple[int, bool]":
+        """``(footprint mask, from_history)`` for a trigger at (pc, offset).
+
+        The trigger block is demanded by definition, so it is always in the
+        returned mask.
+        """
         if not 0 <= offset < self.blocks_per_page:
             raise ValueError(
                 f"offset {offset} out of range for {self.blocks_per_page}-block pages"
             )
         self.lookups += 1
-        set_index = self._set_index(pc, offset)
-        key = (pc, offset)
-        entry = self._sets.get(set_index, {}).get(key)
-        if entry is not None:
+        _, entry = self._find(pc, offset)
+        if entry >= 0:
             self.trained_hits += 1
-            self._touch(set_index, key)
-            footprint = entry.copy()
-            # The trigger block is demanded by definition.
-            footprint.set(offset)
-            return FootprintPrediction(
-                footprint=footprint,
-                is_singleton=footprint.popcount() == 1,
-                from_history=True,
-            )
+            self._touch(entry)
+            return self._footprints[entry] | (1 << offset), True
         if self.default_all_blocks:
-            footprint = BitVector.ones(self.blocks_per_page)
-        else:
-            footprint = BitVector.from_indices(self.blocks_per_page, [offset])
-        return FootprintPrediction(
-            footprint=footprint,
-            is_singleton=footprint.popcount() == 1,
-            from_history=False,
-        )
+            return (1 << self.blocks_per_page) - 1, False
+        return 1 << offset, False
 
     # ------------------------------------------------------------------ #
-    def update(self, pc: int, offset: int, actual_footprint: BitVector) -> None:
-        """Record the actual footprint of an evicted page for its trigger pair."""
-        if actual_footprint.width != self.blocks_per_page:
+    def train(self, pc: int, offset: int, footprint: int) -> None:
+        """Record the footprint mask an evicted page showed for its trigger."""
+        if footprint >> self.blocks_per_page:
             raise ValueError(
-                "footprint width mismatch: "
-                f"{actual_footprint.width} vs {self.blocks_per_page}"
+                f"footprint {footprint:#x} wider than {self.blocks_per_page} blocks"
             )
         self.updates += 1
-        set_index = self._set_index(pc, offset)
-        key = (pc, offset)
-        entries = self._sets.setdefault(set_index, {})
-        if key not in entries and len(entries) >= self.associativity:
-            recency = self._recency.get(set_index, {})
-            victim = min(entries, key=lambda k: recency.get(k, 0))
-            del entries[victim]
-            recency.pop(victim, None)
-        entries[key] = actual_footprint.copy()
-        self._touch(set_index, key)
+        base, entry = self._find(pc, offset)
+        if entry < 0:
+            # Replace the set's least-recently-touched entry.
+            recency = self._recency[base:base + self.associativity]
+            entry = base + recency.index(min(recency))
+            self._keys[entry] = (pc, offset)
+        self._footprints[entry] = footprint
+        self._touch(entry)
 
     # ------------------------------------------------------------------ #
-    def record_outcome(self, predicted: BitVector, actual: BitVector,
-                       from_history: bool = True) -> None:
+    def account(self, predicted: int, actual: int,
+                from_history: bool = True) -> None:
         """Account a prediction's quality once the page's true footprint is known.
 
         Updates the Table V metrics: *accuracy* is the fraction of the actual
@@ -158,9 +148,9 @@ class FootprintPredictor:
         history-based ones; the headline metrics report the trained
         predictor's behaviour, matching the paper's long-warm-up methodology.
         """
-        correct = predicted.intersection(actual).popcount()
-        actual_count = actual.popcount()
-        predicted_count = predicted.popcount()
+        correct = (predicted & actual).bit_count()
+        actual_count = actual.bit_count()
+        predicted_count = predicted.bit_count()
         self.accuracy.add(correct, max(1, actual_count))
         self.fetched_blocks += predicted_count
         self.useful_blocks += correct

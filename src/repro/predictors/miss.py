@@ -29,6 +29,9 @@ class MissPredictor:
         Width of each saturating counter (3 bits in the original design).
     """
 
+    _STATE_ATTRS = ("_tables", "accuracy", "miss_identification",
+                    "false_misses", "false_hits", "predictions")
+
     def __init__(self, num_cores: int = 16, entries_per_core: int = 256,
                  counter_bits: int = 3) -> None:
         if num_cores <= 0 or entries_per_core <= 0:

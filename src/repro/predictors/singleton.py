@@ -12,22 +12,9 @@ second block being demanded (Section III-A.4).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.stats.counters import StatGroup
-from repro.utils.bitvector import BitVector
-
-
-@dataclass
-class SingletonEntry:
-    """State kept for one page that was predicted (and served) as a singleton."""
-
-    page_number: int
-    trigger_pc: int
-    trigger_offset: int
-    observed: BitVector
 
 
 class SingletonTable:
@@ -40,7 +27,13 @@ class SingletonTable:
         few hundred entries).
     blocks_per_page:
         Width of the observed-block bit vectors.
+
+    The table is one insertion-ordered dict (least recently used first)
+    mapping a page to ``(trigger_pc, trigger_offset, observed)``, where
+    ``observed`` is the bit mask of the page's blocks demanded so far.
     """
+
+    _STATE_ATTRS = ("_entries", "insertions", "promotions", "evictions")
 
     def __init__(self, num_entries: int = 256, blocks_per_page: int = 15) -> None:
         if num_entries <= 0:
@@ -49,7 +42,7 @@ class SingletonTable:
             raise ValueError("blocks_per_page must be positive")
         self.num_entries = num_entries
         self.blocks_per_page = blocks_per_page
-        self._entries: "OrderedDict[int, SingletonEntry]" = OrderedDict()
+        self._entries: Dict[int, Tuple[int, int, int]] = {}
         # Statistics
         self.insertions = 0
         self.promotions = 0
@@ -60,34 +53,28 @@ class SingletonTable:
         """Record a page that was just served as a singleton."""
         if not 0 <= trigger_offset < self.blocks_per_page:
             raise ValueError("trigger_offset out of range")
-        observed = BitVector.from_indices(self.blocks_per_page, [trigger_offset])
-        entry = SingletonEntry(
-            page_number=page_number,
-            trigger_pc=trigger_pc,
-            trigger_offset=trigger_offset,
-            observed=observed,
-        )
-        if page_number in self._entries:
-            self._entries.pop(page_number)
-        elif len(self._entries) >= self.num_entries:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if page_number in entries:
+            del entries[page_number]
+        elif len(entries) >= self.num_entries:
+            del entries[next(iter(entries))]
             self.evictions += 1
-        self._entries[page_number] = entry
+        entries[page_number] = (trigger_pc, trigger_offset, 1 << trigger_offset)
         self.insertions += 1
 
-    def lookup(self, page_number: int) -> Optional[SingletonEntry]:
+    def lookup(self, page_number: int) -> Optional[Tuple[int, int, int]]:
         """Return the entry for a page (refreshing its recency), or None."""
-        entry = self._entries.get(page_number)
+        entry = self._entries.pop(page_number, None)
         if entry is not None:
-            self._entries.move_to_end(page_number)
+            self._entries[page_number] = entry
         return entry
 
-    def record_access(self, page_number: int,
-                      block_offset: int) -> Optional[Tuple[int, int, BitVector]]:
+    def observe(self, page_number: int,
+                block_offset: int) -> Optional[Tuple[int, int, int]]:
         """Note a demand to ``block_offset`` of a tracked singleton page.
 
         If the access shows the page is *not* actually a singleton, the entry
-        is removed and ``(trigger_pc, trigger_offset, observed_footprint)`` is
+        is removed and ``(trigger_pc, trigger_offset, observed_mask)`` is
         returned so the caller can correct the footprint predictor and, if it
         chooses, allocate the page properly.  Returns None otherwise.
         """
@@ -96,11 +83,13 @@ class SingletonTable:
             return None
         if not 0 <= block_offset < self.blocks_per_page:
             raise ValueError("block_offset out of range")
-        entry.observed.set(block_offset)
-        if entry.observed.popcount() > 1:
+        trigger_pc, trigger_offset, observed = entry
+        observed |= 1 << block_offset
+        if observed & (observed - 1):
             del self._entries[page_number]
             self.promotions += 1
-            return entry.trigger_pc, entry.trigger_offset, entry.observed.copy()
+            return trigger_pc, trigger_offset, observed
+        self._entries[page_number] = (trigger_pc, trigger_offset, observed)
         return None
 
     def remove(self, page_number: int) -> bool:

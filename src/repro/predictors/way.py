@@ -29,6 +29,8 @@ class WayPredictor:
         bits (2 bits for the paper's 4-way organization).
     """
 
+    _STATE_ATTRS = ("_table", "accuracy")
+
     def __init__(self, index_bits: int = 12, associativity: int = 4) -> None:
         if index_bits <= 0:
             raise ValueError("index_bits must be positive")

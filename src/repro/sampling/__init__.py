@@ -21,10 +21,10 @@ methodology for the reproduction's trace-driven models:
   windows until the confidence interval converges or the window budget is
   exhausted.
 * :mod:`repro.sampling.checkpoints` -- the on-disk
-  :class:`~repro.sampling.checkpoints.CheckpointStore`: warm checkpoints
-  pickled next to the trace store so the prologue replay survives across
-  processes and sessions, invalidated whenever the design's component spec
-  (its registry token) changes.
+  :class:`~repro.sampling.checkpoints.CheckpointStore`: warm checkpoints,
+  stored as flat buffers next to the trace store so the prologue replay
+  survives across processes and sessions, invalidated whenever the
+  design's component spec (its registry token) changes.
 
 Sampled runs plug into the declarative experiment API: set ``sampling=`` on
 a :class:`~repro.sim.spec.SweepSpec` (or per-trial override) and the sweep

@@ -4,7 +4,10 @@ The windowed sampler's one long replay is the functional-warming prologue
 that produces each design's warm :class:`~repro.dramcache.base.StateSnapshot`
 checkpoint.  Within one process that checkpoint already seeds every
 measurement window; this module makes it survive *across* processes and
-sessions by pickling it next to the trace-store entry it was warmed on.
+sessions by writing it next to the trace-store entry it was warmed on.  A
+snapshot is plain buffers (tuples, dicts and scalars), so a checkpoint file
+is those buffers in :mod:`marshal` form: no object graph is pickled, and
+loading one runs no model code.
 
 Keying and invalidation
 -----------------------
@@ -35,8 +38,8 @@ the sampler silently falls back to replaying the prologue.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import Optional
@@ -47,8 +50,12 @@ from repro.trace.store import configured_root
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.tracefile import TraceFileWorkload
 
-#: Bumped whenever the pickled snapshot layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Bumped whenever the stored snapshot layout changes incompatibly.
+#: Version 4: flat buffers (dotted buffer names -> tuples, dicts, scalars)
+#: in marshal form, replacing pickled component objects, with per-set RNG
+#: states packed as bytes.  Version 3 was an interim flat layout whose RNG
+#: states were not packed; its files are misses.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Environment switch: ``0``/``off``/``false`` disables the checkpoint store.
 ENV_CHECKPOINTS = "REPRO_CHECKPOINTS"
@@ -126,7 +133,7 @@ def design_token(design_name: str) -> str:
 
 
 class CheckpointStore:
-    """Pickled :class:`StateSnapshot` files next to the trace store."""
+    """:class:`StateSnapshot` buffer files next to the trace store."""
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
@@ -166,16 +173,14 @@ class CheckpointStore:
         """The stored snapshot for ``key``, or ``None`` on any miss/damage."""
         path = self._path(key)
         try:
-            with open(path, "rb") as handle:
-                version, snapshot = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError, ValueError):
+            # One read, then decode from memory: marshal.load on a file
+            # object reads it piecemeal, one object at a time.
+            version, design_name, state = marshal.loads(path.read_bytes())
+        except (OSError, EOFError, TypeError, ValueError):
             obs_current().counter("checkpoint_misses")
             return None
-        if version != CHECKPOINT_FORMAT_VERSION:
-            obs_current().counter("checkpoint_misses")
-            return None
-        if not isinstance(snapshot, StateSnapshot):
+        if (version != CHECKPOINT_FORMAT_VERSION
+                or type(design_name) is not str or type(state) is not dict):
             obs_current().counter("checkpoint_misses")
             return None
         try:
@@ -183,7 +188,7 @@ class CheckpointStore:
         except OSError:
             pass
         obs_current().counter("checkpoint_hits")
-        return snapshot
+        return StateSnapshot(design_name, state)
 
     def save(self, key: str, snapshot: StateSnapshot) -> bool:
         """Atomically persist ``snapshot``; returns False on any IO failure.
@@ -197,8 +202,9 @@ class CheckpointStore:
                                             suffix=".ckpt.tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump((CHECKPOINT_FORMAT_VERSION, snapshot),
-                                handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    handle.write(marshal.dumps((CHECKPOINT_FORMAT_VERSION,
+                                                snapshot.design_name,
+                                                snapshot.state)))
                 os.replace(tmp_name, self._path(key))
             except BaseException:
                 try:
@@ -206,7 +212,8 @@ class CheckpointStore:
                 except OSError:
                     pass
                 raise
-        except (OSError, pickle.PickleError):
+        except (OSError, ValueError):
+            # ValueError: marshal met a non-plain value in the snapshot.
             return False
         obs_current().counter("checkpoint_saves")
         return True

@@ -268,23 +268,31 @@ class WindowedSampler:
         window keeps windows independent, and every design's speedup is a
         matched pair against it), then per design restores the checkpoint,
         warms, and measures.  The one window routine of :meth:`compare` and
-        :meth:`measure_windows`.
+        :meth:`measure_windows`.  With telemetry on, those steps are timed
+        as the ``baseline``, ``restore``, ``window_warm`` and ``replay``
+        phases inside the caller's ``measure`` span.
         """
+        obs_run = obs_current()
         window = plan.windows[window_index]
         warmup = self._read_warm(provider, window.warmup_start, window.start)
         measure = provider.read(window.start, window.stop)
-        baseline = NoDramCache()
-        baseline.run(measure)
+        # Child phases of ``measure``: where a window's time goes.
+        with obs_run.span("baseline"):
+            baseline = NoDramCache()
+            baseline.run(measure)
         outcomes = []
         for design, checkpoint in designs:
-            design.restore_state(checkpoint)
-            if len(warmup):
-                warm_up(design, warmup, span)
-            else:
-                design.reset_stats()
+            with obs_run.span("restore"):
+                design.restore_state(checkpoint)
+            with obs_run.span("window_warm"):
+                if len(warmup):
+                    warm_up(design, warmup, span)
+                else:
+                    design.reset_stats()
             activations_before = (design.memory.row_activations,
                                   design.stacked.row_activations)
-            design.run(measure)
+            with obs_run.span("replay"):
+                design.run(measure)
             stats = design.cache_stats
             outcomes.append(WindowMeasurement(
                 window=window,
@@ -295,7 +303,6 @@ class WindowedSampler:
                 extra_metrics=dict(design.extra_metrics()),
             ))
         span.add("windows", 1)
-        obs_run = obs_current()
         if obs_run.enabled:
             obs_run.counter("accesses", len(measure) * len(designs))
             obs_run.counter("warmup_accesses", len(warmup) * len(designs))

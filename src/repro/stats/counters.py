@@ -52,6 +52,8 @@ class RatioStat:
     numerator: int = 0
     denominator: int = 0
 
+    _STATE_ATTRS = ("numerator", "denominator")
+
     def record(self, success: bool) -> None:
         """Record one trial; ``success`` increments the numerator."""
         self.denominator += 1

@@ -17,7 +17,6 @@ from repro.predictors.singleton import SingletonTable
 from repro.sim.factory import make_design
 from repro.sim.registry import DesignBuildContext
 from repro.trace.record import AccessType, MemoryAccess
-from repro.utils.bitvector import BitVector
 
 #: Simulated capacity of the small designs: 64 DRAM rows (512 KB).
 SMALL = 64 * 8192
@@ -168,14 +167,14 @@ class TestFootprintCache:
             cache.access(read(32 * page + offset, pc=pc))
         for i in range(1, cache.tags.associativity + 1):
             cache.access(read(32 * (page + i * sets), pc=pc + 64))
-        prediction = cache.footprint_predictor.predict(pc, 0)
-        assert prediction.from_history
-        assert set(prediction.footprint.indices()) == {0, 1, 2}
+        footprint, from_history = cache.footprint_predictor.predict_bits(pc, 0)
+        assert from_history
+        assert footprint == 0b111
 
     def test_singleton_bypass(self):
         cache = self.make()
         pc = 0x400800
-        cache.footprint_predictor.update(pc, 9, BitVector.from_indices(32, [9]))
+        cache.footprint_predictor.train(pc, 9, 1 << 9)
         allocated = cache.cache_stats.pages_allocated
         result = cache.access(read(32 * 40 + 9, pc=pc))
         assert not result.hit

@@ -4,8 +4,9 @@ The batch engine's contract is *bit identity*: warming a design through the
 fused kernels must leave it in exactly the state the scalar
 ``warm_up``-then-reset path produces, for every registered composition,
 regardless of how the warm stream is chopped into batches.  These tests
-enforce the contract with pickled :class:`StateSnapshot` comparison (the
-strictest equality the models expose), and cover the enablement switches,
+enforce the contract with buffer-by-buffer :class:`StateSnapshot`
+comparison (:meth:`StateSnapshot.differing_buffers`, the strictest equality
+the models expose), and cover the enablement switches,
 the bulk ``read_array`` decode paths, and graceful degradation without
 numpy.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import pickle
 import random
 
 import pytest
@@ -47,8 +47,9 @@ def _reset_batch_override(monkeypatch):
     set_batch_enabled(None)
 
 
-def _snapshot_bytes(design) -> bytes:
-    return pickle.dumps(design.snapshot_state().state)
+def _differing(a, b) -> list:
+    """Warm-state buffers on which designs ``a`` and ``b`` disagree."""
+    return a.snapshot_state().differing_buffers(b.snapshot_state())
 
 
 def _warm_stream(trace):
@@ -73,7 +74,7 @@ class TestSnapshotEquivalence:
         assert engine in ("batch", "scalar")
         if select_kernel(batch) is not None:
             assert engine == "batch"
-        assert _snapshot_bytes(scalar) == _snapshot_bytes(batch)
+        assert _differing(scalar, batch) == []
 
     @pytest.mark.parametrize("splits_seed", [0, 1, 2])
     def test_batch_boundaries_do_not_matter(self, splits_seed, tiny_trace):
@@ -90,13 +91,13 @@ class TestSnapshotEquivalence:
         for lo, hi in zip(bounds, bounds[1:]):
             warm_design(chunked, _warm_stream(tiny_trace[lo:hi]))
 
-        assert _snapshot_bytes(whole) == _snapshot_bytes(chunked)
+        assert _differing(whole, chunked) == []
 
     def test_empty_stream_is_a_no_op(self):
         design = make_design("unison", CAPACITY, scale=SCALE)
-        before = _snapshot_bytes(design)
+        before = design.snapshot_state()
         warm_design(design, _warm_stream([]))
-        assert _snapshot_bytes(design) == before
+        assert design.snapshot_state().differing_buffers(before) == []
 
 
 class TestEnablement:
@@ -128,7 +129,7 @@ class TestEnablement:
         fallback = make_design("alloy", CAPACITY, scale=SCALE)
         scalar.warm_up(tiny_trace)
         warm_design(fallback, _warm_stream(tiny_trace))
-        assert _snapshot_bytes(scalar) == _snapshot_bytes(fallback)
+        assert _differing(scalar, fallback) == []
 
 
 @needs_numpy
@@ -217,7 +218,7 @@ class TestWithoutNumpy:
         other = make_design("unison", CAPACITY, scale=SCALE)
         scalar.warm_up(tiny_trace)
         warm_design(other, list(tiny_trace))
-        assert _snapshot_bytes(scalar) == _snapshot_bytes(other)
+        assert _differing(scalar, other) == []
 
     def test_sampler_read_falls_back_to_records(self, no_numpy, tiny_trace):
         from repro.sampling.runner import WindowedSampler

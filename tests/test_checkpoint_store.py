@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import marshal
 import os
 import pickle
 
@@ -89,12 +90,19 @@ class TestStore:
         (tmp_path / f"{key}.ckpt").write_bytes(b"not a pickle")
         assert store.load(key) is None
 
-        # A snapshot pickled in the v1 layout (Bank/Channel object graph)
-        # is a miss as well, never a half-compatible hit.
-        assert CHECKPOINT_FORMAT_VERSION == 2
+        # Snapshots pickled in the v1/v2 layouts (pickled object graphs),
+        # and flat buffers stamped with an older version, are misses as
+        # well, never half-compatible hits.
+        assert CHECKPOINT_FORMAT_VERSION == 4
         snapshot = make_design("no_cache", "1GB", scale=4096).snapshot_state()
-        (tmp_path / f"{key}.ckpt").write_bytes(pickle.dumps((1, snapshot)))
-        assert store.load(key) is None
+        for version in (1, 2):
+            (tmp_path / f"{key}.ckpt").write_bytes(
+                pickle.dumps((version, snapshot)))
+            assert store.load(key) is None
+        for version in (2, 3):
+            (tmp_path / f"{key}.ckpt").write_bytes(
+                marshal.dumps((version, snapshot.design_name, snapshot.state)))
+            assert store.load(key) is None
         store.save(key, snapshot)
         assert store.load(key) is not None
 

@@ -170,6 +170,40 @@ class TestBitIdentity:
             assert ledger.runs(limit=5)
 
 
+class TestSampledMeasureSpans:
+    """A sampled window's time is split into four phases inside measure."""
+
+    CHILDREN = ("restore", "window_warm", "baseline", "replay")
+
+    def test_children_appear_and_fit_inside_measure(self, obs_on, capsys):
+        from repro.cli import main
+
+        result = SweepExecutor(workers=1).run(sampled_spec())
+        assert not any(key in self.CHILDREN
+                       for row in result for key in row.extra)
+
+        with RunLedger(obs_on / "ledger.sqlite") as ledger:
+            rows = ledger.runs(limit=50, kind="trial")
+            assert rows
+            for row in rows:
+                phases = ledger.phases_for([row["run_id"]])
+                for name in self.CHILDREN:
+                    assert phases[name][1] > 0, name
+                children = sum(phases[name][0] for name in self.CHILDREN)
+                assert children <= phases["measure"][0]
+            summary = summarize(ledger, rows)
+            run_id = rows[0]["run_id"]
+
+        restores = summary["phases"]["restore"][0]
+        assert summary["restore_share"] == pytest.approx(
+            restores / summary["wall_seconds"])
+        assert main(["runs", "show", run_id]) == 0
+        out = capsys.readouterr().out
+        assert "restore_share:" in out
+        for name in self.CHILDREN:
+            assert name in out
+
+
 # --------------------------------------------------------------------- #
 # Runs, spans, manifests
 # --------------------------------------------------------------------- #

@@ -7,45 +7,47 @@ from repro.predictors.footprint import FootprintPredictor
 from repro.predictors.miss import MissPredictor
 from repro.predictors.singleton import SingletonTable
 from repro.predictors.way import WayPredictor
-from repro.utils.bitvector import BitVector
+
+
+def mask(*offsets):
+    return sum(1 << offset for offset in offsets)
 
 
 class TestFootprintPredictor:
     def test_untrained_default_predicts_whole_page(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        prediction = predictor.predict(pc=0x400000, offset=3)
-        assert not prediction.from_history
-        assert prediction.footprint.all()
+        footprint, from_history = predictor.predict_bits(pc=0x400000, offset=3)
+        assert not from_history
+        assert footprint == (1 << 15) - 1
 
     def test_untrained_default_single_block_mode(self):
         predictor = FootprintPredictor(blocks_per_page=15, default_all_blocks=False)
-        prediction = predictor.predict(pc=0x400000, offset=3)
-        assert prediction.footprint.indices() == [3]
-        assert prediction.is_singleton
+        footprint, from_history = predictor.predict_bits(pc=0x400000, offset=3)
+        assert footprint == mask(3)
+        assert not from_history
 
     def test_trained_prediction_returned(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        footprint = BitVector.from_indices(15, [2, 3, 4])
-        predictor.update(pc=0x400000, offset=2, actual_footprint=footprint)
-        prediction = predictor.predict(pc=0x400000, offset=2)
-        assert prediction.from_history
-        assert prediction.footprint.indices() == [2, 3, 4]
+        predictor.train(pc=0x400000, offset=2, footprint=mask(2, 3, 4))
+        footprint, from_history = predictor.predict_bits(pc=0x400000, offset=2)
+        assert from_history
+        assert footprint == mask(2, 3, 4)
 
     def test_trigger_block_always_included(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        predictor.update(0x400000, 5, BitVector.from_indices(15, [1]))
-        prediction = predictor.predict(0x400000, 5)
-        assert prediction.footprint.get(5)
+        predictor.train(0x400000, 5, mask(1))
+        footprint, _ = predictor.predict_bits(0x400000, 5)
+        assert footprint & mask(5)
 
     def test_singleton_detection(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        predictor.update(0x400000, 7, BitVector.from_indices(15, [7]))
-        assert predictor.predict(0x400000, 7).is_singleton
+        predictor.train(0x400000, 7, mask(7))
+        assert predictor.predict_bits(0x400000, 7) == (mask(7), True)
 
     def test_different_offsets_are_independent_keys(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        predictor.update(0x400000, 0, BitVector.from_indices(15, [0, 1]))
-        assert predictor.predict(0x400000, 1).from_history is False
+        predictor.train(0x400000, 0, mask(0, 1))
+        assert predictor.predict_bits(0x400000, 1)[1] is False
 
     def test_capacity_eviction_lru(self):
         predictor = FootprintPredictor(blocks_per_page=15, num_entries=4,
@@ -53,27 +55,25 @@ class TestFootprintPredictor:
         # All keys that collide into the same (single) set; the oldest entry
         # should be displaced once a fifth is trained.
         for pc in range(5):
-            predictor.update(pc, 0, BitVector.from_indices(15, [0]))
+            predictor.train(pc, 0, mask(0))
         trained = sum(
-            1 for pc in range(5) if predictor.predict(pc, 0).from_history
+            1 for pc in range(5) if predictor.predict_bits(pc, 0)[1]
         )
         assert trained <= 4
 
     def test_offset_out_of_range(self):
         predictor = FootprintPredictor(blocks_per_page=15)
         with pytest.raises(ValueError):
-            predictor.predict(0, 15)
+            predictor.predict_bits(0, 15)
 
     def test_update_width_mismatch(self):
         predictor = FootprintPredictor(blocks_per_page=15)
         with pytest.raises(ValueError):
-            predictor.update(0, 0, BitVector(31))
+            predictor.train(0, 0, mask(30))
 
     def test_outcome_accounting(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        predicted = BitVector.from_indices(15, [0, 1, 2, 3])
-        actual = BitVector.from_indices(15, [0, 1, 5])
-        predictor.record_outcome(predicted, actual, from_history=True)
+        predictor.account(mask(0, 1, 2, 3), mask(0, 1, 5), from_history=True)
         # 2 of 3 actual blocks predicted; 2 of 4 fetched blocks wasted.
         assert predictor.accuracy_ratio == pytest.approx(2 / 3)
         assert predictor.overfetch_ratio == pytest.approx(2 / 4)
@@ -81,12 +81,8 @@ class TestFootprintPredictor:
 
     def test_cold_outcomes_separated_from_trained(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        predictor.record_outcome(BitVector.ones(15),
-                                 BitVector.from_indices(15, [0]),
-                                 from_history=False)
-        predictor.record_outcome(BitVector.from_indices(15, [0, 1]),
-                                 BitVector.from_indices(15, [0, 1]),
-                                 from_history=True)
+        predictor.account((1 << 15) - 1, mask(0), from_history=False)
+        predictor.account(mask(0, 1), mask(0, 1), from_history=True)
         # Headline metrics reflect the trained prediction only.
         assert predictor.accuracy_ratio == pytest.approx(1.0)
         assert predictor.overfetch_ratio == pytest.approx(0.0)
@@ -94,11 +90,11 @@ class TestFootprintPredictor:
 
     def test_reset_stats_keeps_training(self):
         predictor = FootprintPredictor(blocks_per_page=15)
-        predictor.update(0x400000, 2, BitVector.from_indices(15, [2, 3]))
-        predictor.record_outcome(BitVector.ones(15), BitVector.ones(15))
+        predictor.train(0x400000, 2, mask(2, 3))
+        predictor.account((1 << 15) - 1, (1 << 15) - 1)
         predictor.reset_stats()
         assert predictor.fetched_blocks == 0
-        assert predictor.predict(0x400000, 2).from_history
+        assert predictor.predict_bits(0x400000, 2)[1]
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -107,12 +103,9 @@ class TestFootprintPredictor:
         pc = data.draw(st.integers(0, 2 ** 40))
         offset = data.draw(st.integers(0, 14))
         indices = data.draw(st.lists(st.integers(0, 14), unique=True, min_size=1))
-        footprint = BitVector.from_indices(15, indices)
-        predictor.update(pc, offset, footprint)
-        prediction = predictor.predict(pc, offset)
-        expected = footprint.copy()
-        expected.set(offset)
-        assert prediction.footprint == expected
+        predictor.train(pc, offset, mask(*indices))
+        footprint, _ = predictor.predict_bits(pc, offset)
+        assert footprint == mask(*indices) | mask(offset)
 
 
 class TestSingletonTable:
@@ -125,17 +118,14 @@ class TestSingletonTable:
     def test_promotion_on_second_block(self):
         table = SingletonTable(num_entries=4, blocks_per_page=15)
         table.insert(10, 0x400000, 3)
-        assert table.record_access(10, 3) is None       # same block: still singleton
-        correction = table.record_access(10, 7)
-        assert correction is not None
-        pc, offset, observed = correction
-        assert (pc, offset) == (0x400000, 3)
-        assert observed.indices() == [3, 7]
+        assert table.observe(10, 3) is None       # same block: still singleton
+        correction = table.observe(10, 7)
+        assert correction == (0x400000, 3, mask(3, 7))
         assert table.lookup(10) is None                 # removed after promotion
 
     def test_untracked_page_ignored(self):
         table = SingletonTable(num_entries=4, blocks_per_page=15)
-        assert table.record_access(99, 0) is None
+        assert table.observe(99, 0) is None
 
     def test_lru_eviction(self):
         table = SingletonTable(num_entries=2, blocks_per_page=15)
@@ -158,7 +148,7 @@ class TestSingletonTable:
             table.insert(1, 0, 15)
         table.insert(1, 0, 0)
         with pytest.raises(ValueError):
-            table.record_access(1, 20)
+            table.observe(1, 20)
 
     def test_stats(self):
         table = SingletonTable(num_entries=2, blocks_per_page=15)

@@ -1,11 +1,14 @@
 """Tests for the StateSnapshot protocol on the DRAM-cache designs."""
 
+import copy
 import pickle
+import random
+import re
 
 import pytest
 
-from repro.dramcache.base import StateSnapshot
-from repro.sim.factory import make_design
+from repro.dramcache.base import StateSnapshot, state_leaves
+from repro.sim.factory import design_names, make_design
 from repro.workloads.generator import SyntheticWorkload
 
 
@@ -97,14 +100,17 @@ class TestSnapshotRestore:
             design.restore_state(bad)
 
     def test_snapshot_covers_declared_design_state(self):
-        """Every declared state attribute exists and lands in the snapshot."""
+        """Every declared state buffer exists and lands in the snapshot."""
         for design_name in DESIGNS:
             design = _make(design_name)
             snapshot = design.snapshot_state()
-            attrs = type(design)._snapshot_attrs()
-            assert set(snapshot.state) == set(attrs)
+            names = [name for name, _, _ in state_leaves(design)]
+            assert len(names) == len(set(names))
+            assert set(snapshot.state) == set(names)
             # Base state is always present.
-            for name in ("_now", "cache_stats", "memory", "stacked"):
+            for name in ("_now", "cache_stats.hits",
+                         "memory.controller.open_row", "memory.blocks_read",
+                         "stacked.controller.open_row"):
                 assert name in snapshot.state
 
     def test_predictor_training_is_checkpointed(self, replay):
@@ -145,7 +151,8 @@ class TestDramStateAliasing:
         design = _make(design_name)
         getattr(design, serve)(replay[:1000])  # binds the closures
         snapshot = design.snapshot_state()
-        frozen = pickle.dumps(snapshot)
+        frozen = StateSnapshot(snapshot.design_name,
+                               copy.deepcopy(snapshot.state))
 
         getattr(design, serve)(replay[1000:2000])
         design.restore_state(snapshot)
@@ -153,7 +160,7 @@ class TestDramStateAliasing:
         getattr(design, serve)(replay[2000:2001])
 
         assert sum(_dram_requests(design)) > sum(restored)
-        assert pickle.dumps(snapshot) == frozen
+        assert snapshot.differing_buffers(frozen) == []
 
     def test_bound_controller_pickles(self, replay):
         design = _make("unison")
@@ -164,3 +171,204 @@ class TestDramStateAliasing:
         copy.access(0, 64, 0)
         assert copy.total_requests == before + 1
         assert controller.total_requests == before
+
+
+#: Scalar element types a snapshot payload may hold.
+_PLAIN = (int, float, bool, str)
+
+
+def _is_rng_state(value) -> bool:
+    """A ``random.Random.getstate()`` tuple, its state words as bytes."""
+    return (type(value) is tuple and len(value) == 3
+            and type(value[0]) is int and type(value[1]) is bytes
+            and (value[2] is None or type(value[2]) is float))
+
+
+def _is_flat_element(value) -> bool:
+    if type(value) in _PLAIN:
+        return True
+    return type(value) is tuple and all(type(v) in _PLAIN for v in value)
+
+
+def _flat_violations(state) -> list:
+    """Buffers of a snapshot payload that are not plain flat data."""
+    bad = []
+    for name, value in state.items():
+        if type(value) in _PLAIN:
+            continue
+        if type(value) is tuple:
+            ok = all(_is_flat_element(v) or _is_rng_state(v) for v in value)
+        elif type(value) is dict:
+            ok = all(_is_flat_element(k) and _is_flat_element(v)
+                     for k, v in value.items())
+        else:
+            ok = False
+        if not ok:
+            bad.append(name)
+    return bad
+
+
+def assert_flat_payload(snapshot) -> None:
+    assert _flat_violations(snapshot.state) == []
+
+
+class TestFlatPayload:
+    """Snapshots hold plain buffers, never model objects."""
+
+    @pytest.mark.parametrize("design_name", design_names())
+    def test_payload_is_plain_data(self, design_name, replay):
+        design = _make(design_name)
+        design.run(replay[:3000])
+        assert_flat_payload(design.snapshot_state())
+
+    @pytest.mark.parametrize("value", [
+        object(), [1, 2], {"k": [1]}, ((1, 2), [3]), (random.Random(1),),
+    ])
+    def test_guard_rejects_objects(self, value):
+        from repro.cache.replacement import LruPolicy
+        from repro.dramcache.components import Lookup, LruReplacement
+        from repro.utils.bitvector import BitVector
+
+        assert _flat_violations({"buffer": value}) == ["buffer"]
+        lookup = Lookup(page=1, set_index=0, offset=0, way=0, block_hit=True,
+                        page_hit=True)
+        for obj in (lookup, BitVector(15, 3), LruPolicy(4),
+                    LruReplacement()):
+            assert _flat_violations({"buffer": obj}) == ["buffer"]
+            assert _flat_violations({"buffer": (obj,)}) == ["buffer"]
+            assert _flat_violations({"buffer": {1: obj}}) == ["buffer"]
+
+    def test_guard_accepts_rng_states(self):
+        version, words, gauss = random.Random(5).getstate()
+        state = (version, bytes(len(words)), gauss)
+        assert _flat_violations({"rngs": (state, state)}) == []
+        assert _flat_violations({"rngs": (random.Random(5).getstate(),)}
+                                ) == ["rngs"]
+
+
+class TestRestoreGuards:
+    """A snapshot that does not fit is refused before anything is written."""
+
+    @pytest.mark.parametrize("design_name", ["unison", "alloy", "loh_hill",
+                                             "footprint"])
+    def test_wrong_length_buffer_rejected_untouched(self, design_name,
+                                                    replay):
+        design = _make(design_name)
+        design.run(replay[:2000])
+        good = design.snapshot_state()
+        design.run(replay[2000:3000])
+        live = design.snapshot_state()
+
+        lists = [name for name, value in good.state.items()
+                 if type(value) is tuple and len(value) > 1]
+        # Corrupt the *last* list buffer, so a restore that wrote buffers
+        # one by one would already have rewound every other one.
+        name = lists[-1]
+        bad_state = dict(good.state)
+        bad_state[name] = good.state[name][:-1]
+        with pytest.raises(ValueError, match=re.escape(name)):
+            design.restore_state(StateSnapshot(good.design_name, bad_state))
+        assert design.snapshot_state().differing_buffers(live) == []
+
+        bad_state[name] = good.state[name] + good.state[name][:1]
+        with pytest.raises(ValueError):
+            design.restore_state(StateSnapshot(good.design_name, bad_state))
+        assert design.snapshot_state().differing_buffers(live) == []
+
+    def test_misshapen_rng_states_rejected_untouched(self, replay):
+        """A tuple buffer whose elements do not fit is refused up front."""
+        design = _make_random_unison()
+        design.run(replay[:2000])
+        good = design.snapshot_state()
+        design.run(replay[2000:3000])
+        live = design.snapshot_state()
+        states = good.state["replacement.rng_states"]
+        for bad in (tuple((0, state) for state in states),
+                    tuple((v, words[:-4], g) for v, words, g in states)):
+            bad_state = dict(good.state, **{"replacement.rng_states": bad})
+            with pytest.raises(ValueError, match="rng_states"):
+                design.restore_state(StateSnapshot(good.design_name,
+                                                   bad_state))
+            assert design.snapshot_state().differing_buffers(live) == []
+
+    def test_wrong_scalar_type_rejected(self, replay):
+        design = _make("unison")
+        good = design.snapshot_state()
+        bad_state = dict(good.state)
+        bad_state["_now"] = (0,)
+        with pytest.raises(ValueError, match="_now"):
+            design.restore_state(StateSnapshot(good.design_name, bad_state))
+
+    def test_checkpoint_designs_fall_back_to_warming(self, tmp_path,
+                                                     tiny_profile_module):
+        """A stored checkpoint that does not fit is warmed over, not used."""
+        from repro.sampling.checkpoints import CheckpointStore
+        from repro.sampling.runner import WindowedSampler
+        from repro.sampling.windows import SamplingConfig
+        from repro.sim.experiment import ExperimentConfig
+
+        store = CheckpointStore(tmp_path / "ckpt")
+        config = ExperimentConfig(num_accesses=6000, scale=4096,
+                                  num_cores=4, seed=3)
+        sampling = SamplingConfig(max_windows=2, min_windows=2,
+                                  window_accesses=200,
+                                  warmup_accesses=100,
+                                  checkpoint_accesses=2000)
+        sampler = WindowedSampler(sampling=sampling, config=config)
+        workload = tiny_profile_module
+
+        def checkpoint_designs():
+            with sampler._warmed(["unison"], workload, "1GB", None, None,
+                                 None) as (provider, plan, _):
+                stream = sampler._stream_token(workload, None, None, store)
+                return sampler._checkpoint_designs(
+                    provider, ["unison"], "1GB", None, plan, store,
+                    stream, NullSpanStub()), plan, stream
+
+        (cold,), plan, stream = checkpoint_designs()
+        key = store.key(trace=stream, design=_design_token("unison"),
+                        capacity="1GB", scale=4096, num_cores=4,
+                        associativity=None,
+                        checkpoint_start=plan.checkpoint_start,
+                        checkpoint_stop=plan.checkpoint_stop)
+        warm = cold[1]
+        bad_state = dict(warm.state)
+        bad_state["tags.page"] = warm.state["tags.page"][:-1]
+        assert store.save(key, StateSnapshot(warm.design_name, bad_state))
+        assert store.load(key).state["tags.page"] == bad_state["tags.page"]
+
+        (fallback,), _, _ = checkpoint_designs()
+        design, checkpoint = fallback
+        assert checkpoint.differing_buffers(warm) == []
+        assert design.snapshot_state().differing_buffers(warm) == []
+        # The warmed-over checkpoint replaced the one that did not fit.
+        assert store.load(key).differing_buffers(warm) == []
+
+
+def _make_random_unison():
+    """Unison with random replacement (a tuple-valued state buffer)."""
+    import dataclasses
+
+    from repro.dramcache.spec import ComponentSpec
+    from repro.sim.registry import DESIGNS, DesignBuildContext
+    from repro.utils.units import parse_size
+
+    spec = dataclasses.replace(DESIGNS.resolve("unison").spec,
+                               replacement=ComponentSpec("random"))
+    paper = parse_size("1GB")
+    return spec.build(DesignBuildContext(
+        paper_capacity_bytes=paper, scaled_capacity_bytes=paper // 4096,
+        scale=4096, num_cores=4))
+
+
+class NullSpanStub:
+    """The telemetry span ``_checkpoint_designs`` tags, as a no-op."""
+
+    def add(self, name, amount=1):
+        pass
+
+
+def _design_token(name):
+    from repro.sampling.checkpoints import design_token
+
+    return design_token(name)

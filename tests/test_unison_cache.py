@@ -5,7 +5,6 @@ import pytest
 from repro.dramcache.composed import ComposedDramCache
 from repro.sim.factory import make_design
 from repro.trace.record import AccessType, MemoryAccess
-from repro.utils.bitvector import BitVector
 
 
 def make_cache(associativity: int = 4) -> ComposedDramCache:
@@ -85,9 +84,9 @@ class TestFootprintLearning:
             cache.access(access_for(cache, page=page, offset=offset, pc=pc))
         for i in range(1, cache.tags.config.associativity + 1):
             cache.access(access_for(cache, page=page + i * sets, offset=0))
-        prediction = cache.footprint_predictor.predict(pc, 2)
-        assert prediction.from_history
-        assert set(prediction.footprint.indices()) == {2, 3, 4}
+        footprint, from_history = cache.footprint_predictor.predict_bits(pc, 2)
+        assert from_history
+        assert footprint == 0b11100
 
     def test_underprediction_fetches_single_block(self):
         cache = make_cache()
@@ -115,7 +114,7 @@ class TestFootprintLearning:
         sets = cache.tags.config.num_sets
         page = 17
         # Train a singleton footprint for (pc, offset 4).
-        cache.footprint_predictor.update(pc, 4, BitVector.from_indices(15, [4]))
+        cache.footprint_predictor.train(pc, 4, 1 << 4)
         allocated_before = cache.cache_stats.pages_allocated
         result = cache.access(access_for(cache, page=page, offset=4, pc=pc))
         assert not result.hit
@@ -127,13 +126,13 @@ class TestFootprintLearning:
         cache = make_cache()
         pc = 0x400600
         page = 19
-        cache.footprint_predictor.update(pc, 4, BitVector.from_indices(15, [4]))
+        cache.footprint_predictor.train(pc, 4, 1 << 4)
         cache.access(access_for(cache, page=page, offset=4, pc=pc))
         # A second block of the "singleton" page arrives: the singleton table
         # must correct the history entry to a multi-block footprint.
         cache.access(access_for(cache, page=page, offset=6, pc=pc))
-        prediction = cache.footprint_predictor.predict(pc, 4)
-        assert prediction.footprint.popcount() >= 2
+        footprint, _ = cache.footprint_predictor.predict_bits(pc, 4)
+        assert footprint.bit_count() >= 2
 
 
 class TestAssociativityAndWayPrediction:
@@ -187,9 +186,7 @@ class TestStatsAndBookkeeping:
         cache = make_cache()
         for page in range(cache.tags.config.num_pages * 2):
             cache.access(access_for(cache, page=page, offset=0))
-        resident = sum(
-            1 for set_frames in cache.tags.frames for f in set_frames if f.valid
-        )
+        resident = sum(cache.tags.valid)
         assert resident <= cache.tags.config.num_pages
 
     def test_stacked_dram_sees_traffic(self):
