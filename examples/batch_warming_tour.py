@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Tour of the vectorized batch functional-warming engine.
 
-Functional warming only needs the *state* a warm stream leaves behind --
-tags, dirty bits, predictor tables -- not per-access timing, so the batch
-engine replays it through fused per-family kernels over a numpy structured
-array instead of the scalar per-access object walk.  This tour shows the
-contract from both ends:
+The batch engine replays a request stream through fused
+per-tag-organization kernels instead of the scalar per-access object walk,
+for measurement and for functional warming alike.  Warming keeps only the
+*state* a warm stream leaves behind -- tags, dirty bits, predictor tables.
+This tour shows the warming contract from both ends:
 
 1. decode a warm stream once into a structured record array
    (one ``np.frombuffer``-equivalent pack, no per-record objects);
-2. warm one design per engine and time both (the batch engine clears
-   10x on the larger default stream);
+2. warm one design per engine and time both (the batch engine is
+   several times faster);
 3. prove bit-identity: the post-warming ``StateSnapshot`` of both designs
    holds the same buffers, element for element, so every downstream
    measurement is byte-for-byte unaffected by which engine warmed the

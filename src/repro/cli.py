@@ -110,17 +110,18 @@ def _apply_telemetry_arguments(args: argparse.Namespace) -> None:
 
 
 def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
-    """The batch-warming switches shared by the run-ish commands."""
+    """The batch-engine switches shared by the run-ish commands."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--batch-warming", dest="batch_warming",
                        action="store_true", default=None,
-                       help="warm designs through the vectorized batch "
-                            "engine (the default when numpy is available; "
-                            "same as REPRO_BATCH=1)")
+                       help="warm and replay designs through the fused "
+                            "batch kernels (the default; same as "
+                            "REPRO_BATCH=1)")
     group.add_argument("--no-batch-warming", dest="batch_warming",
                        action="store_false",
-                       help="force the scalar warming engine (same as "
-                            "REPRO_BATCH=0; needs no numpy)")
+                       help="force the scalar engine for warming and "
+                            "replay (same as REPRO_BATCH=0); results are "
+                            "identical either way")
 
 
 def _apply_batch_arguments(args: argparse.Namespace) -> None:
@@ -1488,6 +1489,16 @@ def _summary_lines(summary: dict) -> List[str]:
         value = metrics[name]
         text = f"{value:g}" if value == int(value) else f"{value:.4f}"
         lines.append(f"  {name:<22} {text}")
+    engine = summary.get("engine")
+    if engine:
+        line = (f"engine: batch {engine['batch_calls']} calls "
+                f"({engine['batch_accesses']:,} accesses), scalar "
+                f"{engine['scalar_calls']} calls "
+                f"({engine['scalar_accesses']:,} accesses)")
+        if engine["scalar_fallbacks"]:
+            line += (f"; scalar fallback: "
+                     f"{', '.join(engine['scalar_fallbacks'])}")
+        lines.append(line)
     for name in ("accesses_per_sec", "restore_share", "trace_store_hit_rate",
                  "checkpoint_hit_rate"):
         if name in summary:

@@ -6,7 +6,7 @@ tRAS, tRC, tWR, tWTR, tRTP, tRRD, tFAW), a shared data bus per channel, and
 an open-page controller with channel/bank interleaving.  The whole model is
 :class:`DramController`: its bank and channel state are flat lists, and one
 set of closures over them (:class:`DramOps`) serves both the per-access
-measurement path and the batch-warming kernels.
+per-access scalar path and the batch kernels.
 
 It is used both for the off-chip DDR3-1600 channel and for the four-channel
 die-stacked DRAM; the DRAM cache models issue logical operations (read a tag

@@ -12,8 +12,10 @@ data-bus reservation, the tRRD/tFAW activate history and the traffic
 counters.  :func:`_bind` closes over those lists and returns the access
 arithmetic once, as :class:`DramOps`: ``access`` serves one request;
 ``burst`` and ``read_pair`` are fused forms of repeated ``access`` calls,
-bit-identical to them, that the batch-warming kernels
-(:mod:`repro.engine.kernels`) call directly.  The lists are the
+bit-identical to them, that the batch kernels
+(:mod:`repro.engine.kernels`) call directly.  A controller whose
+``access`` is overridden or wrapped hands the kernels operations that call
+it once per device op instead (:meth:`DramController.ops`).  The lists are the
 controller's warm state (``_STATE_ATTRS``): a design snapshot copies them
 and a restore writes them back in place, so the bound closures stay valid
 across restores.  The closures are never pickled:
@@ -102,7 +104,19 @@ class DramController:
         return state
 
     def ops(self) -> DramOps:
-        """The timing closures over this controller's state lists."""
+        """The timing operations the batch kernels call.
+
+        Normally the closures over this controller's state lists.  When
+        :meth:`access` is overridden -- by a subclass, or by instrumentation
+        wrapping the method -- every operation goes through ``self.access``
+        instead, one call per device op, so the override sees the kernels'
+        traffic as it sees the scalar engine's.
+        """
+        if type(self).access is not _STOCK_ACCESS:
+            return _routed(self.access)
+        return self._bound()
+
+    def _bound(self) -> DramOps:
         ops = self._ops
         if ops is None:
             ops = self._ops = _bind(self)
@@ -121,8 +135,8 @@ class DramController:
             raise ValueError("num_bytes must be positive")
         if address < 0:
             raise ValueError("address must be non-negative")
-        return (self._ops or self.ops()).access(address, num_bytes, now_cpu,
-                                                 is_write)
+        return (self._ops or self._bound()).access(address, num_bytes,
+                                                    now_cpu, is_write)
 
     # ------------------------------------------------------------------ #
     @property
@@ -618,6 +632,37 @@ def _bind(controller: DramController) -> DramOps:
         c_bytes[ch] += bytes_b
         latency_b = int(-(-(data_end - now) * cpu_per_dram // 1))
 
+        if serialized:
+            return latency_a + latency_b
+        if latency_a > latency_b:
+            return latency_a
+        return latency_b
+
+    return DramOps(access, burst, read_pair)
+
+
+_STOCK_ACCESS = DramController.access
+
+
+def _routed(access: Callable[[int, int, int, bool], int]) -> DramOps:
+    """``burst`` and ``read_pair`` as the ``access`` calls they fuse."""
+
+    def burst(base: int, stride: int, mask: int, num_bytes: int,
+              now_cpu: int, is_write: bool) -> int:
+        first_latency = -1
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            latency = access(base + (low.bit_length() - 1) * stride,
+                             num_bytes, now_cpu, is_write)
+            if first_latency < 0:
+                first_latency = latency
+        return first_latency
+
+    def read_pair(addr_a: int, bytes_a: int, addr_b: int, bytes_b: int,
+                  now_cpu: int, serialized: bool) -> int:
+        latency_a = access(addr_a, bytes_a, now_cpu, False)
+        latency_b = access(addr_b, bytes_b, now_cpu, False)
         if serialized:
             return latency_a + latency_b
         if latency_a > latency_b:

@@ -165,26 +165,33 @@ class DramCacheModel(abc.ABC):
         return result
 
     def run(self, requests: Iterable[MemoryAccess]) -> DramCacheStats:
-        """Service a whole request stream and return the statistics record."""
-        for request in requests:
-            self.access(request)
+        """Service a whole request stream and return the statistics record.
+
+        Dispatches to the fused batch kernels of :mod:`repro.engine` when
+        this design's composition is covered and the batch engine is
+        enabled (``REPRO_BATCH`` / ``--batch-warming``), and to per-request
+        :meth:`access` calls otherwise; state and statistics come out
+        bit-identical either way.  ``requests`` may also be a numpy record
+        array.
+        """
+        from repro.engine import replay_design
+
+        replay_design(self, requests)
         return self.cache_stats
 
     def warm_up(self, requests: Iterable[MemoryAccess]) -> None:
-        """Service requests, then discard the statistics gathered while doing so."""
+        """Service requests one by one (the scalar engine), then discard the
+        statistics gathered while doing so."""
         for request in requests:
             self.access(request)
         self.reset_stats()
 
     def warm_up_array(self, accesses) -> str:
-        """Warm with a record array (or records) via the batch engine.
+        """Warm with a record array (or records) on the engine :meth:`run`
+        uses: a replay, then :meth:`reset_stats`.
 
-        Dispatches to the fused batch kernels of :mod:`repro.engine` when
-        this design's composition is covered and batch warming is enabled
-        (``REPRO_BATCH`` / ``--batch-warming``), falling back to the scalar
-        :meth:`warm_up` otherwise.  The post-warming state is bit-identical
-        either way; returns ``"batch"`` or ``"scalar"`` naming the engine
-        that ran.
+        The post-warming state is bit-identical to :meth:`warm_up`'s; returns
+        ``"batch"`` or ``"scalar"`` naming the engine that ran.
         """
         from repro.engine import warm_design
 

@@ -29,7 +29,7 @@ state (tag arrays, predictor tables) and receive the engine -- a
 :class:`repro.dramcache.composed.ComposedDramCache` -- as an argument on
 every call.  That state is flat: int/bool lists indexed by frame, dicts of
 ints and tuples, and scalars, declared per class in ``_STATE_ATTRS``.  The
-scalar service path, the batch-warming kernels (:mod:`repro.engine`) and
+scalar service path, the batch kernels (:mod:`repro.engine`) and
 the design snapshots (:func:`repro.dramcache.base.state_leaves`) all work on
 those same buffers.
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.config.cache_configs import (
     AlloyCacheConfig,
@@ -679,7 +679,7 @@ class FootprintFetch(FetchPolicy):
         """The :class:`FetchDecision` fields of a trigger, as a tuple.
 
         The one planning routine of the scalar path (:meth:`plan`) and the
-        batch-warming kernels.
+        batch kernels.
         """
         # A prior singleton bypass of this page may be contradicted by this
         # access; the singleton table corrects the history table if so.
@@ -821,6 +821,25 @@ class TagOrganization(CachePolicyComponent):
         raise NotImplementedError
 
 
+class FrameAddresses(NamedTuple):
+    """Stacked-DRAM byte addresses of a page organization's frames.
+
+    Geometry, not warm state: :meth:`_SetAssocPageTags.frame_addresses`
+    builds them once per device row size for the batch kernels, and
+    snapshots never carry them.  The last three lists are empty for SRAM
+    tags.
+    """
+
+    #: Per frame: its first data block.
+    data: List[int]
+    #: Per frame: its presence metadata (in-DRAM tags).
+    presence: List[int]
+    #: Per frame: its (PC, offset) metadata, read on eviction.
+    metadata: List[int]
+    #: Per set: the tag read (the presence metadata of the set's first way).
+    tag_read: List[int]
+
+
 class _SetAssocPageTags(TagOrganization):
     """Shared mechanics of the set-associative page organizations.
 
@@ -829,8 +848,8 @@ class _SetAssocPageTags(TagOrganization):
     and eviction-time training are identical.
 
     **Warm-state layout.**  Frame ``f = set * associativity + way`` is entry
-    ``f`` of nine flat lists, shared by the scalar path, the batch-warming
-    kernels (:mod:`repro.engine.kernels`) and design snapshots:
+    ``f`` of nine flat lists, shared by the scalar path, the batch kernels
+    (:mod:`repro.engine.kernels`) and design snapshots:
 
     * ``valid`` (bool) and ``page`` (the page number, -1 when invalid);
     * block sets as int bit masks (bit ``i`` is block offset ``i``):
@@ -865,6 +884,7 @@ class _SetAssocPageTags(TagOrganization):
         self.trigger_pc: List[int] = [0] * frames
         self.trigger_offset: List[int] = [0] * frames
         self.from_history: List[bool] = [False] * frames
+        self._addresses: Dict[int, FrameAddresses] = {}
 
     def _locate(self, block_address: int) -> "tuple[int, int, int]":
         """(page, set_index, offset) for a block address."""
@@ -894,7 +914,19 @@ class _SetAssocPageTags(TagOrganization):
         self._write_block_device(engine, lookup.set_index, lookup.way,
                                  lookup.offset)
 
+    def frame_addresses(self, row_bytes: int) -> FrameAddresses:
+        """The frames' device addresses on a stacked DRAM of ``row_bytes``
+        rows, built on first use."""
+        addresses = self._addresses.get(row_bytes)
+        if addresses is None:
+            addresses = self._addresses[row_bytes] = (
+                self._build_addresses(row_bytes))
+        return addresses
+
     # -- device hooks subclasses fill in ------------------------------- #
+    def _build_addresses(self, row_bytes: int) -> FrameAddresses:
+        raise NotImplementedError
+
     def _write_block_device(self, engine: "ComposedDramCache", set_index: int,
                             way: int, offset: int) -> None:
         raise NotImplementedError
@@ -1068,6 +1100,17 @@ class DramPageTags(_SetAssocPageTags):
                 + self.config.tag_read_overhead_cycles)
 
     # -- device hooks --------------------------------------------------- #
+    def _build_addresses(self, row_bytes: int) -> FrameAddresses:
+        layout = self.layout
+        data, presence, metadata = [], [], []
+        for frame in range(self.num_sets * self.associativity):
+            base = layout.frame_row(frame) * row_bytes
+            data.append(base + layout.block_offset(frame, 0))
+            presence.append(base + layout.presence_metadata_offset(frame))
+            metadata.append(base + layout.other_metadata_offset(frame))
+        return FrameAddresses(data, presence, metadata,
+                              presence[::self.associativity])
+
     def _write_block_device(self, engine: "ComposedDramCache", set_index: int,
                             way: int, offset: int) -> None:
         frame_id = self.layout.frame_index(set_index, way)
@@ -1167,6 +1210,13 @@ class SramPageTags(_SetAssocPageTags):
                             pred: HitPrediction) -> int:
         """The SRAM lookup resolves hit/miss; no DRAM access needed."""
         return self.tag_latency_cycles
+
+    def _build_addresses(self, row_bytes: int) -> FrameAddresses:
+        frames = self.num_sets * self.associativity
+        return FrameAddresses(
+            [frame // self.pages_per_row * row_bytes
+             + frame % self.pages_per_row * self.config.page_size
+             for frame in range(frames)], [], [], [])
 
     def _write_block_device(self, engine: "ComposedDramCache", set_index: int,
                             way: int, offset: int) -> None:
@@ -1278,7 +1328,7 @@ class DirectMappedBlockTags(TagOrganization):
         return self._tad_read(engine, lookup.set_index)
 
     # -- region observer (footprint-fetch hybrids) ----------------------- #
-    # Shared with the batch-warming kernel; multi-block pages only.
+    # Shared with the batch kernel; multi-block pages only.
     def observe_demand(self, page: int, offset: int) -> None:
         entry = self._regions.pop(page, None)
         if entry is not None:
@@ -1635,6 +1685,7 @@ __all__ = [
     "FetchDecision",
     "FetchPolicy",
     "FootprintFetch",
+    "FrameAddresses",
     "FullPageFetch",
     "HIT_PREDICTORS",
     "HitPredictor",

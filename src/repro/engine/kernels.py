@@ -1,37 +1,43 @@
-"""Fused batch-warming kernels, bit-identical to the scalar engine.
-
-Functional warming replays a trace prologue purely for its *state* side
-effects -- tag arrays, LRU clocks, predictor tables, DRAM bank/channel
-timing horizons -- and then calls ``reset_stats()``, discarding every
-resettable statistic the replay produced.  The scalar path still pays for
-those statistics: each access walks four policy-role objects, builds
-``Lookup``/``HitPrediction``/``FetchDecision`` instances, and updates a
-dozen counters that are about to be zeroed.
+"""Fused service kernels: one loop per tag organization for warming and replay.
 
 Each kernel below fuses one tag organization's entire service loop
-(composed engine + tag organization + predictors) into a single Python
-loop that mutates the components' own flat state buffers in place (see
-:class:`repro.dramcache.components._SetAssocPageTags`) and drives DRAM
-timing through the controllers' own closures
-(:meth:`repro.dram.controller.DramController.ops`).  The rules that make
-the result *bit-identical* to ``warm_up`` followed by ``reset_stats()``:
+(composed engine + tag organization + replacement + predictors) into a
+single Python loop that mutates the components' own flat state buffers in
+place (see :class:`repro.dramcache.components._SetAssocPageTags`) and drives
+DRAM timing through the controllers' own closures
+(:meth:`repro.dram.controller.DramController.ops`).  The scalar path walks
+four policy-role objects per access and builds ``Lookup``/
+``HitPrediction``/``FetchDecision`` instances; a kernel does neither.
+
+A kernel call is bit-identical to servicing the same accesses one by one
+through :meth:`~repro.dramcache.base.DramCacheModel.access`:
 
 * every persistent state mutation happens in the same order, with the
-  same values, as the scalar engine (including dict insertion order);
+  same values, as the scalar engine (including dict insertion order and
+  the per-set random draws of random replacement);
 * every DRAM device operation is issued in the same order with the same
   (address, num_bytes, now, is_write) arguments, so the bank/channel
-  timing state and the non-resettable traffic counters come out
-  identical;
-* purely resettable statistics are skipped entirely.
+  timing state and the traffic counters come out identical;
+* every statistic the scalar path records -- the design's
+  :class:`~repro.dramcache.stats.DramCacheStats`, the way and MAP-I
+  predictors' counters, and the footprint and singleton counters (whose
+  own methods the kernels call) -- is counted in loop locals and added
+  once at the end.
+
+So the same kernel serves timed measurement (``DramCacheModel.run``) and
+functional warming (a replay followed by ``reset_stats()``); see
+:mod:`repro.engine.batch`.
 
 :func:`select_kernel` gates dispatch on *exact* component types: a
 subclass anywhere in the composition falls back to the scalar engine
-rather than risk a silently-diverging shortcut.
+rather than risk a silently-diverging shortcut.  SRRIP on in-DRAM page
+tags is the one stock composition it keeps scalar (see ``_KERNELS``).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from typing import Optional
 
 from repro.dramcache.base import DramCacheModel
 from repro.dramcache.composed import ComposedDramCache
@@ -50,18 +56,13 @@ from repro.dramcache.components import (
     NoCacheTags,
     NoHitPrediction,
     OracleWayPrediction,
+    RandomReplacement,
+    RripReplacement,
     SramPageTags,
     WayPredictionPolicy,
     WritebackDirtyPolicy,
 )
 from repro.trace.record import BLOCK_SIZE
-
-# Exact types only: subclasses may override behaviour the kernels inline.
-_NO_PREDICTION_TYPES = (NoHitPrediction, OracleWayPrediction,
-                        DisabledMissPrediction)
-_WRITEBACK_TYPES = (WritebackDirtyPolicy, DropDirtyPolicy)
-_STATELESS_FETCH_TYPES = (DemandBlockFetch, FullPageFetch)
-_FETCH_TYPES = (DemandBlockFetch, FullPageFetch, FootprintFetch)
 
 
 def select_kernel(design):
@@ -69,58 +70,99 @@ def select_kernel(design):
 
     Coverage is decided by identity: the design must be a
     :class:`ComposedDramCache` running the stock ``access``/
-    ``_service_request`` drivers, and all four policy roles must be exact
-    instances of the component classes the kernels transliterate.  The
-    set-associative and MissMap kernels inline LRU replacement; random and
-    RRIP replacement take the scalar path.
+    ``_service_request`` drivers, and every policy role must be an exact
+    instance of a component class the kernels transliterate.
     """
-    if not isinstance(design, ComposedDramCache):
-        return None
-    cls = type(design)
-    if cls._service_request is not ComposedDramCache._service_request:
-        return None
-    if cls.access is not DramCacheModel.access:
-        return None
-    hp_type = type(design.hit_predictor)
-    hp_none = hp_type in _NO_PREDICTION_TYPES
-    fetch_type = type(design.fetch)
-    if type(design.writeback) not in _WRITEBACK_TYPES:
-        return None
-    lru = type(design.replacement) is LruReplacement
+    return _coverage(design)[0]
 
+
+def uncovered_component(design) -> Optional[str]:
+    """Type name of the first part of ``design`` no kernel covers, or None."""
+    return _coverage(design)[1]
+
+
+def _coverage(design):
+    """``(kernel, None)``, or ``(None, name of the uncovered type)``."""
+    cls = type(design)
+    if (not isinstance(design, ComposedDramCache)
+            or cls._service_request is not ComposedDramCache._service_request
+            or cls.access is not DramCacheModel.access):
+        return None, cls.__name__
     tags_type = type(design.tags)
-    if tags_type in (DramPageTags, SramPageTags):
-        if not (hp_none or hp_type is WayPredictionPolicy):
-            return None
-        if fetch_type not in _FETCH_TYPES or not lru:
-            return None
-        return _warm_page_set_assoc
-    if tags_type is DirectMappedBlockTags:
-        if not (hp_none or hp_type is MissPredictionPolicy):
-            return None
-        if fetch_type not in _FETCH_TYPES:
-            return None
-        return _warm_direct_mapped
-    if tags_type is MissMapBlockTags:
-        if (not hp_none or fetch_type not in _STATELESS_FETCH_TYPES
-                or not lru):
-            return None
-        return _warm_missmap
-    if tags_type is AlwaysHitTags:
-        if not hp_none:
-            return None
-        return _warm_always_hit
-    if tags_type is NoCacheTags:
-        if not hp_none or fetch_type not in _STATELESS_FETCH_TYPES:
-            return None
-        return _warm_no_cache
-    return None
+    entry = _KERNELS.get(tags_type)
+    if entry is None:
+        return None, tags_type.__name__
+    kernel, predictors, fetches, replacements = entry
+    for component, covered in ((design.hit_predictor, predictors),
+                               (design.fetch, fetches),
+                               (design.writeback, _WRITEBACK_TYPES),
+                               (design.replacement, replacements)):
+        if type(component) not in covered:
+            return None, type(component).__name__
+    return kernel, None
+
+
+def _flush(design, cols, now, misses, miss_lat, m_read, m_written, m_req,
+           **counts) -> None:
+    """Add one kernel call's locals to the design's clock and statistics.
+
+    Every miss fetches exactly one demand block and every other block read
+    is a prefetch, so the off-chip block counts follow from the misses and
+    the memory traffic; hit latency is the clock's advance less the gaps
+    and the miss latency.  ``counts`` are further ``DramCacheStats``
+    increments.
+    """
+    n = cols.n
+    writes = sum(cols.wr)
+    stats = design.cache_stats
+    total_lat = now - design._now - n * design._interarrival
+    stats.hits += n - misses
+    stats.misses += misses
+    stats.read_accesses += n - writes
+    stats.write_accesses += writes
+    stats.total_hit_latency += total_lat - miss_lat
+    stats.total_miss_latency += miss_lat
+    counts.setdefault("offchip_demand_blocks", misses)
+    counts.setdefault("offchip_prefetch_blocks", m_read - misses)
+    stats.offchip_writeback_blocks += m_written
+    for name, value in counts.items():
+        setattr(stats, name, getattr(stats, name) + value)
+    design._now = now
+    memory = design.memory
+    memory.blocks_read += m_read
+    memory.blocks_written += m_written
+    memory.requests += m_req
+
+
+def _mapi_columns(design, cols):
+    """(per-access ``(counter table, index)`` pairs, MAP-I parameters), or
+    (a dummy column, None) when the design has no MAP-I predictor."""
+    hp = design.hit_predictor
+    if type(hp) is not MissPredictionPolicy:
+        return repeat(0), None
+    predictor = hp.predictor
+    tables = predictor._tables
+    column = zip(map(tables.__getitem__, cols.core),
+                 cols.mapi_indices(predictor._index_bits,
+                                   predictor.entries_per_core))
+    return column, (predictor._threshold, predictor._max_value,
+                    hp.latency_cycles)
+
+
+def _flush_mapi(design, n, misses, false_misses, false_hits) -> None:
+    """Add one kernel call's MAP-I outcomes to the predictor's counters."""
+    predictor = design.hit_predictor.predictor
+    predictor.predictions += n
+    predictor.accuracy.add(n - false_misses - false_hits, n)
+    predictor.miss_identification.add(misses - false_hits, misses)
+    predictor.false_misses += false_misses
+    predictor.false_hits += false_hits
 
 
 # --------------------------------------------------------------------- #
 # Kernel A: set-associative page organizations (Unison / Footprint Cache)
 # --------------------------------------------------------------------- #
-def _warm_page_set_assoc(design, cols) -> None:
+def _page_kernel(design, cols) -> None:
     tags = design.tags
     is_dram = type(tags) is DramPageTags
     cfg = tags.config
@@ -136,32 +178,43 @@ def _warm_page_set_assoc(design, cols) -> None:
     trigger_pc = tags.trigger_pc
     trigger_offset = tags.trigger_offset
     from_hist = tags.from_history
-    lru_clock = design.replacement.clock
-    lru_rec = design.replacement.recency
+
+    # LRU hits update the clocks inline; every other replacement update,
+    # and every victim choice, calls the component's own method.
+    replacement = design.replacement
+    lru = type(replacement) is LruReplacement
+    lru_clock = replacement.clock if lru else None
+    lru_rec = replacement.recency if lru else None
+    on_access = replacement.on_access
+    on_fill = replacement.on_fill
+    choose_victim = replacement.victim
 
     s_access, s_burst, s_pair = design.stacked.controller.ops()
     m_access, m_burst, _ = design.memory.controller.ops()
-    srow_bytes = design.stacked.row_bytes
-    memory = design.memory
     m_read = m_written = m_req = 0
 
+    # Device addresses are pure functions of the frame index (the frame's
+    # data, presence and PC/offset metadata) and of the set (its tag read).
+    frame_base, pres_addr, meta_addr, tag_addr = tags.frame_addresses(
+        design.stacked.row_bytes)
+    block_bytes = cfg.block_size
+
+    # MAP-I's lookup latency is part of every access's latency, so it
+    # folds into the organization's fixed lookup costs.
+    mapi_col, mapi = _mapi_columns(design, cols)
+    if mapi is not None:
+        mp_threshold, mp_max, pred_lat = mapi
+    else:
+        pred_lat = 0
     if is_dram:
         layout = tags.layout
-        ppr = layout.pages_per_row
         pres_pp = layout.presence_bytes_per_page
         pres_set = layout.presence_bytes_per_set
-        other_base = layout.presence_bytes_per_row
         meta_bytes = layout.pc_offset_bytes_per_page
-        data_base = layout.data_base_offset
-        page_bytes = layout.page_data_bytes
-        block_bytes = cfg.block_size
-        overhead = cfg.tag_read_overhead_cycles
+        overhead = cfg.tag_read_overhead_cycles + pred_lat
         serialized = tags.hit_path == "serialized"
     else:
-        ppr = tags.pages_per_row
-        page_bytes = cfg.page_size
-        block_bytes = cfg.block_size
-        tag_latency = tags.tag_latency_cycles
+        tag_latency = tags.tag_latency_cycles + pred_lat
 
     hp = design.hit_predictor
     way_pred = type(hp) is WayPredictionPolicy
@@ -170,9 +223,9 @@ def _warm_page_set_assoc(design, cols) -> None:
         wp_table = predictor._table
         wp_assoc = predictor.associativity
         penalty = hp.mispredict_penalty_cycles
-        wp_idx = cols.way_indices(bpp, predictor.index_bits)
+        hint_col = cols.way_indices(bpp, predictor.index_bits)
     else:
-        wp_idx = repeat(0)
+        hint_col = mapi_col
 
     fetch = design.fetch
     fp = fetch if type(fetch) is FootprintFetch else None
@@ -185,33 +238,14 @@ def _warm_page_set_assoc(design, cols) -> None:
     page_way = {page: frame % assoc for frame, page in enumerate(pages)
                 if valid[frame]}
 
-    # Device addresses are pure functions of the frame index, so derive the
-    # row/slot arithmetic once per frame instead of once per access.
-    # ``frame_base[f]`` is the data address of frame ``f``'s first block;
-    # for the in-DRAM layout, ``pres_addr[f]`` / ``meta_addr[f]`` locate its
-    # presence and PC/offset metadata and ``tag_addr[s]`` the set's tag read.
-    num_frames = num_sets * assoc
-    frame_base = []
-    if is_dram:
-        pres_addr = []
-        meta_addr = []
-        for f in range(num_frames):
-            row = f // ppr
-            slot = f - row * ppr
-            base = row * srow_bytes
-            frame_base.append(base + data_base + slot * page_bytes)
-            pres_addr.append(base + slot * pres_pp)
-            meta_addr.append(base + other_base + slot * meta_bytes)
-        tag_addr = [pres_addr[s * assoc] for s in range(num_sets)]
-    else:
-        for f in range(num_frames):
-            row = f // ppr
-            frame_base.append(row * srow_bytes + (f - row * ppr) * page_bytes)
-
+    misses = miss_lat = underpred = bypasses = evicted = wp_wrong = 0
+    false_misses = false_hits = 0
+    predicted_miss = False
     now = design._now
     gap = design._interarrival
 
-    for block, pc, is_write, widx in zip(cols.blk, cols.pc, cols.wr, wp_idx):
+    for block, pc, is_write, hint in zip(cols.blk, cols.pc, cols.wr,
+                                         hint_col):
         now += gap
         page = block // bpp
         offset = block - page * bpp
@@ -219,25 +253,39 @@ def _warm_page_set_assoc(design, cols) -> None:
             way = page_way[page]
         except KeyError:
             way = -1
+        if mapi is not None:
+            table, index = hint
+            counter = table[index]
+            predicted_miss = counter >= mp_threshold
+            if way >= 0 and vbits[page % num_sets * assoc + way] >> offset & 1:
+                table[index] = counter - 1 if counter > 0 else 0
+            else:
+                table[index] = counter + 1 if counter < mp_max else counter
+                false_hits += not predicted_miss
         if way >= 0:
             set_index = page % num_sets
             frame = set_index * assoc + way
             # Way-predictor training (observe) happens on every page hit.
             if way_pred:
-                predicted = wp_table[widx]
-                wp_table[widx] = way
+                predicted = wp_table[hint]
+                wp_table[hint] = way
                 correct = predicted == way
+                if not correct:
+                    wp_wrong += 1
             else:
                 correct = True
             # tags.touch
             demanded[frame] |= 1 << offset
             if is_write:
                 dbits[frame] |= 1 << offset
-            clock = lru_clock[set_index] + 1
-            lru_clock[set_index] = clock
-            lru_rec[frame] = clock
+            if lru:
+                clock = lru_clock[set_index] + 1
+                lru_clock[set_index] = clock
+                lru_rec[frame] = clock
+            else:
+                on_access(set_index, way)
 
-            if (vbits[frame] >> offset) & 1:
+            if vbits[frame] >> offset & 1:
                 # Block hit.
                 if is_dram:
                     read_way = way if correct else (way + 1) % wp_assoc
@@ -258,6 +306,12 @@ def _warm_page_set_assoc(design, cols) -> None:
                                                      now, False)
                     if is_write:
                         s_access(address, block_bytes, now, True)
+                if predicted_miss:
+                    # The (wrongly) issued parallel off-chip read.
+                    m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+                    m_read += 1
+                    m_req += 1
+                    false_misses += 1
                 now += latency
                 continue
 
@@ -267,17 +321,22 @@ def _warm_page_set_assoc(design, cols) -> None:
                                       False) + overhead
             else:
                 lookup_lat = tag_latency
-            offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+            latency = lookup_lat + m_access(block * BLOCK_SIZE, BLOCK_SIZE,
+                                            now, False)
             m_read += 1
             m_req += 1
             # tags.fill_block
             vbits[frame] |= 1 << offset
             s_access(frame_base[frame] + offset * block_bytes,
                      block_bytes, now, True)
-            now += lookup_lat + offchip
+            now += latency
+            misses += 1
+            miss_lat += latency
+            underpred += 1
             continue
 
         # Trigger miss.
+        misses += 1
         set_index = page % num_sets
         if is_dram:
             lookup_lat = s_access(tag_addr[set_index], pres_set, now,
@@ -289,13 +348,15 @@ def _warm_page_set_assoc(design, cols) -> None:
             footprint, bypass, from_history, note = fp.plan_bits(page, pc,
                                                                  offset)
             if bypass:
-                offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now,
-                                   False)
+                latency = lookup_lat + m_access(block * BLOCK_SIZE,
+                                                BLOCK_SIZE, now, False)
                 m_read += 1
                 m_req += 1
                 if note:
                     fp.singleton_table.insert(page, pc, offset)
-                now += lookup_lat + offchip
+                now += latency
+                miss_lat += latency
+                bypasses += 1
                 continue
         elif full_page:
             footprint = ones_mask
@@ -304,16 +365,16 @@ def _warm_page_set_assoc(design, cols) -> None:
             footprint = 1 << offset
             from_history = False
 
-        # allocate: LRU victim, evict, fetch, install, device fill.
+        # allocate: victim, evict, fetch, install, device fill.
         base = set_index * assoc
         set_valid = valid[base:base + assoc]
         if False in set_valid:
             victim = set_valid.index(False)
         else:
-            recency = lru_rec[base:base + assoc]
-            victim = recency.index(min(recency))
+            victim = choose_victim(set_index)
         frame = base + victim
         if set_valid[victim]:
+            evicted += 1
             if is_dram:
                 s_access(meta_addr[frame], meta_bytes, now, False)
             if fp is not None:
@@ -330,8 +391,8 @@ def _warm_page_set_assoc(design, cols) -> None:
 
         # Fetch the footprint's blocks; the trigger (lowest) read is the
         # critical one whose latency the request observes.
-        offchip = m_burst(page * bpp * BLOCK_SIZE, BLOCK_SIZE, footprint,
-                          BLOCK_SIZE, now, False)
+        latency = lookup_lat + m_burst(page * bpp * BLOCK_SIZE, BLOCK_SIZE,
+                                       footprint, BLOCK_SIZE, now, False)
         m_read += footprint.bit_count()
         m_req += 1
 
@@ -344,27 +405,32 @@ def _warm_page_set_assoc(design, cols) -> None:
         from_hist[frame] = from_history
         trigger_pc[frame] = pc
         trigger_offset[frame] = offset
-        clock = lru_clock[set_index] + 1
-        lru_clock[set_index] = clock
-        lru_rec[frame] = clock
+        on_fill(set_index, victim)
         page_way[page] = victim
 
         s_burst(frame_base[frame], block_bytes, footprint, BLOCK_SIZE,
                 now, True)
         if is_dram:
             s_access(pres_addr[frame], pres_pp, now, True)
-        now += lookup_lat + offchip
+        now += latency
+        miss_lat += latency
 
-    design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_req
+    if way_pred:
+        page_hits = cols.n - misses + underpred
+        predictor.accuracy.add(page_hits - wp_wrong, page_hits)
+    elif mapi is not None:
+        _flush_mapi(design, cols.n, misses, false_misses, false_hits)
+    _flush(design, cols, now, misses, miss_lat, m_read, m_written, m_req,
+           underprediction_misses=underpred, singleton_bypasses=bypasses,
+           pages_allocated=misses - underpred - bypasses,
+           pages_evicted=evicted,
+           conflict_evictions=evicted if is_dram else 0)
 
 
 # --------------------------------------------------------------------- #
 # Kernel B: direct-mapped TAD organization (Alloy, alloy+footprint)
 # --------------------------------------------------------------------- #
-def _warm_direct_mapped(design, cols) -> None:
+def _direct_mapped_kernel(design, cols) -> None:
     tags = design.tags
     cfg = tags.config
     num_blocks = tags.num_blocks
@@ -379,22 +445,13 @@ def _warm_direct_mapped(design, cols) -> None:
     s_access = design.stacked.controller.ops().access
     m_access = design.memory.controller.ops().access
     srow_bytes = design.stacked.row_bytes
-    memory = design.memory
     m_read = m_written = m_req = 0
 
-    hp = design.hit_predictor
-    mapi = type(hp) is MissPredictionPolicy
-    if mapi:
-        predictor = hp.predictor
-        mp_tables = predictor._tables
-        mp_max = predictor._max_value
-        mp_threshold = predictor._threshold
-        pred_lat = hp.latency_cycles
-        mp_idx = cols.mapi_indices(predictor._index_bits,
-                                   predictor.entries_per_core)
+    mapi_col, mapi = _mapi_columns(design, cols)
+    if mapi is not None:
+        mp_threshold, mp_max, pred_lat = mapi
     else:
         pred_lat = 0
-        mp_idx = repeat(0)
 
     fetch = design.fetch
     fp = fetch if type(fetch) is FootprintFetch else None
@@ -402,24 +459,26 @@ def _warm_direct_mapped(design, cols) -> None:
     ones_mask = (1 << bpp) - 1
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
 
+    misses = miss_lat = bypasses = evicted = 0
+    false_misses = false_hits = 0
+    predicted_miss = False
     now = design._now
     gap = design._interarrival
 
-    for block, pc, is_write, core, pidx in zip(cols.blk, cols.pc, cols.wr,
-                                               cols.core, mp_idx):
+    for block, pc, is_write, hint in zip(cols.blk, cols.pc, cols.wr,
+                                         mapi_col):
         now += gap
         frame = block % num_blocks
         hit = tag_array[frame] == block // num_blocks
-        if mapi:
-            table = mp_tables[core]
-            counter = table[pidx]
+        if mapi is not None:
+            table, index = hint
+            counter = table[index]
             predicted_miss = counter >= mp_threshold
             if hit:
-                table[pidx] = counter - 1 if counter > 0 else 0
+                table[index] = counter - 1 if counter > 0 else 0
             else:
-                table[pidx] = counter + 1 if counter < mp_max else counter
-        else:
-            predicted_miss = False
+                table[index] = counter + 1 if counter < mp_max else counter
+                false_hits += not predicted_miss
 
         if hit:
             # tags.touch -> region observer demand (multi-block pages only).
@@ -435,6 +494,7 @@ def _warm_direct_mapped(design, cols) -> None:
                 m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
                 m_read += 1
                 m_req += 1
+                false_misses += 1
             if is_write:
                 s_access(tad_address, tad_bytes, now, True)
                 dirty[frame] = True
@@ -442,11 +502,12 @@ def _warm_direct_mapped(design, cols) -> None:
             continue
 
         # Miss path.
+        misses += 1
         if predicted_miss:
-            lookup_lat = 0
+            lookup_lat = pred_lat
         else:
             row = frame // blocks_per_row
-            lookup_lat = s_access(
+            lookup_lat = pred_lat + s_access(
                 row * srow_bytes
                 + (frame - row * blocks_per_row) * tad_bytes,
                 tad_bytes, now, False)
@@ -457,13 +518,15 @@ def _warm_direct_mapped(design, cols) -> None:
             footprint, bypass, from_history, note = fp.plan_bits(page, pc,
                                                                  offset)
             if bypass:
-                offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now,
-                                   False)
+                latency = lookup_lat + m_access(block * BLOCK_SIZE,
+                                                BLOCK_SIZE, now, False)
                 m_read += 1
                 m_req += 1
                 if note:
                     fp.singleton_table.insert(page, pc, offset)
-                now += pred_lat + lookup_lat + offchip
+                now += latency
+                miss_lat += latency
+                bypasses += 1
                 continue
         elif full_page:
             footprint = ones_mask
@@ -474,22 +537,26 @@ def _warm_direct_mapped(design, cols) -> None:
 
         if footprint == 1 << offset:
             # Single-block allocation (the Alloy fast path).
-            offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+            latency = lookup_lat + m_access(block * BLOCK_SIZE, BLOCK_SIZE,
+                                            now, False)
             m_read += 1
             m_req += 1
             old_tag = tag_array[frame]
-            if old_tag >= 0 and dirty[frame] and wb_dirty:
-                m_access((old_tag * num_blocks + frame) * BLOCK_SIZE,
-                         BLOCK_SIZE, now, True)
-                m_written += 1
-                m_req += 1
+            if old_tag >= 0:
+                evicted += 1
+                if dirty[frame] and wb_dirty:
+                    m_access((old_tag * num_blocks + frame) * BLOCK_SIZE,
+                             BLOCK_SIZE, now, True)
+                    m_written += 1
+                    m_req += 1
             tag_array[frame] = block // num_blocks
             dirty[frame] = is_write
             row = frame // blocks_per_row
             s_access(row * srow_bytes
                      + (frame - row * blocks_per_row) * tad_bytes,
                      tad_bytes, now, True)
-            now += pred_lat + lookup_lat + offchip
+            now += latency
+            miss_lat += latency
             continue
 
         # Multi-block footprint (hybrid): fetch the region, install each
@@ -497,8 +564,9 @@ def _warm_direct_mapped(design, cols) -> None:
         base_block = page * bpp
         value = footprint
         low = value & -value
-        offchip = m_access((base_block + low.bit_length() - 1) * BLOCK_SIZE,
-                           BLOCK_SIZE, now, False)
+        latency = lookup_lat + m_access(
+            (base_block + low.bit_length() - 1) * BLOCK_SIZE, BLOCK_SIZE,
+            now, False)
         m_read += 1
         value ^= low
         while value:
@@ -516,11 +584,13 @@ def _warm_direct_mapped(design, cols) -> None:
             value ^= low
             install_frame = fetched % num_blocks
             old_tag = tag_array[install_frame]
-            if old_tag >= 0 and dirty[install_frame] and wb_dirty:
-                m_access((old_tag * num_blocks + install_frame) * BLOCK_SIZE,
-                         BLOCK_SIZE, now, True)
-                m_written += 1
-                m_req += 1
+            if old_tag >= 0:
+                evicted += 1
+                if dirty[install_frame] and wb_dirty:
+                    m_access((old_tag * num_blocks + install_frame)
+                             * BLOCK_SIZE, BLOCK_SIZE, now, True)
+                    m_written += 1
+                    m_req += 1
             tag_array[install_frame] = fetched // num_blocks
             dirty[install_frame] = is_write and fetched == block
             row = install_frame // blocks_per_row
@@ -530,36 +600,55 @@ def _warm_direct_mapped(design, cols) -> None:
 
         # bpp > 1 whenever the footprint is multi-bit.
         observe_allocation(design, page, pc, offset, footprint, from_history)
-        now += pred_lat + lookup_lat + offchip
+        now += latency
+        miss_lat += latency
 
-    design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_req
+    if mapi is not None:
+        _flush_mapi(design, cols.n, misses, false_misses, false_hits)
+    # Every block read that neither a bypass nor a false miss issued is
+    # installed into a frame.
+    _flush(design, cols, now, misses, miss_lat, m_read, m_written, m_req,
+           singleton_bypasses=bypasses,
+           pages_allocated=m_read - false_misses - bypasses,
+           pages_evicted=evicted)
 
 
 # --------------------------------------------------------------------- #
 # Kernel C: MissMap-fronted set-per-row organization (Loh-Hill)
 # --------------------------------------------------------------------- #
-def _warm_missmap(design, cols) -> None:
+def _missmap_kernel(design, cols) -> None:
     tags = design.tags
     num_sets = tags.num_sets
     assoc = tags.associativity
     tag_blocks = tags.tag_blocks_per_row
     block_bytes = tags.block_size
-    mm_latency = tags.missmap_latency_cycles
     tag_array = tags.tag_array
     dirty = tags.dirty
-    lru_clock = design.replacement.clock
-    lru_rec = design.replacement.recency
     missmap = tags.missmap
+
+    # LRU hits update the clocks inline; every other replacement update,
+    # and every victim choice, calls the component's own method.
+    replacement = design.replacement
+    lru = type(replacement) is LruReplacement
+    lru_clock = replacement.clock if lru else None
+    lru_rec = replacement.recency if lru else None
+    on_access = replacement.on_access
+    on_fill = replacement.on_fill
+    choose_victim = replacement.victim
 
     s_access = design.stacked.controller.ops().access
     m_access = design.memory.controller.ops().access
     srow_bytes = design.stacked.row_bytes
-    memory = design.memory
     m_read = m_written = m_req = 0
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
+
+    mapi_col, mapi = _mapi_columns(design, cols)
+    if mapi is not None:
+        mp_threshold, mp_max, pred_lat = mapi
+    else:
+        pred_lat = 0
+    # Every access pays the MissMap lookup (and MAP-I's, if present).
+    mm_latency = tags.missmap_latency_cycles + pred_lat
 
     # Present block -> way, maintained alongside the real missmap dict.
     way_of = {}
@@ -570,31 +659,54 @@ def _warm_missmap(design, cols) -> None:
             if missmap.get(block, False):
                 way_of[block] = way
 
+    misses = miss_lat = evicted = 0
+    false_misses = false_hits = 0
+    predicted_miss = False
     now = design._now
     gap = design._interarrival
     way_of_get = way_of.get
     tag_read_bytes = tag_blocks * block_bytes
 
-    for block, is_write in zip(cols.blk, cols.wr):
+    for block, is_write, hint in zip(cols.blk, cols.wr, mapi_col):
         now += gap
         set_index = block % num_sets
         way = way_of_get(block, -1)
+        if mapi is not None:
+            table, index = hint
+            counter = table[index]
+            predicted_miss = counter >= mp_threshold
+            if way >= 0:
+                table[index] = counter - 1 if counter > 0 else 0
+            else:
+                table[index] = counter + 1 if counter < mp_max else counter
+                false_hits += not predicted_miss
         if way >= 0:
-            clock = lru_clock[set_index] + 1
-            lru_clock[set_index] = clock
-            lru_rec[set_index * assoc + way] = clock
-            tag_lat = s_access(set_index * srow_bytes, tag_read_bytes, now,
-                               False)
-            data_lat = s_access(set_index * srow_bytes
+            frame = set_index * assoc + way
+            if lru:
+                clock = lru_clock[set_index] + 1
+                lru_clock[set_index] = clock
+                lru_rec[frame] = clock
+            else:
+                on_access(set_index, way)
+            latency = mm_latency + s_access(set_index * srow_bytes,
+                                            tag_read_bytes, now, False)
+            latency += s_access(set_index * srow_bytes
                                 + (tag_blocks + way) * block_bytes,
                                 block_bytes, now, False)
+            if predicted_miss:
+                # The (wrongly) issued parallel off-chip read.
+                m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+                m_read += 1
+                m_req += 1
+                false_misses += 1
             if is_write:
-                dirty[set_index * assoc + way] = True
-            now += mm_latency + tag_lat + data_lat
+                dirty[frame] = True
+            now += latency
             continue
 
         # Miss: MissMap answers without a DRAM tag read; allocate.
-        offchip = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+        latency = mm_latency + m_access(block * BLOCK_SIZE, BLOCK_SIZE, now,
+                                        False)
         m_read += 1
         m_req += 1
         base = set_index * assoc
@@ -602,11 +714,11 @@ def _warm_missmap(design, cols) -> None:
         if -1 in row_tags:
             victim = row_tags.index(-1)
         else:
-            recency = lru_rec[base:base + assoc]
-            victim = recency.index(min(recency))
+            victim = choose_victim(set_index)
         frame = base + victim
         victim_tag = row_tags[victim]
         if victim_tag >= 0:
+            evicted += 1
             victim_block = victim_tag * num_sets + set_index
             missmap.pop(victim_block, None)
             way_of.pop(victim_block, None)
@@ -616,27 +728,27 @@ def _warm_missmap(design, cols) -> None:
                 m_req += 1
         tag_array[frame] = block // num_sets
         dirty[frame] = is_write
-        clock = lru_clock[set_index] + 1
-        lru_clock[set_index] = clock
-        lru_rec[frame] = clock
+        on_fill(set_index, victim)
         missmap[block] = True
         way_of[block] = victim
         s_access(set_index * srow_bytes, block_bytes, now, True)
         s_access(set_index * srow_bytes
                  + (tag_blocks + victim) * block_bytes,
                  block_bytes, now, True)
-        now += mm_latency + offchip
+        now += latency
+        misses += 1
+        miss_lat += latency
 
-    design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_req
+    if mapi is not None:
+        _flush_mapi(design, cols.n, misses, false_misses, false_hits)
+    _flush(design, cols, now, misses, miss_lat, m_read, m_written, m_req,
+           pages_allocated=misses, pages_evicted=evicted)
 
 
 # --------------------------------------------------------------------- #
 # Kernel D: the ideal always-hit reference
 # --------------------------------------------------------------------- #
-def _warm_always_hit(design, cols) -> None:
+def _always_hit_kernel(design, cols) -> None:
     tags = design.tags
     row_bytes = tags.row_buffer_size
     block_bytes = tags.block_size
@@ -651,19 +763,19 @@ def _warm_always_hit(design, cols) -> None:
         offset = address % row_bytes // block_bytes * block_bytes
         now += s_access(row * srow_bytes + offset, block_bytes, now, False)
 
-    design._now = now
+    _flush(design, cols, now, 0, 0, 0, 0, 0)
 
 
 # --------------------------------------------------------------------- #
 # Kernel E: no stacked cache, everything off chip
 # --------------------------------------------------------------------- #
-def _warm_no_cache(design, cols) -> None:
+def _no_cache_kernel(design, cols) -> None:
     m_access = design.memory.controller.ops().access
-    memory = design.memory
     m_read = m_written = 0
 
     now = design._now
     gap = design._interarrival
+    start = now
     for block, is_write in zip(cols.blk, cols.wr):
         now += gap
         if is_write:
@@ -673,10 +785,44 @@ def _warm_no_cache(design, cols) -> None:
             now += m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
             m_read += 1
 
-    design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_read + m_written
+    # Every access misses; reads are demand fetches, writes write-backs.
+    _flush(design, cols, now, cols.n, now - start - cols.n * gap, m_read,
+           m_written, m_read + m_written, offchip_demand_blocks=m_read,
+           offchip_prefetch_blocks=0)
 
 
-__all__ = ["select_kernel"]
+# Exact types only: subclasses may override behaviour the kernels inline.
+_NO_PREDICTION_TYPES = (NoHitPrediction, OracleWayPrediction,
+                        DisabledMissPrediction)
+_WRITEBACK_TYPES = (WritebackDirtyPolicy, DropDirtyPolicy)
+_REPLACEMENT_TYPES = (LruReplacement, RandomReplacement, RripReplacement)
+# SRRIP on in-DRAM page tags stays on the scalar engine: it is the scalar
+# fallback the benchmark's tune_queue workload measures (ROADMAP item 5).
+# The page kernel runs it bit-identically; only this gate holds it back.
+_DRAM_PAGE_REPLACEMENT_TYPES = (LruReplacement, RandomReplacement)
+_STATELESS_FETCH_TYPES = (DemandBlockFetch, FullPageFetch)
+_FETCH_TYPES = _STATELESS_FETCH_TYPES + (FootprintFetch,)
+_PAGE_PREDICTION_TYPES = _NO_PREDICTION_TYPES + (WayPredictionPolicy,
+                                                 MissPredictionPolicy)
+
+#: Tag organization -> (kernel, covered hit predictors, covered fetches,
+#: covered replacements).
+_KERNELS = {
+    DramPageTags: (_page_kernel, _PAGE_PREDICTION_TYPES, _FETCH_TYPES,
+                   _DRAM_PAGE_REPLACEMENT_TYPES),
+    SramPageTags: (_page_kernel, _PAGE_PREDICTION_TYPES, _FETCH_TYPES,
+                   _REPLACEMENT_TYPES),
+    DirectMappedBlockTags: (_direct_mapped_kernel, _NO_PREDICTION_TYPES
+                            + (MissPredictionPolicy,), _FETCH_TYPES,
+                            _REPLACEMENT_TYPES),
+    MissMapBlockTags: (_missmap_kernel, _NO_PREDICTION_TYPES
+                       + (MissPredictionPolicy,), _STATELESS_FETCH_TYPES,
+                       _REPLACEMENT_TYPES),
+    AlwaysHitTags: (_always_hit_kernel, _NO_PREDICTION_TYPES, _FETCH_TYPES,
+                    _REPLACEMENT_TYPES),
+    NoCacheTags: (_no_cache_kernel, _NO_PREDICTION_TYPES,
+                  _STATELESS_FETCH_TYPES, _REPLACEMENT_TYPES),
+}
+
+
+__all__ = ["select_kernel", "uncovered_component"]

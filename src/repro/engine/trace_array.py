@@ -113,7 +113,8 @@ class AccessColumns:
 
     Columns are plain Python lists (the kernels are fused Python loops over
     C-speed list iteration); when the source is a structured array the
-    extraction itself is vectorized, including the predictor index hashes.
+    extraction itself is vectorized.  The predictor index hashes are
+    vectorized whenever numpy is present.
     """
 
     __slots__ = ("n", "addr", "blk", "pc", "wr", "core", "_arr")
@@ -130,23 +131,29 @@ class AccessColumns:
         self._arr = arr
 
     # ------------------------------------------------------------------ #
+    def _vector(self, field: str, column: List[int]):
+        """One record field as a uint64 array."""
+        if self._arr is not None:
+            return self._arr[field]
+        return _np.array(column, dtype=_np.uint64)
+
     def way_indices(self, blocks_per_page: int, index_bits: int) -> List[int]:
         """``fold_xor(page, index_bits)`` for every access (way predictor)."""
-        if self._arr is not None:
-            pages = self._arr["address"] >> _np.uint64(6)
-            pages //= _np.uint64(blocks_per_page)
-            return _fold_xor_vector_array(pages, index_bits).tolist()
-        return [fold_xor(block // blocks_per_page, index_bits)
-                for block in self.blk]
+        if _np is None:
+            return [fold_xor(block // blocks_per_page, index_bits)
+                    for block in self.blk]
+        pages = self._vector("address", self.addr) >> _np.uint64(6)
+        pages //= _np.uint64(blocks_per_page)
+        return _fold_xor_vector_array(pages, index_bits).tolist()
 
     def mapi_indices(self, index_bits: int, entries_per_core: int) -> List[int]:
         """``fold_xor(pc >> 2, bits) % entries`` for every access (MAP-I)."""
-        if self._arr is not None:
-            values = self._arr["pc"] >> _np.uint64(2)
-            folded = _fold_xor_vector_array(values, index_bits)
-            return (folded % _np.uint64(entries_per_core)).tolist()
-        return [fold_xor(pc >> 2, index_bits) % entries_per_core
-                for pc in self.pc]
+        if _np is None:
+            return [fold_xor(pc >> 2, index_bits) % entries_per_core
+                    for pc in self.pc]
+        values = self._vector("pc", self.pc) >> _np.uint64(2)
+        folded = _fold_xor_vector_array(values, index_bits)
+        return (folded % _np.uint64(entries_per_core)).tolist()
 
 
 def _fold_xor_vector_array(values, index_bits: int):

@@ -10,9 +10,10 @@ retry backoff, lease reclaim) append to ``events``.
 This is the durable sink behind the operator CLI:
 
 * ``repro runs list``    -- recent runs, filterable by sweep token;
-* ``repro runs show``    -- per-phase wall-clock, accesses/sec, and
-  store/checkpoint hit rates for one run *or aggregated over every run of
-  a sweep token*;
+* ``repro runs show``    -- per-phase wall-clock, accesses/sec,
+  store/checkpoint hit rates and the engine (batch/scalar) that served
+  warming and replay, for one run *or aggregated over every run of a
+  sweep token*;
 * ``repro runs compare`` -- two of the above side by side;
 * ``repro top`` / ``repro queue status --watch`` -- live worker heartbeats.
 
@@ -353,6 +354,32 @@ class RunLedger:
         ).fetchall()
 
 
+#: Run metrics counting the warm and replay calls per engine (see
+#: :func:`repro.sim.experiment.note_engine`).
+ENGINE_METRICS = ("engine_batch_calls", "engine_batch_accesses",
+                  "engine_scalar_calls", "engine_scalar_accesses")
+
+
+def engine_summary(metrics: Dict[str, float],
+                   rows: Sequence[sqlite3.Row]) -> Optional[Dict[str, object]]:
+    """Which engine served the runs' warm and replay calls, or None.
+
+    Moves the :data:`ENGINE_METRICS` out of ``metrics`` into one record:
+    the call and access counts per engine (``batch_calls``, ...) and the
+    distinct ``scalar_fallback`` reasons the runs were labelled with.
+    """
+    counts = {name[len("engine_"):]: int(metrics.pop(name, 0))
+              for name in ENGINE_METRICS}
+    if not counts["batch_calls"] + counts["scalar_calls"]:
+        return None
+    reasons = set()
+    for row in rows:
+        labels = json.loads(row["labels"]) if row["labels"] else {}
+        if labels.get("scalar_fallback"):
+            reasons.add(labels["scalar_fallback"])
+    return {**counts, "scalar_fallbacks": sorted(reasons)}
+
+
 def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, object]:
     """The aggregate report behind ``repro runs show``.
 
@@ -377,6 +404,9 @@ def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, objec
         "phases": phases,
         "metrics": metrics,
     }
+    engine = engine_summary(metrics, rows)
+    if engine is not None:
+        summary["engine"] = engine
     restore = phases.get("restore", (0.0, 0))[0]
     if restore > 0 and summary["wall_seconds"] > 0:
         # The sampled path's checkpoint-restore share of the wall-clock.
@@ -397,8 +427,10 @@ def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, objec
 
 
 __all__ = [
+    "ENGINE_METRICS",
     "HEARTBEAT_STALE_SECONDS",
     "LEDGER_SCHEMA_VERSION",
     "RunLedger",
+    "engine_summary",
     "summarize",
 ]

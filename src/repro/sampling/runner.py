@@ -54,6 +54,7 @@ from repro.sim.experiment import (
     ExperimentRunner,
     Workload,
     measured_fields,
+    replay,
     warm_up,
 )
 from repro.sim.factory import make_design
@@ -291,8 +292,8 @@ class WindowedSampler:
                     design.reset_stats()
             activations_before = (design.memory.row_activations,
                                   design.stacked.row_activations)
-            with obs_run.span("replay"):
-                design.run(measure)
+            with obs_run.span("replay") as replay_span:
+                replay(design, measure, replay_span)
             stats = design.cache_stats
             outcomes.append(WindowMeasurement(
                 window=window,

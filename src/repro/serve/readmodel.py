@@ -30,6 +30,7 @@ from repro.obs.core import LEDGER_FILENAME, query_root
 from repro.obs.ledger import (
     HEARTBEAT_STALE_SECONDS,
     RunLedger,
+    engine_summary,
     summarize,
 )
 from repro.obs.manifest import find_manifest, read_manifest
@@ -365,10 +366,14 @@ class ReadModel:
             return {"available": False,
                     "reason": self._no_ledger_reason(),
                     "runs": []}
+        runs = []
         with ledger:
-            rows = ledger.runs(limit=limit, sweep=sweep, kind=kind)
-        return {"available": True,
-                "runs": [self._run_dict(row) for row in rows]}
+            for row in ledger.runs(limit=limit, sweep=sweep, kind=kind):
+                record = self._run_dict(row)
+                record["engine"] = engine_summary(
+                    ledger.metrics_for([row["run_id"]]), [row])
+                runs.append(record)
+        return {"available": True, "runs": runs}
 
     def run_detail(self, ref: str) -> Dict[str, object]:
         """Resolve a run-id/sweep-token prefix and summarize it.

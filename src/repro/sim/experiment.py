@@ -27,9 +27,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.baselines.no_cache import NoDramCache
 from repro.config.system import SystemConfig
-from repro.obs.core import current as obs_current
+from repro.obs.core import current as obs_current, emit_event
 from repro.dramcache.base import DramCacheModel
 from repro.dramcache.stats import DramCacheStats
+from repro.engine import fallback_reason
 from repro.sim.factory import make_design, unison_design_for_ways
 from repro.sim.performance import PerformanceModel
 from repro.trace.pipeline import FileSource
@@ -132,10 +133,39 @@ SUM_FIELDS = ("offchip_demand_blocks", "offchip_prefetch_blocks",
 
 def warm_up(design: DramCacheModel, accesses, span) -> None:
     """Functionally warm ``design``, tagging ``span`` with the engine run."""
-    engine = design.warm_up_array(accesses)
+    note_engine(design, design.warm_up_array(accesses), len(accesses), span)
+
+
+def replay(design: DramCacheModel, accesses, span) -> None:
+    """Replay ``accesses`` on ``design`` (timed measurement), tagging
+    ``span`` with the engine that ran."""
+    design.run(accesses)
+    engine = "scalar" if fallback_reason(design) else "batch"
+    note_engine(design, engine, len(accesses), span)
+
+
+def note_engine(design: DramCacheModel, engine: str, accesses: int,
+                span) -> None:
+    """Telemetry of one warm or replay call that ran on ``engine``.
+
+    Tags ``span`` (``engine_<engine>`` calls, ``<engine>_accesses``) and
+    counts the run's ``engine_<engine>_calls``/``_accesses`` metrics.  The
+    first scalar call of a run labels the run with its ``scalar_fallback``
+    reason and records a ``scalar_fallback`` ledger event naming it.
+    Results never depend on any of this: it stays out of ResultSet extras.
+    """
     span.add("engine_" + engine, 1)
-    if engine == "batch":
-        span.add("batch_accesses", len(accesses))
+    span.add(engine + "_accesses", accesses)
+    obs_run = obs_current()
+    if not obs_run.enabled:
+        return
+    obs_run.counter(f"engine_{engine}_calls")
+    obs_run.counter(f"engine_{engine}_accesses", accesses)
+    if engine == "scalar" and "scalar_fallback" not in obs_run.labels:
+        reason = fallback_reason(design)
+        obs_run.annotate(scalar_fallback=reason)
+        emit_event("scalar_fallback", sweep=obs_run.labels.get("sweep"),
+                   design=design.design_name, reason=reason)
 
 
 def measured_fields(design: DramCacheModel,
@@ -247,8 +277,8 @@ class ExperimentRunner:
             warm_up(design, warmup, warm_span)
         activations_before = (design.memory.row_activations,
                               design.stacked.row_activations)
-        with obs_run.span("measure"):
-            design.run(measure)
+        with obs_run.span("measure") as measure_span:
+            replay(design, measure, measure_span)
         obs_run.counter("accesses", len(measure))
         obs_run.counter("warmup_accesses", len(warmup))
 

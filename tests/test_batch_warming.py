@@ -2,8 +2,10 @@
 
 The batch engine's contract is *bit identity*: warming a design through the
 fused kernels must leave it in exactly the state the scalar
-``warm_up``-then-reset path produces, for every registered composition,
-regardless of how the warm stream is chopped into batches.  These tests
+``warm_up``-then-reset path produces, and a measured replay must count
+exactly the statistics per-request ``access`` calls count, for every
+registered composition, regardless of how the stream is chopped into
+batches.  These tests
 enforce the contract with buffer-by-buffer :class:`StateSnapshot`
 comparison (:meth:`StateSnapshot.differing_buffers`, the strictest equality
 the models expose), and cover the enablement switches,
@@ -21,7 +23,9 @@ import pytest
 
 from repro.engine import (
     batch_enabled,
+    fallback_reason,
     numpy_available,
+    replay_design,
     select_kernel,
     set_batch_enabled,
     warm_design,
@@ -76,6 +80,22 @@ class TestSnapshotEquivalence:
             assert engine == "batch"
         assert _differing(scalar, batch) == []
 
+    @pytest.mark.parametrize("name", design_names())
+    def test_replay_matches_scalar(self, name, tiny_trace):
+        """A measured replay counts every statistic the scalar path does."""
+        half = len(tiny_trace) // 2
+        scalar = make_design(name, CAPACITY, scale=SCALE)
+        batch = make_design(name, CAPACITY, scale=SCALE)
+        scalar.warm_up(tiny_trace[:half])
+        for request in tiny_trace[half:]:
+            scalar.access(request)
+
+        warm_design(batch, _warm_stream(tiny_trace[:half]))
+        assert replay_design(batch, list(tiny_trace[half:])) == "batch"
+        assert batch.stats().as_dict() == scalar.stats().as_dict()
+        assert batch.extra_metrics() == scalar.extra_metrics()
+        assert _differing(scalar, batch) == []
+
     @pytest.mark.parametrize("splits_seed", [0, 1, 2])
     def test_batch_boundaries_do_not_matter(self, splits_seed, tiny_trace):
         """Chopping the warm stream at arbitrary points changes nothing."""
@@ -122,6 +142,10 @@ class TestEnablement:
         set_batch_enabled(False)
         design = make_design("unison", CAPACITY, scale=SCALE)
         assert warm_design(design, list(tiny_trace)) == "scalar"
+        assert replay_design(design, list(tiny_trace)) == "scalar"
+        assert fallback_reason(design) == "REPRO_BATCH=0"
+        set_batch_enabled(None)
+        assert fallback_reason(design) is None
 
     def test_scalar_fallback_is_still_correct(self, tiny_trace):
         set_batch_enabled(False)

@@ -435,3 +435,59 @@ class TestFusedPaths:
             assert fused.ops().read_pair(addr_a, bytes_a, addr_b, bytes_b,
                                          now, serialized) == expected
         assert pickle.dumps(fused) == pickle.dumps(plain)
+
+    @pytest.mark.parametrize("name", _CONFIGS)
+    @given(bursts=_bursts, pairs=_pairs)
+    @settings(max_examples=30, deadline=None)
+    def test_overridden_access_sees_every_op(self, name, bursts, pairs):
+        class Counting(DramController):
+            calls = 0
+
+            def access(self, *args, **kwargs):
+                self.calls += 1
+                return super().access(*args, **kwargs)
+
+        config = getattr(SystemConfig(), name)
+        counted, fused = Counting(config), DramController(config)
+        issued = 0
+        for base, stride, mask, num_bytes, now, is_write in bursts:
+            assert counted.ops().burst(base, stride, mask, num_bytes, now,
+                                       is_write) == fused.ops().burst(
+                base, stride, mask, num_bytes, now, is_write)
+            issued += bin(mask).count("1")
+        for addr_a, bytes_a, delta, bytes_b, now, serialized in pairs:
+            addr_b = max(0, addr_a + delta)
+            assert counted.ops().read_pair(
+                addr_a, bytes_a, addr_b, bytes_b, now, serialized) == (
+                fused.ops().read_pair(addr_a, bytes_a, addr_b, bytes_b,
+                                      now, serialized))
+            issued += 2
+        assert counted.calls == issued
+        for attr in DramController._STATE_ATTRS:
+            assert getattr(counted, attr) == getattr(fused, attr), attr
+
+
+def test_kernels_route_through_a_wrapped_access(monkeypatch, tiny_trace):
+    """Instrumentation wrapping ``DramController.access`` sees the kernels'
+    DRAM traffic, and the replay comes out unchanged."""
+    from repro.engine import replay_design
+    from repro.sim.factory import make_design
+
+    stock = make_design("unison", "256MB", scale=4096)
+    assert replay_design(stock, list(tiny_trace)) == "batch"
+
+    calls = []
+    original = DramController.access
+
+    def wrapped(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DramController, "access", wrapped)
+    design = make_design("unison", "256MB", scale=4096)
+    assert replay_design(design, list(tiny_trace)) == "batch"
+    assert len(calls) == (design.stacked.controller.total_requests
+                          + design.memory.controller.total_requests)
+    assert design.stats().as_dict() == stock.stats().as_dict()
+    assert design.snapshot_state().differing_buffers(
+        stock.snapshot_state()) == []

@@ -204,6 +204,71 @@ class TestSampledMeasureSpans:
             assert name in out
 
 
+class TestEngineRecords:
+    """Each trial records which engine served its warm and replay calls."""
+
+    def _trial_runs(self, obs_on):
+        with RunLedger(obs_on / "ledger.sqlite") as ledger:
+            rows = ledger.runs(limit=50, kind="trial")
+            assert rows
+            return rows, summarize(ledger, rows), [
+                dict(event) for event in ledger.events_for(limit=50)]
+
+    def test_batch_trial_counts_batch_calls(self, obs_on, capsys):
+        from repro.cli import main
+
+        result = SweepExecutor(workers=1).run(tiny_spec())
+        assert not any("engine" in key or "scalar" in key
+                       for row in result for key in row.extra)
+        rows, summary, events = self._trial_runs(obs_on)
+        engine = summary["engine"]
+        # One warm-up and one measurement replay, both on a kernel.
+        assert engine["batch_calls"] == 2
+        assert engine["batch_accesses"] == 2000
+        assert engine["scalar_calls"] == 0
+        assert engine["scalar_fallbacks"] == []
+        assert not any(name.startswith("engine_")
+                       for name in summary["metrics"])
+        assert not [e for e in events if e["kind"] == "scalar_fallback"]
+        assert main(["runs", "show", rows[0]["run_id"]]) == 0
+        out = capsys.readouterr().out
+        assert [line.strip() for line in out.splitlines()
+                if line.strip().startswith("engine:")] == [
+            "engine: batch 2 calls (2,000 accesses), scalar 0 calls "
+            "(0 accesses)"]
+
+    def test_scalar_trial_records_its_fallback(self, obs_on, monkeypatch,
+                                               capsys):
+        from repro.cli import main
+        from repro.serve import ReadModel
+
+        monkeypatch.setenv("REPRO_BATCH", "0")
+        SweepExecutor(workers=1).run(tiny_spec())
+        rows, summary, events = self._trial_runs(obs_on)
+        engine = summary["engine"]
+        assert engine["batch_calls"] == 0
+        assert engine["scalar_calls"] == 2
+        assert engine["scalar_fallbacks"] == ["REPRO_BATCH=0"]
+        fallbacks = [e for e in events if e["kind"] == "scalar_fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["run_id"] == rows[0]["run_id"]
+        assert json.loads(fallbacks[0]["detail"]) == {
+            "design": "unison", "reason": "REPRO_BATCH=0"}
+
+        assert main(["runs", "show", rows[0]["run_id"]]) == 0
+        out = capsys.readouterr().out
+        assert ("engine: batch 0 calls (0 accesses), scalar 2 calls "
+                "(2,000 accesses); scalar fallback: REPRO_BATCH=0") in out
+        assert "scalar_fallback" in out  # the recent-events list
+
+        model = ReadModel(queue_dir=obs_on.parent / "queue",
+                          telemetry_dir=obs_on)
+        listed = model.runs(kind="trial")["runs"]
+        assert listed[0]["engine"] == engine
+        detail = model.run_detail(rows[0]["run_id"])
+        assert detail["summary"]["engine"] == engine
+
+
 # --------------------------------------------------------------------- #
 # Runs, spans, manifests
 # --------------------------------------------------------------------- #

@@ -174,6 +174,32 @@ class TestReplacementRole:
         assert select_kernel(lru.build(context)) is not None
         assert select_kernel(rrip.build(context)) is None
 
+    def test_non_lru_design_takes_a_kernel(self):
+        context = build_context()
+        for tags, kind in (("dram-page", "lru"), ("dram-page", "random"),
+                           ("sram-page", "random"), ("sram-page", "rrip")):
+            spec = DesignSpec(name=f"t-{tags}-{kind}-kernel",
+                              tags=ComponentSpec(tags),
+                              fetch=ComponentSpec("demand"),
+                              replacement=ComponentSpec(kind))
+            assert select_kernel(spec.build(context)) is not None, kind
+
+    def test_subclassed_replacement_takes_the_scalar_path(self):
+        from repro.dramcache.components import RripReplacement
+        from repro.engine import fallback_reason
+
+        class TunedRrip(RripReplacement):
+            MAX_RRPV = 7
+
+        spec = DesignSpec(name="t-rrip2", tags=ComponentSpec("dram-page"),
+                          fetch=ComponentSpec("demand"),
+                          replacement=ComponentSpec("rrip"))
+        design = spec.build(build_context())
+        design.replacement = TunedRrip()
+        design.tags.apply_replacement(design.replacement)
+        assert select_kernel(design) is None
+        assert fallback_reason(design) == "TunedRrip"
+
     def test_parameterless_replacement_rejects_stray_params(self):
         context = build_context()
         for kind in ("lru", "rrip"):

@@ -9,8 +9,8 @@ back), and must:
 
 * rewind exactly: replay A, snapshot, replay B, restore, replay B again
   gives the same statistics and the same warm-state buffers;
-* warm identically on the batch kernel and the scalar path, whenever a
-  kernel covers it.
+* warm and measure identically on the batch kernel and the scalar path,
+  whenever a kernel covers it (all but SRRIP on in-DRAM page tags).
 """
 
 from __future__ import annotations
@@ -92,8 +92,13 @@ KERNEL_COMBOS = [combo for combo in COMBOS
 
 
 def test_kernel_coverage():
-    # Every LRU composition except MAP-I on page or MissMap tags.
-    assert len(KERNEL_COMBOS) >= 19
+    # Every composition the autotuner can emit runs on a kernel, except
+    # SRRIP on in-DRAM page tags, which select_kernel keeps scalar.
+    scalar = [combo for combo in COMBOS if combo not in KERNEL_COMBOS]
+    assert len(KERNEL_COMBOS) == 57
+    assert len(scalar) == 9
+    assert {(combo["tags"].kind, combo["replacement"].kind)
+            for combo in scalar} == {("dram-page", "rrip")}
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -105,9 +110,19 @@ def test_kernel_matches_scalar(combo, trace):
     try:
         set_batch_enabled(True)
         assert warm_design(batch, records_to_array(trace[:1500])) == "batch"
-        assert warm_design(batch, records_to_array(trace[1500:])) == "batch"
+        assert batch.snapshot_state().differing_buffers(
+            scalar.snapshot_state()) == []
+        # A measured replay, half from records and half from an array.
+        batch.run(trace[1500:2200])
+        batch.run(records_to_array(trace[2200:]))
     finally:
         set_batch_enabled(None)
-    scalar.warm_up(trace[1500:])
+    for request in trace[1500:]:
+        scalar.access(request)
+    assert batch.cache_stats.pages_evicted > 0
+    assert _outcome(batch)[:2] == _outcome(scalar)[:2]
     assert batch.snapshot_state().differing_buffers(
         scalar.snapshot_state()) == []
+    # The kernels' per-frame address tables are geometry, not warm state.
+    assert batch.snapshot_state().state.keys() == (
+        _build(combo).snapshot_state().state.keys())
