@@ -40,12 +40,7 @@ import time
 import pytest
 
 from conftest import format_table, write_report, write_timings
-from repro.engine import (
-    numpy_available,
-    records_to_array,
-    set_batch_enabled,
-    warm_design,
-)
+from repro.engine import records_to_array, set_batch_enabled, warm_design
 from repro.sim.factory import make_design
 from repro.workloads import workload_by_name
 from repro.workloads.generator import SyntheticWorkload
@@ -66,7 +61,6 @@ def _timed(call):
     return time.perf_counter() - started
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_batch_warming_throughput(results_dir):
     profile = workload_by_name("Web Search")
     profile = profile.scaled(

@@ -23,6 +23,7 @@ import time
 
 from conftest import write_report, write_timings
 
+from repro.engine.trace_array import array_to_records
 from repro.sampling import SamplingConfig, WindowedSampler
 from repro.sampling.seekable import MmapTraceReader
 from repro.sim.executor import cached_trace
@@ -158,7 +159,8 @@ def test_mmap_window_open_does_not_scale_with_offset(results_dir, tmp_path):
     with MmapTraceReader(path) as reader:
         # Correctness first: a window deep in the trace decodes exactly.
         probe = offsets["99%"]
-        assert reader.read_window(probe, probe + 64) == trace[probe:probe + 64]
+        assert (reader.read_window(probe, probe + 64)
+                == array_to_records(trace[probe:probe + 64]))
         for label, offset in offsets.items():
             timings[label] = best_of(
                 lambda offset=offset: reader.read_window(offset,

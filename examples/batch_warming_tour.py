@@ -7,8 +7,9 @@ for measurement and for functional warming alike.  Warming keeps only the
 *state* a warm stream leaves behind -- tags, dirty bits, predictor tables.
 This tour shows the warming contract from both ends:
 
-1. decode a warm stream once into a structured record array
-   (one ``np.frombuffer``-equivalent pack, no per-record objects);
+1. pack a warm stream once into a structured record array -- the form
+   the trace store hands every sweep (there ``np.frombuffer`` over the
+   stored payload, no per-record objects);
 2. warm one design per engine and time both (the batch engine is
    several times faster);
 3. prove bit-identity: the post-warming ``StateSnapshot`` of both designs
@@ -33,12 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import (
-    numpy_available,
-    records_to_array,
-    set_batch_enabled,
-    warm_design,
-)
+from repro.engine import records_to_array, set_batch_enabled, warm_design
 from repro.sim.factory import make_design
 from repro.workloads.cloudsuite import workload_by_name
 from repro.workloads.generator import SyntheticWorkload
@@ -56,12 +52,7 @@ def main() -> int:
     parser.add_argument("--scale", type=int, default=512)
     args = parser.parse_args()
 
-    if not numpy_available():
-        print("numpy is not installed -- the batch engine needs it; "
-              "everything else runs scalar (--no-batch-warming).")
-        return 1
-
-    # 1. One warm stream, decoded once into a structured array.
+    # 1. One warm stream, packed once into a structured array.
     profile = workload_by_name("Web Search")
     profile = profile.scaled(
         max(profile.region_size * 64,

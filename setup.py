@@ -24,9 +24,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.8",
-    # numpy powers the vectorized batch-warming engine (repro.engine).  The
-    # simulator degrades to the scalar warming path when it is missing, so
-    # an install without numpy still passes the test suite.
+    # numpy is required: every in-memory trace is a packed numpy record
+    # array, from the trace store to the batch engine's kernels.
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [

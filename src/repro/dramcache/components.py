@@ -1101,13 +1101,22 @@ class DramPageTags(_SetAssocPageTags):
 
     # -- device hooks --------------------------------------------------- #
     def _build_addresses(self, row_bytes: int) -> FrameAddresses:
+        # The row layout's frame addressing in closed form: its per-row
+        # constants are read once, not once per frame.
         layout = self.layout
+        pages_per_row = layout.pages_per_row
+        data_base = layout.data_base_offset
+        page_bytes = layout.page_data_bytes
+        presence_bytes = layout.presence_bytes_per_page
+        metadata_base = layout.presence_bytes_per_row
+        pc_bytes = layout.pc_offset_bytes_per_page
         data, presence, metadata = [], [], []
         for frame in range(self.num_sets * self.associativity):
-            base = layout.frame_row(frame) * row_bytes
-            data.append(base + layout.block_offset(frame, 0))
-            presence.append(base + layout.presence_metadata_offset(frame))
-            metadata.append(base + layout.other_metadata_offset(frame))
+            row, slot = divmod(frame, pages_per_row)
+            base = row * row_bytes
+            data.append(base + data_base + slot * page_bytes)
+            presence.append(base + slot * presence_bytes)
+            metadata.append(base + metadata_base + slot * pc_bytes)
         return FrameAddresses(data, presence, metadata,
                               presence[::self.associativity])
 
@@ -1213,9 +1222,11 @@ class SramPageTags(_SetAssocPageTags):
 
     def _build_addresses(self, row_bytes: int) -> FrameAddresses:
         frames = self.num_sets * self.associativity
+        pages_per_row = self.pages_per_row
+        page_size = self.config.page_size
         return FrameAddresses(
-            [frame // self.pages_per_row * row_bytes
-             + frame % self.pages_per_row * self.config.page_size
+            [frame // pages_per_row * row_bytes
+             + frame % pages_per_row * page_size
              for frame in range(frames)], [], [], [])
 
     def _write_block_device(self, engine: "ComposedDramCache", set_index: int,

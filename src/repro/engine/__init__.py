@@ -14,8 +14,9 @@ Public surface:
 * :func:`repro.engine.select_kernel` -- kernel coverage probe (None means
   the composition runs on the scalar engine), and
   :func:`repro.engine.fallback_reason` -- why a design would.
-* :mod:`repro.engine.trace_array` -- numpy structured-array trace decode
-  (``decode_array``, ``records_to_array``, ``array_to_records``).
+* :mod:`repro.engine.trace_array` -- the packed record array every sweep
+  replays, and its conversions (``decode_array``, ``records_to_array``,
+  ``array_to_records``).
 """
 
 from repro.engine.batch import (
@@ -31,7 +32,6 @@ from repro.engine.trace_array import (
     array_to_records,
     decode_array,
     is_access_array,
-    numpy_available,
     records_to_array,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "decode_array",
     "fallback_reason",
     "is_access_array",
-    "numpy_available",
     "records_to_array",
     "replay_design",
     "select_kernel",

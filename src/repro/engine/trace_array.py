@@ -1,88 +1,46 @@
-"""Bulk trace decode: packed records <-> numpy structured arrays.
+"""Packed record arrays: the one in-memory trace, and its kernel columns.
 
 The binary trace format (:mod:`repro.trace.binfmt`) packs each access into a
-27-byte little-endian struct.  The scalar decode path materialises one
-:class:`~repro.trace.record.MemoryAccess` namedtuple per record; for the
-functional-warming hot path that per-record ``tuple.__new__`` dominates the
-load time.  This module provides the vectorized alternative: a numpy
-structured dtype laid out *exactly* like the packed record, so a whole
-chunk decodes with a single ``np.frombuffer`` -- no per-record Python work
-at all.
-
-numpy is an optional dependency.  Everything degrades gracefully without
-it: :func:`numpy_available` gates the callers, and :func:`require_numpy`
-raises an error that names the ``--batch-warming`` flag and the
-``REPRO_BATCH`` variable so the remedy is obvious.
+27-byte little-endian struct, and :data:`RECORD_DTYPE` is a numpy structured
+dtype laid out *exactly* like it.  An array of it is therefore the packed
+payload itself: the trace store hands sweeps such arrays
+(``np.frombuffer`` over the decompressed payload, no per-record work),
+``split_trace`` and the window providers slice them without copying, and
+:func:`make_columns` turns a slice into the column lists the fused kernels
+loop over.  :class:`~repro.trace.record.MemoryAccess` records are built
+only where a caller asks for records: the scalar engine
+(:func:`as_records`), the one-request ``access`` API, and the trace readers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+import numpy as np
+
+from repro.trace.binfmt import RECORD_DTYPE, is_record_array
 from repro.trace.record import AccessType, MemoryAccess
-from repro.utils.hashing import fold_xor
-
-try:  # pragma: no cover - exercised via numpy_available() in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
-
-#: Structured dtype mirroring ``binfmt.RECORD`` (``<QQQHB``, 27 bytes):
-#: address u64 | pc u64 | timestamp u64 | core_id u16 | access_type u8.
-RECORD_DTYPE = None
-if _np is not None:
-    RECORD_DTYPE = _np.dtype({
-        "names": ["address", "pc", "timestamp", "core_id", "access_type"],
-        "formats": ["<u8", "<u8", "<u8", "<u2", "u1"],
-        "offsets": [0, 8, 16, 24, 26],
-        "itemsize": 27,
-    })
 
 _TYPE_FROM_CODE = (AccessType.READ, AccessType.WRITE)
 
-
-def numpy_available() -> bool:
-    """True when numpy is importable (the batch decode paths work)."""
-    return _np is not None
+#: True if an object is a :data:`RECORD_DTYPE` array.
+is_access_array = is_record_array
 
 
-def require_numpy(context: str) -> None:
-    """Raise a clear error when numpy is missing.
-
-    The message names the batch-warming controls so a user who asked for
-    array decoding explicitly knows how to fall back.
-    """
-    if _np is None:
-        raise RuntimeError(
-            f"{context} requires numpy, which is not installed; install "
-            "numpy, or stay on the scalar path (--no-batch-warming / "
-            "REPRO_BATCH=0), which needs no extra dependencies"
-        )
-
-
-def is_access_array(obj) -> bool:
-    """True if ``obj`` is a numpy structured array of trace records."""
-    return (_np is not None and isinstance(obj, _np.ndarray)
-            and obj.dtype == RECORD_DTYPE)
-
-
-def decode_array(blob) -> "object":
+def decode_array(blob) -> np.ndarray:
     """Decode packed 27-byte records into a structured array (zero copy).
 
     ``blob`` is any buffer whose length is a multiple of the record size
     (bytes, bytearray, memoryview).  One ``np.frombuffer`` replaces the
     per-record ``Struct.iter_unpack`` + ``tuple.__new__`` loop.
     """
-    require_numpy("bulk record decode")
-    return _np.frombuffer(blob, dtype=RECORD_DTYPE)
+    return np.frombuffer(blob, dtype=RECORD_DTYPE)
 
 
-def records_to_array(records: Sequence[MemoryAccess]) -> "object":
+def records_to_array(records: Sequence[MemoryAccess]) -> np.ndarray:
     """Pack a sequence of :class:`MemoryAccess` into a structured array."""
-    require_numpy("record-to-array conversion")
-    arr = _np.empty(len(records), dtype=RECORD_DTYPE)
-    if records:
+    arr = np.empty(len(records), dtype=RECORD_DTYPE)
+    if len(records):
         arr["address"] = [r.address for r in records]
         arr["pc"] = [r.pc for r in records]
         arr["timestamp"] = [r.timestamp for r in records]
@@ -97,7 +55,7 @@ def array_to_records(arr) -> List[MemoryAccess]:
     """Expand a structured array back into :class:`MemoryAccess` records.
 
     Mirrors ``binfmt._decode_records`` so the result is indistinguishable
-    from the scalar decode path.
+    from the record decode path.
     """
     tuple_new = tuple.__new__
     cls = MemoryAccess
@@ -109,12 +67,11 @@ def array_to_records(arr) -> List[MemoryAccess]:
 
 
 class AccessColumns:
-    """Column-oriented view of one warm batch, ready for the fused kernels.
+    """Column-oriented view of one batch, ready for the fused kernels.
 
     Columns are plain Python lists (the kernels are fused Python loops over
     C-speed list iteration); when the source is a structured array the
-    extraction itself is vectorized.  The predictor index hashes are
-    vectorized whenever numpy is present.
+    extraction itself is vectorized, and so are the predictor index hashes.
     """
 
     __slots__ = ("n", "addr", "blk", "pc", "wr", "core", "_arr")
@@ -131,51 +88,46 @@ class AccessColumns:
         self._arr = arr
 
     # ------------------------------------------------------------------ #
-    def _vector(self, field: str, column: List[int]):
+    def _vector(self, field: str, column: List[int]) -> np.ndarray:
         """One record field as a uint64 array."""
         if self._arr is not None:
             return self._arr[field]
-        return _np.array(column, dtype=_np.uint64)
+        return np.array(column, dtype=np.uint64)
 
     def way_indices(self, blocks_per_page: int, index_bits: int) -> List[int]:
         """``fold_xor(page, index_bits)`` for every access (way predictor)."""
-        if _np is None:
-            return [fold_xor(block // blocks_per_page, index_bits)
-                    for block in self.blk]
-        pages = self._vector("address", self.addr) >> _np.uint64(6)
-        pages //= _np.uint64(blocks_per_page)
+        pages = self._vector("address", self.addr) >> np.uint64(6)
+        pages //= np.uint64(blocks_per_page)
         return _fold_xor_vector_array(pages, index_bits).tolist()
 
     def mapi_indices(self, index_bits: int, entries_per_core: int) -> List[int]:
         """``fold_xor(pc >> 2, bits) % entries`` for every access (MAP-I)."""
-        if _np is None:
-            return [fold_xor(pc >> 2, index_bits) % entries_per_core
-                    for pc in self.pc]
-        values = self._vector("pc", self.pc) >> _np.uint64(2)
+        values = self._vector("pc", self.pc) >> np.uint64(2)
         folded = _fold_xor_vector_array(values, index_bits)
-        return (folded % _np.uint64(entries_per_core)).tolist()
+        return (folded % np.uint64(entries_per_core)).tolist()
 
 
-def _fold_xor_vector_array(values, index_bits: int):
+def _fold_xor_vector_array(values: np.ndarray, index_bits: int) -> np.ndarray:
     """Vectorized :func:`repro.utils.hashing.fold_xor` over a uint64 array."""
-    mask = _np.uint64((1 << index_bits) - 1)
-    folded = _np.zeros(values.shape, dtype=_np.uint64)
+    mask = np.uint64((1 << index_bits) - 1)
+    folded = np.zeros(values.shape, dtype=np.uint64)
     for shift in range(0, 64, index_bits):
-        folded ^= (values >> _np.uint64(shift)) & mask
+        folded ^= (values >> np.uint64(shift)) & mask
     return folded
 
 
 def make_columns(accesses) -> Optional[AccessColumns]:
     """Build :class:`AccessColumns` from an array or a record sequence.
 
-    Accepts a structured array (the bulk-decoded fast path), any sequence
-    of :class:`MemoryAccess`, or an arbitrary iterable of records (which is
-    materialised).  Returns ``None`` only for inputs it cannot interpret.
+    Accepts a structured array (what sweeps replay), any sequence of
+    :class:`MemoryAccess` (what API callers may pass), or an arbitrary
+    iterable of records (which is materialised).  Returns ``None`` only for
+    inputs it cannot interpret.
     """
     if is_access_array(accesses):
         arr = accesses
         addr = arr["address"].tolist()
-        blk = (arr["address"] >> _np.uint64(6)).tolist()
+        blk = (arr["address"] >> np.uint64(6)).tolist()
         pc = arr["pc"].tolist()
         wr = (arr["access_type"] != 0).tolist()
         core = arr["core_id"].tolist()
@@ -209,7 +161,5 @@ __all__ = [
     "decode_array",
     "is_access_array",
     "make_columns",
-    "numpy_available",
     "records_to_array",
-    "require_numpy",
 ]

@@ -113,10 +113,14 @@ def sequence_token(trace) -> str:
     digest over the *full* sequence content.  Any single-record difference
     changes the token; callers that know a cheaper authoritative identity
     (the sweep executor injecting the canonical cached trace) pass it as
-    ``trace_identity`` instead and skip the hash.
+    ``trace_identity`` instead and skip the hash.  The token depends only
+    on the records, not on their representation: a packed record array
+    and the equal record list hash alike.
     """
+    from repro.engine.trace_array import as_records
+
     digest = hashlib.sha256()
-    for access in trace:
+    for access in as_records(trace):
         digest.update(repr(tuple(access)).encode("utf-8"))
     return f"sequence:n={len(trace)};sha256={digest.hexdigest()}"
 

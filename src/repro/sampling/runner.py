@@ -13,7 +13,10 @@ One sampled run of N designs over one trace proceeds as:
    design: read the window's warm-up and measure slices, replay the
    measure slice through a fresh no-DRAM-cache baseline (so per-window
    speedups are matched pairs), then per design restore the checkpoint,
-   replay the short warm-up slice, and measure.
+   replay the short warm-up slice, and measure.  The baseline is a pure
+   function of the window's accesses, so it replays once per trace and
+   window (:func:`repro.sim.executor.window_baseline`) and every design
+   cell of a sweep over that trace and plan shares it.
 4. **Terminate** -- one stop walk takes windows in plan order, feeds each
    design's per-window series, and after every window asks the
    :class:`~repro.stats.sampling.AdaptiveStopper` whether every tracked
@@ -36,7 +39,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.baselines.no_cache import NoDramCache
 from repro.config.system import SystemConfig
 from repro.obs.core import current as obs_current
 from repro.sampling.seekable import FileWindows, InMemoryWindows
@@ -242,45 +244,33 @@ class WindowedSampler:
         runner = ExperimentRunner(self.config, system=self.system)
         return InMemoryWindows(runner.build_trace(workload))
 
-    def _read_warm(self, provider, start: int, stop: int):
-        """Read a warm-stream slice, packed for the batch engine if it may run.
-
-        When batch warming is enabled and numpy is present, a provider with
-        a bulk ``read_array`` yields a structured record array (one
-        ``np.frombuffer`` per window instead of per-record decode); in every
-        other case this is a plain :meth:`read`.  Either return type feeds
-        :meth:`~repro.dramcache.base.DramCacheModel.warm_up_array`, whose
-        post-warming state is bit-identical across engines.
-        """
-        from repro.engine import batch_enabled, numpy_available
-
-        if batch_enabled() and numpy_available():
-            read_array = getattr(provider, "read_array", None)
-            if read_array is not None:
-                return read_array(start, stop)
-        return provider.read(start, stop)
-
     def _measure_window(self, provider, plan: WindowPlan, window_index: int,
-                        designs, profile, span) -> List[WindowMeasurement]:
+                        designs, profile, identity: Optional[str],
+                        span) -> List[WindowMeasurement]:
         """Measure one planned window for every warm design, in order.
 
-        Reads the window's warm-up and measure slices, replays the measure
-        slice through one fresh no-DRAM-cache baseline (a fresh model per
-        window keeps windows independent, and every design's speedup is a
-        matched pair against it), then per design restores the checkpoint,
-        warms, and measures.  The one window routine of :meth:`compare` and
-        :meth:`measure_windows`.  With telemetry on, those steps are timed
-        as the ``baseline``, ``restore``, ``window_warm`` and ``replay``
-        phases inside the caller's ``measure`` span.
+        Reads the window's warm-up and measure slices as packed record
+        arrays, takes the measure slice's no-DRAM-cache baseline (a fresh
+        model per window keeps windows independent, and every design's
+        speedup is a matched pair against it; it replays once per stream
+        ``identity`` and window, see
+        :func:`repro.sim.executor.window_baseline`), then per design
+        restores the checkpoint, warms, and measures.  The one window
+        routine of :meth:`compare` and :meth:`measure_windows`.  With
+        telemetry on, those steps are timed as the ``baseline``,
+        ``restore``, ``window_warm`` and ``replay`` phases inside the
+        caller's ``measure`` span.
         """
+        from repro.sim.executor import window_baseline
+
         obs_run = obs_current()
         window = plan.windows[window_index]
-        warmup = self._read_warm(provider, window.warmup_start, window.start)
-        measure = provider.read(window.start, window.stop)
+        warmup = provider.read_array(window.warmup_start, window.start)
+        measure = provider.read_array(window.start, window.stop)
         # Child phases of ``measure``: where a window's time goes.
         with obs_run.span("baseline"):
-            baseline = NoDramCache()
-            baseline.run(measure)
+            baseline = window_baseline(identity, window.start, window.stop,
+                                       measure)
         outcomes = []
         for design, checkpoint in designs:
             with obs_run.span("restore"):
@@ -299,7 +289,7 @@ class WindowedSampler:
                 window=window,
                 **measured_fields(design, activations_before),
                 speedup_vs_no_cache=self.performance.speedup(
-                    stats, baseline.cache_stats, profile),
+                    stats, baseline, profile),
                 user_ipc=self.performance.estimate(stats, profile).user_ipc,
                 extra_metrics=dict(design.extra_metrics()),
             ))
@@ -338,6 +328,7 @@ class WindowedSampler:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate sampled design labels: {labels}")
 
+        identity = self._stream_identity(workload, trace, trace_identity)
         with self._warmed(design_names, workload, capacity, trace,
                           associativity, trace_identity) as (provider, plan,
                                                              designs):
@@ -345,23 +336,38 @@ class WindowedSampler:
                 return self._walk(
                     plan, labels,
                     lambda index: self._measure_window(
-                        provider, plan, index, designs, workload, span),
+                        provider, plan, index, designs, workload, identity,
+                        span),
                     workload.name, capacity,
                 )
 
+    def _stream_identity(self, workload, trace,
+                         trace_identity) -> Optional[str]:
+        """The measured access stream's authoritative identity, if cheap.
+
+        An injected sequence need not be the canonical trace of the
+        (workload, config) pair, so it is identified only by the caller's
+        ``trace_identity`` (``None`` without one); a stream the workload
+        opens itself is named by its trace token.
+        """
+        from repro.sampling.checkpoints import trace_token
+
+        if trace is not None:
+            return trace_identity
+        return trace_token(workload, self.config)
+
     def _stream_token(self, workload, trace, trace_identity, store) -> str:
-        """The checkpoint-keying identity of the measured access stream."""
-        from repro.sampling.checkpoints import sequence_token, trace_token
+        """The checkpoint-keying identity of the measured access stream.
+
+        The stream's identity, or for a stream without a cheap one the
+        digest of its full content; ``""`` when there is no ``store``.
+        """
+        from repro.sampling.checkpoints import sequence_token
 
         if store is None:
             return ""
-        if trace is not None:
-            # An injected sequence need not be the canonical trace of the
-            # (workload, config) pair: key on the caller's authoritative
-            # identity, or failing that on the full sequence content.
-            return (trace_identity if trace_identity is not None
-                    else sequence_token(trace))
-        return trace_token(workload, self.config)
+        identity = self._stream_identity(workload, trace, trace_identity)
+        return identity if identity is not None else sequence_token(trace)
 
     def _stoppers(self, plan: WindowPlan) -> Dict[str, AdaptiveStopper]:
         """One adaptive stopper per tracked metric, sized to the plan."""
@@ -441,9 +447,8 @@ class WindowedSampler:
                 # measurement region, frozen once, restored before every
                 # window -- and persisted so later processes skip it too.
                 if prologue is None:
-                    prologue = self._read_warm(provider,
-                                               plan.checkpoint_start,
-                                               plan.checkpoint_stop)
+                    prologue = provider.read_array(plan.checkpoint_start,
+                                                   plan.checkpoint_stop)
                 warm_up(design, prologue, span)
                 checkpoint = design.snapshot_state()
                 if store is not None:
@@ -551,6 +556,7 @@ class WindowedSampler:
         from repro.sim.registry import DESIGNS
 
         DESIGNS.resolve(design_name)
+        identity = self._stream_identity(workload, trace, trace_identity)
         with self._warmed([design_name], workload, capacity, trace,
                           associativity, trace_identity) as (provider, plan,
                                                              designs):
@@ -564,7 +570,8 @@ class WindowedSampler:
             with obs_current().span("measure") as span:
                 return {
                     index: self._measure_window(provider, plan, index,
-                                                designs, workload, span)[0]
+                                                designs, workload, identity,
+                                                span)[0]
                     for index in window_indices
                 }
 

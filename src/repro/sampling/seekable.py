@@ -19,7 +19,8 @@ provide O(window) access:
 window *providers* at the bottom (:class:`InMemoryWindows`,
 :class:`FileWindows`) are the uniform source interface the
 :class:`~repro.sampling.runner.WindowedSampler` consumes: ``total`` accesses
-plus ``read(start, stop)``.
+plus ``read_array(start, stop)``, a window as a packed record array (and
+``read(start, stop)``, which :class:`FileWindows` answers with records).
 """
 
 from __future__ import annotations
@@ -112,9 +113,7 @@ class MmapTraceReader(BinaryTraceReader):
         """Records ``[start, stop)`` as a numpy structured array.
 
         One ``np.frombuffer`` over the packed slice -- no per-record
-        decode at all.  Raises a ``RuntimeError`` naming the batch-warming
-        controls when numpy is unavailable (see
-        :func:`repro.engine.trace_array.require_numpy`).
+        decode at all.
         """
         from repro.engine.trace_array import decode_array
 
@@ -253,25 +252,29 @@ def open_window_reader(path: PathLike):
 # Window providers: the sampler's uniform trace-source interface.
 # --------------------------------------------------------------------- #
 class InMemoryWindows:
-    """Windows over an already-materialized access sequence."""
+    """Windows over an already-materialized access sequence.
 
-    def __init__(self, trace: Sequence[MemoryAccess]) -> None:
-        self._trace = trace
+    The sequence is held as one packed record array (a record sequence is
+    packed once, here), and :meth:`read` and :meth:`read_array` are the
+    same zero-copy slice of it.
+    """
+
+    def __init__(self, trace) -> None:
+        from repro.engine.trace_array import is_access_array, records_to_array
+
+        self._trace = (trace if is_access_array(trace)
+                       else records_to_array(trace))
 
     @property
     def total(self) -> int:
         return len(self._trace)
 
-    def read(self, start: int, stop: int) -> Sequence[MemoryAccess]:
+    def read(self, start: int, stop: int):
+        """Accesses ``[start, stop)`` (clipped), a view of the array."""
         start, stop = _clip_window(start, stop, len(self._trace))
         return self._trace[start:stop]
 
-    def read_array(self, start: int, stop: int):
-        """The window as a numpy structured array (packed and bulk-typed)."""
-        from repro.engine.trace_array import records_to_array
-
-        start, stop = _clip_window(start, stop, len(self._trace))
-        return records_to_array(self._trace[start:stop])
+    read_array = read
 
     def close(self) -> None:
         pass

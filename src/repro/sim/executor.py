@@ -6,16 +6,19 @@ tractable:
 
 * **Trace/baseline reuse.**  Synthetic traces are deterministic functions of
   ``(profile, scale, num_cores, seed, num_accesses)`` and the no-DRAM-cache
-  baseline replay depends only on the trace and the warm-up split, so both
-  are cached process-wide under those keys.  An N-cell grid that shares
-  workloads and configurations pays for each distinct trace and baseline
-  once, not N times -- and because every design in a cell group replays the
-  *same* cached trace, comparisons stay fair automatically.  Behind the
-  in-memory layer sits the persistent on-disk
-  :class:`repro.trace.store.TraceStore`: a generated trace is streamed into
-  the store as it is produced and replayed from there by every later
-  process, sweep, and benchmark run with the same key, so each distinct
-  trace is generated once *ever* (disable or relocate via the
+  baseline replay depends only on the trace and the warm-up split (or, for
+  a sampled window, on the trace and the window's bounds), so both are
+  cached process-wide under those keys.  A cached trace is one packed
+  record array (:mod:`repro.engine.trace_array`) whichever way it was
+  built, so every later cell slices it instead of decoding it again.  An
+  N-cell grid that shares workloads and configurations pays for each
+  distinct trace and baseline once, not N times -- and because every
+  design in a cell group replays the *same* cached trace, comparisons stay
+  fair automatically.  Behind the in-memory layer sits the persistent
+  on-disk :class:`repro.trace.store.TraceStore`: a generated trace is
+  streamed into the store as it is produced and replayed from there by
+  every later process, sweep, and benchmark run with the same key, so each
+  distinct trace is generated once *ever* (disable or relocate via the
   ``REPRO_TRACE_STORE`` environment variable).
 
 * **Deterministic parallelism.**  ``workers > 1`` fans trials out to a
@@ -37,25 +40,31 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.dramcache.stats import DramCacheStats
+from repro.engine.trace_array import records_to_array
 from repro.obs.core import current as obs_current, start_run
 from repro.sim.experiment import ExperimentResult, ExperimentRunner, Workload
 from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
-from repro.trace.record import MemoryAccess
 from repro.trace.store import TraceStore, configured_root
 from repro.workloads.profile import WorkloadProfile
 
 #: Cache key of a materialized trace (see module docstring).
 TraceKey = Tuple[Workload, int, int, int, int]
 
+#: Cache key of a no-cache baseline: a full replay's ``(TraceKey, warm-up
+#: fraction)``, or a sampled window's ``(stream identity, start, stop)``.
+BaselineKey = Union[Tuple[TraceKey, float], Tuple[str, int, int]]
+
 # Process-wide caches.  Worker processes get their own copies (pre-seeded by
 # fork with the parent's contents); entries are deterministic in the key, so
 # sharing across sweeps and processes never changes results.
-_TRACE_CACHE: Dict[TraceKey, List[MemoryAccess]] = {}
-_BASELINE_CACHE: Dict[Tuple[TraceKey, float], DramCacheStats] = {}
+_TRACE_CACHE: Dict[TraceKey, np.ndarray] = {}
+_BASELINE_CACHE: Dict[BaselineKey, DramCacheStats] = {}
 
 # The process-wide on-disk trace store (see repro.trace.store).  Rebuilt
 # lazily whenever REPRO_TRACE_STORE changes, so tests and callers can point
@@ -85,7 +94,10 @@ def trace_key(profile: Workload,
 
 
 def clear_caches() -> None:
-    """Drop the in-memory trace/baseline caches (mainly for tests).
+    """Drop the in-memory trace and baseline caches (mainly for tests).
+
+    Window baselines go too, so a measurement that starts after this call
+    replays every baseline it needs.
 
     The on-disk :class:`TraceStore` is persistent by design and is *not*
     touched; use ``get_trace_store().clear()`` for that.
@@ -95,7 +107,7 @@ def clear_caches() -> None:
 
 
 def cached_trace(runner: ExperimentRunner,
-                 profile: Workload) -> List[MemoryAccess]:
+                 profile: Workload) -> np.ndarray:
     """The trace for (profile, runner.config), built once per process.
 
     Lookup order: the in-memory cache, then the on-disk trace store
@@ -103,6 +115,12 @@ def cached_trace(runner: ExperimentRunner,
     chunk-by-chunk into the store while materializing, so a synthetic trace
     is generated once *ever* per distinct key rather than once per process.
     Trace-file workloads are simply loaded (they are already on disk).
+
+    Every path returns the same type: one packed
+    :data:`~repro.engine.trace_array.RECORD_DTYPE` array (a store hit, the
+    store's write-through on a miss, or ``build_trace``'s records packed
+    once when there is no usable store), so a first sweep and a repeat
+    sweep replay identical objects.
     """
     key = trace_key(profile, runner.config)
     trace = _TRACE_CACHE.get(key)
@@ -127,13 +145,13 @@ def cached_trace(runner: ExperimentRunner,
             trace = None
 
     if trace is None:
-        trace = runner.build_trace(profile)
+        trace = records_to_array(runner.build_trace(profile))
     _TRACE_CACHE[key] = trace
     return trace
 
 
 def cached_baseline(runner: ExperimentRunner, profile: Workload,
-                    trace: Sequence[MemoryAccess]) -> DramCacheStats:
+                    trace) -> DramCacheStats:
     """The no-cache baseline for (profile, runner.config), replayed once."""
     key = (trace_key(profile, runner.config), runner.config.warmup_fraction)
     baseline = _BASELINE_CACHE.get(key)
@@ -141,6 +159,25 @@ def cached_baseline(runner: ExperimentRunner, profile: Workload,
         _, measure = runner.split_trace(trace)
         baseline = runner.no_cache_baseline(measure)
         _BASELINE_CACHE[key] = baseline
+    return baseline
+
+
+def window_baseline(identity: Optional[str], start: int, stop: int,
+                    measure) -> DramCacheStats:
+    """The no-cache baseline of one sampled window, replayed once.
+
+    The baseline of ``measure`` (accesses ``[start, stop)`` of the stream
+    named ``identity``) is a pure function of those accesses, so every
+    design measured over the same trace and window plan shares one replay.
+    ``identity`` is the stream's authoritative identity (a trace token);
+    ``None`` -- a stream with no cheap identity -- replays uncached.
+    """
+    key = (identity, start, stop)
+    baseline = _BASELINE_CACHE.get(key) if identity is not None else None
+    if baseline is None:
+        baseline = ExperimentRunner.no_cache_baseline(measure)
+        if identity is not None:
+            _BASELINE_CACHE[key] = baseline
     return baseline
 
 
@@ -483,5 +520,5 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = 1,
 __all__ = ["SweepExecutor", "run_sweep", "run_trial", "run_trial_windows",
            "assemble_sampled_trial", "sampled_trial_total",
            "sampled_window_plan", "cached_trace", "cached_baseline",
-           "trace_key", "clear_caches", "TraceKey", "get_trace_store",
-           "group_trials_by_trace"]
+           "window_baseline", "trace_key", "clear_caches", "TraceKey",
+           "get_trace_store", "group_trials_by_trace"]

@@ -295,7 +295,8 @@ class ExperimentRunner:
             activations_before, speedup, estimate.user_ipc,
         )
 
-    def no_cache_baseline(self, measure: Iterable[MemoryAccess]) -> DramCacheStats:
+    @staticmethod
+    def no_cache_baseline(measure: Iterable[MemoryAccess]) -> DramCacheStats:
         """Replay ``measure`` through a no-DRAM-cache system (speedup baseline)."""
         baseline = NoDramCache()
         baseline.run(measure)

@@ -2,11 +2,13 @@
 
 This is the format the :class:`repro.trace.store.TraceStore` persists traces
 in.  Design goals, in order: (1) traces far larger than memory stream through
-fixed-size chunks in both directions, (2) loading is bounded by record
-*construction*, not parsing -- decoding combines
-:meth:`struct.Struct.iter_unpack` with direct ``tuple.__new__`` construction
-(see :func:`_decode_records`), which makes it several times faster than the
-text codec -- (3) the file is
+fixed-size chunks in both directions, (2) loading costs no per-record work:
+the packed payload *is* a :data:`RECORD_DTYPE` numpy array, so
+:meth:`BinaryTraceReader.read_all_array` decodes a whole trace with one
+``np.frombuffer`` (record decode, for callers that want
+:class:`MemoryAccess` objects, combines :meth:`struct.Struct.iter_unpack`
+with direct ``tuple.__new__`` construction; see :func:`_decode_records`) --
+(3) the file is
 self-describing: a fixed-size **uncompressed** header precedes the (optionally
 compressed) record payload, so ``repro trace info`` can report version,
 core count, and access count without decompressing anything -- and (4) files
@@ -49,6 +51,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.trace.errors import TraceFormatError
 from repro.trace.record import AccessType, MemoryAccess
 
@@ -67,6 +71,17 @@ UNKNOWN_COUNT = 2 ** 64 - 1
 
 HEADER = struct.Struct("<4sHHIQ")
 RECORD = struct.Struct("<QQQHB")
+
+#: numpy structured dtype laid out exactly like :data:`RECORD` (27 bytes):
+#: address u64 | pc u64 | timestamp u64 | core_id u16 | access_type u8.
+#: An array of it *is* the packed payload, so ``np.frombuffer`` decodes a
+#: whole payload with no per-record work and ``tobytes`` re-packs it.
+RECORD_DTYPE = np.dtype({
+    "names": ["address", "pc", "timestamp", "core_id", "access_type"],
+    "formats": ["<u8", "<u8", "<u8", "<u2", "u1"],
+    "offsets": [0, 8, 16, 24, 26],
+    "itemsize": RECORD.size,
+})
 
 #: Records per streaming chunk (~432 KB of packed payload).
 DEFAULT_CHUNK_RECORDS = 16384
@@ -508,6 +523,7 @@ class BinaryTraceWriter:
         self._write_index = write_index
         self._raw: Optional[IO[bytes]] = None
         self._buffer: List[bytes] = []
+        self._buffered = 0
         self._count = 0
         self._index_starts: List[int] = []
         self._index_offsets: List[int] = []
@@ -551,13 +567,34 @@ class BinaryTraceWriter:
             1 if access.access_type is AccessType.WRITE else 0,
         ))
         self._count += 1
-        if len(self._buffer) >= DEFAULT_CHUNK_RECORDS:
+        self._buffered += 1
+        if self._buffered >= DEFAULT_CHUNK_RECORDS:
             self._flush()
 
-    def write_all(self, accesses: Iterable[MemoryAccess]) -> None:
-        """Append every access from an iterable, chunk by chunk."""
-        for access in accesses:
-            self.write(access)
+    def write_all(self, accesses) -> None:
+        """Append every access from an iterable, chunk by chunk.
+
+        A :data:`RECORD_DTYPE` array is already the packed payload: its
+        bytes are appended directly, cut at the same chunk boundaries a
+        record-by-record write produces, so the file bytes are identical.
+        """
+        if not is_record_array(accesses):
+            for access in accesses:
+                self.write(access)
+            return
+        if self._raw is None:
+            raise RuntimeError(
+                "BinaryTraceWriter must be used as a context manager"
+            )
+        done, total = 0, len(accesses)
+        while done < total:
+            take = min(total - done, DEFAULT_CHUNK_RECORDS - self._buffered)
+            self._buffer.append(accesses[done:done + take].tobytes())
+            done += take
+            self._count += take
+            self._buffered += take
+            if self._buffered >= DEFAULT_CHUNK_RECORDS:
+                self._flush()
 
     @property
     def count(self) -> int:
@@ -567,12 +604,13 @@ class BinaryTraceWriter:
     def _flush(self) -> None:
         if not self._buffer:
             return
-        self._index_starts.append(self._count - len(self._buffer))
+        self._index_starts.append(self._count - self._buffered)
         self._index_offsets.append(self._raw.tell())
         blob = b"".join(self._buffer)
         self._raw.write(_compress_chunk(blob, self._codec,
                                         self._compresslevel, self._path))
         self._buffer.clear()
+        self._buffered = 0
 
     def close(self, finalize: bool = True) -> None:
         """Finish the payload and patch the final access count in place.
@@ -672,13 +710,8 @@ class BinaryTraceReader:
         for chunk in self.iter_chunks():
             yield from chunk
 
-    def read_all(self) -> List[MemoryAccess]:
-        """Read the whole trace into a list.
-
-        Decodes the payload in one pass (a transient second copy of the
-        packed bytes, ~27 MB per million accesses); use :meth:`iter_chunks`
-        when even that must not be held at once.
-        """
+    def _read_payload(self) -> bytes:
+        """The whole decompressed record payload (whole records only)."""
         payload, raw = self._open_payload()
         try:
             blob = payload.read()
@@ -691,7 +724,33 @@ class BinaryTraceReader:
                 f"bytes do not form a whole {RECORD.size}-byte record",
                 path=self._path,
             )
-        return _decode_records(blob)
+        return blob
+
+    def read_all_array(self):
+        """The whole trace as one :data:`RECORD_DTYPE` array.
+
+        ``np.frombuffer`` over the decompressed payload: no record is
+        decoded one by one.  An access-type code other than read (0) or
+        write (1) raises :class:`TraceFormatError` (no record could hold
+        it).
+        """
+        array = np.frombuffer(self._read_payload(), dtype=RECORD_DTYPE)
+        if len(array) and int(array["access_type"].max()) > 1:
+            raise TraceFormatError(
+                "binary trace holds an access-type code other than "
+                "read (0) or write (1)", path=self._path,
+            )
+        return array
+
+    def read_all(self) -> List[MemoryAccess]:
+        """Read the whole trace into a list.
+
+        Decodes the payload in one pass (a transient second copy of the
+        packed bytes, ~27 MB per million accesses); use :meth:`iter_chunks`
+        when even that must not be held at once, and
+        :meth:`read_all_array` when no per-record object is needed.
+        """
+        return _decode_records(self._read_payload())
 
     def read_window(self, start: int, stop: int) -> List[MemoryAccess]:
         """Records ``[start, stop)``, skipping the prefix without decoding.
@@ -770,11 +829,20 @@ class _ZstdMemberStream:
         self._buffer = b""
 
 
+def is_record_array(obj) -> bool:
+    """True if ``obj`` is a numpy array of :data:`RECORD_DTYPE` records."""
+    return isinstance(obj, np.ndarray) and obj.dtype == RECORD_DTYPE
+
+
 def write_trace_bin(path: PathLike, accesses: Iterable[MemoryAccess],
                     num_cores: int = 0, compress: bool = True,
                     codec: Optional[str] = None,
                     write_index: bool = True) -> int:
-    """Write all accesses to ``path`` in binary form; returns the count."""
+    """Write all accesses to ``path`` in binary form; returns the count.
+
+    ``accesses`` may be records or a :data:`RECORD_DTYPE` array (written
+    byte for byte).
+    """
     with BinaryTraceWriter(path, num_cores=num_cores, compress=compress,
                            codec=codec, write_index=write_index) as writer:
         writer.write_all(accesses)
@@ -800,12 +868,14 @@ __all__ = [
     "FLAG_ZSTD",
     "INDEX_SUFFIX",
     "MAGIC",
+    "RECORD_DTYPE",
     "UNKNOWN_COUNT",
     "VERSION",
     "available_codecs",
     "decompress_members",
     "index_path_for",
     "is_binary_trace",
+    "is_record_array",
     "read_header",
     "read_trace_bin",
     "write_trace_bin",

@@ -28,6 +28,11 @@ Layout and lifecycle:
   :data:`DEFAULT_MAX_BYTES` (override with the ``REPRO_TRACE_STORE_BYTES``
   environment variable; ``0``/``none``/``unlimited`` disables the budget), so
   a long-lived dev machine can no longer grow the store without bound.
+* Reads hand back the packed records themselves: :meth:`TraceStore.load`
+  returns one :data:`~repro.trace.binfmt.RECORD_DTYPE` numpy array made
+  with ``np.frombuffer`` over the decompressed payload, and
+  ``put_chunks(collect=True)`` returns the array over the bytes it wrote.
+  No per-record :class:`MemoryAccess` is built on either path.
 * Each entry's chunk-index sidecar (``.rptr.rpti``, see
   :class:`repro.trace.binfmt.ChunkIndex`) lives and dies with the entry:
   written through the same atomic rename, removed by eviction, counted by
@@ -47,10 +52,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
+import numpy as np
+
 from repro.obs.core import current as obs_current
-from repro.trace.binfmt import (INDEX_SUFFIX, BinaryTraceReader,
-                                BinaryTraceWriter, index_path_for,
-                                read_header)
+from repro.trace.binfmt import (INDEX_SUFFIX, RECORD_DTYPE,
+                                BinaryTraceReader, BinaryTraceWriter,
+                                index_path_for, read_header)
 from repro.trace.errors import TraceFormatError
 from repro.trace.record import MemoryAccess
 from repro.utils.units import parse_size
@@ -234,20 +241,27 @@ class TraceStore:
         os.utime(path)
         return BinaryTraceReader(path)
 
-    def load(self, key: str) -> Optional[List[MemoryAccess]]:
-        """Materialize the trace stored under ``key``; ``None`` on a miss.
+    def load(self, key: str) -> Optional[np.ndarray]:
+        """The trace stored under ``key`` as one packed record array.
 
-        An entry whose *payload* turns out to be corrupt (truncated gzip
-        stream, garbage record bytes -- e.g. a partially copied store
-        directory) is quarantined like a header-level corruption: the file
-        is dropped and the lookup counts as a miss, so callers regenerate
-        instead of crashing.
+        Returns a :data:`~repro.trace.binfmt.RECORD_DTYPE` array over the
+        decompressed payload (``np.frombuffer``: no per-record decode), or
+        ``None`` on a miss.  An entry whose *payload* turns out to be
+        corrupt (truncated gzip stream, a partial record, an access-type
+        code no record can hold, fewer records than the header promises --
+        e.g. a partially copied store directory) is quarantined like a
+        header-level corruption: the file is dropped and the lookup counts
+        as a miss, so callers regenerate instead of crashing.
         """
         reader = self.open_reader(key)
         if reader is None:
             return None
         try:
-            return reader.read_all()
+            trace = reader.read_all_array()
+            if len(trace) != reader.info().access_count:
+                raise ValueError("payload record count disagrees with the "
+                                 "header's access count")
+            return trace
         except (OSError, EOFError, ValueError, IndexError, zlib.error):
             self.stats.hits -= 1
             self.stats.misses += 1
@@ -262,25 +276,30 @@ class TraceStore:
     def put_chunks(self, key: str,
                    chunks: Iterable[List[MemoryAccess]],
                    num_cores: int = 0,
-                   collect: bool = False) -> Optional[List[MemoryAccess]]:
+                   collect: bool = False) -> Optional[np.ndarray]:
         """Stream chunked accesses into the store entry for ``key``.
 
         The entry is written to a temp file and atomically renamed, so
-        readers never observe partial traces.  With ``collect=True`` the
-        written accesses are also accumulated and returned (the executor's
-        write-through path: one pass generates, persists, and materializes).
+        readers never observe partial traces.  With ``collect=True`` each
+        chunk is packed into a record array, written byte for byte, and the
+        arrays are returned joined into one -- the same array a later
+        :meth:`load` returns (the executor's write-through path: one pass
+        generates, persists, and materializes).
         """
+        from repro.engine.trace_array import records_to_array
+
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(key)
         tmp = final.with_suffix(f"{_SUFFIX}.tmp.{os.getpid()}")
-        collected: Optional[List[MemoryAccess]] = [] if collect else None
+        collected: Optional[List[np.ndarray]] = [] if collect else None
         try:
             with BinaryTraceWriter(tmp, num_cores=num_cores,
                                    compress=self.compress) as writer:
                 for chunk in chunks:
-                    writer.write_all(chunk)
                     if collected is not None:
-                        collected.extend(chunk)
+                        chunk = records_to_array(chunk)
+                        collected.append(chunk)
+                    writer.write_all(chunk)
             os.replace(tmp, final)
             # The chunk-index sidecar follows its entry through the rename
             # (readers validate it against the trace header, so a lost or
@@ -293,7 +312,10 @@ class TraceStore:
         self.stats.writes += 1
         obs_current().counter("trace_store_writes")
         self._evict_over_budget(protect=final)
-        return collected
+        if collected is None:
+            return None
+        return (np.concatenate(collected) if collected
+                else np.empty(0, dtype=RECORD_DTYPE))
 
     def put(self, key: str, accesses: Iterable[MemoryAccess],
             num_cores: int = 0) -> Path:

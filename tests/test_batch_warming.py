@@ -8,9 +8,8 @@ registered composition, regardless of how the stream is chopped into
 batches.  These tests
 enforce the contract with buffer-by-buffer :class:`StateSnapshot`
 comparison (:meth:`StateSnapshot.differing_buffers`, the strictest equality
-the models expose), and cover the enablement switches,
-the bulk ``read_array`` decode paths, and graceful degradation without
-numpy.
+the models expose), and cover the enablement switches and the bulk
+``read_array`` decode paths.
 """
 
 from __future__ import annotations
@@ -24,18 +23,14 @@ import pytest
 from repro.engine import (
     batch_enabled,
     fallback_reason,
-    numpy_available,
+    records_to_array,
     replay_design,
     select_kernel,
     set_batch_enabled,
     warm_design,
 )
-from repro.engine.trace_array import require_numpy
 from repro.sim.factory import design_names, make_design
 from repro.trace.binfmt import write_trace_bin
-
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="numpy not installed")
 
 #: Paper capacity / scale used by the equivalence tests: large enough that
 #: pages conflict, evict, and write back within the tiny trace.
@@ -57,11 +52,8 @@ def _differing(a, b) -> list:
 
 
 def _warm_stream(trace):
-    """The batch input: a structured array when numpy is available."""
-    if numpy_available():
-        from repro.engine import records_to_array
-        return records_to_array(trace)
-    return list(trace)
+    """The batch input: a packed record array."""
+    return records_to_array(trace)
 
 
 class TestSnapshotEquivalence:
@@ -155,8 +147,15 @@ class TestEnablement:
         warm_design(fallback, _warm_stream(tiny_trace))
         assert _differing(scalar, fallback) == []
 
+    def test_warming_records_still_works(self, tiny_trace):
+        """API callers may warm from a record list, whatever engine runs."""
+        scalar = make_design("unison", CAPACITY, scale=SCALE)
+        other = make_design("unison", CAPACITY, scale=SCALE)
+        scalar.warm_up(tiny_trace)
+        warm_design(other, list(tiny_trace))
+        assert _differing(scalar, other) == []
 
-@needs_numpy
+
 class TestReadArray:
     """Bulk decode paths return exactly what the scalar decode returns."""
 
@@ -167,7 +166,7 @@ class TestReadArray:
 
     @pytest.mark.parametrize("codec", ["none", "gzip"])
     def test_window_readers(self, tmp_path, tiny_trace, codec):
-        from repro.engine import array_to_records, records_to_array
+        from repro.engine import array_to_records
         from repro.sampling.seekable import open_window_reader
 
         path = self._written(tmp_path, tiny_trace, codec)
@@ -180,7 +179,6 @@ class TestReadArray:
                 assert array_to_records(arr) == list(records)
 
     def test_window_providers(self, tmp_path, tiny_trace):
-        from repro.engine import records_to_array
         from repro.sampling.seekable import FileWindows, InMemoryWindows
 
         path = self._written(tmp_path, tiny_trace, "none")
@@ -194,8 +192,7 @@ class TestReadArray:
         disk.close()
 
     def test_decode_roundtrip(self, tiny_trace):
-        from repro.engine import (array_to_records, decode_array,
-                                  records_to_array)
+        from repro.engine import array_to_records, decode_array
         from repro.trace.binfmt import RECORD
         from repro.trace.record import AccessType
 
@@ -207,50 +204,6 @@ class TestReadArray:
         arr = decode_array(blob)
         assert array_to_records(arr) == tiny_trace[:64]
         assert records_to_array(tiny_trace[:64]).tobytes() == blob
-
-
-class TestWithoutNumpy:
-    """Everything degrades gracefully when numpy is absent."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.engine.trace_array as trace_array
-        monkeypatch.setattr(trace_array, "_np", None)
-
-    def test_require_numpy_names_the_controls(self, no_numpy):
-        with pytest.raises(RuntimeError) as excinfo:
-            require_numpy("bulk record decode")
-        message = str(excinfo.value)
-        assert "--no-batch-warming" in message
-        assert "REPRO_BATCH=0" in message
-
-    def test_read_array_raises_the_clear_error(self, no_numpy, tmp_path,
-                                               tiny_trace):
-        from repro.sampling.seekable import MmapTraceReader
-
-        path = tmp_path / "trace.rptr"
-        write_trace_bin(path, tiny_trace, codec="none")
-        with MmapTraceReader(path) as reader:
-            with pytest.raises(RuntimeError, match="no-batch-warming"):
-                reader.read_array(0, 10)
-
-    def test_warming_records_still_works(self, no_numpy, tiny_trace):
-        """Record-list warming needs no numpy, whatever engine runs."""
-        import repro.engine.trace_array as trace_array
-        assert not trace_array.numpy_available()
-        scalar = make_design("unison", CAPACITY, scale=SCALE)
-        other = make_design("unison", CAPACITY, scale=SCALE)
-        scalar.warm_up(tiny_trace)
-        warm_design(other, list(tiny_trace))
-        assert _differing(scalar, other) == []
-
-    def test_sampler_read_falls_back_to_records(self, no_numpy, tiny_trace):
-        from repro.sampling.runner import WindowedSampler
-        from repro.sampling.seekable import InMemoryWindows
-
-        sampler = WindowedSampler.__new__(WindowedSampler)
-        window = sampler._read_warm(InMemoryWindows(tiny_trace), 5, 25)
-        assert list(window) == tiny_trace[5:25]
 
 
 class TestSampledSweepByteEquality:
@@ -303,8 +256,7 @@ class TestSampledSweepByteEquality:
                         and record.get("name") in ("warmup", "measure")):
                     counters.append(record.get("counters") or {})
         assert counters, "no warmup/measure spans reached the manifests"
-        if numpy_available():
-            batched = [c for c in counters if c.get("engine_batch")]
-            assert batched
-            assert any(c.get("batch_accesses", 0) > 0 for c in batched)
+        batched = [c for c in counters if c.get("engine_batch")]
+        assert batched
+        assert any(c.get("batch_accesses", 0) > 0 for c in batched)
         assert any(c.get("engine_scalar") for c in counters)

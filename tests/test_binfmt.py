@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.trace.binfmt import (
+    DEFAULT_CHUNK_RECORDS,
     HEADER,
     MAGIC,
     UNKNOWN_COUNT,
     VERSION,
     BinaryTraceReader,
     BinaryTraceWriter,
+    index_path_for,
     is_binary_trace,
     read_header,
     read_trace_bin,
@@ -31,6 +33,50 @@ def sample_trace(n, cores=4):
                      else AccessType.READ)
         for i in range(n)
     ]
+
+
+class TestRecordArrays:
+    """A packed record array writes the bytes the equal records write."""
+
+    @pytest.mark.parametrize("codec", ["none", "gzip"])
+    def test_write_trace_bin_accepts_an_array(self, tmp_path, codec):
+        from repro.engine.trace_array import records_to_array
+
+        trace = sample_trace(DEFAULT_CHUNK_RECORDS + 300)
+        records = tmp_path / "records.rptr"
+        packed = tmp_path / "packed.rptr"
+        assert write_trace_bin(records, trace, num_cores=4, codec=codec) \
+            == len(trace)
+        assert write_trace_bin(packed, records_to_array(trace), num_cores=4,
+                               codec=codec) == len(trace)
+        assert packed.read_bytes() == records.read_bytes()
+        assert (index_path_for(packed).read_bytes()
+                == index_path_for(records).read_bytes())
+
+    def test_arrays_and_records_mix_across_chunk_boundaries(self, tmp_path):
+        from repro.engine.trace_array import records_to_array
+
+        trace = sample_trace(2 * DEFAULT_CHUNK_RECORDS + 50)
+        reference = tmp_path / "reference.rptr"
+        mixed = tmp_path / "mixed.rptr"
+        write_trace_bin(reference, trace, compress=True)
+        cut_a, cut_b = 1000, DEFAULT_CHUNK_RECORDS + 7
+        with BinaryTraceWriter(mixed, compress=True) as writer:
+            writer.write_all(trace[:cut_a])
+            writer.write_all(records_to_array(trace[cut_a:cut_b]))
+            writer.write(trace[cut_b])
+            writer.write_all(records_to_array(trace[cut_b + 1:]))
+            assert writer.count == len(trace)
+        assert mixed.read_bytes() == reference.read_bytes()
+
+    def test_read_all_array_matches_read_all(self, tmp_path):
+        from repro.engine.trace_array import array_to_records
+
+        trace = sample_trace(500)
+        path = tmp_path / "t.rptr"
+        write_trace_bin(path, trace)
+        array = BinaryTraceReader(path).read_all_array()
+        assert array_to_records(array) == trace == read_trace_bin(path)
 
 
 class TestRoundTrip:

@@ -142,6 +142,22 @@ class TestStore:
         assert sequence_token(mutated) != base
         assert sequence_token(list(trace)) == base
 
+    def test_sequence_token_ignores_the_representation(self, profile):
+        """A packed record array and the equal record list share a token,
+        and the record token is the repr digest it has always been."""
+        import hashlib
+
+        from repro.engine.trace_array import records_to_array
+        from repro.sampling.checkpoints import sequence_token
+
+        trace = SyntheticWorkload(profile, num_cores=2, seed=1).generate(500)
+        digest = hashlib.sha256()
+        for access in trace:
+            digest.update(repr(tuple(access)).encode("utf-8"))
+        expected = f"sequence:n=500;sha256={digest.hexdigest()}"
+        assert sequence_token(trace) == expected
+        assert sequence_token(records_to_array(trace)) == expected
+
     def test_executor_sampled_path_uses_trace_identity(
             self, tmp_path, monkeypatch, profile, config, sampling):
         """The sweep executor injects the canonical trace and must key the

@@ -23,20 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    numpy_available,
-    records_to_array,
-    select_kernel,
-    set_batch_enabled,
-)
+from repro.engine import records_to_array, select_kernel, set_batch_enabled
 from repro.search.space import candidate_spec, default_space
 from repro.sim.registry import DesignBuildContext
 from repro.utils.units import parse_size
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profile import WorkloadProfile
-
-pytestmark = pytest.mark.skipif(not numpy_available(),
-                                reason="numpy not installed")
 
 #: A 64KB simulated cache against 2MB working sets: every set fills,
 #: evicts and writes back within a few hundred accesses.

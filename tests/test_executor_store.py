@@ -9,6 +9,7 @@ serially and in parallel.
 import pytest
 
 from repro.sim.executor import (
+    cached_trace,
     clear_caches,
     get_trace_store,
     run_sweep,
@@ -112,6 +113,57 @@ class TestStoreBackedSweeps:
         clear_caches()
         results = run_sweep(fig6_spec)  # must not raise
         assert len(results) == len(fig6_spec)
+
+
+class TestOneTraceType:
+    """cached_trace hands every caller the same packed record array."""
+
+    def test_every_path_returns_the_same_array(self, store_root,
+                                               tiny_profile, monkeypatch,
+                                               tmp_path):
+        from repro.engine.trace_array import RECORD_DTYPE, array_to_records
+
+        runner = ExperimentRunner(ExperimentConfig(scale=64,
+                                                   num_accesses=2500,
+                                                   num_cores=4))
+        expected = runner.build_trace(tiny_profile)
+        store = get_trace_store()
+
+        miss = cached_trace(runner, tiny_profile)
+        assert store.stats.writes == 1
+        clear_caches()
+        hit = cached_trace(runner, tiny_profile)
+        assert store.stats.hits == 1
+
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(blocker / "nested"))
+        clear_caches()
+        unwritable = cached_trace(runner, tiny_profile)
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        clear_caches()
+        no_store = cached_trace(runner, tiny_profile)
+
+        for trace in (miss, hit, unwritable, no_store):
+            assert trace.dtype == RECORD_DTYPE
+            assert trace.tobytes() == miss.tobytes()
+        assert array_to_records(miss) == expected
+
+    def test_trace_file_workload_returns_the_array(self, store_root,
+                                                   tiny_profile, tmp_path):
+        from repro.trace.binfmt import write_trace_bin
+        from repro.workloads.tracefile import TraceFileWorkload
+
+        runner = ExperimentRunner(ExperimentConfig(scale=64,
+                                                   num_accesses=2000,
+                                                   num_cores=4))
+        synthetic = cached_trace(runner, tiny_profile)
+        path = tmp_path / "tiny.rptr"
+        write_trace_bin(path, synthetic, num_cores=4)
+        from_file = cached_trace(runner, TraceFileWorkload(str(path)))
+        assert from_file.dtype == synthetic.dtype
+        assert from_file.tobytes() == synthetic.tobytes()
 
 
 class TestTraceFileWorkloads:

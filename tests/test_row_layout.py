@@ -113,3 +113,50 @@ class TestAlternativeOrganizations:
                 offset = layout.block_offset(frame, block)
                 assert 0 <= offset
                 assert offset + 64 <= layout.row_bytes
+
+
+class TestFrameTables:
+    """The page organizations' device-address tables, built in closed form,
+    equal a per-frame build from the row-layout methods."""
+
+    ROW_BYTES = 8192
+
+    @pytest.mark.parametrize("capacity", [64 * 8192, 512 * 8192])
+    @pytest.mark.parametrize("associativity", [4, 32])
+    def test_dram_page_tables(self, capacity, associativity):
+        from repro.dramcache.components import DramPageTags
+
+        tags = DramPageTags(UnisonCacheConfig(capacity=capacity,
+                                              associativity=associativity))
+        layout = tags.layout
+        table = tags.frame_addresses(self.ROW_BYTES)
+        frames = range(tags.num_sets * tags.associativity)
+        bases = [layout.frame_row(f) * self.ROW_BYTES for f in frames]
+        assert table.data == [
+            base + layout.block_offset(f, 0) for f, base in zip(frames, bases)]
+        assert table.presence == [
+            base + layout.presence_metadata_offset(f)
+            for f, base in zip(frames, bases)]
+        assert table.metadata == [
+            base + layout.other_metadata_offset(f)
+            for f, base in zip(frames, bases)]
+        assert table.tag_read == [
+            bases[layout.frame_index(s, 0)]
+            + layout.presence_metadata_offset(layout.frame_index(s, 0))
+            for s in range(tags.num_sets)]
+
+    @pytest.mark.parametrize("capacity", ["1MB", "4MB"])
+    @pytest.mark.parametrize("associativity", [4, 32])
+    def test_sram_page_tables(self, capacity, associativity):
+        from repro.config.cache_configs import FootprintCacheConfig
+        from repro.dramcache.components import SramPageTags
+
+        tags = SramPageTags(FootprintCacheConfig(capacity=capacity,
+                                                 associativity=associativity))
+        table = tags.frame_addresses(self.ROW_BYTES)
+        expected = []
+        for set_index in range(tags.num_sets):
+            for way in range(tags.associativity):
+                row, page_base = tags._row_of(set_index, way)
+                expected.append(row * self.ROW_BYTES + page_base)
+        assert table.data == expected

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import numpy_available, records_to_array, select_kernel
+from repro.engine import records_to_array, select_kernel
 from repro.engine import set_batch_enabled, warm_design
 from repro.search.space import candidate_spec, default_space
 from repro.sim.registry import DesignBuildContext
@@ -101,7 +101,6 @@ def test_kernel_coverage():
             for combo in scalar} == {("dram-page", "rrip")}
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @pytest.mark.parametrize("combo", KERNEL_COMBOS, ids=_combo_id)
 def test_kernel_matches_scalar(combo, trace):
     scalar = _build(combo)

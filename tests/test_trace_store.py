@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.engine.trace_array import array_to_records
 from repro.trace.binfmt import read_header
 from repro.trace.store import (
     TraceStore,
@@ -13,6 +14,10 @@ from repro.trace.store import (
 )
 from repro.workloads.generator import GENERATOR_VERSION
 from repro.workloads.profile import WorkloadProfile
+
+
+#: Bytes of the binary trace header (the payload follows it).
+HEADER_SIZE = 20
 
 
 def make_trace(n):
@@ -73,7 +78,7 @@ class TestHitMiss:
         store.put(key, trace, num_cores=4)
         assert store.stats.writes == 1
         assert store.contains(key)
-        assert store.load(key) == trace
+        assert array_to_records(store.load(key)) == trace
         assert store.stats.hits == 1
 
     def test_put_chunks_collect(self, store, profile):
@@ -81,8 +86,8 @@ class TestHitMiss:
         trace = make_trace(100)
         chunks = [trace[:40], trace[40:80], trace[80:]]
         collected = store.put_chunks(key, chunks, num_cores=4, collect=True)
-        assert collected == trace
-        assert store.load(key) == trace
+        assert array_to_records(collected) == trace
+        assert array_to_records(store.load(key)) == trace
 
     def test_put_chunks_without_collect(self, store, profile):
         key = store.key(profile, 128, 4, 1, 10)
@@ -113,6 +118,40 @@ class TestHitMiss:
         hits_before = store.stats.hits
         assert store.load(key) is None
         assert store.stats.hits == hits_before  # counted as a miss
+        assert not path.exists()  # quarantined
+
+    def test_load_returns_the_packed_record_array(self, store, profile):
+        from repro.engine.trace_array import RECORD_DTYPE, records_to_array
+
+        key = store.key(profile, 128, 4, 1, 30)
+        trace = make_trace(30)
+        collected = store.put_chunks(key, [trace[:12], trace[12:]],
+                                     collect=True)
+        loaded = store.load(key)
+        for array in (collected, loaded):
+            assert array.dtype == RECORD_DTYPE
+            assert array.tobytes() == records_to_array(trace).tobytes()
+
+    @pytest.mark.parametrize("damage", ["partial-record", "bad-access-type",
+                                        "short-count"])
+    def test_damaged_records_treated_as_miss(self, tmp_path, profile,
+                                             damage):
+        """Payloads that read back but hold no valid trace are dropped."""
+        from repro.trace.binfmt import RECORD
+
+        store = TraceStore(root=tmp_path / "raw", compress=False)
+        key = store.key(profile, 128, 4, 1, 20)
+        store.put(key, make_trace(20))
+        path = store.path_for(key)
+        blob = bytearray(path.read_bytes())
+        if damage == "partial-record":
+            blob += b"\x00" * (RECORD.size - 1)
+        elif damage == "bad-access-type":
+            blob[HEADER_SIZE + RECORD.size - 1] = 7  # first record's type
+        else:
+            del blob[-RECORD.size:]
+        path.write_bytes(bytes(blob))
+        assert store.load(key) is None
         assert not path.exists()  # quarantined
 
     def test_no_partial_files_after_put(self, store, profile):

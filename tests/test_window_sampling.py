@@ -6,6 +6,7 @@ from repro.sampling import SamplingConfig, WindowedSampler, plan_windows
 from repro.sampling.windows import PLACEMENT_RANDOM, PLACEMENT_SYSTEMATIC
 from repro.sim.executor import run_sweep, run_trial
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
 
 
@@ -264,3 +265,116 @@ class TestSweepWiring:
         path = tmp_path / "sampled.json"
         results.to_json(path)
         assert ResultSet.from_json(path) == results
+
+
+class TestWindowBaselines:
+    """Each window's no-cache baseline replays once per trace and window."""
+
+    DESIGNS = ("unison", "alloy", "footprint")
+
+    @pytest.fixture
+    def fixed_sampling(self):
+        return SamplingConfig(window_accesses=1_000, warmup_accesses=500,
+                              checkpoint_accesses=4_000, min_windows=3,
+                              max_windows=3)
+
+    @pytest.fixture
+    def baseline_replays(self, monkeypatch):
+        """Accesses each no-cache baseline replay serviced, in call order."""
+        from repro.baselines.no_cache import NoDramCache
+
+        calls = []
+        original = NoDramCache.run
+
+        def counting(self, requests):
+            calls.append(len(requests))
+            return original(self, requests)
+
+        monkeypatch.setattr(NoDramCache, "run", counting)
+        return calls
+
+    @staticmethod
+    def _speedups(run, label):
+        return [(w.window.index, w.speedup_vs_no_cache)
+                for w in run.designs[label].windows]
+
+    @pytest.mark.parametrize("batch", [True, False],
+                             ids=["batch", "scalar"])
+    def test_shared_baselines_change_no_result(self, fast_config,
+                                               fixed_sampling, tiny_profile,
+                                               baseline_replays, batch):
+        from repro.engine import set_batch_enabled
+        from repro.sampling.checkpoints import trace_token
+        from repro.sim.executor import cached_trace, clear_caches
+
+        sampler = WindowedSampler(fixed_sampling, config=fast_config)
+        identity = trace_token(tiny_profile, fast_config)
+        set_batch_enabled(batch)
+        try:
+            clear_caches()
+            trace = cached_trace(ExperimentRunner(fast_config), tiny_profile)
+            shared = [sampler.compare([name], tiny_profile, "1GB",
+                                      trace=trace, trace_identity=identity)
+                      for name in self.DESIGNS]
+            shared_replays = list(baseline_replays)
+            grid = SweepSpec(designs=self.DESIGNS,
+                             workloads=(tiny_profile,), capacities=("1GB",),
+                             config=fast_config, sampling=fixed_sampling)
+            swept = run_sweep(grid)
+
+            cold = []
+            singles = []
+            for name in self.DESIGNS:
+                clear_caches()
+                cold.append(sampler.compare([name], tiny_profile, "1GB",
+                                            trace=trace,
+                                            trace_identity=identity))
+                clear_caches()
+                singles.extend(run_sweep(SweepSpec(
+                    designs=(name,), workloads=(tiny_profile,),
+                    capacities=("1GB",), config=fast_config,
+                    sampling=fixed_sampling)))
+        finally:
+            set_batch_enabled(None)
+            clear_caches()
+
+        # Three windows, one baseline replay each, shared by all designs.
+        assert shared_replays == [1_000] * 3
+        for name, warm, fresh in zip(self.DESIGNS, shared, cold):
+            assert self._speedups(warm, name) == self._speedups(fresh, name)
+            assert warm.to_resultset() == fresh.to_resultset()
+        assert swept.to_json() == ResultSet(singles).to_json()
+
+    def test_clear_caches_drops_window_baselines(self, fast_config,
+                                                 fixed_sampling,
+                                                 tiny_profile,
+                                                 baseline_replays):
+        from repro.sim import executor
+
+        executor.clear_caches()
+        sampler = WindowedSampler(fixed_sampling, config=fast_config)
+        sampler.compare(["alloy"], tiny_profile, "1GB")
+        windows = [key for key in executor._BASELINE_CACHE
+                   if isinstance(key[0], str)]
+        assert len(windows) == 3
+        sampler.compare(["unison"], tiny_profile, "1GB")
+        assert len(baseline_replays) == 3  # the second run replayed none
+
+        executor.clear_caches()
+        assert executor._BASELINE_CACHE == {}
+        sampler.compare(["unison"], tiny_profile, "1GB")
+        assert len(baseline_replays) == 6
+
+    def test_stream_without_identity_is_not_cached(self, fast_config,
+                                                   fixed_sampling,
+                                                   tiny_profile,
+                                                   baseline_replays):
+        from repro.sim import executor
+
+        executor.clear_caches()
+        trace = ExperimentRunner(fast_config).build_trace(tiny_profile)
+        sampler = WindowedSampler(fixed_sampling, config=fast_config)
+        for name in ("unison", "alloy"):
+            sampler.compare([name], tiny_profile, "1GB", trace=trace)
+        assert len(baseline_replays) == 6
+        assert executor._BASELINE_CACHE == {}
