@@ -13,9 +13,13 @@ counters.  :func:`_bind` closes over those lists and returns the access
 arithmetic once, as :class:`DramOps`: ``access`` serves one request;
 ``burst`` and ``read_pair`` are fused forms of repeated ``access`` calls,
 bit-identical to them, that the batch kernels
-(:mod:`repro.engine.kernels`) call directly.  A controller whose
-``access`` is overridden or wrapped hands the kernels operations that call
-it once per device op instead (:meth:`DramController.ops`).  The lists are the
+(:mod:`repro.engine.kernels`) call directly.  They serve each same-row run
+of device ops -- a page's blocks, or a tag read and the data beside it --
+with one ``access`` for the run's first op and one closed-form update for
+the row hits behind it, instead of one ``access`` per op.  A controller
+whose ``access`` is overridden or wrapped hands the kernels operations
+that call it once per device op instead (:meth:`DramController.ops`), so
+instrumented runs never take the closed form.  The lists are the
 controller's warm state (``_STATE_ATTRS``): a design snapshot copies them
 and a restore writes them back in place, so the bound closures stay valid
 across restores.  The closures are never pickled:
@@ -25,6 +29,7 @@ use, so it always serves accesses on its own lists.
 
 from __future__ import annotations
 
+from math import ceil
 from typing import Callable, List, NamedTuple, Optional
 
 from repro.config.system import DramChannelConfig
@@ -309,161 +314,76 @@ def _bind(controller: DramController) -> DramOps:
         c_bytes[ch] += num_bytes
 
         # DRAM to CPU cycles, rounded up.
-        return int(-(-(data_end - now) * cpu_per_dram // 1))
+        return ceil((data_end - now) * cpu_per_dram)
 
     def burst(base: int, stride: int, mask: int, num_bytes: int,
               now_cpu: int, is_write: bool) -> int:
         """One device op per set bit of ``mask``, ascending, at
-        ``base + bit_index * stride``; returns the *first* op's latency
-        (the critical block of a fetch; fills and writebacks ignore it).
+        ``base + bit_index * stride`` (``stride > 0``); returns the *first*
+        op's latency (the critical block of a fetch; fills and writebacks
+        ignore it).
 
-        Bit-identical to calling :func:`access` once per bit -- the only
-        shortcut is skipping the address decompose while consecutive ops
-        stay in the same DRAM row, which is the common case because a
-        page's blocks live in one row.
+        Bit-identical to calling :func:`access` once per bit, but served
+        one same-row run at a time: a page's blocks live in one DRAM row,
+        so a run is usually the whole mask.  The run's first op is an
+        :func:`access`; the other ``k - 1`` are row hits, applied in
+        closed form (see the comment in the loop).
         """
-        now = int(now_cpu / cpu_per_dram)
-        try:
-            transfer = transfer_cache[num_bytes]
-        except KeyError:
-            transfer = transfer_cache[num_bytes] = data_cycles(num_bytes)
         first_latency = -1
-        cur_stripe = -1
-        ch = g = row = 0
-        # Bank and channel state cached in locals across the run, flushed
-        # whenever the run leaves the row and once at the end.
-        open_row = col = act = pre = hits = miss = conf = acts = 0
-        bus = last = reads = writes = nbytes = 0
         while mask:
-            low = mask & -mask
-            mask ^= low
-            address = base + (low.bit_length() - 1) * stride
-            stripe = address // row_bytes
-            if stripe != cur_stripe:
-                if cur_stripe >= 0:
-                    b_open[g] = open_row
-                    b_col[g] = col
-                    b_act[g] = act
-                    b_pre[g] = pre
-                    b_hits[g] = hits
-                    b_miss[g] = miss
-                    b_conf[g] = conf
-                    b_acts[g] = acts
-                    c_bus[ch] = bus
-                    c_last[ch] = last
-                    c_reads[ch] = reads
-                    c_writes[ch] = writes
-                    c_bytes[ch] = nbytes
-                cur_stripe = stripe
-                ch = stripe % num_channels
-                rest = stripe // num_channels
-                row = rest // banks_per_channel
-                g = ch * banks_per_channel + rest % banks_per_channel
-                open_row = b_open[g]
-                col = b_col[g]
-                act = b_act[g]
-                pre = b_pre[g]
-                hits = b_hits[g]
-                miss = b_miss[g]
-                conf = b_conf[g]
-                acts = b_acts[g]
-                bus = c_bus[ch]
-                last = c_last[ch]
-                reads = c_reads[ch]
-                writes = c_writes[ch]
-                nbytes = c_bytes[ch]
-
-            if open_row == row:
-                hits += 1
-                column_issue = col
-                if now > column_issue:
-                    column_issue = now
-                next_column = column_issue
-            else:
-                issue_time = last + t_rrd
-                if now > issue_time:
-                    issue_time = now
-                rec = c_recent[ch]
-                if len(rec) == faw_window:
-                    faw_ready = rec[0] + t_faw
-                    if faw_ready > issue_time:
-                        issue_time = faw_ready
-                    del rec[0]
-                rec.append(issue_time)
-                last = issue_time
-
-                next_activate = act
-                if open_row >= 0:
-                    conf += 1
-                    precharge_issue = pre
-                    if issue_time > precharge_issue:
-                        precharge_issue = issue_time
-                    ready = precharge_issue + t_rp
-                    if ready > next_activate:
-                        next_activate = ready
-                else:
-                    miss += 1
-                    ready = issue_time
-                    if next_activate > ready:
-                        ready = next_activate
-                if next_activate > ready:
-                    activate_issue = next_activate
-                else:
-                    activate_issue = ready
-                open_row = row
-                acts += 1
-                act = activate_issue + t_rc
-                pre = activate_issue + t_ras
-                column_ready = activate_issue + t_rcd
-                next_column = col
-                if column_ready > next_column:
-                    next_column = column_ready
-                column_issue = next_column
-                if now > column_issue:
-                    column_issue = now
-
-            if is_write:
-                data_start = column_issue
-                horizon = column_issue + t_wr
-                if horizon > pre:
-                    pre = horizon
-                horizon = column_issue + t_wtr
-                if horizon > next_column:
-                    next_column = horizon
-                writes += 1
-            else:
-                data_start = column_issue + t_cas
-                horizon = column_issue + t_rtp
-                if horizon > pre:
-                    pre = horizon
-                horizon = column_issue + 1
-                if horizon > next_column:
-                    next_column = horizon
-                reads += 1
-            col = next_column
-
-            if bus > data_start:
-                data_start = bus
-            data_end = data_start + transfer
-            bus = data_end
-            nbytes += num_bytes
+            first = (mask & -mask).bit_length() - 1
+            address = base + first * stride
+            latency = access(address, num_bytes, now_cpu, is_write)
             if first_latency < 0:
-                first_latency = int(-(-(data_end - now) * cpu_per_dram
-                                      // 1))
-        if cur_stripe >= 0:
-            b_open[g] = open_row
-            b_col[g] = col
-            b_act[g] = act
-            b_pre[g] = pre
-            b_hits[g] = hits
-            b_miss[g] = miss
-            b_conf[g] = conf
-            b_acts[g] = acts
-            c_bus[ch] = bus
-            c_last[ch] = last
-            c_reads[ch] = reads
-            c_writes[ch] = writes
-            c_bytes[ch] = nbytes
+                first_latency = latency
+            # The run: the bits whose addresses fall in the first op's
+            # stripe, i.e. below bit ``end``, the first index past the row.
+            stripe = address // row_bytes
+            end = first - (address - (stripe + 1) * row_bytes) // stride
+            run = mask & ((1 << end) - 1)
+            mask ^= run
+            rest = run.bit_count() - 1
+            if not rest:
+                continue
+            # The run's other ``rest`` ops (k = rest + 1 in all) are row
+            # hits.  After the first op the bank's next column slot c1 + step
+            # lies past ``now`` (c1 >= now), so op j issues at
+            # c_j = c1 + (j - 1) * step: step 1 for reads, tWTR for writes.
+            # Op j's data starts at max(bus, c_j + d), d = tCAS for reads
+            # and 0 for writes, and takes T >= 1 cycles, so the run leaves
+            # the bus at max(bus + rest * T, max over j >= 2 of
+            # c_j + d + (k - j + 1) * T), ``bus`` as the first op left it.
+            # The inner term is linear in j.  For step >= T it peaks at the
+            # last op, c_k + d + T.  For step < T it peaks at j = 2, at
+            # c1 + step + d + rest * T, which is below bus + rest * T since
+            # the first op left bus >= c1 + d + T.  So
+            # max(bus + rest * T, c_k + d + T) is exact in both regimes; for
+            # reads (step 1 <= T) it is always bus + rest * T.
+            ch = stripe % num_channels
+            g = (ch * banks_per_channel
+                 + stripe // num_channels % banks_per_channel)
+            try:
+                transfer = transfer_cache[num_bytes]
+            except KeyError:
+                transfer = transfer_cache[num_bytes] = data_cycles(num_bytes)
+            bus_end = c_bus[ch] + rest * transfer
+            if is_write:
+                last_issue = b_col[g] + (rest - 1) * t_wtr
+                b_col[g] = last_issue + t_wtr
+                horizon = last_issue + t_wr
+                if last_issue + transfer > bus_end:
+                    bus_end = last_issue + transfer
+                c_writes[ch] += rest
+            else:
+                last_issue = b_col[g] + rest - 1
+                b_col[g] = last_issue + 1
+                horizon = last_issue + t_rtp
+                c_reads[ch] += rest
+            if horizon > b_pre[g]:
+                b_pre[g] = horizon
+            c_bus[ch] = bus_end
+            b_hits[g] += rest
+            c_bytes[ch] += rest * num_bytes
         return first_latency
 
     def read_pair(addr_a: int, bytes_a: int, addr_b: int, bytes_b: int,
@@ -471,166 +391,35 @@ def _bind(controller: DramController) -> DramOps:
         """Two reads issued at the same instant (the page-hit tag+data
         pattern); returns their serialized sum or overlapped max.
 
-        Bit-identical to two :func:`access` calls; fused to share the
-        clock-domain conversion and, when both reads land in the same DRAM
-        row (tags live beside the data in the in-DRAM layout), the address
-        decompose.
+        Bit-identical to two :func:`access` calls.  When B lands in A's
+        DRAM row (tags live beside the data in the in-DRAM layout), B is
+        the two-read run of :func:`burst` in closed form: a row hit that
+        issues one cycle after A and ends one B-transfer after A's data.
         """
-        now = int(now_cpu / cpu_per_dram)
-        stripe_a = addr_a // row_bytes
-        ch = stripe_a % num_channels
-        rest = stripe_a // num_channels
-        row = rest // banks_per_channel
-        g = ch * banks_per_channel + rest % banks_per_channel
-
-        # ---- read A --------------------------------------------------- #
-        if b_open[g] == row:
-            b_hits[g] += 1
-            column_issue = b_col[g]
-            if now > column_issue:
-                column_issue = now
-            next_column = column_issue
+        latency_a = access(addr_a, bytes_a, now_cpu, False)
+        stripe = addr_a // row_bytes
+        if addr_b // row_bytes != stripe:
+            latency_b = access(addr_b, bytes_b, now_cpu, False)
         else:
-            issue_time = c_last[ch] + t_rrd
-            if now > issue_time:
-                issue_time = now
-            rec = c_recent[ch]
-            if len(rec) == faw_window:
-                faw_ready = rec[0] + t_faw
-                if faw_ready > issue_time:
-                    issue_time = faw_ready
-                del rec[0]
-            rec.append(issue_time)
-            c_last[ch] = issue_time
-
-            next_activate = b_act[g]
-            if b_open[g] >= 0:
-                b_conf[g] += 1
-                precharge_issue = b_pre[g]
-                if issue_time > precharge_issue:
-                    precharge_issue = issue_time
-                ready = precharge_issue + t_rp
-                if ready > next_activate:
-                    next_activate = ready
-            else:
-                b_miss[g] += 1
-                ready = issue_time
-                if next_activate > ready:
-                    ready = next_activate
-            if next_activate > ready:
-                activate_issue = next_activate
-            else:
-                activate_issue = ready
-            b_open[g] = row
-            b_acts[g] += 1
-            b_act[g] = activate_issue + t_rc
-            b_pre[g] = activate_issue + t_ras
-            column_ready = activate_issue + t_rcd
-            next_column = b_col[g]
-            if column_ready > next_column:
-                next_column = column_ready
-            column_issue = next_column
-            if now > column_issue:
-                column_issue = now
-
-        data_start = column_issue + t_cas
-        horizon = column_issue + t_rtp
-        if horizon > b_pre[g]:
-            b_pre[g] = horizon
-        horizon = column_issue + 1
-        if horizon > next_column:
-            next_column = horizon
-        c_reads[ch] += 1
-        b_col[g] = next_column
-
-        try:
-            transfer = transfer_cache[bytes_a]
-        except KeyError:
-            transfer = transfer_cache[bytes_a] = data_cycles(bytes_a)
-        if c_bus[ch] > data_start:
-            data_start = c_bus[ch]
-        data_end = data_start + transfer
-        c_bus[ch] = data_end
-        c_bytes[ch] += bytes_a
-        latency_a = int(-(-(data_end - now) * cpu_per_dram // 1))
-
-        # ---- read B --------------------------------------------------- #
-        stripe_b = addr_b // row_bytes
-        if stripe_b != stripe_a:
-            ch = stripe_b % num_channels
-            rest = stripe_b // num_channels
-            row = rest // banks_per_channel
-            g = ch * banks_per_channel + rest % banks_per_channel
-
-        if b_open[g] == row:
-            b_hits[g] += 1
+            ch = stripe % num_channels
+            g = (ch * banks_per_channel
+                 + stripe // num_channels % banks_per_channel)
             column_issue = b_col[g]
-            if now > column_issue:
-                column_issue = now
-            next_column = column_issue
-        else:
-            issue_time = c_last[ch] + t_rrd
-            if now > issue_time:
-                issue_time = now
-            rec = c_recent[ch]
-            if len(rec) == faw_window:
-                faw_ready = rec[0] + t_faw
-                if faw_ready > issue_time:
-                    issue_time = faw_ready
-                del rec[0]
-            rec.append(issue_time)
-            c_last[ch] = issue_time
-
-            next_activate = b_act[g]
-            if b_open[g] >= 0:
-                b_conf[g] += 1
-                precharge_issue = b_pre[g]
-                if issue_time > precharge_issue:
-                    precharge_issue = issue_time
-                ready = precharge_issue + t_rp
-                if ready > next_activate:
-                    next_activate = ready
-            else:
-                b_miss[g] += 1
-                ready = issue_time
-                if next_activate > ready:
-                    ready = next_activate
-            if next_activate > ready:
-                activate_issue = next_activate
-            else:
-                activate_issue = ready
-            b_open[g] = row
-            b_acts[g] += 1
-            b_act[g] = activate_issue + t_rc
-            b_pre[g] = activate_issue + t_ras
-            column_ready = activate_issue + t_rcd
-            next_column = b_col[g]
-            if column_ready > next_column:
-                next_column = column_ready
-            column_issue = next_column
-            if now > column_issue:
-                column_issue = now
-
-        data_start = column_issue + t_cas
-        horizon = column_issue + t_rtp
-        if horizon > b_pre[g]:
-            b_pre[g] = horizon
-        horizon = column_issue + 1
-        if horizon > next_column:
-            next_column = horizon
-        c_reads[ch] += 1
-        b_col[g] = next_column
-
-        try:
-            transfer = transfer_cache[bytes_b]
-        except KeyError:
-            transfer = transfer_cache[bytes_b] = data_cycles(bytes_b)
-        if c_bus[ch] > data_start:
-            data_start = c_bus[ch]
-        data_end = data_start + transfer
-        c_bus[ch] = data_end
-        c_bytes[ch] += bytes_b
-        latency_b = int(-(-(data_end - now) * cpu_per_dram // 1))
+            b_col[g] = column_issue + 1
+            horizon = column_issue + t_rtp
+            if horizon > b_pre[g]:
+                b_pre[g] = horizon
+            try:
+                transfer = transfer_cache[bytes_b]
+            except KeyError:
+                transfer = transfer_cache[bytes_b] = data_cycles(bytes_b)
+            data_end = c_bus[ch] + transfer
+            c_bus[ch] = data_end
+            b_hits[g] += 1
+            c_reads[ch] += 1
+            c_bytes[ch] += bytes_b
+            latency_b = ceil((data_end - int(now_cpu / cpu_per_dram))
+                             * cpu_per_dram)
 
         if serialized:
             return latency_a + latency_b

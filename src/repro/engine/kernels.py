@@ -443,7 +443,7 @@ def _direct_mapped_kernel(design, cols) -> None:
     observe_allocation = tags.observe_allocation
 
     s_access = design.stacked.controller.ops().access
-    m_access = design.memory.controller.ops().access
+    m_access, m_burst, _ = design.memory.controller.ops()
     srow_bytes = design.stacked.row_bytes
     m_read = m_written = m_req = 0
 
@@ -562,19 +562,9 @@ def _direct_mapped_kernel(design, cols) -> None:
         # Multi-block footprint (hybrid): fetch the region, install each
         # block into its own direct-mapped frame.
         base_block = page * bpp
-        value = footprint
-        low = value & -value
-        latency = lookup_lat + m_access(
-            (base_block + low.bit_length() - 1) * BLOCK_SIZE, BLOCK_SIZE,
-            now, False)
-        m_read += 1
-        value ^= low
-        while value:
-            low = value & -value
-            m_access((base_block + low.bit_length() - 1) * BLOCK_SIZE,
-                     BLOCK_SIZE, now, False)
-            m_read += 1
-            value ^= low
+        latency = lookup_lat + m_burst(base_block * BLOCK_SIZE, BLOCK_SIZE,
+                                       footprint, BLOCK_SIZE, now, False)
+        m_read += footprint.bit_count()
         m_req += 1
 
         value = footprint
@@ -636,7 +626,7 @@ def _missmap_kernel(design, cols) -> None:
     on_fill = replacement.on_fill
     choose_victim = replacement.victim
 
-    s_access = design.stacked.controller.ops().access
+    s_access, _, s_pair = design.stacked.controller.ops()
     m_access = design.memory.controller.ops().access
     srow_bytes = design.stacked.row_bytes
     m_read = m_written = m_req = 0
@@ -688,11 +678,11 @@ def _missmap_kernel(design, cols) -> None:
                 lru_rec[frame] = clock
             else:
                 on_access(set_index, way)
-            latency = mm_latency + s_access(set_index * srow_bytes,
-                                            tag_read_bytes, now, False)
-            latency += s_access(set_index * srow_bytes
-                                + (tag_blocks + way) * block_bytes,
-                                block_bytes, now, False)
+            row_base = set_index * srow_bytes
+            latency = mm_latency + s_pair(
+                row_base, tag_read_bytes,
+                row_base + (tag_blocks + way) * block_bytes, block_bytes,
+                now, True)
             if predicted_miss:
                 # The (wrongly) issued parallel off-chip read.
                 m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)

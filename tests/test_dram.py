@@ -1,12 +1,11 @@
 """Tests for the DRAM timing model: timings and the flat-state controller."""
 
-import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config.system import SystemConfig
+from repro.config.system import DramChannelConfig, SystemConfig
 from repro.dram.controller import DramController
 from repro.dram.timing import DramTimings
 
@@ -278,7 +277,12 @@ def golden_sequence(config):
 
 #: ``golden_sequence`` replayed through the Bank/Channel object model the
 #: flat controller replaced: every latency and the final per-bank and
-#: per-channel counters.
+#: per-channel counters.  The stock channels run at dyadic CPU-per-DRAM
+#: clock ratios (3.0 GHz over 800 and 1600 MHz: 3.75 and 1.875), where
+#: rounding latencies up to CPU cycles is exact; the 667 MHz channel under
+#: a 2.6 GHz CPU (3.898... CPU cycles per DRAM cycle) pins that round-up
+#: where float rounding matters.  It was recorded with the flat controller
+#: while it still rounded up as ``int(-(-x // 1))``.
 GOLDEN = {
     "stacked_dram": {
         "latencies": [
@@ -362,7 +366,60 @@ GOLDEN = {
         "bytes_transferred": [77984],
         "requests": 300,
     },
+    "stacked_dram_667mhz_cpu_2.6ghz": {
+        "latencies": [
+            94, 63, 51, 51, 51, 51, 51, 51, 51, 51, 51, 51, 51, 51, 51, 51,
+            16, 8, 8, 8, 8, 8, 8, 8, 94, 242, 386, 531, 632, 819, 967, 1111,
+            1256, 1357, 1544, 1692, 1836, 1981, 2082, 2269, 2417, 2562, 2706,
+            2807, 2998, 3142, 3287, 3431, 597, 605, 612, 616, 624, 632, 636,
+            644, 441, 449, 457, 460, 468, 476, 480, 488, 293, 301, 308, 312,
+            320, 328, 332, 340, 293, 269, 223, 336, 51, 51, 344, 223, 336, 90,
+            137, 102, 59, 94, 59, 75, 94, 156, 94, 379, 359, 94, 355, 344,
+            246, 246, 137, 121, 137, 379, 59, 164, 59, 94, 227, 137, 137, 453,
+            332, 347, 102, 176, 160, 102, 145, 75, 90, 164, 195, 137, 98, 117,
+            347, 250, 47, 47, 94, 117, 59, 117, 75, 51, 160, 137, 94, 137, 94,
+            160, 32, 94, 133, 51, 8, 379, 102, 133, 51, 94, 117, 117, 160, 16,
+            137, 137, 133, 160, 145, 117, 102, 8, 156, 137, 137, 164, 133,
+            133, 8, 145, 137, 145, 137, 137, 336, 106, 145, 137, 90, 94, 94,
+            156, 137, 168, 133, 160, 137, 141, 133, 410, 137, 137, 137, 133,
+            90, 379, 242, 137, 160, 8, 137, 258, 145, 94, 137, 160, 192, 207,
+            133, 203, 133, 336, 137, 156, 230, 305, 363, 133, 51, 301, 137,
+            137, 59, 75, 133, 336, 472, 628, 160, 47, 133, 227, 230, 8, 137,
+            379, 137, 301, 160, 114, 121, 51, 90, 137, 145, 137, 133, 51, 160,
+            145, 51, 168, 145, 94, 137, 137, 133, 94, 137, 137, 227, 223, 160,
+            137, 145, 145, 137, 59, 160, 94, 379, 379, 145, 492, 379, 402,
+            616, 145, 570, 289, 137, 133, 137, 234, 160, 51, 336, 32, 293,
+            133, 137, 137, 379, 153, 394, 160, 75, 164, 110, 230
+        ],
+        "activations": [
+            28, 6, 6, 10, 6, 9, 13, 5, 8, 9, 5, 5, 5, 9, 4, 7, 6, 5, 5, 2, 6,
+            3, 9, 7, 12, 3, 17, 4, 4, 4, 6, 5
+        ],
+        "row_hits": [
+            2, 2, 3, 3, 0, 1, 1, 1, 3, 27, 2, 0, 0, 2, 0, 3, 2, 1, 1, 1, 2, 0,
+            0, 3, 0, 2, 0, 0, 3, 1, 0, 1
+        ],
+        "row_misses": [
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+        ],
+        "row_conflicts": [
+            27, 5, 5, 9, 5, 8, 12, 4, 7, 8, 4, 4, 4, 8, 3, 6, 5, 4, 4, 1, 5,
+            2, 8, 6, 11, 2, 16, 3, 3, 3, 5, 4
+        ],
+        "reads": [81, 62, 42, 43],
+        "writes": [15, 27, 11, 19],
+        "bytes_transferred": [21600, 23072, 13088, 20224],
+        "requests": 300,
+    },
 }
+
+
+def _golden_controller(name) -> DramController:
+    if name == "stacked_dram_667mhz_cpu_2.6ghz":
+        config = replace(SystemConfig().stacked_dram, frequency_mhz=667.0)
+        return DramController(config, cpu_frequency_ghz=2.6)
+    return DramController(getattr(SystemConfig(), name))
 
 
 class TestGoldenPin:
@@ -371,7 +428,7 @@ class TestGoldenPin:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_matches_object_model(self, name):
         expected = GOLDEN[name]
-        controller = DramController(getattr(SystemConfig(), name))
+        controller = _golden_controller(name)
         latencies = [controller.access(address, num_bytes, now, is_write)
                      for address, num_bytes, now, is_write
                      in golden_sequence(controller.config)]
@@ -383,34 +440,103 @@ class TestGoldenPin:
         assert controller.total_requests == expected["requests"]
 
 
-_CONFIGS = ("stacked_dram", "offchip_dram")
+#: The two stock channels at the stock 3 GHz CPU, and drawn ones.
+_CHANNELS = ("stacked_dram", "offchip_dram", "drawn")
+_cycles = st.integers(1, 16)
+
+
+@st.composite
+def _drawn_channel(draw):
+    """Drawn geometry and timings, and a CPU clock over the channel's.
+
+    Bus widths of 32 to 256 bits make a 64-byte transfer 8 to 1 cycles, so
+    write runs see tWTR both below and at or above the transfer time.
+    """
+    t_ras = draw(st.integers(1, 30))
+    config = DramChannelConfig(
+        name="drawn",
+        frequency_mhz=draw(st.sampled_from((667.0, 800.0, 1600.0))),
+        num_channels=draw(st.sampled_from((1, 2, 4))),
+        banks_per_rank=draw(st.sampled_from((1, 2, 8))),
+        row_buffer_bytes=draw(st.sampled_from((512, 2048, 8192))),
+        bus_width_bits=draw(st.sampled_from((32, 64, 128, 256))),
+        t_cas=draw(_cycles), t_rcd=draw(_cycles), t_rp=draw(_cycles),
+        t_ras=t_ras, t_rc=t_ras + draw(st.integers(0, 12)),
+        t_wr=draw(_cycles), t_wtr=draw(_cycles), t_rtp=draw(_cycles),
+        t_rrd=draw(_cycles), t_faw=draw(st.integers(1, 40)))
+    return config, draw(st.sampled_from((2.6, 3.0, 3.2)))
+
+
+def _channel(name):
+    if name == "drawn":
+        return _drawn_channel()
+    return st.just((getattr(SystemConfig(), name), 3.0))
+
+
 _addresses = st.integers(0, 2 ** 26)
 _sizes = st.sampled_from((32, 64, 128, 2048))
 _times = st.integers(0, 50_000)
-_bursts = st.lists(st.tuples(
-    _addresses, st.sampled_from((32, 64, 4096, 8192, 65536)),
-    st.integers(0, 2 ** 64 - 1), _sizes, _times, st.booleans()),
-    min_size=1, max_size=6)
-#: Read B lies ``delta`` bytes from read A: often in A's row, sometimes not.
-_pairs = st.lists(st.tuples(
-    _addresses, _sizes, st.integers(-16384, 16384), _sizes, _times,
-    st.booleans()), min_size=1, max_size=8)
 
 
-def _controllers(name):
-    config = getattr(SystemConfig(), name)
-    return DramController(config), DramController(config)
+def _row_runs(row_bytes):
+    """A burst whose bits span one, two or three consecutive rows, every
+    spanned row holding at least one bit."""
+
+    @st.composite
+    def draw_burst(draw):
+        base = draw(_addresses)
+        stride = draw(st.sampled_from((32, 64, 96, 128)))
+        rows = draw(st.integers(1, 3))
+        first_stripe = base // row_bytes
+        mask = bit = 0
+        for stripe in range(first_stripe, first_stripe + rows):
+            lo = bit
+            while (base + bit * stride) // row_bytes == stripe:
+                bit += 1
+            mask |= draw(st.integers(1, (1 << (bit - lo)) - 1)) << lo
+        return (base, stride, mask, draw(_sizes), draw(_times),
+                draw(st.booleans()))
+
+    return draw_burst()
+
+
+def _bursts(row_bytes):
+    anywhere = st.tuples(
+        _addresses, st.sampled_from((32, 64, 4096, 8192, 65536)),
+        st.integers(0, 2 ** 64 - 1), _sizes, _times, st.booleans())
+    return st.lists(st.one_of(anywhere, _row_runs(row_bytes)),
+                    min_size=1, max_size=6)
+
+
+def _pairs(row_bytes):
+    """Read B ``delta`` bytes from read A (often in A's row, sometimes
+    not), or at a drawn offset inside A's row."""
+    near = st.tuples(_addresses, _sizes, st.integers(-16384, 16384),
+                     _sizes, _times, st.booleans())
+    in_row = st.tuples(_addresses, _sizes, st.integers(0, row_bytes - 1),
+                       _sizes, _times, st.booleans()).map(
+        lambda t: (t[0], t[1], t[0] // row_bytes * row_bytes + t[2] - t[0])
+        + t[3:])
+    return st.lists(st.one_of(near, in_row), min_size=1, max_size=8)
+
+
+def _assert_same_state(fused, plain):
+    for attr in DramController._STATE_ATTRS:
+        assert getattr(fused, attr) == getattr(plain, attr), attr
 
 
 class TestFusedPaths:
     """``burst`` and ``read_pair`` equal the plain ``access`` calls they fuse."""
 
-    @pytest.mark.parametrize("name", _CONFIGS)
-    @given(calls=_bursts)
-    @settings(max_examples=60, deadline=None)
-    def test_burst_matches_access_per_bit(self, name, calls):
-        fused, plain = _controllers(name)
-        for base, stride, mask, num_bytes, now, is_write in calls:
+    @pytest.mark.parametrize("name", _CHANNELS)
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_burst_matches_access_per_bit(self, name, data):
+        config, ghz = data.draw(_channel(name))
+        fused = DramController(config, cpu_frequency_ghz=ghz)
+        plain = DramController(config, cpu_frequency_ghz=ghz)
+        for base, stride, mask, num_bytes, now, is_write in data.draw(
+                _bursts(config.row_buffer_bytes)):
             expected = -1
             for bit in range(mask.bit_length()):
                 if mask >> bit & 1:
@@ -420,26 +546,55 @@ class TestFusedPaths:
                         expected = latency
             assert fused.ops().burst(base, stride, mask, num_bytes, now,
                                      is_write) == expected
-        assert pickle.dumps(fused) == pickle.dumps(plain)
+        _assert_same_state(fused, plain)
 
-    @pytest.mark.parametrize("name", _CONFIGS)
-    @given(calls=_pairs)
-    @settings(max_examples=60, deadline=None)
-    def test_read_pair_matches_two_accesses(self, name, calls):
-        fused, plain = _controllers(name)
-        for addr_a, bytes_a, delta, bytes_b, now, serialized in calls:
+    @pytest.mark.parametrize("bus_width_bits, t_wtr, transfer", [
+        (32, 3, 8),     # tWTR < transfer: the bus paces the run
+        (64, 4, 4),     # tWTR == transfer
+        (256, 6, 1),    # tWTR > transfer: the column slots pace it
+    ])
+    def test_write_runs_in_both_bus_regimes(self, bus_width_bits, t_wtr,
+                                            transfer):
+        config = replace(SystemConfig().stacked_dram,
+                         bus_width_bits=bus_width_bits, t_wtr=t_wtr)
+        fused, plain = DramController(config), DramController(config)
+        assert fused.timings.data_cycles(64) == transfer
+        row = config.row_buffer_bytes
+        full = (1 << row // 64) - 1
+        # A whole row of writes, a sparse run behind it in the now-busy
+        # bus, a run that opens a second row, and a later refill.
+        calls = ((0, full, 100), (0, 0b1011 << 40, 100),
+                 (row * config.num_channels * config.banks_per_rank,
+                  0xF0F0, 100), (64, full >> 1, 5000))
+        for base, mask, now in calls:
+            expected = [plain.access(base + bit * 64, 64, now, True)
+                        for bit in range(mask.bit_length())
+                        if mask >> bit & 1][0]
+            assert fused.ops().burst(base, 64, mask, 64, now,
+                                     True) == expected
+        _assert_same_state(fused, plain)
+
+    @pytest.mark.parametrize("name", _CHANNELS)
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_read_pair_matches_two_accesses(self, name, data):
+        config, ghz = data.draw(_channel(name))
+        fused = DramController(config, cpu_frequency_ghz=ghz)
+        plain = DramController(config, cpu_frequency_ghz=ghz)
+        for addr_a, bytes_a, delta, bytes_b, now, serialized in data.draw(
+                _pairs(config.row_buffer_bytes)):
             addr_b = max(0, addr_a + delta)
             a = plain.access(addr_a, bytes_a, now)
             b = plain.access(addr_b, bytes_b, now)
             expected = a + b if serialized else max(a, b)
             assert fused.ops().read_pair(addr_a, bytes_a, addr_b, bytes_b,
                                          now, serialized) == expected
-        assert pickle.dumps(fused) == pickle.dumps(plain)
+        _assert_same_state(fused, plain)
 
-    @pytest.mark.parametrize("name", _CONFIGS)
-    @given(bursts=_bursts, pairs=_pairs)
+    @pytest.mark.parametrize("name", _CHANNELS)
+    @given(data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_overridden_access_sees_every_op(self, name, bursts, pairs):
+    def test_overridden_access_sees_every_op(self, name, data):
         class Counting(DramController):
             calls = 0
 
@@ -447,15 +602,18 @@ class TestFusedPaths:
                 self.calls += 1
                 return super().access(*args, **kwargs)
 
-        config = getattr(SystemConfig(), name)
-        counted, fused = Counting(config), DramController(config)
+        config, ghz = data.draw(_channel(name))
+        counted = Counting(config, cpu_frequency_ghz=ghz)
+        fused = DramController(config, cpu_frequency_ghz=ghz)
         issued = 0
-        for base, stride, mask, num_bytes, now, is_write in bursts:
+        for base, stride, mask, num_bytes, now, is_write in data.draw(
+                _bursts(config.row_buffer_bytes)):
             assert counted.ops().burst(base, stride, mask, num_bytes, now,
                                        is_write) == fused.ops().burst(
                 base, stride, mask, num_bytes, now, is_write)
             issued += bin(mask).count("1")
-        for addr_a, bytes_a, delta, bytes_b, now, serialized in pairs:
+        for addr_a, bytes_a, delta, bytes_b, now, serialized in data.draw(
+                _pairs(config.row_buffer_bytes)):
             addr_b = max(0, addr_a + delta)
             assert counted.ops().read_pair(
                 addr_a, bytes_a, addr_b, bytes_b, now, serialized) == (
@@ -463,8 +621,7 @@ class TestFusedPaths:
                                       now, serialized))
             issued += 2
         assert counted.calls == issued
-        for attr in DramController._STATE_ATTRS:
-            assert getattr(counted, attr) == getattr(fused, attr), attr
+        _assert_same_state(counted, fused)
 
 
 def test_kernels_route_through_a_wrapped_access(monkeypatch, tiny_trace):
