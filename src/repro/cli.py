@@ -762,7 +762,11 @@ def build_queue_parser() -> argparse.ArgumentParser:
                       help="lease duration per job (default: 300)")
     work.add_argument("--no-drain", action="store_true",
                       help="exit on the first empty lease instead of "
-                           "polling while other workers still hold jobs")
+                           "polling while other workers still hold jobs; "
+                           "a sampled cell's window jobs held back while "
+                           "its first job warms the prologue count as "
+                           "empty, so such a worker leaves them to the "
+                           "draining ones")
     work.add_argument("--throttle", type=float, default=0.0, metavar="SEC",
                       help="sleep after each job (testing/pacing)")
     return parser

@@ -42,7 +42,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.core import emit_event
 
@@ -104,6 +104,7 @@ CREATE TABLE IF NOT EXISTS jobs (
 );
 CREATE UNIQUE INDEX IF NOT EXISTS jobs_by_key ON jobs (sweep, key);
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, lease_expiry);
+CREATE INDEX IF NOT EXISTS jobs_by_trial ON jobs (sweep, trial_index, state);
 """
 
 
@@ -317,7 +318,18 @@ class JobStore:
         remaining.  ``prefer_group`` implements trace-affine placement: a
         worker that just replayed one trace asks for more jobs on the same
         trace before touching a new one.
+
+        With the checkpoint store enabled, a ``windows`` job is *held* while
+        another job of its trial is under a live lease and no job of that
+        trial is done yet: the running job is warming the trial's prologue
+        and will save it as a checkpoint, which the held siblings then load
+        instead of warming it again.  Held jobs are skipped (also by
+        ``prefer_group``); when only held jobs remain this returns ``None``
+        and the caller waits.  An expired lease holds nothing, and neither
+        does one :meth:`recover` has reclaimed.
         """
+        from repro.sampling.checkpoints import checkpoints_enabled
+
         now = time.time() if now is None else now
         eligible = (
             "((state = ? AND lease_expiry <= ?) OR"
@@ -327,6 +339,19 @@ class JobStore:
         if sweep is not None:
             eligible += " AND sweep = ?"
             params.append(sweep)
+        if checkpoints_enabled():
+            eligible += (
+                " AND NOT (kind = 'windows'"
+                " AND EXISTS (SELECT 1 FROM jobs AS sib"
+                "  WHERE sib.sweep = jobs.sweep"
+                "  AND sib.trial_index = jobs.trial_index"
+                "  AND sib.state = ? AND sib.lease_expiry > ?)"
+                " AND NOT EXISTS (SELECT 1 FROM jobs AS sib"
+                "  WHERE sib.sweep = jobs.sweep"
+                "  AND sib.trial_index = jobs.trial_index"
+                "  AND sib.state = ?))"
+            )
+            params += [LEASED, now, DONE]
         with self._txn():
             row = None
             if prefer_group is not None:
@@ -363,14 +388,15 @@ class JobStore:
         The owner guard makes completion idempotent under lease theft: when
         a slow worker finishes a job whose expired lease another worker
         already reclaimed, the late completion is a no-op (both computed the
-        same deterministic result anyway).
+        same deterministic result anyway).  A done row keeps the owner that
+        completed it, so status views can say which worker ran each job.
         """
         now = time.time() if now is None else now
         with self._txn():
             cursor = self._conn.execute(
                 "UPDATE jobs SET state = ?, result = ?, error = NULL,"
                 " finished_at = ?, run_seconds = ? - started_at,"
-                " lease_owner = NULL, lease_expiry = 0"
+                " lease_expiry = 0"
                 " WHERE sweep = ? AND seq = ? AND state = ?"
                 " AND lease_owner = ?",
                 (DONE, result, now, now, sweep, seq, LEASED, owner),
@@ -491,6 +517,16 @@ class JobStore:
         """Jobs that are neither done nor failed."""
         counts = self.counts(sweep)
         return counts[PENDING] + counts[LEASED]
+
+    def trial_counts(self, sweep: str) -> Dict[int, Tuple[int, int]]:
+        """Per trial index: ``(done jobs, total jobs)``."""
+        rows = self._conn.execute(
+            "SELECT trial_index, SUM(state = ?) AS done, COUNT(*) AS total"
+            " FROM jobs WHERE sweep = ? GROUP BY trial_index",
+            (DONE, sweep),
+        ).fetchall()
+        return {row["trial_index"]: (row["done"], row["total"])
+                for row in rows}
 
     def jobs(self, sweep: str) -> List[Job]:
         rows = self._conn.execute(

@@ -333,12 +333,18 @@ class SweepService:
         bare token recorded earlier -- picks up whatever the job store
         already holds, reclaims leases of dead workers, executes only the
         jobs that are not done, and reassembles.  A fully archived sweep
-        runs zero jobs.
+        runs zero jobs.  A bare token resumes with the window batch its
+        jobs were planned with, whatever this service's ``window_batch``.
         """
         if spec is None:
             if token is None:
                 raise ValueError("run needs a spec or a token")
             spec = self.load_spec(token)
+            batch = self._stored_window_batch(token)
+            if batch != self.window_batch:
+                service = SweepService(self.queue_dir, self.max_attempts,
+                                       self.lease_seconds, batch)
+                return service.run(spec, workers=workers, progress=progress)
         outcome = self.submit(spec)
 
         with self.archive() as archive:
@@ -351,7 +357,7 @@ class SweepService:
             store.recover(sweep=outcome.token)
             unfinished = store.unfinished(outcome.token)
         if unfinished:
-            self._execute(outcome.token, spec, workers, progress)
+            self._execute(outcome.token, spec, workers, unfinished, progress)
         else:
             self._fire_progress_all(spec, progress)
         return self.assemble(spec, token=outcome.token)
@@ -363,6 +369,17 @@ class SweepService:
         return self.run(spec=None, token=token, workers=workers,
                         progress=progress)
 
+    def _stored_window_batch(self, token: str) -> int:
+        """Windows per job of a submitted sweep (0: no window-batch jobs).
+
+        A trial's first job carries its largest batch, so the largest of
+        those re-plans every trial into the same jobs and token.
+        """
+        with self.store() as store:
+            jobs = store.jobs(token)
+        return max((len(pickle.loads(job.payload)["indices"]) for job in jobs
+                    if job.kind == "windows" and job.part == 0), default=0)
+
     # ------------------------------------------------------------------ #
     def _fire_progress_all(self, spec: SweepSpec, progress) -> None:
         if progress is None:
@@ -371,14 +388,14 @@ class SweepService:
         for index, trial in enumerate(trials):
             progress(index, len(trials), trial)
 
-    def _execute(self, token: str, spec: SweepSpec,
-                 workers: Optional[int], progress) -> None:
-        from repro.queue.worker import work
+    def _execute(self, token: str, spec: SweepSpec, workers: Optional[int],
+                 unfinished: int, progress) -> None:
+        """Drain the sweep's ``unfinished`` jobs with up to ``workers``."""
+        from repro.queue.worker import WakeSignal, work
 
         if workers is None:
             workers = os.cpu_count() or 1
-        trials = spec.trials()
-        reporter = _TrialProgress(spec, progress)
+        reporter = _TrialProgress(token, spec, progress)
         if workers <= 1:
             work(self.db_path, sweep=token,
                  lease_seconds=self.lease_seconds,
@@ -388,6 +405,7 @@ class SweepService:
             return
 
         import multiprocessing
+        from multiprocessing.connection import wait
 
         processes = [
             multiprocessing.Process(
@@ -397,17 +415,21 @@ class SweepService:
                     "sweep": token,
                     "lease_seconds": self.lease_seconds,
                     "archive_path": self.archive_path,
+                    "wake": wake,
                 },
                 daemon=True,
             )
-            for _ in range(min(workers, max(1, len(trials))))
+            for wake in WakeSignal.group(min(workers, unfinished))
         ]
         for process in processes:
             process.start()
         try:
-            while any(process.is_alive() for process in processes):
+            running = processes
+            while running:
                 reporter.poll(self)
-                time.sleep(0.1)
+                wait([process.sentinel for process in running], timeout=0.1)
+                running = [process for process in running
+                           if process.is_alive()]
         finally:
             for process in processes:
                 process.join(timeout=30.0)
@@ -490,28 +512,20 @@ class SweepService:
 class _TrialProgress:
     """Fires the per-trial progress callback as trials finish."""
 
-    def __init__(self, spec: SweepSpec, progress) -> None:
+    def __init__(self, token: str, spec: SweepSpec, progress) -> None:
+        self.token = token
         self.trials = spec.trials()
         self.progress = progress
-        self.plan = plan_sweep(spec)
-        self.parts: Dict[int, int] = {}
-        for job in self.plan.jobs:
-            self.parts[job.trial_index] = self.parts.get(job.trial_index,
-                                                         0) + 1
         self.reported: set = set()
 
     def poll(self, service: SweepService) -> None:
         if self.progress is None:
             return
         with service.store() as store:
-            done = store.done_jobs(self.plan.token)
-        finished: Dict[int, int] = {}
-        for job in done:
-            finished[job.trial_index] = finished.get(job.trial_index, 0) + 1
-        for index in sorted(finished):
-            if index in self.reported:
-                continue
-            if finished[index] == self.parts.get(index):
+            counts = store.trial_counts(self.token)
+        for index in sorted(counts):
+            done, total = counts[index]
+            if index not in self.reported and done == total:
                 self.reported.add(index)
                 self.progress(index, len(self.trials), self.trials[index])
 

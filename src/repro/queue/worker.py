@@ -13,23 +13,35 @@ The loop is deliberately boring:
    otherwise), so a worker started after a ``kill -9`` makes the lost jobs
    runnable before its first lease attempt.
 2. Lease one job, preferring the trace group of the previous job so a
-   worker that paid to materialize one trace keeps replaying it.
+   worker that paid to materialize one trace keeps replaying it.  The store
+   holds back a sampled trial's sibling window jobs while its first job is
+   still warming the prologue (:meth:`JobStore.lease`), so each prologue is
+   warmed once and then loaded from the checkpoint store.
 3. Execute the pickled payload -- a whole trial via
    :func:`repro.sim.executor.run_trial` or a batch of sampled measurement
    windows via :func:`repro.sim.executor.run_trial_windows`.
 4. Report ``complete`` (owner-guarded, so a stolen lease makes the late
    completion a harmless no-op) or ``fail`` (retries with backoff until the
-   job's attempts are exhausted).  Whole-trial results also stream into the
-   result archive immediately, making them durable before the sweep ends.
+   job's attempts are exhausted), then wake the other workers through the
+   :class:`WakeSignal` if there is one.  Whole-trial results also stream
+   into the result archive immediately, making them durable before the
+   sweep ends.
+
+When a lease comes back empty while other workers still hold jobs, a
+draining worker waits for the next completion: on its :class:`WakeSignal`,
+one of a group ``SweepService`` builds for the workers it forks, for at
+most ``poll_seconds``.  Independent ``repro queue work`` processes share no
+signal and simply re-poll every ``poll_seconds``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import time
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.obs.core import emit_event, job_context
 from repro.obs.heartbeat import worker_heartbeat
@@ -37,8 +49,44 @@ from repro.queue.jobstore import Job, JobStore, default_owner
 
 PathLike = Union[str, Path]
 
-#: How long an idle draining worker sleeps before re-polling the store.
+#: The longest an idle draining worker waits before re-polling the store.
 DEFAULT_POLL_SECONDS = 0.2
+
+
+class WakeSignal:
+    """One worker's share of completion wake-ups among forked workers.
+
+    Each worker of a group owns one counting semaphore.  :meth:`notify`
+    posts every *other* member's semaphore; :meth:`wait` takes the caller's
+    own, for at most ``timeout``, then drains the posts that piled up while
+    it was busy.  A completion that lands between an empty lease and the
+    wait has already posted, so the wait returns at once and no wake-up is
+    lost.  A post never blocks and no lock is shared between processes, so
+    a member killed at any point -- mid-wait included -- costs the others
+    nothing.  Build the group with :meth:`group` before forking and hand
+    one member to each worker.
+    """
+
+    def __init__(self, semaphores: Sequence, index: int) -> None:
+        self._semaphores = semaphores
+        self._index = index
+
+    @classmethod
+    def group(cls, size: int) -> List["WakeSignal"]:
+        semaphores = [multiprocessing.Semaphore(0) for _ in range(size)]
+        return [cls(semaphores, index) for index in range(size)]
+
+    def notify(self) -> None:
+        for index, semaphore in enumerate(self._semaphores):
+            if index != self._index:
+                semaphore.release()
+
+    def wait(self, timeout: float) -> None:
+        """Block until another member notifies, or ``timeout`` passes."""
+        own = self._semaphores[self._index]
+        if own.acquire(timeout=timeout):
+            while own.acquire(block=False):
+                pass
 
 
 def execute_job(payload: bytes) -> bytes:
@@ -80,14 +128,19 @@ def work(db_path: PathLike,
          drain: bool = True,
          throttle: float = 0.0,
          archive_path: Optional[PathLike] = None,
-         on_job: Optional[Callable[[Job], None]] = None) -> int:
+         on_job: Optional[Callable[[Job], None]] = None,
+         wake: Optional[WakeSignal] = None) -> int:
     """Lease and run jobs until there is nothing left; returns jobs run.
 
     With ``drain`` (the default) the worker keeps polling while *other*
     workers still hold unfinished jobs -- those jobs may fail and need a
-    retry -- and exits once every job of its scope is done or failed.
-    Without it, the worker exits on the first empty lease.  ``throttle``
-    sleeps after each job (test pacing); ``max_jobs`` bounds the loop.
+    retry, or may be warming a prologue that held jobs wait for -- and
+    exits once every job of its scope is done or failed.  Between polls it
+    waits on ``wake`` (posted by the other members' completions) or
+    sleeps, for at most ``poll_seconds``.  Without ``drain``, the worker
+    exits on the first empty lease, also when held window jobs remain.
+    ``throttle`` sleeps after each job (test pacing); ``max_jobs`` bounds
+    the loop.
     """
     owner = default_owner() if owner is None else owner
     executed = 0
@@ -103,7 +156,10 @@ def work(db_path: PathLike,
                     if not drain or store.unfinished(sweep) == 0:
                         break
                     heartbeat.idle()
-                    time.sleep(poll_seconds)
+                    if wake is None:
+                        time.sleep(poll_seconds)
+                    else:
+                        wake.wait(poll_seconds)
                     store.recover(sweep=sweep)
                     continue
                 last_group = job.trace_group
@@ -133,6 +189,8 @@ def work(db_path: PathLike,
                             emit_event("lease_theft", sweep=job.sweep,
                                        seq=job.seq, owner=owner,
                                        attempts=job.attempts)
+                if wake is not None:
+                    wake.notify()
                 heartbeat.finished(ok)
                 executed += 1
                 if on_job is not None:
@@ -144,4 +202,4 @@ def work(db_path: PathLike,
     return executed
 
 
-__all__ = ["DEFAULT_POLL_SECONDS", "execute_job", "work"]
+__all__ = ["DEFAULT_POLL_SECONDS", "WakeSignal", "execute_job", "work"]

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -30,6 +33,8 @@ from repro.queue import (
     SweepService,
     plan_sweep,
 )
+from repro.obs.ledger import RunLedger
+from repro.queue.worker import WakeSignal, work
 from repro.sampling.runner import WindowedSampler
 from repro.sampling.windows import SamplingConfig
 from repro.sim.executor import (
@@ -83,6 +88,24 @@ def planned(n: int) -> list:
                    trace_group="g", payload=b"payload-%d" % i)
         for i in range(n)
     ]
+
+
+def window_jobs(parts_per_trial, groups=None, kind="windows") -> list:
+    """Window-batch rows: ``parts_per_trial[t]`` jobs for trial ``t``."""
+    return [
+        PlannedJob(key=f"t{trial}-w{part}", trial_index=trial, part=part,
+                   kind=kind, trace_group=(groups or {}).get(trial, "g"),
+                   payload=b"p")
+        for trial, parts in enumerate(parts_per_trial)
+        for part in range(parts)
+    ]
+
+
+def dead_local_owner() -> str:
+    """A lease owner naming a local PID that provably exited."""
+    child = subprocess.Popen(["sleep", "0"])
+    child.wait()
+    return f"{socket.gethostname()}:{child.pid}:abc123"
 
 
 # --------------------------------------------------------------------- #
@@ -140,12 +163,7 @@ class TestJobStore:
             assert store.counts("tok")[PENDING] == 2
 
     def test_recover_reclaims_dead_local_owner_immediately(self, tmp_path):
-        # A real PID that provably exited: spawn-and-reap a child.
-        child = subprocess.Popen(["sleep", "0"])
-        child.wait()
-        import socket
-
-        dead_owner = f"{socket.gethostname()}:{child.pid}:abc123"
+        dead_owner = dead_local_owner()
         with JobStore(tmp_path / "jobs.sqlite") as store:
             store.submit("tok", "d", None, planned(1))
             job = store.lease(dead_owner, lease_seconds=3600.0)
@@ -155,8 +173,6 @@ class TestJobStore:
             assert store.counts("tok")[PENDING] == 1
 
     def test_live_owner_lease_is_not_reclaimed(self, tmp_path):
-        import socket
-
         live_owner = f"{socket.gethostname()}:{os.getpid()}:abc123"
         with JobStore(tmp_path / "jobs.sqlite") as store:
             store.submit("tok", "d", None, planned(1))
@@ -186,6 +202,185 @@ class TestJobStore:
             store._conn.commit()
         with pytest.raises(ValueError, match="schema v999"):
             JobStore(path)
+
+
+class TestPrologueHold:
+    """A trial's sibling window jobs wait while its first job warms."""
+
+    @pytest.fixture(autouse=True)
+    def checkpoints_on(self, queue_root, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+
+    def test_live_sibling_lease_holds_window_jobs(self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, window_jobs([3, 2]))
+            first = store.lease("a", 60)
+            assert (first.trial_index, first.part) == (0, 0)
+            second = store.lease("b", 60)
+            assert (second.trial_index, second.part) == (1, 0)
+            assert store.lease("c", 60) is None
+
+    def test_done_sibling_releases_the_hold(self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, window_jobs([3]))
+            first = store.lease("a", 60)
+            assert store.lease("b", 60) is None
+            assert store.complete("tok", first.seq, b"r", "a")
+            assert store.lease("b", 60).part == 1
+            # A done sibling releases the trial even under b's live lease.
+            assert store.lease("c", 60).part == 2
+
+    def test_expired_lease_does_not_hold(self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            # One attempt: the expired job itself cannot be re-leased, so
+            # the next lease shows whether its siblings are held.
+            store.submit("tok", "d", None, window_jobs([2]), max_attempts=1)
+            store.lease("a", lease_seconds=0.0)
+            job = store.lease("b", 60)
+            assert job is not None and job.part == 1
+
+    def test_reclaimed_dead_owner_does_not_hold(self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, window_jobs([2]))
+            first = store.lease(dead_local_owner(), lease_seconds=3600.0)
+            assert store.lease("b", 60) is None
+            assert store.recover() == 1
+            assert store.lease("b", 60).seq == first.seq
+            assert store.job("tok", first.seq).lease_owner == "b"
+
+    def test_trial_jobs_are_never_held(self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, window_jobs([2], kind="trial"))
+            assert store.lease("a", 60).part == 0
+            assert store.lease("b", 60).part == 1
+
+    def test_prefer_group_cannot_bypass_the_hold(self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None,
+                         window_jobs([2, 1], groups={0: "a", 1: "b"}))
+            assert store.lease("w1", 60).trial_index == 0
+            job = store.lease("w2", 60, prefer_group="a")
+            assert (job.trial_index, job.trace_group) == (1, "b")
+
+    def test_nothing_is_held_without_checkpoints(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, window_jobs([2]))
+            assert store.lease("a", 60).part == 0
+            assert store.lease("b", 60).part == 1
+
+
+class TestWakeSignal:
+    def test_completion_wakes_an_idle_drainer(self, queue_root, monkeypatch):
+        import repro.queue.worker as worker_module
+
+        waiting = threading.Event()
+
+        class ObservedWake(WakeSignal):
+            def wait(self, timeout):
+                waiting.set()
+                super().wait(timeout)
+
+        def slow_job(payload):
+            # Finish only once the other worker is idle, so the finish is
+            # what has to wake it.
+            assert waiting.wait(30.0)
+            return pickle.dumps(None)
+
+        monkeypatch.setattr(worker_module, "execute_job", slow_job)
+        db = queue_root / "jobs.sqlite"
+        with JobStore(db) as store:
+            store.submit("tok", "d", None, planned(1))
+        wakes = dict(zip("ab", ObservedWake.group(2)))
+        runs = {}
+
+        def drain(name):
+            start = time.perf_counter()
+            jobs = work(db, owner=name, sweep="tok", poll_seconds=60.0,
+                        wake=wakes[name])
+            runs[name] = (jobs, time.perf_counter() - start)
+
+        first = threading.Thread(target=drain, args=("a",))
+        first.start()
+        deadline = time.time() + 30.0
+        while time.time() < deadline:
+            with JobStore(db) as store:
+                if store.counts("tok")[LEASED]:
+                    break
+            time.sleep(0.01)
+        second = threading.Thread(target=drain, args=("b",))
+        second.start()
+        first.join(60.0)
+        second.join(60.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert runs["a"][0] == 1 and runs["b"][0] == 0
+        assert runs["b"][1] < 10.0
+
+    def test_notify_posts_every_other_member(self):
+        first, second, third = WakeSignal.group(3)
+        for _ in range(5):
+            first.notify()
+        # Posts made before the wait are not lost, and one wait drains
+        # them all: the next wait blocks until its timeout.
+        for member in (second, third):
+            start = time.perf_counter()
+            member.wait(timeout=30.0)
+            assert time.perf_counter() - start < 10.0
+            start = time.perf_counter()
+            member.wait(timeout=0.2)
+            assert time.perf_counter() - start >= 0.15
+        # A member's own completions do not wake it.
+        start = time.perf_counter()
+        first.wait(timeout=0.2)
+        assert time.perf_counter() - start >= 0.15
+
+    def test_killed_idle_worker_does_not_stall_the_drain(self, queue_root,
+                                                         monkeypatch):
+        import repro.queue.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "execute_job",
+                            lambda payload: pickle.dumps(None))
+        db = queue_root / "jobs.sqlite"
+        with JobStore(db) as store:
+            store.submit("tok", "d", None, planned(3))
+            # A third party holds every job briefly, so the first worker
+            # finds nothing to lease and goes idle on its wake-up.
+            for _ in range(3):
+                store.lease("holder", lease_seconds=1.0)
+        expiry = time.time() + 1.0
+
+        class ObservedWake(WakeSignal):
+            def wait(self, timeout):
+                self.waiting.set()
+                super().wait(timeout)
+
+        victim_wake, survivor_wake = ObservedWake.group(2)
+        victim_wake.waiting = multiprocessing.Event()
+        options = dict(sweep="tok", poll_seconds=60.0)
+        victim = multiprocessing.Process(
+            target=work, args=(db,), kwargs=dict(options, wake=victim_wake),
+            daemon=True)
+        survivor = None
+        victim.start()
+        try:
+            assert victim_wake.waiting.wait(30.0)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(30.0)
+            time.sleep(max(0.0, expiry - time.time()) + 0.05)
+            survivor = multiprocessing.Process(
+                target=work, args=(db,),
+                kwargs=dict(options, wake=survivor_wake), daemon=True)
+            survivor.start()
+            survivor.join(60.0)
+            assert not survivor.is_alive(), "drain stalled on a dead worker"
+            assert survivor.exitcode == 0
+        finally:
+            for process in (victim, survivor):
+                if process is not None and process.is_alive():
+                    process.kill()
+        with JobStore(db) as store:
+            assert store.counts("tok")[DONE] == 3
 
 
 # --------------------------------------------------------------------- #
@@ -273,6 +468,40 @@ class TestSweepService:
             spec, progress=lambda i, n, t: calls.append((i, n)))
         assert sorted(calls) == [(0, 2), (1, 2)]
 
+    def test_progress_fires_under_a_non_default_window_batch(self,
+                                                              queue_root):
+        spec = sampled_spec(designs=("unison",))
+        calls = []
+        SweepService(window_batch=1).run(
+            spec, workers=1, progress=lambda i, n, t: calls.append((i, n)))
+        assert calls == [(0, 1)]
+
+    def test_one_trial_spreads_over_two_workers(self, queue_root):
+        spec = sampled_spec(designs=("unison",))
+        service = SweepService(window_batch=1)
+        queued = service.run(spec, workers=2)
+        assert queued == SweepExecutor(workers=1).run(spec)
+        with service.store() as store:
+            done = store.done_jobs(plan_sweep(spec, window_batch=1).token)
+        assert len({job.lease_owner for job in done}) == 2
+
+    def test_two_workers_warm_each_prologue_once(self, queue_root,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(queue_root / "obs"))
+        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+        spec = sampled_spec(designs=("unison", "alloy", "footprint"))
+        service = SweepService(window_batch=1)
+        queued = service.run(spec, workers=2)
+        token = plan_sweep(spec, window_batch=1).token
+        with RunLedger(queue_root / "obs" / "ledger.sqlite") as ledger:
+            rows = ledger.runs(limit=1000, sweep=token, kind="windows")
+            metrics = ledger.metrics_for([row["run_id"] for row in rows])
+        assert metrics["checkpoint_misses"] == len(spec.trials()) == 3
+        assert metrics["checkpoint_saves"] == 3
+        serial = SweepExecutor(workers=1).run(spec)
+        assert queued.to_json() == serial.to_json()
+
     def test_archive_roundtrips_resultset(self, queue_root):
         spec = tiny_spec()
         service = SweepService()
@@ -322,6 +551,20 @@ class TestSweepService:
         token = service.submit(spec).token
         serial = SweepExecutor(workers=1).run(spec)
         assert service.resume(token) == serial
+
+    def test_resume_by_token_keeps_the_submitted_window_batch(self,
+                                                              queue_root):
+        spec = sampled_spec(designs=("unison",))
+        token = SweepService(window_batch=1).submit(spec).token
+        calls = []
+        service = SweepService()
+        resumed = service.resume(
+            token, progress=lambda i, n, t: calls.append((i, n)))
+        assert resumed == SweepExecutor(workers=1).run(spec)
+        assert calls == [(0, 1)]
+        with service.store() as store:
+            assert [row["token"] for row in store.sweeps()] == [token]
+            assert store.unfinished(token) == 0
 
 
 # --------------------------------------------------------------------- #
