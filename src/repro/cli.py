@@ -26,6 +26,9 @@ Two entry points share the program:
   ledger that ``--telemetry`` (or ``REPRO_TELEMETRY=1``) runs record --
   per-phase wall-clock, accesses/sec, store and checkpoint hit rates,
   queue events, and live worker heartbeats -- see :mod:`repro.obs`.
+  These views and ``repro queue status`` render the dicts of
+  :class:`repro.serve.readmodel.ReadModel`, so their ``--json`` output is
+  the body of the matching ``repro serve`` endpoint.
 * **Results service** (``repro serve``): a zero-dependency HTTP server
   over the archive, ledger, and queue -- JSON API (``/api/sweeps``,
   ``/api/runs``, ``/api/queue``), SVG paper figures with 95% CI error
@@ -71,7 +74,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.sim.executor import run_sweep
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
@@ -703,11 +706,14 @@ def build_queue_parser() -> argparse.ArgumentParser:
 
     status = sub.add_parser(
         "status", help="report job states, attempts, and timing",
-        description="Without a token: list every sweep in the store. With "
-                    "one: per-state job counts plus timing/attempt totals.")
+        description="Without a token: list every sweep in the job store or "
+                    "result archive. With a token or unique token prefix: "
+                    "per-state job counts plus timing/attempt totals.")
     status.add_argument("token", nargs="?", default=None, metavar="TOKEN")
     status.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output (for scripts/CI)")
+                        help="machine-readable JSON output, the body of "
+                             "/api/sweeps (listing) or /api/queue?token= "
+                             "(for scripts/CI)")
     status.add_argument("--jobs", action="store_true",
                         help="also list every job row: state, kind, "
                              "attempts, lease owner, and run time")
@@ -798,115 +804,67 @@ def _queue_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _job_record(job) -> dict:
-    """One job row as a plain dict (the fields JobStore records)."""
-    return {
-        "seq": job.seq,
-        "kind": job.kind,
-        "trial_index": job.trial_index,
-        "part": job.part,
-        "state": job.state,
-        "attempts": job.attempts,
-        "max_attempts": job.max_attempts,
-        "lease_owner": job.lease_owner,
-        "created_at": job.created_at,
-        "started_at": job.started_at,
-        "finished_at": job.finished_at,
-        "run_seconds": job.run_seconds,
-        "error": ((job.error or "").strip().splitlines() or [None])[-1],
-    }
+def _fail(error: object) -> int:
+    """Report a failed lookup -- unknown or ambiguous ref, missing store."""
+    if isinstance(error, KeyError) and error.args:
+        error = error.args[0]  # KeyError reprs its message; unwrap it
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
-def _archived_meta(service) -> dict:
-    """Archive metadata by token (``ResultArchive.list_sweeps``), or {}."""
-    if not service.archive_path.is_file():
-        return {}
-    with service.archive() as archive:
-        return {str(meta["token"]): meta for meta in archive.list_sweeps()}
+def _print_json(data: dict) -> None:
+    """Print a view exactly as its ``repro serve`` endpoint serves it."""
+    from repro.serve.api import encode_json
+
+    print(encode_json(data))
 
 
-def _queue_status_data(store, token: Optional[str], include_jobs: bool,
-                       archived: Optional[dict] = None) -> Optional[dict]:
-    """The status report as data (one shape for --json and the renderer).
+def _watch(render: Callable[[], int], interval: float) -> int:
+    """Re-render every ``interval`` seconds until Ctrl-C or a failure.
 
-    ``archived`` (token -> ``ResultArchive.list_sweeps()`` dict) annotates
-    each sweep with its durable record count; sweeps whose job rows were
-    pruned after archiving still appear in the listing.
+    Clears the screen only on real terminals: piped to a file or a CI log
+    the escapes are control garbage, so a separator line goes out instead.
     """
-    archived = archived or {}
-    if token is None:
-        sweeps = []
-        for row in store.sweeps():
-            counts = store.counts(row["token"])
-            entry = {
-                "token": row["token"],
-                "description": row["description"],
-                "counts": counts,
-                "total": sum(counts.values()),
-            }
-            meta = archived.get(row["token"])
-            if meta is not None:
-                entry["archived"] = {"records": meta["records"],
-                                     "total": meta["total"],
-                                     "complete": meta["complete"]}
-            sweeps.append(entry)
-        present = {sweep["token"] for sweep in sweeps}
-        for token_, meta in archived.items():
-            if token_ in present:
-                continue
-            sweeps.append({
-                "token": token_,
-                "description": meta["description"],
-                "counts": None,
-                "total": None,
-                "archived": {"records": meta["records"],
-                             "total": meta["total"],
-                             "complete": meta["complete"]},
-            })
-        pruned = sum(1 for sweep in sweeps if sweep["counts"] is None)
-        return {"sweeps": sweeps, "pruned_sweeps": pruned}
-    row = store.sweep_row(token)
-    if row is None:
-        return None
-    counts = store.counts(token)
-    data = {
-        "token": token,
-        "description": row["description"],
-        "counts": counts,
-        "total": sum(counts.values()),
-        "timing": store.timing(token),
-    }
-    meta = archived.get(token)
-    if meta is not None:
-        data["archived"] = {"records": meta["records"],
-                            "total": meta["total"],
-                            "complete": meta["complete"]}
-    if include_jobs:
-        data["jobs"] = [_job_record(job) for job in store.jobs(token)]
-    return data
+    tty = sys.stdout.isatty()
+    try:
+        while True:
+            if tty:
+                sys.stdout.write("\033[2J\033[H")  # clear screen, home
+            else:
+                print("---")
+            code = render()
+            if code:
+                return code
+            sys.stdout.flush()
+            time.sleep(interval)
+    except KeyboardInterrupt:
+        print()
+        return 0
+
+
+def _print_sweeps(data: dict) -> None:
+    """Render ``ReadModel.sweeps()``: one line per sweep."""
+    if not data["sweeps"]:
+        print("no sweeps submitted")
+        return
+    pruned = 0
+    for sweep in data["sweeps"]:
+        jobs = sweep["jobs"]
+        if jobs is None:
+            pruned += 1
+            text = "jobs pruned"
+        else:
+            text = f"{jobs['counts']['done']}/{jobs['total']} done"
+        if sweep["archived"]:
+            text += f"  archived {sweep['records']}/{sweep['total']}"
+        print(f"{sweep['token']}  {text}  {sweep['description']}")
+    if pruned:
+        print(f"{pruned} sweeps pruned from the job store (results remain "
+              f"in the archive)")
 
 
 def _print_queue_status(data: dict, include_jobs: bool) -> None:
-    if "sweeps" in data:
-        if not data["sweeps"]:
-            print("no sweeps submitted")
-            return
-        for sweep in data["sweeps"]:
-            if sweep["counts"] is None:
-                jobs = "jobs pruned"
-            else:
-                jobs = f"{sweep['counts']['done']}/{sweep['total']} done"
-            archived = sweep.get("archived")
-            archive_text = ""
-            if archived:
-                archive_text = (f"  archived {archived['records']}/"
-                                f"{archived['total']}")
-            print(f"{sweep['token']}  {jobs}{archive_text}  "
-                  f"{sweep['description']}")
-        if data.get("pruned_sweeps"):
-            print(f"{data['pruned_sweeps']} sweeps pruned from the job "
-                  f"store (results remain in the archive)")
-        return
+    """Render ``ReadModel.queue(token)``: counts, timing, and job rows."""
     counts, timing = data["counts"], data["timing"]
     print(f"sweep {data['token']}: {data['description']}")
     for state in ("pending", "leased", "done", "failed"):
@@ -915,14 +873,14 @@ def _print_queue_status(data: dict, include_jobs: bool) -> None:
           f"timed jobs, {timing['total_seconds']:.2f}s total, "
           f"{timing['mean_seconds']:.2f}s mean, "
           f"{timing['longest_seconds']:.2f}s longest")
-    archived = data.get("archived")
+    archived = data["archived"]
     if archived:
         state = " (complete)" if archived["complete"] else ""
         print(f"  archived {archived['records']}/{archived['total']} "
               f"records{state}")
     if counts["done"] == data["total"]:
         print(f"all {data['total']} jobs done")
-    if include_jobs and data.get("jobs"):
+    if include_jobs and data["jobs"]:
         print()
         print(f"  {'seq':>4} {'kind':<8} {'state':<8} {'att':>3} "
               f"{'seconds':>8}  owner/error")
@@ -935,107 +893,76 @@ def _print_queue_status(data: dict, include_jobs: bool) -> None:
             print(f"  {job['seq']:>4} {job['kind']:<8} {job['state']:<8} "
                   f"{job['attempts']:>3} {seconds:>8}  {detail}")
     elif not include_jobs:
-        failed = [job for job in data.get("jobs", [])
-                  if job["state"] == "failed"]
+        failed = [job for job in data["jobs"] if job["state"] == "failed"]
         for job in failed[:5]:
             print(f"  failed job {job['seq']} (trial {job['trial_index']}): "
                   f"{job['error'] or 'unknown error'}")
 
 
-def _heartbeat_lines(sweep: Optional[str] = None,
-                     unfinished: Optional[int] = None) -> List[str]:
-    """Render the run ledger's worker heartbeats (live operator view)."""
-    from repro.obs.core import LEDGER_FILENAME, query_root
-    from repro.obs.ledger import HEARTBEAT_STALE_SECONDS, RunLedger
-
-    root = query_root()
-    if root is None:
-        return ["workers: no telemetry directory (enable the trace store "
-                "or set REPRO_TELEMETRY_DIR)"]
-    path = root / LEDGER_FILENAME
-    if not path.is_file():
-        return [f"workers: no run ledger yet at {path} "
-                f"(start workers with --telemetry / REPRO_TELEMETRY=1)"]
-    with RunLedger(path) as ledger:
-        rows = ledger.heartbeats(sweep=sweep)
-    if not rows:
+def _worker_lines(view: dict) -> List[str]:
+    """Render the ``workers`` block of ``ReadModel.queue()``."""
+    workers = view["workers"]
+    if not workers["available"]:
+        return [f"workers: {workers['reason']}"]
+    if not workers["workers"]:
         return ["workers: none active"]
-    now = time.time()
     lines = ["workers:"]
-    total_rate = 0.0
-    for row in rows:
-        age = now - row["updated_at"]
-        stale = age > HEARTBEAT_STALE_SECONDS
-        status = "stale" if stale else row["status"]
-        if row["status"] == "running" and row["job_seq"] is not None:
-            doing = f"{row['job_kind']} #{row['job_seq']}"
-        else:
-            doing = "-"
-        rate = row["jobs_per_second"]
-        if rate and not stale:
-            total_rate += rate
+    for worker in workers["workers"]:
+        doing = ("-" if worker["job_seq"] is None
+                 else f"{worker['job_kind']} #{worker['job_seq']}")
+        rate = worker["jobs_per_second"]
         rate_text = f"{rate:.2f}/s" if rate else "-"
-        sweep_text = (row["sweep"] or "")[:8]
+        sweep_text = (worker["sweep"] or "")[:8]
         lines.append(
-            f"  {row['owner']:<28} {status:<8} job={doing:<12} "
-            f"done={row['jobs_done']:<4} rate={rate_text:<8} "
-            f"sweep={sweep_text:<8} seen={age:.0f}s ago"
+            f"  {worker['owner']:<28} {worker['status']:<8} "
+            f"job={doing:<12} done={worker['jobs_done']:<4} "
+            f"rate={rate_text:<8} sweep={sweep_text:<8} "
+            f"seen={worker['seen_seconds_ago']:.0f}s ago"
         )
-    if unfinished and total_rate > 0:
-        lines.append(f"  ETA: {unfinished} unfinished jobs / "
-                     f"{total_rate:.2f} jobs/s ~= "
-                     f"{unfinished / total_rate:.0f}s")
+    if "eta_seconds" in workers:
+        lines.append(f"  ETA: {view['unfinished']} unfinished jobs / "
+                     f"{workers['jobs_per_second']:.2f} jobs/s ~= "
+                     f"{workers['eta_seconds']:.0f}s")
     return lines
 
 
 def _queue_status(args: argparse.Namespace) -> int:
-    service = _queue_service(args)
+    """Render ``ReadModel.sweeps()``, or ``ReadModel.queue(TOKEN)``."""
+    from repro.queue.service import NO_QUEUE_DIR
+    from repro.serve.readmodel import ReadModel
 
-    def render() -> Optional[int]:
-        archived = _archived_meta(service)
-        with service.store() as store:
-            data = _queue_status_data(
-                store, args.token, include_jobs=args.jobs or args.token,
-                archived=archived,
-            )
-            unfinished = (store.unfinished(args.token)
-                          if args.token else store.unfinished())
-        if data is None:
-            print(f"error: unknown sweep token {args.token!r}",
-                  file=sys.stderr)
-            return 1
+    model = ReadModel(queue_dir=args.queue_dir)
+    if model.queue_dir is None:
+        print(f"error: {NO_QUEUE_DIR}", file=sys.stderr)
+        return 2
+
+    def render() -> int:
+        if args.token is None:
+            data = model.sweeps()
+        else:
+            try:
+                data = model.queue(args.token,
+                                   include_jobs=args.jobs or not args.json)
+            except (KeyError, ValueError) as error:
+                return _fail(error)
+            if not data["available"]:
+                return _fail(data["reason"])
         if args.json:
-            if not args.jobs:
-                data.pop("jobs", None)
-            print(_json.dumps(data, indent=2, sort_keys=True))
+            _print_json(data)
             return 0
-        _print_queue_status(data, include_jobs=args.jobs)
+        if args.token is None:
+            _print_sweeps(data)
+        else:
+            _print_queue_status(data, include_jobs=args.jobs)
         if args.watch:
             print()
-            for line in _heartbeat_lines(sweep=args.token,
-                                         unfinished=unfinished):
+            for line in _worker_lines(data if args.token else model.queue()):
                 print(line)
         return 0
 
     if not args.watch or args.json:
-        return render() or 0
-    # Clear the screen only on real terminals: piped to a file or a CI log
-    # the escapes are control garbage, so emit a separator line instead.
-    tty = sys.stdout.isatty()
-    try:
-        while True:
-            if tty:
-                sys.stdout.write("\033[2J\033[H")  # clear screen, home
-            else:
-                print("---")
-            code = render()
-            if code:
-                return code
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
-        return 0
+        return render()
+    return _watch(render, args.interval)
 
 
 def _queue_resume(args: argparse.Namespace) -> int:
@@ -1410,7 +1337,7 @@ def build_runs_parser() -> argparse.ArgumentParser:
                           choices=["trial", "windows", "assemble"],
                           help="only runs of this kind")
     list_cmd.add_argument("--json", action="store_true",
-                          help="machine-readable JSON output")
+                          help="machine-readable JSON output (/api/runs)")
 
     show = sub.add_parser(
         "show", help="one run, or every run of a sweep, in detail",
@@ -1419,9 +1346,10 @@ def build_runs_parser() -> argparse.ArgumentParser:
                     "all of its runs.")
     show.add_argument("ref", metavar="REF")
     show.add_argument("--events", type=int, default=10, metavar="N",
-                      help="show at most N recent events (default: 10)")
+                      help="show at most N of the 50 most recent events "
+                           "(text view only; default: 10)")
     show.add_argument("--json", action="store_true",
-                      help="machine-readable JSON output")
+                      help="machine-readable JSON output (/api/runs/REF)")
 
     compare = sub.add_parser(
         "compare", help="two runs or sweeps side by side",
@@ -1430,31 +1358,6 @@ def build_runs_parser() -> argparse.ArgumentParser:
     compare.add_argument("ref_a", metavar="REF_A")
     compare.add_argument("ref_b", metavar="REF_B")
     return parser
-
-
-def _open_query_ledger(telemetry_dir: Optional[str]):
-    """The read-side ledger, or ``(None, error-message)``."""
-    from pathlib import Path
-
-    from repro.obs.core import LEDGER_FILENAME, query_root
-    from repro.obs.ledger import RunLedger
-
-    root = Path(telemetry_dir) if telemetry_dir else query_root()
-    if root is None:
-        return None, ("no telemetry directory: set REPRO_TELEMETRY_DIR or "
-                      "enable the trace store (REPRO_TRACE_STORE)")
-    path = root / LEDGER_FILENAME
-    if not path.is_file():
-        return None, (f"no run ledger at {path} -- record one with "
-                      f"--telemetry or REPRO_TELEMETRY=1")
-    return RunLedger(path), None
-
-
-def _run_row_data(row) -> dict:
-    data = {key: row[key] for key in row.keys()}
-    if data.get("labels"):
-        data["labels"] = _json.loads(data["labels"])
-    return data
 
 
 def _format_run_line(row) -> str:
@@ -1483,7 +1386,7 @@ def _summary_lines(summary: dict) -> List[str]:
     if ordered:
         lines.append("phases:")
     for name in ordered:
-        seconds, count = phases[name]
+        seconds, count = phases[name]["seconds"], phases[name]["count"]
         share = f" ({100 * seconds / wall:.0f}%)" if wall > 0 else ""
         lines.append(f"  {name:<12} {seconds:8.3f}s{share}  x{count}")
     metrics = summary["metrics"]
@@ -1513,82 +1416,59 @@ def _summary_lines(summary: dict) -> List[str]:
     return lines
 
 
-def _resolve_summary(ledger, ref: str):
-    """(scope, rows, summary) for one user-typed reference."""
-    from repro.obs.ledger import summarize
-
-    scope, rows = ledger.resolve(ref)
-    return scope, rows, summarize(ledger, rows)
-
-
-def _runs_list(ledger, args: argparse.Namespace) -> int:
-    rows = ledger.runs(limit=args.limit, sweep=args.sweep, kind=args.kind)
+def _runs_list(model, args: argparse.Namespace) -> int:
+    data = model.runs(limit=args.limit, sweep=args.sweep, kind=args.kind)
+    if not data["available"]:
+        return _fail(data["reason"])
     if args.json:
-        print(_json.dumps([_run_row_data(row) for row in rows], indent=2,
-                          sort_keys=True))
+        _print_json(data)
         return 0
-    if not rows:
+    if not data["runs"]:
         print("no recorded runs")
         return 0
-    for row in rows:
-        print(_format_run_line(row))
+    for run in data["runs"]:
+        print(_format_run_line(run))
     return 0
 
 
-def _runs_show(ledger, args: argparse.Namespace) -> int:
-    scope, rows, summary = _resolve_summary(ledger, args.ref)
-    if scope == "run":
-        events = ledger.events_for(run_id=rows[0]["run_id"],
-                                   limit=args.events)
-        title = f"run {rows[0]['run_id']} ({rows[0]['kind']})"
-    else:
-        events = ledger.events_for(sweep=rows[0]["sweep"],
-                                   limit=args.events)
-        title = f"sweep {rows[0]['sweep']}"
+def _runs_show(model, args: argparse.Namespace) -> int:
+    detail = model.run_detail(args.ref)
     if args.json:
-        summary = dict(summary)
-        summary["scope"] = scope
-        summary["runs_detail"] = [_run_row_data(row) for row in rows]
-        summary["events"] = [
-            {"ts": event["ts"], "kind": event["kind"],
-             "detail": _json.loads(event["detail"])
-             if event["detail"] else None}
-            for event in events
-        ]
-        print(_json.dumps(summary, indent=2, sort_keys=True))
+        _print_json(detail)
         return 0
-    print(title)
-    if scope == "run":
-        row = rows[0]
+    row = detail["runs"][0]
+    if detail["scope"] == "run":
+        print(f"run {row['run_id']} ({row['kind']})")
         what = " ".join(filter(None, [row["design"], row["workload"],
                                       row["capacity"]]))
         if what:
             print(f"  {what}")
         if row["error"]:
             print(f"  error: {row['error'].strip().splitlines()[-1]}")
-    for line in _summary_lines(summary):
+    else:
+        print(f"sweep {row['sweep']}")
+    for line in _summary_lines(detail["summary"]):
         print(f"  {line}")
+    events = detail["events"][:args.events]  # newest first
     if events:
         print("  recent events:")
         for event in reversed(events):
-            detail = ""
-            if event["detail"]:
-                fields = _json.loads(event["detail"])
-                detail = " " + " ".join(f"{k}={v}"
-                                        for k, v in sorted(fields.items()))
-            print(f"    {event['kind']}{detail}")
+            fields = _json.loads(event["detail"]) if event["detail"] else {}
+            text = "".join(f" {k}={v}" for k, v in sorted(fields.items()))
+            print(f"    {event['kind']}{text}")
     return 0
 
 
-def _runs_compare(ledger, args: argparse.Namespace) -> int:
+def _runs_compare(model, args: argparse.Namespace) -> int:
     from repro.obs.core import PHASE_ORDER
 
     sides = []
     for ref in (args.ref_a, args.ref_b):
-        scope, rows, summary = _resolve_summary(ledger, ref)
-        name = (rows[0]["run_id"] if scope == "run"
-                else f"sweep {rows[0]['sweep'][:12]}")
-        sides.append((name, summary))
+        detail = model.run_detail(ref)
+        row = detail["runs"][0]
+        name = (row["run_id"] if detail["scope"] == "run"
+                else f"sweep {row['sweep'][:12]}")
+        sides.append((name, detail["summary"]))
     (name_a, sum_a), (name_b, sum_b) = sides
     width = 14
     print(f"{'':<{width}} {name_a:>20} {name_b:>20}")
@@ -1598,8 +1478,8 @@ def _runs_compare(ledger, args: argparse.Namespace) -> int:
     names = [name for name in PHASE_ORDER
              if name in sum_a["phases"] or name in sum_b["phases"]]
     for name in names:
-        a = sum_a["phases"].get(name, (0.0, 0))[0]
-        b = sum_b["phases"].get(name, (0.0, 0))[0]
+        a = sum_a["phases"].get(name, {"seconds": 0.0})["seconds"]
+        b = sum_b["phases"].get(name, {"seconds": 0.0})["seconds"]
         print(f"{name:<{width}} {a:>19.3f}s {b:>19.3f}s")
     for name in ("accesses_per_sec", "trace_store_hit_rate",
                  "checkpoint_hit_rate"):
@@ -1617,23 +1497,18 @@ def _runs_compare(ledger, args: argparse.Namespace) -> int:
 
 def runs_main(argv: List[str]) -> int:
     """Entry point of the ``repro runs`` subcommands."""
-    args = build_runs_parser().parse_args(argv)
-    ledger, error = _open_query_ledger(args.telemetry_dir)
-    if ledger is None:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    with ledger:
-        try:
-            if args.command == "list":
-                return _runs_list(ledger, args)
-            if args.command == "show":
-                return _runs_show(ledger, args)
-            return _runs_compare(ledger, args)
-        except (KeyError, ValueError) as error:
-            message = (error.args[0] if error.args else error)
-            print(f"error: {message}", file=sys.stderr)
-            return 1
+    from repro.serve.readmodel import ReadModel
 
+    args = build_runs_parser().parse_args(argv)
+    model = ReadModel(telemetry_dir=args.telemetry_dir)
+    try:
+        if args.command == "list":
+            return _runs_list(model, args)
+        if args.command == "show":
+            return _runs_show(model, args)
+        return _runs_compare(model, args)
+    except (KeyError, ValueError) as error:
+        return _fail(error)
 
 # --------------------------------------------------------------------- #
 # repro top
@@ -1646,7 +1521,7 @@ def build_top_parser() -> argparse.ArgumentParser:
                     "the job store is reachable.",
     )
     parser.add_argument("--sweep", default=None, metavar="TOKEN",
-                        help="only workers on this sweep token")
+                        help="only workers on this sweep token (prefix ok)")
     parser.add_argument("--queue-dir", default=None, metavar="DIR",
                         help="queue directory for the ETA's unfinished-job "
                              "count (default: REPRO_QUEUE_DIR, else "
@@ -1657,20 +1532,6 @@ def build_top_parser() -> argparse.ArgumentParser:
     parser.add_argument("--interval", type=float, default=2.0, metavar="SEC",
                         help="refresh period for --watch (default: 2)")
     return parser
-
-
-def _unfinished_jobs(queue_dir: Optional[str],
-                     sweep: Optional[str]) -> Optional[int]:
-    from repro.queue import SweepService
-
-    try:
-        service = SweepService(queue_dir=queue_dir)
-    except (RuntimeError, ValueError):
-        return None
-    if not service.db_path.is_file():
-        return None
-    with service.store() as store:
-        return store.unfinished(sweep)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -1711,34 +1572,24 @@ def serve_main(argv: List[str]) -> int:
 
 
 def top_main(argv: List[str]) -> int:
-    """Entry point of ``repro top``."""
+    """Entry point of ``repro top``: renders ``ReadModel.queue()``."""
+    from repro.serve.readmodel import ReadModel
+
     args = build_top_parser().parse_args(argv)
+    model = ReadModel(queue_dir=args.queue_dir)
 
-    def render() -> None:
-        unfinished = _unfinished_jobs(args.queue_dir, args.sweep)
-        if unfinished is not None:
-            print(f"queue: {unfinished} unfinished jobs")
-        for line in _heartbeat_lines(sweep=args.sweep,
-                                     unfinished=unfinished):
+    def render() -> int:
+        try:
+            data = model.queue(args.sweep, include_jobs=False)
+        except (KeyError, ValueError) as error:
+            return _fail(error)
+        if data["available"]:
+            print(f"queue: {data['unfinished']} unfinished jobs")
+        for line in _worker_lines(data):
             print(line)
-
-    if not args.watch:
-        render()
-        return 0
-    tty = sys.stdout.isatty()  # no ANSI clears into pipes or CI logs
-    try:
-        while True:
-            if tty:
-                sys.stdout.write("\033[2J\033[H")  # clear screen, home
-            else:
-                print("---")
-            render()
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
         return 0
 
+    return _watch(render, args.interval) if args.watch else render()
 
 # --------------------------------------------------------------------- #
 # repro [sweep] ...

@@ -266,8 +266,8 @@ class RunLedger:
              kind: Optional[str] = None) -> List[sqlite3.Row]:
         where, params = [], []  # type: List[str], List[object]
         if sweep is not None:
-            where.append("sweep LIKE ?")
-            params.append(sweep + "%")
+            where.append("substr(sweep, 1, ?) = ?")
+            params.extend([len(sweep), sweep])
         if kind is not None:
             where.append("kind = ?")
             params.append(kind)
@@ -287,14 +287,15 @@ class RunLedger:
     def resolve(self, ref: str) -> Tuple[str, List[sqlite3.Row]]:
         """Resolve a user-typed reference to runs.
 
-        Accepts a run-id prefix or a sweep-token prefix and returns
+        Accepts a run-id prefix or a sweep-token prefix -- exact and
+        case-sensitive, with no wildcard characters -- and returns
         ``("run", [row])`` or ``("sweep", rows)``.  Raises ``KeyError`` for
-        no match and ``ValueError`` for an ambiguous run prefix.
+        no match and ``ValueError`` for an empty reference or a prefix
+        matching several runs or several sweeps.
         """
-        rows = self._conn.execute(
-            "SELECT * FROM runs WHERE run_id LIKE ? ORDER BY started_at",
-            (ref + "%",),
-        ).fetchall()
+        if not ref:
+            raise ValueError("empty run or sweep reference")
+        rows = self._prefix_rows("run_id", ref)
         if len(rows) == 1:
             return "run", rows
         if len(rows) > 1:
@@ -302,13 +303,21 @@ class RunLedger:
                 f"run reference {ref!r} is ambiguous "
                 f"({len(rows)} matching runs)"
             )
-        rows = self._conn.execute(
-            "SELECT * FROM runs WHERE sweep LIKE ? ORDER BY started_at",
-            (ref + "%",),
-        ).fetchall()
+        rows = self._prefix_rows("sweep", ref)
+        sweeps = sorted({row["sweep"] for row in rows})
+        if len(sweeps) > 1:
+            raise ValueError(
+                f"ambiguous sweep prefix {ref!r}: matches {sweeps}")
         if rows:
             return "sweep", rows
         raise KeyError(f"no run or sweep matches {ref!r}")
+
+    def _prefix_rows(self, column: str, prefix: str) -> List[sqlite3.Row]:
+        return self._conn.execute(
+            f"SELECT * FROM runs WHERE substr({column}, 1, ?) = ?"
+            f" ORDER BY started_at",
+            (len(prefix), prefix),
+        ).fetchall()
 
     def phases_for(self, run_ids: Sequence[str]) -> Dict[str, Tuple[float, int]]:
         """Aggregate phase seconds/counts over a set of runs."""

@@ -84,14 +84,16 @@ def default_queue_dir() -> Optional[Path]:
     return None if root is None else root / "queue"
 
 
+#: Why there is no queue directory when :func:`default_queue_dir` is None.
+NO_QUEUE_DIR = ("no queue directory: the trace store is disabled "
+                "(REPRO_TRACE_STORE) and neither REPRO_QUEUE_DIR nor an "
+                "explicit path was given")
+
+
 def _require_queue_dir(queue_dir: Optional[PathLike]) -> Path:
     path = Path(queue_dir) if queue_dir is not None else default_queue_dir()
     if path is None:
-        raise ValueError(
-            "no queue directory: the trace store is disabled "
-            "(REPRO_TRACE_STORE) and neither REPRO_QUEUE_DIR nor an "
-            "explicit path was given"
-        )
+        raise ValueError(NO_QUEUE_DIR)
     return path
 
 
@@ -535,6 +537,7 @@ __all__ = [
     "DEFAULT_WINDOW_BATCH",
     "ENV_QUEUE_DIR",
     "JOB_STORE_FILENAME",
+    "NO_QUEUE_DIR",
     "SubmitOutcome",
     "SweepPlan",
     "SweepService",

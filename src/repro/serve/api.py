@@ -45,10 +45,13 @@ class Response:
     body: bytes
 
 
+def encode_json(payload: object) -> str:
+    """The JSON text every endpoint serves (and the CLI's ``--json``)."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=str)
+
+
 def json_response(payload: object, status: int = 200) -> Response:
-    body = json.dumps(payload, indent=2, sort_keys=True,
-                      default=str).encode("utf-8")
-    return Response(status, JSON_TYPE, body)
+    return Response(status, JSON_TYPE, encode_json(payload).encode("utf-8"))
 
 
 def error_response(status: int, message: str) -> Response:
@@ -163,6 +166,7 @@ def _figure(model: ReadModel, name: str, query: Query) -> Response:
 __all__ = [
     "FIGURES",
     "Response",
+    "encode_json",
     "error_response",
     "handle_request",
     "json_response",

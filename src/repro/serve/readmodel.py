@@ -14,8 +14,13 @@ JSON-ready dicts.  Three contracts hold everywhere:
   connections -- read-only (``mode=ro``) when the database allows it --
   fetches all rows, and closes them before any SVG or HTML is built.
 * **Missing stores degrade, they don't crash.**  Listing endpoints
-  report ``available: false`` with a reason; only lookups of a specific
-  record raise (:class:`LookupError` -> HTTP 404 upstream).
+  report ``available: false`` with a reason -- also when there is no
+  queue directory at all (the trace store is disabled and no
+  ``REPRO_QUEUE_DIR`` is set); only lookups of a specific record raise
+  (:class:`LookupError` -> HTTP 404 upstream).
+
+The operator CLI (``repro queue status``, ``repro top``, ``repro runs``)
+renders these same dicts, so its ``--json`` output is the endpoint's body.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.queue.jobstore import JobStore
 from repro.queue.service import (
     ARCHIVE_FILENAME,
     JOB_STORE_FILENAME,
+    NO_QUEUE_DIR,
     default_queue_dir,
 )
 from repro.sim.resultset import ResultSet
@@ -49,6 +55,23 @@ PathLike = Union[str, Path]
 #: tree (the layout ``SweepService`` and the telemetry writer produce).
 QUEUE_DIRNAME = "queue"
 TELEMETRY_DIRNAME = "telemetry"
+
+
+def _join(directory: Optional[Path], name: str) -> Optional[Path]:
+    return None if directory is None else directory / name
+
+
+def _is_file(path: Optional[Path]) -> bool:
+    return path is not None and path.is_file()
+
+
+def _text(path: Optional[Path]) -> Optional[str]:
+    return None if path is None else str(path)
+
+
+def _open_existing(cls, path: Optional[Path]):
+    """``open_readonly`` of an existing store file, else ``None``."""
+    return open_readonly(cls, path) if _is_file(path) else None
 
 
 def open_readonly(cls, path: PathLike):
@@ -70,8 +93,9 @@ class ReadModel:
 
     def __init__(self, queue_dir: Optional[PathLike] = None,
                  telemetry_dir: Optional[PathLike] = None) -> None:
-        self.queue_dir = (Path(queue_dir) if queue_dir is not None
-                          else default_queue_dir())
+        self.queue_dir: Optional[Path] = (Path(queue_dir)
+                                          if queue_dir is not None
+                                          else default_queue_dir())
         if telemetry_dir is not None:
             self.telemetry_dir: Optional[Path] = Path(telemetry_dir)
         else:
@@ -88,46 +112,39 @@ class ReadModel:
     # Store handles
     # ------------------------------------------------------------------ #
     @property
-    def jobstore_path(self) -> Path:
-        return self.queue_dir / JOB_STORE_FILENAME
+    def jobstore_path(self) -> Optional[Path]:
+        return _join(self.queue_dir, JOB_STORE_FILENAME)
 
     @property
-    def archive_path(self) -> Path:
-        return self.queue_dir / ARCHIVE_FILENAME
+    def archive_path(self) -> Optional[Path]:
+        return _join(self.queue_dir, ARCHIVE_FILENAME)
 
     @property
     def ledger_path(self) -> Optional[Path]:
-        if self.telemetry_dir is None:
-            return None
-        return self.telemetry_dir / LEDGER_FILENAME
+        return _join(self.telemetry_dir, LEDGER_FILENAME)
 
     def _jobstore(self) -> Optional[JobStore]:
-        if not self.jobstore_path.is_file():
-            return None
-        return open_readonly(JobStore, self.jobstore_path)
+        return _open_existing(JobStore, self.jobstore_path)
 
     def _archive(self) -> Optional[ResultArchive]:
-        if not self.archive_path.is_file():
-            return None
-        return open_readonly(ResultArchive, self.archive_path)
+        return _open_existing(ResultArchive, self.archive_path)
 
     def _ledger(self) -> Optional[RunLedger]:
-        path = self.ledger_path
-        if path is None or not path.is_file():
-            return None
-        return open_readonly(RunLedger, path)
+        return _open_existing(RunLedger, self.ledger_path)
+
+    def _queue_reason(self, missing: str) -> str:
+        """Why a queue store is absent: no directory at all, or ``missing``."""
+        return NO_QUEUE_DIR if self.queue_dir is None else missing
 
     def health(self) -> Dict[str, object]:
         return {
             "ok": True,
-            "queue_dir": str(self.queue_dir),
-            "telemetry_dir": (None if self.telemetry_dir is None
-                              else str(self.telemetry_dir)),
+            "queue_dir": _text(self.queue_dir),
+            "telemetry_dir": _text(self.telemetry_dir),
             "stores": {
-                "jobs": self.jobstore_path.is_file(),
-                "archive": self.archive_path.is_file(),
-                "ledger": (self.ledger_path is not None
-                           and self.ledger_path.is_file()),
+                "jobs": _is_file(self.jobstore_path),
+                "archive": _is_file(self.archive_path),
+                "ledger": _is_file(self.ledger_path),
             },
         }
 
@@ -185,24 +202,21 @@ class ReadModel:
                         "archived": False,
                         "jobs": None,
                     })
-                    counts = store.counts(token)
-                    meta["jobs"] = {
-                        "counts": counts,
-                        "total": sum(counts.values()),
-                        "unfinished": store.unfinished(token),
-                    }
+                    meta["jobs"] = self._job_counts(store, token)
         sweeps = sorted(by_token.values(),
                         key=lambda meta: (meta["created_at"] or 0.0,
                                           meta["token"]))
         available = archive is not None or store is not None
         data: Dict[str, object] = {"available": available, "sweeps": sweeps}
         if not available:
-            data["reason"] = (f"no job store or result archive under "
-                             f"{self.queue_dir}")
+            data["reason"] = self._queue_reason(
+                f"no job store or result archive under {self.queue_dir}")
         return data
 
     def _match_token(self, ref: str) -> str:
         """Resolve an exact token or unique prefix over both stores."""
+        if not ref:
+            raise ValueError("empty sweep token")
         tokens = {str(meta["token"])
                   for meta in self.sweeps()["sweeps"]}  # type: ignore[index]
         if ref in tokens:
@@ -238,67 +252,81 @@ class ReadModel:
                     data.setdefault("description", row["description"])
                     data.setdefault("total", row["total"])
                     data.setdefault("created_at", row["created_at"])
-                    counts = store.counts(token)
-                    data["jobs"] = {
-                        "counts": counts,
-                        "total": sum(counts.values()),
-                        "unfinished": store.unfinished(token),
-                        "timing": store.timing(token),
-                    }
+                    data["jobs"] = self._job_counts(store, token)
         data.setdefault("archived", False)
         return data
+
+    @staticmethod
+    def _job_counts(store: JobStore, token: str) -> Dict[str, object]:
+        """One sweep's ``counts``/``total``/``unfinished``/``timing``."""
+        counts = store.counts(token)
+        return {
+            "counts": counts,
+            "total": sum(counts.values()),
+            "unfinished": store.unfinished(token),
+            "timing": store.timing(token),
+        }
 
     # ------------------------------------------------------------------ #
     # /api/queue
     # ------------------------------------------------------------------ #
     def queue(self, token: Optional[str] = None,
               include_jobs: bool = True) -> Dict[str, object]:
-        """The data behind ``repro top``/``queue status --json``: job
-        states, attempts, owners, worker heartbeats, and a drain ETA."""
+        """The data behind ``repro top``/``queue status TOKEN``: job
+        states, attempts, owners, worker heartbeats, and a drain ETA.
+
+        With a token (exact or unique prefix) it also carries the job
+        counts and timing of :meth:`sweep` and, under ``archived``, the
+        archive's record count for the sweep (``None`` if unarchived).
+        """
         store = self._jobstore()
         data: Dict[str, object]
-        unfinished = 0
         if store is None:
             data = {"available": False,
-                    "reason": f"no job store at {self.jobstore_path},"
-                              f" submit a sweep with 'repro queue submit'",
-                    "sweeps": []}
+                    "reason": self._queue_reason(
+                        f"no job store at {self.jobstore_path},"
+                        f" submit a sweep with 'repro queue submit'"),
+                    "sweeps": [], "unfinished": 0}
+        elif token is not None:
+            token = self._match_token(token)
+            with store:
+                row = store.sweep_row(token)
+                if row is None:
+                    raise KeyError(f"sweep {token!r} is archived but no"
+                                   f" longer in the job store")
+                data = {"available": True, "token": token,
+                        "description": row["description"]}
+                data.update(self._job_counts(store, token))
+                if include_jobs:
+                    data["jobs"] = [self._job_dict(job)
+                                    for job in store.jobs(token)]
+            data["archived"] = self._archived_counts(token)
         else:
             with store:
-                if token is not None:
-                    token = self._match_token(token)
-                    row = store.sweep_row(token)
-                    if row is None:
-                        raise KeyError(f"sweep {token!r} is archived but no"
-                                       f" longer in the job store")
-                    counts = store.counts(token)
-                    data = {
-                        "available": True,
-                        "token": token,
+                sweeps = []
+                for row in store.sweeps():
+                    counts = store.counts(row["token"])
+                    sweeps.append({
+                        "token": row["token"],
                         "description": row["description"],
                         "counts": counts,
                         "total": sum(counts.values()),
-                        "timing": store.timing(token),
-                    }
-                    if include_jobs:
-                        data["jobs"] = [self._job_dict(job)
-                                        for job in store.jobs(token)]
-                    unfinished = store.unfinished(token)
-                else:
-                    sweeps = []
-                    for row in store.sweeps():
-                        counts = store.counts(row["token"])
-                        sweeps.append({
-                            "token": row["token"],
-                            "description": row["description"],
-                            "counts": counts,
-                            "total": sum(counts.values()),
-                        })
-                    data = {"available": True, "sweeps": sweeps}
-                    unfinished = store.unfinished()
-        data["unfinished"] = unfinished
-        data["workers"] = self.workers(sweep=token, unfinished=unfinished)
+                    })
+                data = {"available": True, "sweeps": sweeps,
+                        "unfinished": store.unfinished()}
+        data["workers"] = self.workers(sweep=token,
+                                       unfinished=int(data["unfinished"]))
         return data
+
+    def _archived_counts(self, token: str) -> Optional[Dict[str, object]]:
+        archive = self._archive()
+        if archive is None:
+            return None
+        with archive:
+            meta = archive.sweep_meta(token)
+        if meta is None:
+            return None
+        return {key: meta[key] for key in ("records", "total", "complete")}
 
     @staticmethod
     def _job_dict(job) -> Dict[str, object]:
@@ -323,9 +351,7 @@ class ReadModel:
         """Ledger heartbeats with freshness and an aggregate drain ETA."""
         ledger = self._ledger()
         if ledger is None:
-            return {"available": False,
-                    "reason": "no run ledger (workers write one when"
-                              " telemetry is enabled)",
+            return {"available": False, "reason": self._no_ledger_reason(),
                     "workers": []}
         with ledger:
             rows = ledger.heartbeats(sweep=sweep)
@@ -416,9 +442,10 @@ class ReadModel:
 
     def _no_ledger_reason(self) -> str:
         if self.ledger_path is None:
-            return ("no telemetry directory (set REPRO_TELEMETRY_DIR or"
-                    " use --root)")
-        return f"no run ledger at {self.ledger_path}"
+            return ("no telemetry directory: set REPRO_TELEMETRY_DIR or"
+                    " enable the trace store (REPRO_TRACE_STORE)")
+        return (f"no run ledger at {self.ledger_path} -- record one with"
+                f" --telemetry or REPRO_TELEMETRY=1")
 
     def _manifest(self, run_id: str) -> Optional[Dict[str, object]]:
         """The run's JSONL manifest, torn-tail tolerant.
@@ -467,8 +494,9 @@ class ReadModel:
         """
         archive = self._archive()
         if archive is None:
-            raise KeyError(f"no result archive at {self.archive_path};"
-                           f" archive a sweep first")
+            raise KeyError(self._queue_reason(
+                f"no result archive at {self.archive_path};"
+                f" archive a sweep first"))
         with archive:
             sweeps = archive.list_sweeps()
             candidates = [meta for meta in sweeps if meta["records"]]

@@ -103,10 +103,12 @@ def serve(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
     """Blocking entry point of ``repro serve``."""
     server = create_server(host=host, port=port, root=root, quiet=quiet)
     model = server.model
+    queue_dir = (str(model.queue_dir) if model.queue_dir is not None
+                 else "(none; set REPRO_QUEUE_DIR or --root)")
     telemetry = (str(model.telemetry_dir) if model.telemetry_dir is not None
                  else "(none; set REPRO_TELEMETRY_DIR or --root)")
     print(f"repro serve on {server.url}")
-    print(f"  queue dir: {model.queue_dir}")
+    print(f"  queue dir: {queue_dir}")
     print(f"  telemetry: {telemetry}")
     print(f"  dashboard: {server.url}  ·  API: {server.url}api/sweeps")
     try:

@@ -369,6 +369,42 @@ class TestRunLedger:
             with pytest.raises(KeyError):
                 ledger.resolve("zzz")
 
+    def test_resolve_sweep_prefix_is_exact_and_unique(self, tmp_path):
+        with RunLedger(tmp_path / "l.sqlite") as ledger:
+            for run_id, sweep in (("r-1", "ab11"), ("r-2", "ab11"),
+                                  ("s-1", "ac22"), ("s-2", "ac22")):
+                self._record(ledger, run_id, sweep=sweep)
+            scope, rows = ledger.resolve("ab")
+            assert scope == "sweep"
+            assert {row["run_id"] for row in rows} == {"r-1", "r-2"}
+            # A prefix of two sweeps is ambiguous, not their union.
+            with pytest.raises(ValueError, match="ambiguous sweep prefix"):
+                ledger.resolve("a")
+            # Case-sensitive, and LIKE wildcards match only themselves.
+            for ref in ("A", "AB", "a_", "a%", "%", "_"):
+                with pytest.raises(KeyError):
+                    ledger.resolve(ref)
+            with pytest.raises(ValueError, match="empty"):
+                ledger.resolve("")
+            assert [row["run_id"] for row in ledger.runs(sweep="ab")] \
+                == ["r-2", "r-1"]
+            assert ledger.runs(sweep="A") == []
+            assert ledger.runs(sweep="a_") == []
+
+    def test_runs_show_does_not_merge_sweeps(self, obs_on, capsys):
+        from repro.cli import main
+
+        with RunLedger(obs_on / "ledger.sqlite") as ledger:
+            for run_id, sweep in (("r-1", "ab11"), ("s-1", "ac22")):
+                self._record(ledger, run_id, sweep=sweep)
+        assert main(["runs", "show", "a"]) == 1
+        assert "ambiguous sweep prefix" in capsys.readouterr().err
+        assert main(["runs", "show", "A"]) == 1
+        assert "no run or sweep" in capsys.readouterr().err
+        assert main(["runs", "show", "ab"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep ab11" in out and "runs: 1 " in out
+
     def test_summarize_recomputes_rates_from_sums(self, tmp_path):
         with RunLedger(tmp_path / "l.sqlite") as ledger:
             self._record(ledger, "r1", sweep="s", accesses=1000, measure=2.0)
@@ -513,7 +549,7 @@ class TestCli:
         assert main(["runs", "show", token, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["scope"] == "sweep"
-        assert data["runs"] >= 1
+        assert data["summary"]["runs"] >= 1
 
         assert main(["runs", "compare", token, token]) == 0
         assert "wall_seconds" in capsys.readouterr().out

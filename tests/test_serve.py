@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 import urllib.request
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ import pytest
 
 from repro.obs.ledger import RunLedger, summarize
 from repro.queue import SweepService
+from repro.queue.service import NO_QUEUE_DIR
 from repro.sampling.windows import SamplingConfig
 from repro.serve import ReadModel, create_server, handle_request
 from repro.serve.figures import Bar, BarGroup, render_grouped_bars
@@ -267,6 +269,89 @@ class TestEmptyRoot:
             assert data["available"] is False
         status, _ = get_json(model, "/api/figures/fig6")
         assert status == 404
+
+    def test_no_queue_directory(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        for name in ("REPRO_QUEUE_DIR", "REPRO_TELEMETRY_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        model = ReadModel()
+        assert model.queue_dir is None
+        status, health = get_json(model, "/api/health")
+        assert status == 200 and health["queue_dir"] is None
+        assert not any(health["stores"].values())
+        for path in ("/api/sweeps", "/api/queue"):
+            status, data = get_json(model, path)
+            assert status == 200 and data["available"] is False
+            assert data["reason"] == NO_QUEUE_DIR
+        assert main(["queue", "status"]) == 2
+        assert "no queue directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["queue", "status"], ["top"]],
+                             ids=["queue-status", "top"])
+    def test_read_only_views_create_no_file(self, tmp_path, monkeypatch,
+                                            capsys, argv):
+        from repro.cli import main
+
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        monkeypatch.setenv("REPRO_QUEUE_DIR", str(queue_dir))
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "telemetry"))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert list(tmp_path.rglob("*")) == [queue_dir]
+
+
+# --------------------------------------------------------------------- #
+# One read side: each CLI view's --json is its endpoint's body
+# --------------------------------------------------------------------- #
+CLI_VIEWS = {
+    "queue-status-listing": (["queue", "status", "--json"],
+                             "/api/sweeps", {}),
+    "queue-status-token": (["queue", "status", "{prefix}", "--json"],
+                           "/api/queue", {"token": "{prefix}", "jobs": "0"}),
+    "queue-status-jobs": (["queue", "status", "{prefix}", "--json", "--jobs"],
+                          "/api/queue", {"token": "{prefix}"}),
+    "runs-list": (["runs", "list", "--json"], "/api/runs", {}),
+    "runs-show": (["runs", "show", "{prefix}", "--json"],
+                  "/api/runs/{prefix}", {}),
+}
+
+
+class TestCliRendersReadModel:
+    @pytest.mark.parametrize("view", sorted(CLI_VIEWS))
+    def test_cli_json_is_endpoint_body(self, served, monkeypatch, capsys,
+                                       view):
+        from repro.cli import main
+
+        # Heartbeat ages are computed per call; freeze the clock.
+        monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+        argv, path, query = CLI_VIEWS[view]
+        prefix = served.token[:8]
+        status, body = get_json(
+            served.model, path.format(prefix=prefix),
+            {name: [value.format(prefix=prefix)]
+             for name, value in query.items()})
+        assert status == 200
+        assert main([arg.format(prefix=prefix) for arg in argv]) == 0
+        assert json.loads(capsys.readouterr().out) == body
+
+    def test_token_views_take_prefixes(self, served, capsys):
+        from repro.cli import main
+
+        prefix = served.token[:8]
+        assert main(["queue", "status", prefix]) == 0
+        out = capsys.readouterr().out
+        assert f"sweep {served.token}" in out
+        assert "archived" in out and "jobs done" in out
+        assert main(["top", "--sweep", prefix]) == 0
+        assert "queue: 0 unfinished jobs" in capsys.readouterr().out
+        for argv in (["queue", "status", ""], ["top", "--sweep", "zzzz"]):
+            assert main(argv) == 1
+            assert "error:" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="empty"):
+            served.model.sweep("")
 
 
 # --------------------------------------------------------------------- #
