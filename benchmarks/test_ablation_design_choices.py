@@ -33,7 +33,7 @@ def _measure():
     measure = trace[int(len(trace) * 2 / 3):]
 
     def run(design):
-        design.warm_up(warmup)
+        design.warm_up_array(warmup)
         design.run(measure)
         return design
 

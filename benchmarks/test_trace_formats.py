@@ -14,6 +14,7 @@ import time
 
 from conftest import write_report, write_timings
 
+from repro.engine.trace_array import array_to_records
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
 from repro.trace.binfmt import read_trace_bin, write_trace_bin
 from repro.trace.io import read_trace, write_trace
@@ -47,7 +48,8 @@ def test_binary_format_size_and_load_speed(results_dir, tmp_path):
     runner = ExperimentRunner(ExperimentConfig(
         scale=512, num_accesses=TRACE_ACCESSES, num_cores=4, seed=1,
     ))
-    trace = runner.build_trace(workload_by_name("Web Search"))
+    trace = array_to_records(
+        runner.build_trace(workload_by_name("Web Search")))
 
     text_path = tmp_path / "trace.trace"
     bin_path = tmp_path / "trace.rptr"

@@ -40,7 +40,7 @@ def explore(workload_name: str, accesses: int, scale: int) -> None:
           f"{'underpred':>10} {'singletons':>11}")
     for design_name in ("unison", "unison-1984", "footprint"):
         design = make_design(design_name, "1GB", scale=scale)
-        design.warm_up(warmup)
+        design.warm_up_array(warmup)
         design.run(measure)
         predictor = design.footprint_predictor
         print(f"{design_name:<14} {100 * design.cache_stats.miss_ratio:>6.1f}% "

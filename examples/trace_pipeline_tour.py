@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import ExperimentConfig, FileSource, SweepSpec, run_sweep
 from repro.sim.experiment import ExperimentRunner
-from repro.trace.binfmt import read_header, write_trace_bin
+from repro.trace.binfmt import BinaryTraceWriter, read_header
 from repro.workloads.cloudsuite import workload_by_name
 
 
@@ -46,12 +46,10 @@ def main() -> int:
     # 1. Stream the synthetic trace to disk, chunk by chunk: the full trace
     #    never exists in memory here.
     trace_path = workdir / "websearch.rptr"
-    count = write_trace_bin(
-        trace_path,
-        (access for chunk in runner.iter_trace_chunks(profile)
-         for access in chunk),
-        num_cores=config.num_cores,
-    )
+    with BinaryTraceWriter(trace_path, num_cores=config.num_cores) as writer:
+        for chunk in runner.iter_trace_chunks(profile):
+            writer.write_all(chunk)
+    count = writer.count
     print(f"generated {count} accesses -> {trace_path}")
 
     # 2. The header describes the file without decompressing the payload.

@@ -330,7 +330,9 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def _trace_gen(args: argparse.Namespace) -> int:
+    from repro.engine.trace_array import array_to_records
     from repro.trace.adapters import resolve_format
+    from repro.trace.binfmt import BinaryTraceWriter
 
     try:
         profile = workload_by_name(args.workload)
@@ -351,9 +353,18 @@ def _trace_gen(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    stream = (access for chunk in runner.iter_trace_chunks(profile)
-              for access in chunk)
-    count = fmt.writer(args.out, stream, args.cores)
+    chunks = runner.iter_trace_chunks(profile)
+    if fmt.name == "binary":
+        # The generator's record arrays are the binary payload: written as
+        # they come, with no per-record round trip.
+        with BinaryTraceWriter(args.out, num_cores=args.cores) as writer:
+            for chunk in chunks:
+                writer.write_all(chunk)
+        count = writer.count
+    else:
+        stream = (access for chunk in chunks
+                  for access in array_to_records(chunk))
+        count = fmt.writer(args.out, stream, args.cores)
     print(f"wrote {count} accesses to {args.out} ({fmt.name})")
     return 0
 
@@ -791,6 +802,21 @@ def _queue_service(args: argparse.Namespace):
     return SweepService(queue_dir=args.queue_dir, **kwargs)
 
 
+def _sweep_token(service, ref: str) -> str:
+    """The full token of the sweep ``ref`` names: exact or unique prefix.
+
+    Resolved over the job store and the archive exactly as the read views
+    resolve it; an unknown or ambiguous ref raises ``ValueError``, which
+    :func:`queue_main` reports as a one-line error with exit status 2.
+    """
+    from repro.serve.readmodel import ReadModel
+
+    try:
+        return ReadModel(queue_dir=service.queue_dir).match_token(ref)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
+
+
 def _queue_submit(args: argparse.Namespace) -> int:
     service = _queue_service(args)
     spec = _queue_spec(args)
@@ -967,6 +993,7 @@ def _queue_status(args: argparse.Namespace) -> int:
 
 def _queue_resume(args: argparse.Namespace) -> int:
     service = _queue_service(args)
+    token = _sweep_token(service, args.token)
 
     def progress(index: int, total: int, trial: ExperimentSpec) -> None:
         if not args.quiet:
@@ -974,11 +1001,10 @@ def _queue_resume(args: argparse.Namespace) -> int:
                   file=sys.stderr)
 
     try:
-        results = service.resume(args.token, workers=args.jobs or None,
+        results = service.resume(token, workers=args.jobs or None,
                                  progress=progress)
     except (KeyError, RuntimeError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        return _fail(error)
     print(results.table())
     if args.json is not None:
         results.to_json(args.json)
@@ -990,18 +1016,18 @@ def _queue_resume(args: argparse.Namespace) -> int:
 def _queue_prune(args: argparse.Namespace) -> int:
     service = _queue_service(args)
     if args.token is not None:
+        token = _sweep_token(service, args.token)
         with service.archive() as archive:
-            meta = archive.sweep_meta(args.token)
+            meta = archive.sweep_meta(token)
         if meta is None:
-            print(f"error: no archived sweep {args.token!r}",
-                  file=sys.stderr)
+            print(f"error: no archived sweep {token!r}", file=sys.stderr)
             return 1
         if not meta["complete"]:
-            print(f"error: sweep {args.token!r} is not fully archived; "
+            print(f"error: sweep {token!r} is not fully archived; "
                   f"its job rows are its resume state", file=sys.stderr)
             return 1
-        deleted = service.prune(args.token)
-        summary = {"pruned": [args.token], "jobs_deleted": deleted,
+        deleted = service.prune(token)
+        summary = {"pruned": [token], "jobs_deleted": deleted,
                    "kept_recent": 0, "kept_young": 0,
                    "skipped_unarchived": 0}
     else:
@@ -1027,9 +1053,10 @@ def _queue_work(args: argparse.Namespace) -> int:
     from repro.queue import work as queue_work
 
     service = _queue_service(args)
+    sweep = None if args.sweep is None else _sweep_token(service, args.sweep)
     executed = queue_work(
         service.db_path,
-        sweep=args.sweep,
+        sweep=sweep,
         lease_seconds=args.lease_seconds,
         max_jobs=args.max_jobs,
         drain=not args.no_drain,

@@ -63,10 +63,12 @@ MANIFEST_DIRNAME = "manifests"
 PROFILE_DIRNAME = "profiles"
 
 #: Preferred display order of the standard phases.
-#: ``restore``, ``window_warm`` and ``replay`` (and ``baseline`` on the
-#: sampled path) time the steps of each sampled window inside ``measure``.
-PHASE_ORDER = ("trace_load", "warmup", "measure", "restore", "window_warm",
-               "replay", "assemble", "baseline")
+#: ``trace_generate`` (a trace-store miss generating and writing the trace)
+#: runs inside ``trace_load``; ``restore``, ``window_warm`` and ``replay``
+#: (and ``baseline`` on the sampled path) time the steps of each sampled
+#: window inside ``measure``.
+PHASE_ORDER = ("trace_load", "trace_generate", "warmup", "measure", "restore",
+               "window_warm", "replay", "assemble", "baseline")
 
 
 def telemetry_enabled() -> bool:

@@ -503,7 +503,8 @@ class JobStore:
     # ------------------------------------------------------------------ #
     def counts(self, sweep: Optional[str] = None) -> Dict[str, int]:
         """Jobs per state (every state present, zero-filled)."""
-        where, params = ("WHERE sweep = ?", (sweep,)) if sweep else ("", ())
+        where, params = (("WHERE sweep = ?", (sweep,)) if sweep is not None
+                         else ("", ()))
         rows = self._conn.execute(
             f"SELECT state, COUNT(*) AS n FROM jobs {where} GROUP BY state",
             params,

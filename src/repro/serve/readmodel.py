@@ -213,7 +213,7 @@ class ReadModel:
                 f"no job store or result archive under {self.queue_dir}")
         return data
 
-    def _match_token(self, ref: str) -> str:
+    def match_token(self, ref: str) -> str:
         """Resolve an exact token or unique prefix over both stores."""
         if not ref:
             raise ValueError("empty sweep token")
@@ -232,7 +232,7 @@ class ReadModel:
     def sweep(self, ref: str, include_records: bool = True
               ) -> Dict[str, object]:
         """One sweep's metadata, job counts, and archived records."""
-        token = self._match_token(ref)
+        token = self.match_token(ref)
         data: Dict[str, object] = {"token": token}
         archive = self._archive()
         if archive is not None:
@@ -288,7 +288,7 @@ class ReadModel:
                         f" submit a sweep with 'repro queue submit'"),
                     "sweeps": [], "unfinished": 0}
         elif token is not None:
-            token = self._match_token(token)
+            token = self.match_token(token)
             with store:
                 row = store.sweep_row(token)
                 if row is None:
@@ -501,7 +501,7 @@ class ReadModel:
             sweeps = archive.list_sweeps()
             candidates = [meta for meta in sweeps if meta["records"]]
             if token is not None:
-                token = self._match_token(token)
+                token = self.match_token(token)
                 meta = archive.sweep_meta(token)
                 if meta is None:
                     raise KeyError(f"sweep {token!r} is not archived")

@@ -45,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.dramcache.stats import DramCacheStats
-from repro.engine.trace_array import records_to_array
 from repro.obs.core import current as obs_current, start_run
 from repro.sim.experiment import ExperimentResult, ExperimentRunner, Workload
 from repro.sim.resultset import ResultSet
@@ -118,9 +117,9 @@ def cached_trace(runner: ExperimentRunner,
 
     Every path returns the same type: one packed
     :data:`~repro.engine.trace_array.RECORD_DTYPE` array (a store hit, the
-    store's write-through on a miss, or ``build_trace``'s records packed
-    once when there is no usable store), so a first sweep and a repeat
-    sweep replay identical objects.
+    store's write-through on a miss, or ``build_trace``'s array when there
+    is no usable store), so a first sweep and a repeat sweep replay
+    identical objects.
     """
     key = trace_key(profile, runner.config)
     trace = _TRACE_CACHE.get(key)
@@ -135,17 +134,20 @@ def cached_trace(runner: ExperimentRunner,
         try:
             trace = store.load(store_key)
             if trace is None:
-                trace = store.put_chunks(
-                    store_key, runner.iter_trace_chunks(profile),
-                    num_cores=config.num_cores, collect=True,
-                )
+                obs_run = obs_current()
+                with obs_run.span("trace_generate"):
+                    trace = store.put_chunks(
+                        store_key, runner.iter_trace_chunks(profile),
+                        num_cores=config.num_cores, collect=True,
+                    )
+                obs_run.counter("generated_accesses", len(trace))
         except OSError:
             # Unreadable/unwritable store directory must never break a
             # sweep; fall back to plain in-memory generation.
             trace = None
 
     if trace is None:
-        trace = records_to_array(runner.build_trace(profile))
+        trace = runner.build_trace(profile)
     _TRACE_CACHE[key] = trace
     return trace
 

@@ -25,12 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.baselines.no_cache import NoDramCache
 from repro.config.system import SystemConfig
 from repro.obs.core import current as obs_current, emit_event
 from repro.dramcache.base import DramCacheModel
 from repro.dramcache.stats import DramCacheStats
 from repro.engine import fallback_reason
+from repro.engine.trace_array import records_to_array
 from repro.sim.factory import make_design, unison_design_for_ways
 from repro.sim.performance import PerformanceModel
 from repro.trace.pipeline import FileSource
@@ -211,12 +214,13 @@ class ExperimentRunner:
         )
 
     def iter_trace_chunks(self, profile: WorkloadProfile,
-                          ) -> Iterator[List[MemoryAccess]]:
-        """Generate the scaled workload trace as a stream of chunks.
+                          ) -> Iterator[np.ndarray]:
+        """Generate the scaled workload trace as packed record chunks.
 
         This is the streaming core of :meth:`build_trace`: the trace store
-        writes these chunks to disk as they are produced, so a trace never
-        has to be fully materialized just to be persisted.
+        writes these :data:`~repro.engine.trace_array.RECORD_DTYPE` arrays
+        to disk as they are produced, so a trace never has to be fully
+        materialized just to be persisted.
         """
         workload = SyntheticWorkload(
             self.scaled_profile(profile),
@@ -225,20 +229,20 @@ class ExperimentRunner:
         )
         return workload.iter_chunks(self.config.num_accesses)
 
-    def build_trace(self, profile: Workload) -> List[MemoryAccess]:
-        """Materialize the workload trace for this experiment.
+    def build_trace(self, profile: Workload) -> np.ndarray:
+        """Materialize the workload trace as one packed record array.
 
         Synthetic profiles are generated at the scaled working set; trace
         file workloads are streamed from disk, truncated to
-        ``config.num_accesses``.
+        ``config.num_accesses``.  Expand the array with
+        :func:`~repro.engine.trace_array.array_to_records` where
+        :class:`MemoryAccess` records are wanted.
         """
         if isinstance(profile, TraceFileWorkload):
             source = FileSource(profile.path, fmt=profile.format or None)
-            return source.limit(self.config.num_accesses).materialize()
-        trace: List[MemoryAccess] = []
-        for chunk in self.iter_trace_chunks(profile):
-            trace.extend(chunk)
-        return trace
+            return records_to_array(
+                source.limit(self.config.num_accesses).materialize())
+        return np.concatenate(list(self.iter_trace_chunks(profile)))
 
     def split_trace(self, trace: Sequence[MemoryAccess]) -> "tuple[Sequence[MemoryAccess], Sequence[MemoryAccess]]":
         """Split a trace into its (warm-up, measurement) portions."""

@@ -1,9 +1,12 @@
 """Synthetic L2-miss-stream generator.
 
 :class:`SyntheticWorkload` turns a :class:`~repro.workloads.profile.WorkloadProfile`
-into a deterministic, reproducible stream of
-:class:`~repro.trace.record.MemoryAccess` records that statistically matches
-the workload's description.
+into a deterministic, reproducible access stream that statistically matches
+the workload's description.  The stream is produced directly as packed
+:data:`~repro.trace.binfmt.RECORD_DTYPE` arrays (:meth:`SyntheticWorkload.iter_chunks`),
+the form the trace store writes and the engines replay;
+:meth:`~SyntheticWorkload.accesses` and :meth:`~SyntheticWorkload.generate`
+are :class:`~repro.trace.record.MemoryAccess` views over those arrays.
 
 The model of program behaviour is deliberately simple and matches the mental
 model the Footprint Cache / Unison Cache papers use:
@@ -26,13 +29,16 @@ parallel/serial equivalence guarantee rely on.
 
 from __future__ import annotations
 
+import heapq
 import random
 import zlib
 from collections import deque
-from itertools import islice
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.trace.record import AccessType, MemoryAccess
+import numpy as np
+
+from repro.trace.binfmt import RECORD_DTYPE
+from repro.trace.record import MemoryAccess
 from repro.utils.hashing import mix64
 from repro.workloads.profile import WorkloadProfile
 
@@ -44,10 +50,16 @@ _PC_BASE = 0x0000_0000_0040_0000
 #: given (profile, num_cores, seed) produces: the on-disk
 #: :class:`repro.trace.store.TraceStore` and the CI trace cache key their
 #: entries on it, so stale traces are never replayed after such a change.
+#: ``tests/test_generator_stream.py`` guards it: it pins the sha256 of every
+#: profile's packed stream, so a change that moves the stream fails there
+#: until this version is bumped and the pinned digests are re-recorded.
 GENERATOR_VERSION = 1
 
 #: Accesses per chunk yielded by :meth:`SyntheticWorkload.iter_chunks`.
 DEFAULT_CHUNK_SIZE = 16384
+
+#: Largest core id a packed record holds (its ``core_id`` field is a u16).
+_MAX_CORE_ID = int(np.iinfo(RECORD_DTYPE["core_id"]).max)
 
 
 class SyntheticWorkload:
@@ -67,6 +79,9 @@ class SyntheticWorkload:
     def __init__(self, profile: WorkloadProfile, num_cores: int = 16, seed: int = 1) -> None:
         if num_cores <= 0:
             raise ValueError("num_cores must be positive")
+        if num_cores - 1 > _MAX_CORE_ID:
+            raise ValueError(f"num_cores must be at most {_MAX_CORE_ID + 1} "
+                             f"(core ids are packed as u16), got {num_cores}")
         self.profile = profile
         self.num_cores = num_cores
         self.seed = seed
@@ -75,9 +90,13 @@ class SyntheticWorkload:
         # benchmark figure -- differ from run to run and process to process.
         name_hash = zlib.crc32(profile.name.encode("utf-8"))
         self._rng = random.Random(mix64(seed) ^ mix64(name_hash))
-        # Per-core state: pending accesses of the in-flight traversal and the
-        # current code site with its remaining run length.
-        self._pending: List[Deque[MemoryAccess]] = [deque() for _ in range(num_cores)]
+        # Per-core state: the columns of the accesses generated but not yet
+        # served (address, PC, write draw, timestamp), and the current code
+        # site with its remaining run length.
+        self._addresses: List[List[int]] = [[] for _ in range(num_cores)]
+        self._pcs: List[List[int]] = [[] for _ in range(num_cores)]
+        self._write_draws: List[List[float]] = [[] for _ in range(num_cores)]
+        self._timestamps: List[List[int]] = [[] for _ in range(num_cores)]
         self._current_pc_index: List[int] = [
             self._rng.randrange(profile.num_code_regions) for _ in range(num_cores)
         ]
@@ -96,38 +115,47 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def accesses(self, count: int) -> Iterator[MemoryAccess]:
-        """Yield the next ``count`` accesses of the interleaved stream."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        produced = 0
-        core = 0
-        while produced < count:
-            queue = self._pending[core]
-            if not queue:
-                self._start_traversal(core)
-                queue = self._pending[core]
-            yield queue.popleft()
-            produced += 1
-            core = (core + 1) % self.num_cores
-
     def iter_chunks(self, count: int,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    ) -> Iterator[List[MemoryAccess]]:
-        """Yield the next ``count`` accesses as lists of ``chunk_size``.
+                    ) -> Iterator[np.ndarray]:
+        """Yield the next ``count`` accesses as packed record arrays.
 
-        Chunked generation is what lets the trace store and the executor
-        stream a multi-million-access trace to disk while it is being
-        produced, instead of materializing one giant list first.
+        Each chunk is a :data:`~repro.trace.binfmt.RECORD_DTYPE` array of
+        ``chunk_size`` records (the last one may be shorter).  The stream
+        interleaves the cores round-robin starting at core 0 on every call;
+        a core starts its next region traversal when its queue of generated
+        accesses runs dry, so traversal starts follow ``(round, core)``
+        order.  Chunked generation is what lets the trace store and the
+        executor stream a multi-million-access trace to disk while it is
+        being produced, instead of materializing one giant array first.
         """
+        if count < 0:
+            raise ValueError("count must be non-negative")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        stream = self.accesses(count)
-        while True:
-            chunk = list(islice(stream, chunk_size))
-            if not chunk:
-                return
-            yield chunk
+        cores = self.num_cores
+        # Next traversal start of every core as a stream position
+        # ``round * cores + core`` (ordered like ``(round, core)``): a core
+        # holding q queued accesses runs dry at round q.
+        starts = [len(self._addresses[core]) * cores + core
+                  for core in range(cores)]
+        heapq.heapify(starts)
+        for begin in range(0, count, chunk_size):
+            end = min(count, begin + chunk_size)
+            while starts[0] < end:
+                position = starts[0]
+                length = self._start_traversal(position % cores)
+                heapq.heapreplace(starts, position + length * cores)
+            yield self._serve(begin, end)
+
+    def accesses(self, count: int) -> Iterator[MemoryAccess]:
+        """Yield the next ``count`` accesses of the interleaved stream."""
+        # Deferred: the engine package imports the cache models, which import
+        # the trace package, which imports this module.
+        from repro.engine.trace_array import array_to_records
+
+        for chunk in self.iter_chunks(count):
+            yield from array_to_records(chunk)
 
     def generate(self, count: int) -> List[MemoryAccess]:
         """Materialize the next ``count`` accesses as a list."""
@@ -136,8 +164,41 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------ #
     # Traversal construction
     # ------------------------------------------------------------------ #
-    def _start_traversal(self, core: int) -> None:
-        """Queue up the accesses of one region traversal for ``core``."""
+    def _serve(self, begin: int, end: int) -> np.ndarray:
+        """Pack stream positions ``[begin, end)`` of the current call.
+
+        Position ``k`` belongs to core ``k % num_cores``; each core's share
+        of the chunk is the front of its queued columns.
+        """
+        cores = self.num_cores
+        size = end - begin
+        out = np.empty(size, dtype=RECORD_DTYPE)
+        address, pc, timestamp = out["address"], out["pc"], out["timestamp"]
+        core_id, access_type = out["core_id"], out["access_type"]
+        write_fraction = self.profile.write_fraction
+        for core in range(cores):
+            first = (core - begin) % cores
+            if first >= size:
+                continue
+            served = len(range(first, size, cores))
+            rows = slice(first, None, cores)
+            addresses = self._addresses[core]
+            pcs = self._pcs[core]
+            draws = self._write_draws[core]
+            stamps = self._timestamps[core]
+            address[rows] = addresses[:served]
+            pc[rows] = pcs[:served]
+            access_type[rows] = np.array(draws[:served]) < write_fraction
+            timestamp[rows] = stamps[:served]
+            core_id[rows] = core
+            del addresses[:served], pcs[:served], draws[:served], stamps[:served]
+        return out
+
+    def _start_traversal(self, core: int) -> int:
+        """Queue up the accesses of one region traversal for ``core``.
+
+        Returns the number of accesses queued.
+        """
         profile = self.profile
         rng = self._rng
 
@@ -157,26 +218,19 @@ class SyntheticWorkload:
         else:
             offsets = self._traversal_offsets(pc_index, region)
 
-        pc = _PC_BASE + pc_index * 4
         region_base = region * profile.region_size
-        queue = self._pending[core]
-        for offset in offsets:
-            address = region_base + offset * profile.block_size
-            access_type = (
-                AccessType.WRITE
-                if rng.random() < profile.write_fraction
-                else AccessType.READ
-            )
-            queue.append(
-                MemoryAccess(
-                    address=address,
-                    pc=pc,
-                    access_type=access_type,
-                    core_id=core,
-                    timestamp=self._timestamp,
-                )
-            )
-            self._timestamp += 1
+        block_size = profile.block_size
+        random_draw = rng.random
+        length = len(offsets)
+        start = self._timestamp
+        self._addresses[core].extend([region_base + offset * block_size
+                                      for offset in offsets])
+        self._pcs[core].extend([_PC_BASE + pc_index * 4] * length)
+        # One write draw per access, in ascending offset order.
+        self._write_draws[core].extend([random_draw() for _ in offsets])
+        self._timestamps[core].extend(range(start, start + length))
+        self._timestamp = start + length
+        return length
 
     def _choose_region(self, core: int) -> Tuple[int, Optional[int]]:
         """Pick the data region for the next traversal.

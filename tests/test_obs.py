@@ -333,6 +333,39 @@ class TestRunRecording:
 # --------------------------------------------------------------------- #
 # The ledger itself
 # --------------------------------------------------------------------- #
+class TestTraceGeneration:
+    def test_store_miss_records_generation_beside_the_load(self, obs_on):
+        """A trace-store miss times generation inside ``trace_load`` and
+        counts the accesses generated; a later hit records neither."""
+        from repro.sim.executor import clear_caches
+
+        trial = tiny_spec().trials()[0]
+        sweeps = ("a1" * 16, "b2" * 16)
+        for sweep in sweeps:
+            clear_caches()
+            with job_context(sweep=sweep, job_seq=0, worker="w1"):
+                run_trial(trial)
+
+        with RunLedger(obs_on / "ledger.sqlite") as ledger:
+            (miss,), (hit,) = (
+                [row["run_id"] for row in ledger.resolve(sweep)[1]]
+                for sweep in sweeps)
+            miss_phases = ledger.phases_for([miss])
+            miss_metrics = ledger.metrics_for([miss])
+            hit_phases = ledger.phases_for([hit])
+            hit_metrics = ledger.metrics_for([hit])
+
+        assert miss_phases["trace_generate"][1] == 1
+        assert 0 < miss_phases["trace_generate"][0] \
+            <= miss_phases["trace_load"][0]
+        assert miss_metrics["generated_accesses"] == 2000
+        assert miss_metrics["trace_store_writes"] == 1
+        assert "trace_generate" not in hit_phases
+        assert "trace_load" in hit_phases
+        assert "generated_accesses" not in hit_metrics
+        assert hit_metrics["trace_store_hits"] == 1
+
+
 class TestRunLedger:
     def test_schema_version_mismatch_refused(self, tmp_path):
         path = tmp_path / "ledger.sqlite"

@@ -118,6 +118,16 @@ class TestJobStore:
             assert store.submit("tok", "d", None, planned(3)) == 0
             assert store.counts("tok")[PENDING] == 3
 
+    def test_sweep_filter_is_exact_for_lease_and_counts(self, tmp_path):
+        """An empty sweep name selects no sweep in both queries; counting
+        every sweep for it left a draining ``work(sweep="")`` waiting
+        forever on jobs it could never lease."""
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, planned(2))
+            assert store.lease("owner", lease_seconds=60, sweep="") is None
+            assert store.unfinished("") == 0
+            assert store.unfinished() == 2
+
     def test_lease_complete_lifecycle(self, tmp_path):
         with JobStore(tmp_path / "jobs.sqlite") as store:
             store.submit("tok", "d", None, planned(1))
@@ -726,6 +736,68 @@ class TestQueueCli:
         from repro.cli import main
 
         assert main(["queue", "status", "deadbeef"]) == 1
+
+
+class TestQueueWriteVerbsResolvePrefixes:
+    """``resume``, ``prune`` and ``work --sweep`` resolve a sweep ref the
+    way the read views do: exact token or unique prefix; an unknown or
+    empty ref exits 2 with a one-line error."""
+
+    GRID = ["--designs", "unison", "--workloads", "Web Search",
+            "--capacities", "512MB", "--scale", "4096", "--accesses", "2000"]
+
+    @pytest.fixture
+    def token(self, queue_root, capsys):
+        from repro.cli import main
+
+        assert main(["queue", "submit"] + self.GRID) == 0
+        token = capsys.readouterr().out.split()[1]
+        return token
+
+    @staticmethod
+    def _rejects(argv, capsys, ref):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "executed" not in captured.out
+        assert captured.err == f"error: no sweep matches {ref!r}\n"
+
+    def test_work(self, token, capsys):
+        from repro.cli import main
+
+        self._rejects(["queue", "work", "--sweep", "deadbeef"], capsys,
+                      "deadbeef")
+        assert main(["queue", "work", "--sweep", token[:8]]) == 0
+        assert "executed 1 jobs" in capsys.readouterr().out
+
+    def test_resume(self, token, capsys):
+        from repro.cli import main
+
+        self._rejects(["queue", "resume", "deadbeef", "--quiet"], capsys,
+                      "deadbeef")
+        assert main(["queue", "resume", token[:8], "--quiet"]) == 0
+        assert "unison" in capsys.readouterr().out
+
+    def test_prune(self, token, capsys):
+        from repro.cli import main
+
+        assert main(["queue", "work"]) == 0
+        capsys.readouterr()
+        self._rejects(["queue", "prune", "deadbeef"], capsys, "deadbeef")
+        assert main(["queue", "prune", token[:8]]) == 0
+        assert f"  {token}\n" in capsys.readouterr().out
+        # Archived but pruned: the prefix resolves, and resume's own
+        # lookup error prints as a plain message, not a KeyError repr.
+        assert main(["queue", "resume", token[:8], "--quiet"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: unknown sweep token {token!r}\n")
+
+    def test_empty_ref_is_rejected(self, token, capsys):
+        from repro.cli import main
+
+        assert main(["queue", "work", "--sweep", ""]) == 2
+        assert capsys.readouterr().err == "error: empty sweep token\n"
 
 
 # --------------------------------------------------------------------- #

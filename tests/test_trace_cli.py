@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.engine.trace_array import array_to_records
 from repro.trace.binfmt import read_header, read_trace_bin
 from repro.trace.io import read_trace
 
@@ -30,8 +31,29 @@ class TestTraceGen:
               "--out", str(out)])
         runner = ExperimentRunner(ExperimentConfig(
             scale=8192, num_accesses=1500, num_cores=4, seed=1))
-        assert read_trace_bin(out) == runner.build_trace(
-            workload_by_name("Web Search"))
+        assert read_trace_bin(out) == array_to_records(runner.build_trace(
+            workload_by_name("Web Search")))
+
+    def test_gen_binary_bytes_match_the_record_writer(self, tmp_path):
+        """``trace gen`` writes the generator's arrays as they come; the
+        file is byte-identical to writing the record view at the writer's
+        default level."""
+        from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+        from repro.trace.binfmt import write_trace_bin
+        from repro.workloads.cloudsuite import workload_by_name
+        from repro.workloads.generator import SyntheticWorkload
+
+        out = tmp_path / "gen.rptr"
+        reference = tmp_path / "records.rptr"
+        main(["trace", "gen", "--workload", "Data Analytics",
+              "--accesses", "20000", "--cores", "12", "--scale", "512",
+              "--seed", "3", "--out", str(out)])
+        profile = ExperimentRunner(ExperimentConfig(scale=512)).scaled_profile(
+            workload_by_name("Data Analytics"))
+        records = SyntheticWorkload(profile, num_cores=12, seed=3).generate(
+            20000)
+        write_trace_bin(reference, records, num_cores=12)
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_gen_text_format(self, tmp_path):
         out = tmp_path / "ws.trace"

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.engine.trace_array import array_to_records
+from repro.engine.trace_array import array_to_records, records_to_array
 from repro.trace.binfmt import read_header
 from repro.trace.store import (
     TraceStore,
@@ -84,7 +84,8 @@ class TestHitMiss:
     def test_put_chunks_collect(self, store, profile):
         key = store.key(profile, 128, 4, 1, 100)
         trace = make_trace(100)
-        chunks = [trace[:40], trace[40:80], trace[80:]]
+        packed = records_to_array(trace)
+        chunks = [packed[:40], packed[40:80], packed[80:]]
         collected = store.put_chunks(key, chunks, num_cores=4, collect=True)
         assert array_to_records(collected) == trace
         assert array_to_records(store.load(key)) == trace
@@ -93,6 +94,21 @@ class TestHitMiss:
         key = store.key(profile, 128, 4, 1, 10)
         assert store.put_chunks(key, [make_trace(10)]) is None
         assert store.contains(key)
+
+    def test_entries_are_gzipped_at_the_store_level(self, store, profile,
+                                                    tmp_path):
+        from repro.trace.binfmt import BinaryTraceWriter
+        from repro.trace.store import COMPRESSLEVEL
+
+        assert COMPRESSLEVEL == 3
+        key = store.key(profile, 128, 4, 1, 3000)
+        packed = records_to_array(make_trace(3000))
+        store.put_chunks(key, [packed], num_cores=4)
+        expected = tmp_path / "expected.rptr"
+        with BinaryTraceWriter(expected, num_cores=4,
+                               compresslevel=COMPRESSLEVEL) as writer:
+            writer.write_all(packed)
+        assert store.path_for(key).read_bytes() == expected.read_bytes()
 
     def test_open_reader_streams(self, store, profile):
         key = store.key(profile, 128, 4, 1, 50)
@@ -121,11 +137,12 @@ class TestHitMiss:
         assert not path.exists()  # quarantined
 
     def test_load_returns_the_packed_record_array(self, store, profile):
-        from repro.engine.trace_array import RECORD_DTYPE, records_to_array
+        from repro.engine.trace_array import RECORD_DTYPE
 
         key = store.key(profile, 128, 4, 1, 30)
         trace = make_trace(30)
-        collected = store.put_chunks(key, [trace[:12], trace[12:]],
+        packed = records_to_array(trace)
+        collected = store.put_chunks(key, [packed[:12], packed[12:]],
                                      collect=True)
         loaded = store.load(key)
         for array in (collected, loaded):

@@ -101,6 +101,11 @@ class TestSyntheticWorkload:
         with pytest.raises(ValueError):
             SyntheticWorkload(tiny_profile, num_cores=0)
 
+    def test_core_ids_must_fit_the_packed_u16(self, tiny_profile):
+        # Rejected at construction, before any per-core state is built.
+        with pytest.raises(ValueError, match="u16"):
+            SyntheticWorkload(tiny_profile, num_cores=65537)
+
     def test_addresses_stay_within_working_set(self, tiny_profile):
         trace = SyntheticWorkload(tiny_profile, seed=1).generate(2000)
         limit = tiny_profile.num_regions * tiny_profile.region_size
