@@ -37,7 +37,13 @@ def main() -> int:
     parser.add_argument("--scale", type=int, default=2048)
     args = parser.parse_args()
 
-    workdir = Path(tempfile.mkdtemp(prefix="repro-trace-tour-"))
+    # Every file of the tour lives in a temporary directory removed on exit.
+    with tempfile.TemporaryDirectory(prefix="repro-trace-tour-") as workdir:
+        tour(Path(workdir), args)
+    return 0
+
+
+def tour(workdir: Path, args: argparse.Namespace) -> None:
     config = ExperimentConfig(scale=args.scale, num_accesses=args.accesses,
                               num_cores=4, seed=1)
     runner = ExperimentRunner(config)
@@ -90,7 +96,6 @@ def main() -> int:
     results = run_sweep(spec)
     print()
     print(results.table())
-    return 0
 
 
 if __name__ == "__main__":

@@ -76,19 +76,14 @@ def state_leaves(obj, prefix: str = "") -> Iterator[Tuple[str, object, str]]:
     walked (its buffers are named ``"<attr>.<buffer>"``); any other value is
     a buffer.  Lists (of ints, or of int lists) and dicts are restored in
     place, so the batch kernels and DRAM timing closures that alias them
-    stay valid; scalars are restored by assignment.  A computed buffer (a
-    property, such as packed RNG states) is restored through its setter,
-    and its owner defines ``state_fits(attribute, saved)`` to check a saved
-    value without computing the live one.
+    stay valid; scalars are restored by assignment.
     """
-    cls = type(obj)
-    for name in _state_attrs(cls):
-        if not isinstance(getattr(cls, name, None), property):
-            value = getattr(obj, name)
-            if hasattr(type(value), "_STATE_ATTRS"):
-                yield from state_leaves(value, f"{prefix}{name}.")
-                continue
-        yield prefix + name, obj, name
+    for name in _state_attrs(type(obj)):
+        value = getattr(obj, name)
+        if hasattr(type(value), "_STATE_ATTRS"):
+            yield from state_leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, obj, name
 
 
 def _capture(value):
@@ -238,22 +233,12 @@ class DramCacheModel(abc.ABC):
                 f"snapshot state keys {sorted(state)} do not match this "
                 f"design's state buffers {sorted(n for n, *_ in leaves)}"
             )
-        # Slice assignment silently resizes a list, and a computed buffer (a
-        # property) is unpacked by its setter, so every buffer is checked
-        # before the first one is written: a stored buffer by type and
-        # length against the live one, a computed one by its owner's
-        # ``state_fits`` (cheaper than computing the live value to compare).
-        live_values = {}
-        for name, owner, attr in leaves:
+        # Slice assignment silently resizes a list, so every buffer is
+        # checked by type and length against the live one before the first
+        # one is written.
+        lives = [getattr(owner, attr) for _, owner, attr in leaves]
+        for (name, _, _), live in zip(leaves, lives):
             saved = state[name]
-            if isinstance(getattr(type(owner), attr, None), property):
-                if not owner.state_fits(attr, saved):
-                    raise ValueError(
-                        f"snapshot buffer {name!r} does not fit this "
-                        f"design's geometry"
-                    )
-                continue
-            live = live_values[name] = getattr(owner, attr)
             sized = type(live) is list
             if (type(saved) is not (tuple if sized else type(live))
                     or sized and len(saved) != len(live)):
@@ -262,9 +247,8 @@ class DramCacheModel(abc.ABC):
                     f"not fit this design's {type(live).__name__}"
                     + (f" of {len(live)}" if sized else "")
                 )
-        for name, owner, attr in leaves:
+        for (name, owner, attr), live in zip(leaves, lives):
             saved = state[name]
-            live = live_values.get(name)
             if type(live) is dict:
                 live.clear()
                 live.update(saved)

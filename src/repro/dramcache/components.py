@@ -43,7 +43,6 @@ and downstream code can register new variants.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
@@ -62,7 +61,7 @@ from repro.predictors.miss import MissPredictor
 from repro.predictors.singleton import SingletonTable
 from repro.predictors.way import WayPredictor
 from repro.stats.counters import StatGroup
-from repro.trace.record import MemoryAccess
+from repro.trace.record import BLOCK_SIZE, MemoryAccess
 from repro.utils.residue import ResidueMapper
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -349,53 +348,42 @@ class LruReplacement(ReplacementComponent):
         return recency.index(min(recency))
 
 
-#: A packed ``random.Random`` state: 625 words of 32 bits.
-_RNG_STATE_BYTES = 625 * array("I").itemsize
-
-
 class RandomReplacement(ReplacementComponent):
     """Random victims from a deterministic per-set generator.
 
-    Each set's generator is seeded from ``(seed, set_index)`` so results
-    are reproducible and independent of the order sets are constructed in.
-    Its warm state is each generator's ``getstate()``, with the 625 state
-    words packed as 32-bit bytes: a tenth of the memory of a tuple of ints.
+    Set ``s`` draws from ``random.Random(seed * 1000003 + s)``, so results
+    are reproducible and independent of the order sets are used in.  The
+    warm state is ``draws``, the number of victims each set has drawn: a
+    generator is a pure function of its seed and its draw count, so one is
+    built on a set's first victim and rebuilt (seeded, then ``draws[s]``
+    draws replayed) whenever it no longer matches the set's count -- after
+    a restore, or in a design that was never replayed.
     """
 
     kind = "random"
-    _STATE_ATTRS = ("rng_states",)
+    _STATE_ATTRS = ("draws",)
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._rngs: List[random.Random] = []
+        self.draws: List[int] = []
+        #: Per set with a live generator: (generator, victims it has drawn).
+        self._live: Dict[int, "tuple[random.Random, int]"] = {}
 
     def bind(self, num_sets: int, associativity: int) -> None:
         super().bind(num_sets, associativity)
-        self._rngs = [random.Random(self.seed * 1000003 + set_index)
-                      for set_index in range(num_sets)]
-
-    @property
-    def rng_states(self) -> tuple:
-        return tuple((version, array("I", words).tobytes(), gauss)
-                     for version, words, gauss in (rng.getstate()
-                                                   for rng in self._rngs))
-
-    @rng_states.setter
-    def rng_states(self, states: tuple) -> None:
-        for rng, (version, words, gauss) in zip(self._rngs, states):
-            rng.setstate((version, tuple(array("I", words)), gauss))
-
-    def state_fits(self, attr: str, states) -> bool:
-        """Whether ``states`` can be restored: one packed state per set."""
-        return type(states) is tuple and len(states) == len(self._rngs) and all(
-            type(state) is tuple and len(state) == 3
-            and type(state[0]) is int
-            and type(state[1]) is bytes and len(state[1]) == _RNG_STATE_BYTES
-            and (state[2] is None or type(state[2]) is float)
-            for state in states)
+        self.draws = [0] * num_sets
+        self._live = {}
 
     def victim(self, set_index: int) -> int:
-        return self._rngs[set_index].randrange(self.associativity)
+        drawn = self.draws[set_index]
+        rng, live_drawn = self._live.get(set_index, (None, -1))
+        if live_drawn != drawn:
+            rng = random.Random(self.seed * 1000003 + set_index)
+            for _ in range(drawn):
+                rng.randrange(self.associativity)
+        self._live[set_index] = rng, drawn + 1
+        self.draws[set_index] = drawn + 1
+        return rng.randrange(self.associativity)
 
 
 class RripReplacement(ReplacementComponent):
@@ -907,6 +895,11 @@ class _SetAssocPageTags(TagOrganization):
             self.dbits[frame] |= 1 << lookup.offset
         self.replacement.on_access(lookup.set_index, lookup.way)
 
+    def on_hit_write(self, engine: "ComposedDramCache",
+                     request: MemoryAccess, lookup: Lookup) -> None:
+        self._write_block_device(engine, lookup.set_index, lookup.way,
+                                 lookup.offset)
+
     def fill_block(self, engine: "ComposedDramCache", request: MemoryAccess,
                    lookup: Lookup) -> None:
         frame = lookup.set_index * self.associativity + lookup.way
@@ -923,13 +916,24 @@ class _SetAssocPageTags(TagOrganization):
                 self._build_addresses(row_bytes))
         return addresses
 
-    # -- device hooks subclasses fill in ------------------------------- #
+    # -- device hooks ---------------------------------------------------- #
+    # Device ops address the stacked DRAM through the frame table the batch
+    # kernels read, in the same order and with the same sizes as the kernels.
     def _build_addresses(self, row_bytes: int) -> FrameAddresses:
         raise NotImplementedError
 
+    def _block_address(self, engine: "ComposedDramCache", set_index: int,
+                       way: int, offset: int) -> int:
+        """Device address of block ``offset`` of a frame."""
+        return (self.frame_addresses(engine.stacked.row_bytes).data[
+            set_index * self.associativity + way]
+            + offset * self.config.block_size)
+
     def _write_block_device(self, engine: "ComposedDramCache", set_index: int,
                             way: int, offset: int) -> None:
-        raise NotImplementedError
+        engine.stacked.controller.access(
+            self._block_address(engine, set_index, way, offset),
+            self.config.block_size, engine._now, True)
 
     def _read_eviction_metadata(self, engine: "ComposedDramCache",
                                 set_index: int, way: int) -> None:
@@ -937,7 +941,12 @@ class _SetAssocPageTags(TagOrganization):
 
     def _fill_frame_device(self, engine: "ComposedDramCache", set_index: int,
                            way: int, offsets: List[int]) -> None:
-        raise NotImplementedError
+        """Write an allocation's fetched blocks into the frame."""
+        access = engine.stacked.controller.access
+        base = self._block_address(engine, set_index, way, 0)
+        block_bytes = self.config.block_size
+        for offset in offsets:
+            access(base + offset * block_bytes, BLOCK_SIZE, engine._now, True)
 
     def _count_conflict_eviction(self, engine: "ComposedDramCache") -> None:
         """Organizations that attribute evictions to conflicts count here."""
@@ -1032,6 +1041,9 @@ class DramPageTags(_SetAssocPageTags):
         self.config = config
         self.hit_path = hit_path
         self.layout = UnisonRowLayout(config)
+        self._tag_bytes = self.layout.presence_bytes_per_set
+        self._presence_bytes = self.layout.presence_bytes_per_page
+        self._metadata_bytes = self.layout.pc_offset_bytes_per_page
         self.mapper = ResidueMapper(
             blocks_per_page=config.blocks_per_page,
             num_sets=config.num_sets,
@@ -1047,30 +1059,21 @@ class DramPageTags(_SetAssocPageTags):
                 location.block_offset)
 
     # -- latency mechanics --------------------------------------------- #
-    def _tag_frame(self, set_index: int) -> int:
-        """Frame whose row holds the set's tag metadata (the set's first way)."""
-        return self.layout.frame_index(set_index, 0)
-
     def _tag_read(self, engine: "ComposedDramCache", set_index: int) -> int:
-        tag_frame = self._tag_frame(set_index)
-        return engine.stacked.read(
-            self.layout.frame_row(tag_frame),
-            self.layout.presence_metadata_offset(tag_frame),
-            self.layout.presence_bytes_per_set,
-            engine._now,
-        )
+        stacked = engine.stacked
+        return stacked.controller.access(
+            self.frame_addresses(stacked.row_bytes).tag_read[set_index],
+            self._tag_bytes, engine._now, False)
 
     def block_hit_latency(self, engine: "ComposedDramCache",
                           request: MemoryAccess, lookup: Lookup,
                           pred: HitPrediction) -> int:
         read_way = pred.way if pred.way is not None else lookup.way
         tag_latency = self._tag_read(engine, lookup.set_index)
-        data_frame = self.layout.frame_index(lookup.set_index, read_way)
-        data_latency = engine.stacked.read_block(
-            self.layout.frame_row(data_frame),
-            self.layout.block_offset(data_frame, lookup.offset),
-            engine._now,
-        )
+        data_latency = engine.stacked.controller.access(
+            self._block_address(engine, lookup.set_index, read_way,
+                                lookup.offset),
+            BLOCK_SIZE, engine._now, False)
         if self.hit_path == "serialized":
             # No way knowledge: the tag read resolves the way before the data
             # read can be issued, so the two latencies add (Loh-Hill style).
@@ -1086,11 +1089,6 @@ class DramPageTags(_SetAssocPageTags):
             # buffer (cheap, Section III-A.6).
             latency += pred.mispredict_penalty
         return latency
-
-    def on_hit_write(self, engine: "ComposedDramCache",
-                     request: MemoryAccess, lookup: Lookup) -> None:
-        self._write_block_device(engine, lookup.set_index, lookup.way,
-                                 lookup.offset)
 
     def miss_lookup_latency(self, engine: "ComposedDramCache",
                             request: MemoryAccess, lookup: Lookup,
@@ -1120,43 +1118,24 @@ class DramPageTags(_SetAssocPageTags):
         return FrameAddresses(data, presence, metadata,
                               presence[::self.associativity])
 
-    def _write_block_device(self, engine: "ComposedDramCache", set_index: int,
-                            way: int, offset: int) -> None:
-        frame_id = self.layout.frame_index(set_index, way)
-        engine.stacked.write(
-            self.layout.frame_row(frame_id),
-            self.layout.block_offset(frame_id, offset),
-            self.config.block_size,
-            engine._now,
-        )
-
     def _read_eviction_metadata(self, engine: "ComposedDramCache",
                                 set_index: int, way: int) -> None:
         # The (PC, offset) pair and bit vectors are read from the row (off
         # the critical path) to train the footprint predictor.
-        frame_id = self.layout.frame_index(set_index, way)
-        engine.stacked.read(
-            self.layout.frame_row(frame_id),
-            self.layout.other_metadata_offset(frame_id),
-            self.layout.pc_offset_bytes_per_page,
-            engine._now,
-        )
+        stacked = engine.stacked
+        stacked.controller.access(
+            self.frame_addresses(stacked.row_bytes).metadata[
+                set_index * self.associativity + way],
+            self._metadata_bytes, engine._now, False)
 
     def _fill_frame_device(self, engine: "ComposedDramCache", set_index: int,
                            way: int, offsets: List[int]) -> None:
-        frame_id = self.layout.frame_index(set_index, way)
-        row = self.layout.frame_row(frame_id)
-        engine.stacked.fill_blocks(
-            row,
-            [self.layout.block_offset(frame_id, o) for o in offsets],
-            engine._now,
-        )
-        engine.stacked.write(
-            row,
-            self.layout.presence_metadata_offset(frame_id),
-            self.layout.presence_bytes_per_page,
-            engine._now,
-        )
+        super()._fill_frame_device(engine, set_index, way, offsets)
+        stacked = engine.stacked
+        stacked.controller.access(
+            self.frame_addresses(stacked.row_bytes).presence[
+                set_index * self.associativity + way],
+            self._presence_bytes, engine._now, True)
 
     def _count_conflict_eviction(self, engine: "ComposedDramCache") -> None:
         engine.cache_stats.conflict_evictions += 1
@@ -1194,25 +1173,13 @@ class SramPageTags(_SetAssocPageTags):
         offset = block_address % self.blocks_per_page
         return page, page % self.num_sets, offset
 
-    def _row_of(self, set_index: int, way: int) -> "tuple[int, int]":
-        frame_id = set_index * self.associativity + way
-        row = frame_id // self.pages_per_row
-        slot = frame_id % self.pages_per_row
-        return row, slot * self.config.page_size
-
     def block_hit_latency(self, engine: "ComposedDramCache",
                           request: MemoryAccess, lookup: Lookup,
                           pred: HitPrediction) -> int:
-        row, page_base = self._row_of(lookup.set_index, lookup.way)
-        return self.tag_latency_cycles + engine.stacked.read(
-            row, page_base + lookup.offset * self.config.block_size,
-            self.config.block_size, engine._now,
-        )
-
-    def on_hit_write(self, engine: "ComposedDramCache",
-                     request: MemoryAccess, lookup: Lookup) -> None:
-        self._write_block_device(engine, lookup.set_index, lookup.way,
-                                 lookup.offset)
+        return self.tag_latency_cycles + engine.stacked.controller.access(
+            self._block_address(engine, lookup.set_index, lookup.way,
+                                lookup.offset),
+            self.config.block_size, engine._now, False)
 
     def miss_lookup_latency(self, engine: "ComposedDramCache",
                             request: MemoryAccess, lookup: Lookup,
@@ -1228,23 +1195,6 @@ class SramPageTags(_SetAssocPageTags):
             [frame // pages_per_row * row_bytes
              + frame % pages_per_row * page_size
              for frame in range(frames)], [], [], [])
-
-    def _write_block_device(self, engine: "ComposedDramCache", set_index: int,
-                            way: int, offset: int) -> None:
-        row, page_base = self._row_of(set_index, way)
-        engine.stacked.write(
-            row, page_base + offset * self.config.block_size,
-            self.config.block_size, engine._now,
-        )
-
-    def _fill_frame_device(self, engine: "ComposedDramCache", set_index: int,
-                           way: int, offsets: List[int]) -> None:
-        row, page_base = self._row_of(set_index, way)
-        engine.stacked.fill_blocks(
-            row,
-            [page_base + o * self.config.block_size for o in offsets],
-            engine._now,
-        )
 
 
 class DirectMappedBlockTags(TagOrganization):

@@ -68,6 +68,9 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: attempt (1st retry after BACKOFF, 2nd after 2*BACKOFF, ...).
 RETRY_BACKOFF_SECONDS = 1.0
 
+#: Lease order of runnable jobs: each trial's first job before any sibling.
+_LEASE_ORDER = "sweep, part > 0, seq"
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -327,6 +330,10 @@ class JobStore:
         ``prefer_group``); when only held jobs remain this returns ``None``
         and the caller waits.  An expired lease holds nothing, and neither
         does one :meth:`recover` has reclaimed.
+
+        Runnable jobs lease in ``sweep, part > 0, seq`` order: every trial's
+        first job (part 0, the one that warms and saves the prologue its
+        siblings are held for) before any sibling, then the rest by ``seq``.
         """
         from repro.sampling.checkpoints import checkpoints_enabled
 
@@ -357,13 +364,13 @@ class JobStore:
             if prefer_group is not None:
                 row = self._conn.execute(
                     f"SELECT * FROM jobs WHERE {eligible} AND trace_group = ?"
-                    " ORDER BY sweep, seq LIMIT 1",
+                    f" ORDER BY {_LEASE_ORDER} LIMIT 1",
                     params + [prefer_group],
                 ).fetchone()
             if row is None:
                 row = self._conn.execute(
                     f"SELECT * FROM jobs WHERE {eligible}"
-                    " ORDER BY sweep, seq LIMIT 1",
+                    f" ORDER BY {_LEASE_ORDER} LIMIT 1",
                     params,
                 ).fetchone()
             if row is None:

@@ -51,11 +51,12 @@ from repro.workloads.profile import WorkloadProfile
 from repro.workloads.tracefile import TraceFileWorkload
 
 #: Bumped whenever the stored snapshot layout changes incompatibly.
-#: Version 4: flat buffers (dotted buffer names -> tuples, dicts, scalars)
-#: in marshal form, replacing pickled component objects, with per-set RNG
-#: states packed as bytes.  Version 3 was an interim flat layout whose RNG
-#: states were not packed; its files are misses.
-CHECKPOINT_FORMAT_VERSION = 4
+#: Version 5: flat buffers (dotted buffer names -> tuples, dicts, scalars)
+#: in marshal form; random replacement keeps per-set draw counts.
+#: Versions 3 and 4 held its per-set generator states instead (4 packed as
+#: bytes), and versions 1 and 2 pickled component objects; their files are
+#: misses.
+CHECKPOINT_FORMAT_VERSION = 5
 
 #: Environment switch: ``0``/``off``/``false`` disables the checkpoint store.
 ENV_CHECKPOINTS = "REPRO_CHECKPOINTS"

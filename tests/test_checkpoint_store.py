@@ -93,7 +93,7 @@ class TestStore:
         # Snapshots pickled in the v1/v2 layouts (pickled object graphs),
         # and flat buffers stamped with an older version, are misses as
         # well, never half-compatible hits.
-        assert CHECKPOINT_FORMAT_VERSION == 4
+        assert CHECKPOINT_FORMAT_VERSION == 5
         snapshot = make_design("no_cache", "1GB", scale=4096).snapshot_state()
         for version in (1, 2):
             (tmp_path / f"{key}.ckpt").write_bytes(
@@ -105,6 +105,18 @@ class TestStore:
             assert store.load(key) is None
         store.save(key, snapshot)
         assert store.load(key) is not None
+
+    def test_format_4_entry_is_not_loaded(self, tmp_path):
+        """A version-4 file (per-set RNG states, not draw counts) is a miss
+        even where its key's file is found."""
+        store = CheckpointStore(tmp_path)
+        key = _key(store)
+        snapshot = make_design("unison", "1GB", scale=4096).snapshot_state()
+        (tmp_path / f"{key}.ckpt").write_bytes(
+            marshal.dumps((4, snapshot.design_name, snapshot.state)))
+        assert store.load(key) is None
+        store.save(key, snapshot)
+        assert store.load(key) == snapshot
 
     def test_gc_evicts_lru(self, tmp_path, profile):
         store = CheckpointStore(tmp_path)

@@ -272,6 +272,23 @@ class TestPrologueHold:
             job = store.lease("w2", 60, prefer_group="a")
             assert (job.trial_index, job.trace_group) == (1, "b")
 
+    @pytest.mark.parametrize("checkpoints", ["on", "0"])
+    def test_first_jobs_lease_first(self, tmp_path, monkeypatch,
+                                    checkpoints):
+        """Every trial's prologue job leases before any sibling, so a lone
+        worker warms all three prologues first, then runs the rest by
+        ``seq``."""
+        if checkpoints == "0":
+            monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, window_jobs([3, 3, 3]))
+            order = []
+            while (job := store.lease("a", 60)) is not None:
+                order.append((job.trial_index, job.part))
+                assert store.complete("tok", job.seq, b"r", "a")
+            assert order == [(0, 0), (1, 0), (2, 0),
+                             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+
     def test_nothing_is_held_without_checkpoints(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINTS", "0")

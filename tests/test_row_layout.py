@@ -115,9 +115,74 @@ class TestAlternativeOrganizations:
                 assert offset + 64 <= layout.row_bytes
 
 
+def _built_page_tags(scale):
+    """One page organization per distinct geometry that a shipped design
+    or a default-space candidate builds at 1GB scaled by ``scale``: each at
+    its own associativity, and at Figure 5's 1, 4 and 32 ways where the
+    design takes an override."""
+    from repro.config.cache_configs import scaled_capacity
+    from repro.dramcache.components import TAG_ORGANIZATIONS
+    from repro.dramcache.designs import CANONICAL_SPECS, HYBRID_SPECS
+    from repro.search.space import default_space
+    from repro.sim.registry import DesignBuildContext
+    from repro.utils.units import parse_size
+
+    paper = parse_size("1GB")
+    built = {}
+    for spec in (CANONICAL_SPECS + HYBRID_SPECS
+                 + tuple(default_space().candidates())):
+        if spec.tags.kind not in ("dram-page", "sram-page"):
+            continue
+        for ways in (None, 1, 4, 32) if spec.supports_associativity else (
+                None,):
+            tags = TAG_ORGANIZATIONS.resolve(spec.tags.kind)(
+                DesignBuildContext(
+                    paper_capacity_bytes=paper,
+                    scaled_capacity_bytes=scaled_capacity(paper, scale),
+                    scale=scale, num_cores=16, associativity=ways),
+                **spec.tags.params_dict())
+            built.setdefault((tags.kind, tags.blocks_per_page,
+                              tags.associativity), tags)
+    return built
+
+
+def _dram_table(tags, row_bytes):
+    """The frame table of in-DRAM page tags, frame by frame from the row
+    layout's own addressing methods."""
+    layout = tags.layout
+    frames = range(tags.num_sets * tags.associativity)
+    bases = [layout.frame_row(f) * row_bytes for f in frames]
+    return (
+        [base + layout.block_offset(f, 0) for f, base in zip(frames, bases)],
+        [base + layout.presence_metadata_offset(f)
+         for f, base in zip(frames, bases)],
+        [base + layout.other_metadata_offset(f)
+         for f, base in zip(frames, bases)],
+        [bases[layout.frame_index(s, 0)]
+         + layout.presence_metadata_offset(layout.frame_index(s, 0))
+         for s in range(tags.num_sets)],
+    )
+
+
+def _sram_data(tags, row_bytes):
+    """The frames' data addresses of SRAM page tags: whole pages packed
+    row by row."""
+    config = tags.config
+    pages_per_row = max(1, config.row_buffer_size // config.page_size)
+    expected = []
+    for set_index in range(tags.num_sets):
+        for way in range(tags.associativity):
+            row, slot = divmod(set_index * tags.associativity + way,
+                               pages_per_row)
+            expected.append(row * row_bytes + slot * config.page_size)
+    return expected
+
+
 class TestFrameTables:
     """The page organizations' device-address tables, built in closed form,
-    equal a per-frame build from the row-layout methods."""
+    equal a per-frame build from the row-layout methods.  The scalar engine
+    and the batch kernels both address the stacked DRAM through these
+    tables, so this is the independent check of every device address."""
 
     ROW_BYTES = 8192
 
@@ -128,22 +193,8 @@ class TestFrameTables:
 
         tags = DramPageTags(UnisonCacheConfig(capacity=capacity,
                                               associativity=associativity))
-        layout = tags.layout
-        table = tags.frame_addresses(self.ROW_BYTES)
-        frames = range(tags.num_sets * tags.associativity)
-        bases = [layout.frame_row(f) * self.ROW_BYTES for f in frames]
-        assert table.data == [
-            base + layout.block_offset(f, 0) for f, base in zip(frames, bases)]
-        assert table.presence == [
-            base + layout.presence_metadata_offset(f)
-            for f, base in zip(frames, bases)]
-        assert table.metadata == [
-            base + layout.other_metadata_offset(f)
-            for f, base in zip(frames, bases)]
-        assert table.tag_read == [
-            bases[layout.frame_index(s, 0)]
-            + layout.presence_metadata_offset(layout.frame_index(s, 0))
-            for s in range(tags.num_sets)]
+        assert (tuple(tags.frame_addresses(self.ROW_BYTES))
+                == _dram_table(tags, self.ROW_BYTES))
 
     @pytest.mark.parametrize("capacity", ["1MB", "4MB"])
     @pytest.mark.parametrize("associativity", [4, 32])
@@ -154,9 +205,20 @@ class TestFrameTables:
         tags = SramPageTags(FootprintCacheConfig(capacity=capacity,
                                                  associativity=associativity))
         table = tags.frame_addresses(self.ROW_BYTES)
-        expected = []
-        for set_index in range(tags.num_sets):
-            for way in range(tags.associativity):
-                row, page_base = tags._row_of(set_index, way)
-                expected.append(row * self.ROW_BYTES + page_base)
-        assert table.data == expected
+        assert table.data == _sram_data(tags, self.ROW_BYTES)
+
+    @pytest.mark.parametrize("scale", [512, 2048])
+    def test_every_built_geometry(self, scale):
+        built = _built_page_tags(scale)
+        # Unison's 960B and 1984B pages at 1, 4 and 32 ways; Footprint
+        # Cache's 2KB pages at its own 32 ways.
+        assert sorted(built) == sorted(
+            [("dram-page", bpp, ways) for bpp in (15, 31)
+             for ways in (1, 4, 32)] + [("sram-page", 32, 32)])
+        for geometry, tags in built.items():
+            table = tags.frame_addresses(self.ROW_BYTES)
+            if tags.kind == "dram-page":
+                expected = _dram_table(tags, self.ROW_BYTES)
+            else:
+                expected = (_sram_data(tags, self.ROW_BYTES), [], [], [])
+            assert tuple(table) == expected, geometry

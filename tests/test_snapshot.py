@@ -177,13 +177,6 @@ class TestDramStateAliasing:
 _PLAIN = (int, float, bool, str)
 
 
-def _is_rng_state(value) -> bool:
-    """A ``random.Random.getstate()`` tuple, its state words as bytes."""
-    return (type(value) is tuple and len(value) == 3
-            and type(value[0]) is int and type(value[1]) is bytes
-            and (value[2] is None or type(value[2]) is float))
-
-
 def _is_flat_element(value) -> bool:
     if type(value) in _PLAIN:
         return True
@@ -197,7 +190,7 @@ def _flat_violations(state) -> list:
         if type(value) in _PLAIN:
             continue
         if type(value) is tuple:
-            ok = all(_is_flat_element(v) or _is_rng_state(v) for v in value)
+            ok = all(_is_flat_element(v) for v in value)
         elif type(value) is dict:
             ok = all(_is_flat_element(k) and _is_flat_element(v)
                      for k, v in value.items())
@@ -238,13 +231,6 @@ class TestFlatPayload:
             assert _flat_violations({"buffer": (obj,)}) == ["buffer"]
             assert _flat_violations({"buffer": {1: obj}}) == ["buffer"]
 
-    def test_guard_accepts_rng_states(self):
-        version, words, gauss = random.Random(5).getstate()
-        state = (version, bytes(len(words)), gauss)
-        assert _flat_violations({"rngs": (state, state)}) == []
-        assert _flat_violations({"rngs": (random.Random(5).getstate(),)}
-                                ) == ["rngs"]
-
 
 class TestRestoreGuards:
     """A snapshot that does not fit is refused before anything is written."""
@@ -275,18 +261,19 @@ class TestRestoreGuards:
             design.restore_state(StateSnapshot(good.design_name, bad_state))
         assert design.snapshot_state().differing_buffers(live) == []
 
-    def test_misshapen_rng_states_rejected_untouched(self, replay):
-        """A tuple buffer whose elements do not fit is refused up front."""
+    def test_wrong_length_draws_rejected_untouched(self, replay):
+        """Random replacement's per-set draw counts must match the set
+        count; a misfit is refused before anything is written."""
         design = _make_random_unison()
         design.run(replay[:2000])
         good = design.snapshot_state()
         design.run(replay[2000:3000])
         live = design.snapshot_state()
-        states = good.state["replacement.rng_states"]
-        for bad in (tuple((0, state) for state in states),
-                    tuple((v, words[:-4], g) for v, words, g in states)):
-            bad_state = dict(good.state, **{"replacement.rng_states": bad})
-            with pytest.raises(ValueError, match="rng_states"):
+        draws = good.state["replacement.draws"]
+        assert len(draws) == design.tags.num_sets and any(draws)
+        for bad in (draws[:-1], draws + (0,)):
+            bad_state = dict(good.state, **{"replacement.draws": bad})
+            with pytest.raises(ValueError, match="replacement.draws"):
                 design.restore_state(StateSnapshot(good.design_name,
                                                    bad_state))
             assert design.snapshot_state().differing_buffers(live) == []
@@ -346,7 +333,7 @@ class TestRestoreGuards:
 
 
 def _make_random_unison():
-    """Unison with random replacement (a tuple-valued state buffer)."""
+    """Unison with random replacement (per-set draw counts)."""
     import dataclasses
 
     from repro.dramcache.spec import ComponentSpec
