@@ -2,10 +2,10 @@
 
 The stacked DRAM holds the cache's data (and embedded tags for Unison and
 Alloy).  The cache models express their operations in terms of row-relative
-accesses -- "read 32 bytes of tag metadata from row R", "read block b of row R
-overlapped with the tags", "fill these blocks of row R" -- and this class maps
-them onto the four-channel DDR-like timing model of Table III.  Every access
-returns its latency in CPU cycles as a plain ``int``.
+accesses -- "read 32 bytes of tag metadata from row R", "write block b of
+row R" -- and this class maps them onto the four-channel DDR-like timing
+model of Table III.  Every access returns its latency in CPU cycles as a
+plain ``int``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.config.system import DramChannelConfig
 from repro.dram.controller import DramController
 from repro.stats.counters import StatGroup
-from repro.trace.record import BLOCK_SIZE
 
 
 class StackedDram:
@@ -52,18 +51,6 @@ class StackedDram:
         return self.controller.access(
             self.row_address(row_index, offset), num_bytes, now_cpu, is_write=True
         )
-
-    def read_block(self, row_index: int, block_offset_bytes: int,
-                   now_cpu: int = 0) -> int:
-        """Read one 64-byte data block from a row."""
-        return self.read(row_index, block_offset_bytes, BLOCK_SIZE, now_cpu)
-
-    def fill_blocks(self, row_index: int, block_offsets_bytes, now_cpu: int = 0) -> int:
-        """Write a batch of blocks into a row (cache fill); returns total cycles."""
-        last = 0
-        for offset in block_offsets_bytes:
-            last = max(last, self.write(row_index, offset, BLOCK_SIZE, now_cpu))
-        return last
 
     # ------------------------------------------------------------------ #
     @property

@@ -10,8 +10,7 @@ The service is the glue between the declarative layer
    trials, one job per batch of measurement windows, so a single expensive
    cell parallelizes across workers.  Jobs are keyed by the trial's full
    identity (:meth:`~repro.sim.spec.ExperimentSpec.identity`) and grouped by
-   trace for affinity scheduling (the :func:`group_trials_by_trace` logic
-   the in-memory executor already uses).
+   trace for affinity scheduling (:func:`group_trials_by_trace`).
 2. **Run.**  Workers -- in-process, forked, or entirely separate ``repro
    queue work`` processes on the same store -- lease jobs, execute them, and
    stream results back.  A worker killed mid-job costs only that job's
@@ -45,9 +44,10 @@ from repro.queue.jobstore import (
     PlannedJob,
 )
 from repro.sim.executor import (
+    TraceKey,
     assemble_sampled_trial,
-    group_trials_by_trace,
     sampled_window_plan,
+    trace_key,
 )
 from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
@@ -102,13 +102,26 @@ def _chunk(values: Sequence[int], size: int) -> List[List[int]]:
             for start in range(0, len(values), size)]
 
 
+def group_trials_by_trace(trials: Sequence[ExperimentSpec],
+                          ) -> List[List[int]]:
+    """Partition trial indices into groups sharing one materialized trace.
+
+    Groups keep first-appearance order and preserve the in-group trial
+    order.
+    """
+    groups: Dict[TraceKey, List[int]] = {}
+    for index, trial in enumerate(trials):
+        key = trace_key(trial.workload, trial.config)
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
 def _trace_groups(trials: Sequence[ExperimentSpec]) -> Dict[int, str]:
     """Per-trial trace-affinity label: jobs in one group replay one trace.
 
-    Built on the executor's :func:`group_trials_by_trace` partition (the
-    same one that drives trace-affine batch scheduling in the in-memory
-    pool), with a durable label per group: the hashed generator-versioned
-    trace token, so labels stay stable across processes and sessions.
+    Each :func:`group_trials_by_trace` group is labelled with its hashed
+    generator-versioned trace token, so labels stay stable across
+    processes and sessions.
     """
     from repro.sampling.checkpoints import trace_token
 
@@ -280,7 +293,8 @@ class SweepService:
             if counts[FAILED]:
                 failures = store.failed_jobs(plan.token)
                 detail = "; ".join(
-                    f"job {job.seq} (trial {job.trial_index}): {job.error}"
+                    f"job {job.seq} (trial {job.trial_index}, "
+                    f"{trials[job.trial_index].describe()}): {job.error}"
                     for job in failures[:3]
                 )
                 raise RuntimeError(
@@ -398,45 +412,49 @@ class SweepService:
         if workers is None:
             workers = os.cpu_count() or 1
         reporter = _TrialProgress(token, spec, progress)
-        if workers <= 1:
+        if workers > 1:
+            import multiprocessing
+            from multiprocessing.connection import wait
+
+            processes = [
+                multiprocessing.Process(
+                    target=work,
+                    args=(self.db_path,),
+                    kwargs={
+                        "sweep": token,
+                        "lease_seconds": self.lease_seconds,
+                        "archive_path": self.archive_path,
+                        "wake": wake,
+                    },
+                    daemon=True,
+                )
+                for wake in WakeSignal.group(min(workers, unfinished))
+            ]
+            for process in processes:
+                process.start()
+            try:
+                running = processes
+                while running:
+                    reporter.poll(self)
+                    wait([process.sentinel for process in running],
+                         timeout=0.1)
+                    running = [process for process in running
+                               if process.is_alive()]
+            finally:
+                for process in processes:
+                    process.join(timeout=30.0)
+                    if process.is_alive():
+                        process.terminate()
+            # Jobs the forked workers left behind (every one of them died)
+            # are reclaimed and drained in-process, like ``workers <= 1``.
+            with self.store() as store:
+                store.recover(sweep=token)
+                unfinished = store.unfinished(token)
+        if unfinished:
             work(self.db_path, sweep=token,
                  lease_seconds=self.lease_seconds,
                  archive_path=self.archive_path,
                  on_job=lambda job: reporter.poll(self))
-            reporter.poll(self)
-            return
-
-        import multiprocessing
-        from multiprocessing.connection import wait
-
-        processes = [
-            multiprocessing.Process(
-                target=work,
-                args=(self.db_path,),
-                kwargs={
-                    "sweep": token,
-                    "lease_seconds": self.lease_seconds,
-                    "archive_path": self.archive_path,
-                    "wake": wake,
-                },
-                daemon=True,
-            )
-            for wake in WakeSignal.group(min(workers, unfinished))
-        ]
-        for process in processes:
-            process.start()
-        try:
-            running = processes
-            while running:
-                reporter.poll(self)
-                wait([process.sentinel for process in running], timeout=0.1)
-                running = [process for process in running
-                           if process.is_alive()]
-        finally:
-            for process in processes:
-                process.join(timeout=30.0)
-                if process.is_alive():
-                    process.terminate()
         reporter.poll(self)
 
     def prune(self, token: str) -> int:
@@ -542,5 +560,6 @@ __all__ = [
     "SweepPlan",
     "SweepService",
     "default_queue_dir",
+    "group_trials_by_trace",
     "plan_sweep",
 ]

@@ -21,26 +21,23 @@ tractable:
   distinct trace is generated once *ever* (disable or relocate via the
   ``REPRO_TRACE_STORE`` environment variable).
 
-* **Deterministic parallelism.**  ``workers > 1`` fans trials out to a
-  ``ProcessPoolExecutor``.  Each trial is self-contained (its spec carries
-  the full configuration, and per-trial seeding is derived from the spec,
-  never from process state), so the parallel path produces *bit-identical*
-  results to the serial path, in the same deterministic trial order.
-  Before forking, the parent pre-builds every distinct trace and baseline
-  the grid needs, so workers inherit populated caches and spend their time
-  simulating designs, not regenerating traces.  Trials are scheduled in
-  *trace-affine batches* (:func:`group_trials_by_trace`): every batch
-  replays a single trace, so on spawn-based platforms -- where nothing is
-  inherited -- each worker loads from the trace store only the traces its
-  own batches need.
+* **Deterministic parallelism.**  ``workers > 1`` runs the sweep on a private
+  :class:`repro.queue.service.SweepService` in a temporary directory that
+  is removed when the run returns: forked workers lease jobs (one per
+  full-replay trial, one per window batch of a sampled trial), a worker
+  that dies costs only its job, and the jobs reassemble in grid order.
+  Each trial is self-contained (its spec carries the full configuration,
+  and per-trial seeding is derived from the spec, never from process
+  state), so the parallel run produces *bit-identical* results to the
+  serial path.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+import os
+import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -181,77 +178,6 @@ def window_baseline(identity: Optional[str], start: int, stop: int,
         if identity is not None:
             _BASELINE_CACHE[key] = baseline
     return baseline
-
-
-def _warm_caches(trials: Sequence[ExperimentSpec]) -> None:
-    """Build every distinct trace and baseline the trials need, in-process.
-
-    Called before forking a worker pool so the workers inherit fully
-    populated caches and never duplicate trace generation (the dominant
-    per-trial cost).
-    """
-    from repro.trace.binfmt import is_binary_trace
-    from repro.workloads.tracefile import TraceFileWorkload
-
-    seen = set()
-    for trial in trials:
-        key = (trace_key(trial.workload, trial.config),
-               trial.config.warmup_fraction, trial.sampling is None)
-        if key in seen:
-            continue
-        seen.add(key)
-        runner = ExperimentRunner(trial.config, system=trial.system)
-        if trial.sampling is not None:
-            # Sampled trials replay their own per-window baselines; binary
-            # trace files are windowed from disk, so neither needs warming.
-            if not (isinstance(trial.workload, TraceFileWorkload)
-                    and is_binary_trace(trial.workload.path)):
-                cached_trace(runner, trial.workload)
-            continue
-        cached_baseline(runner, trial.workload,
-                        cached_trace(runner, trial.workload))
-
-
-def group_trials_by_trace(trials: Sequence[ExperimentSpec],
-                          ) -> List[List[int]]:
-    """Partition trial indices into groups sharing one materialized trace.
-
-    Spawn-based platforms (Windows, macOS) cannot inherit the parent's
-    pre-warmed caches by fork, so every worker pays for each trace it
-    touches.  Scheduling whole trace-groups onto one worker means a worker
-    loads only the traces its own trials replay -- once each -- instead of
-    every trace the grid mentions.  Groups keep first-appearance order and
-    preserve the in-group trial order, so reassembling group results by
-    index reproduces the deterministic grid order exactly.
-    """
-    groups: Dict[TraceKey, List[int]] = {}
-    for index, trial in enumerate(trials):
-        key = trace_key(trial.workload, trial.config)
-        groups.setdefault(key, []).append(index)
-    return list(groups.values())
-
-
-def _chunk_groups(groups: List[List[int]], total: int,
-                  workers: int) -> List[List[int]]:
-    """Split trace-groups into batches sized to keep ``workers`` busy.
-
-    One batch per trace-group is ideal for locality but serializes a grid
-    dominated by one workload; chunking each group to roughly a quarter of
-    a fair per-worker share restores parallelism while every batch still
-    touches a single trace.
-    """
-    chunk_size = max(1, -(-total // (workers * 4)))
-    batches = []
-    for group in groups:
-        for start in range(0, len(group), chunk_size):
-            batches.append(group[start:start + chunk_size])
-    return batches
-
-
-def _run_trial_batch(trials: Sequence[ExperimentSpec],
-                     ) -> List[ExperimentResult]:
-    """Worker entry point: run a batch of trials sharing one trace."""
-    return [run_trial(trial) for trial in trials]
 
 
 def run_trial(trial: ExperimentSpec) -> ExperimentResult:
@@ -414,25 +340,22 @@ class SweepExecutor:
     """Runs every trial of a sweep, optionally across worker processes.
 
     ``workers=1`` (the default) runs in-process and is the reference
-    semantics; ``workers > 1`` distributes trials over a process pool and is
-    guaranteed to produce identical results.  ``workers=None`` picks
-    ``os.cpu_count()``.
+    semantics.  ``workers > 1`` (``None`` picks ``os.cpu_count()``) runs the
+    sweep on a private :class:`repro.queue.service.SweepService` whose job
+    store and archive live in a temporary directory, removed when ``run``
+    returns or raises: nothing persists between runs, and the trace store
+    may be disabled.  The result is identical to the serial run.
 
-    ``queue`` switches execution onto a durable work queue: pass a
-    :class:`repro.queue.service.SweepService` and ``run`` plans the sweep
+    ``queue`` switches execution onto the caller's durable work queue: pass
+    a :class:`repro.queue.service.SweepService` and ``run`` plans the sweep
     into idempotent on-disk jobs, executes them with crash-resumable
     leased workers, archives the results, and returns the same bit-identical
     :class:`ResultSet` -- so existing callers opt into durability without
     any API change.
 
-    ``progress`` fires once per trial, when the trial *completes* (the
-    parallel path reports completions as they happen, so indices may
-    interleave -- results are still assembled in exact grid order).
-
-    A worker process that dies mid-batch (``BrokenProcessPool``) no longer
-    discards the sweep: completed batches are kept, and every batch lost
-    with the pool is re-run serially once -- surfacing which trial crashed
-    if the failure is deterministic.
+    ``progress`` fires once per trial, when the trial *completes* (parallel
+    runs report completions as they happen, so indices may interleave --
+    results are still assembled in exact grid order).
     """
 
     def __init__(self, workers: Optional[int] = 1,
@@ -449,66 +372,19 @@ class SweepExecutor:
         if self.queue is not None:
             return self.queue.run(spec, workers=self.workers,
                                   progress=self.progress)
+        workers = self.workers or os.cpu_count() or 1
+        if workers > 1:
+            from repro.queue.service import SweepService
+
+            with tempfile.TemporaryDirectory(prefix="repro-sweep-") as root:
+                return SweepService(root).run(spec, workers=workers,
+                                              progress=self.progress)
         trials = spec.trials()
-        workers = self.workers
-        if workers is None:
-            import os
-            workers = os.cpu_count() or 1
-        workers = min(workers, len(trials)) or 1
-
-        if workers == 1:
-            results = []
-            for index, trial in enumerate(trials):
-                results.append(run_trial(trial))
-                if self.progress is not None:
-                    self.progress(index, len(trials), trial)
-            return ResultSet(results)
-
-        # Pre-build every distinct trace/baseline in the parent so forked
-        # workers inherit them instead of regenerating per worker.
-        _warm_caches(trials)
-        # Store-aware scheduling: batch trials so each batch replays a
-        # single trace.  Fork platforms inherit the warm caches anyway;
-        # spawn platforms now load per worker only the traces that
-        # worker's batches actually replay (each served from the on-disk
-        # trace store rather than regenerated).
-        batches = _chunk_groups(group_trials_by_trace(trials), len(trials),
-                                workers)
-        results: List[Optional[ExperimentResult]] = [None] * len(trials)
-        lost: List[List[int]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            future_to_batch = {
-                pool.submit(_run_trial_batch, [trials[i] for i in batch]): batch
-                for batch in batches
-            }
-            for future in as_completed(future_to_batch):
-                batch = future_to_batch[future]
-                try:
-                    batch_results = future.result()
-                except BrokenProcessPool:
-                    # A worker died (OOM kill, segfault, kill -9).  Every
-                    # not-yet-finished future resolves to this error; keep
-                    # what completed and re-run the rest serially below.
-                    lost.append(batch)
-                    continue
-                for index, result in zip(batch, batch_results):
-                    results[index] = result
-                    if self.progress is not None:
-                        self.progress(index, len(trials), trials[index])
-        for batch in lost:
-            for index in batch:
-                if results[index] is not None:
-                    continue
-                try:
-                    results[index] = run_trial(trials[index])
-                except Exception as error:
-                    raise RuntimeError(
-                        f"trial {index} ({trials[index].describe()}) "
-                        f"crashed the worker pool and failed again when "
-                        f"re-run serially"
-                    ) from error
-                if self.progress is not None:
-                    self.progress(index, len(trials), trials[index])
+        results = []
+        for index, trial in enumerate(trials):
+            results.append(run_trial(trial))
+            if self.progress is not None:
+                self.progress(index, len(trials), trial)
         return ResultSet(results)
 
 
@@ -523,4 +399,4 @@ __all__ = ["SweepExecutor", "run_sweep", "run_trial", "run_trial_windows",
            "assemble_sampled_trial", "sampled_trial_total",
            "sampled_window_plan", "cached_trace", "cached_baseline",
            "window_baseline", "trace_key", "clear_caches", "TraceKey",
-           "get_trace_store", "group_trials_by_trace"]
+           "get_trace_store"]

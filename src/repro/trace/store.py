@@ -5,7 +5,7 @@ A :class:`TraceStore` is a content-addressed directory of binary traces
 ``(profile, scale, num_cores, seed, num_accesses)`` plus the generator
 algorithm version (:data:`repro.workloads.generator.GENERATOR_VERSION`).
 Because synthetic traces are deterministic functions of that key, a store
-entry is interchangeable with regeneration -- so sweeps, ProcessPool workers,
+entry is interchangeable with regeneration -- so sweeps, queue workers,
 benchmark sessions, and CI runs all share one copy per distinct trace instead
 of regenerating it (generation dominates sweep wall-clock; loading the binary
 form is several times faster).
@@ -17,7 +17,7 @@ Layout and lifecycle:
   ``REPRO_TRACE_STORE`` to ``off``/``none``/``0`` disables the store
   (the executor then falls back to in-memory generation only).
 * Writes are atomic (temp file + :func:`os.replace`), so concurrent sweeps
-  and worker pools can share a store directory without coordination; when
+  and workers can share a store directory without coordination; when
   two processes race to create the same entry, both write identical bytes
   and the last rename wins.
 * Keys embed a hash of every profile field and the generator version, so a

@@ -34,6 +34,22 @@ def _isolated_trace_store(tmp_path_factory):
         os.environ["REPRO_TRACE_STORE"] = previous
 
 
+@pytest.fixture(autouse=True)
+def _design_registry_unchanged():
+    """Fail any test that leaves the process-wide design registry changed.
+
+    Later tests iterate ``DESIGNS``; a design registered and left behind
+    would show up in them as an extra, unexpected design.
+    """
+    from repro.sim.registry import DESIGNS
+
+    before = DESIGNS.names()
+    yield
+    assert DESIGNS.names() == before, (
+        f"test changed the design registry: {before} -> {DESIGNS.names()}"
+    )
+
+
 @pytest.fixture
 def tiny_profile() -> WorkloadProfile:
     """A small, fast workload profile for functional tests."""

@@ -23,7 +23,8 @@ from repro.dramcache.components import (
 )
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.spec import ComponentSpec, DesignSpec
-from repro.sim.executor import group_trials_by_trace, run_trial
+from repro.queue.service import group_trials_by_trace
+from repro.sim.executor import run_trial
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.factory import make_design
 from repro.sim.registry import DESIGNS, DesignBuildContext, DesignRegistry
@@ -255,9 +256,10 @@ class TestSpecApi:
         assert "dram-page" in token and "footprint" in token
         assert token != DESIGNS.resolve("unison-dm").token()
 
-    def test_spec_buildable_through_make_design(self, trace):
+    def test_spec_buildable_through_make_design(self, trace, monkeypatch):
         # A spec registered at runtime is immediately constructible and
         # sweepable by name, like any shipped design.
+        monkeypatch.setattr(DESIGNS, "_entries", dict(DESIGNS._entries))
         registry_spec = DesignSpec(
             name="test-full-page",
             tags=ComponentSpec("sram-page", {"associativity": 8}),

@@ -75,17 +75,6 @@ class TestStackedDram:
         assert sum(stacked.controller.row_hits) == 1
         assert second <= first
 
-    def test_read_block_is_64_bytes(self):
-        stacked = StackedDram()
-        stacked.read_block(0, 128)
-        assert stacked.bytes_transferred == 64
-
-    def test_fill_blocks_counts_traffic(self):
-        stacked = StackedDram()
-        stacked.fill_blocks(0, [0, 64, 128])
-        assert stacked.bytes_transferred == 3 * 64
-        assert stacked.row_activations >= 1
-
     def test_stats_group(self):
         stacked = StackedDram()
         stacked.read(0, 0, 32)

@@ -818,12 +818,8 @@ class TestQueueWriteVerbsResolvePrefixes:
 
 
 # --------------------------------------------------------------------- #
-# Satellite: executor crash tolerance and completion-driven progress
+# Parallel sweeps: one private queue, killed workers, failures, cleanup
 # --------------------------------------------------------------------- #
-def _exit_batch(trials):
-    os._exit(1)  # simulate a worker hard-killed mid-batch
-
-
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=True) not in (None, "fork")
     or not hasattr(os, "fork"),
@@ -831,15 +827,44 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+@pytest.fixture
+def forked_workers_die(monkeypatch):
+    """Every forked worker exits hard on its first job; the parent runs."""
+    import repro.queue.worker as worker_module
+
+    parent = os.getpid()
+    real = worker_module.execute_job
+
+    def execute_or_die(payload):
+        if os.getpid() != parent:
+            os._exit(1)  # simulate a worker hard-killed mid-job
+        return real(payload)
+
+    monkeypatch.setattr(worker_module, "execute_job", execute_or_die)
+
+
+def _first_trial_raises(monkeypatch):
+    """Make trial 0 of :func:`tiny_spec` (unison) raise on every attempt."""
+    import repro.queue.jobstore as jobstore_module
+    import repro.sim.executor as executor_module
+
+    real = executor_module.run_trial
+
+    def run_or_raise(trial):
+        if trial.design == "unison":
+            raise RuntimeError("simulated deterministic failure")
+        return real(trial)
+
+    monkeypatch.setattr(executor_module, "run_trial", run_or_raise)
+    monkeypatch.setattr(jobstore_module, "RETRY_BACKOFF_SECONDS", 0.01)
+
+
 class TestExecutorCrashTolerance:
     @needs_fork
-    def test_broken_pool_reruns_lost_batches_serially(self, queue_root,
-                                                      monkeypatch):
-        import repro.sim.executor as executor_module
-
+    def test_executor_survives_every_forked_worker_dying(
+            self, queue_root, forked_workers_die):
         spec = tiny_spec()
         serial = SweepExecutor(workers=1).run(spec)
-        monkeypatch.setattr(executor_module, "_run_trial_batch", _exit_batch)
         calls = []
         results = SweepExecutor(
             workers=2, progress=lambda i, n, t: calls.append(i)).run(spec)
@@ -847,20 +872,23 @@ class TestExecutorCrashTolerance:
         assert sorted(calls) == [0, 1]
 
     @needs_fork
-    def test_deterministic_crash_names_the_trial(self, queue_root,
-                                                 monkeypatch):
-        import repro.sim.executor as executor_module
-
+    def test_service_survives_every_forked_worker_dying(
+            self, queue_root, forked_workers_die):
         spec = tiny_spec()
-        monkeypatch.setattr(executor_module, "_run_trial_batch", _exit_batch)
+        serial = SweepExecutor(workers=1).run(spec)
+        calls = []
+        results = SweepService(queue_root / "queue").run(
+            spec, workers=2, progress=lambda i, n, t: calls.append(i))
+        assert results == serial
+        assert sorted(calls) == [0, 1]
 
-        def always_raises(trial):
-            raise RuntimeError("simulated deterministic crash")
-
-        monkeypatch.setattr(executor_module, "run_trial", always_raises)
+    @needs_fork
+    def test_deterministic_failure_names_the_trial(self, queue_root,
+                                                   monkeypatch):
+        _first_trial_raises(monkeypatch)
         with pytest.raises(RuntimeError,
-                           match=r"trial 0 .* crashed the worker pool"):
-            SweepExecutor(workers=2).run(spec)
+                           match=r"permanently failed.*trial 0, unison"):
+            SweepExecutor(workers=2).run(tiny_spec())
 
     def test_parallel_progress_is_completion_driven(self, queue_root):
         spec = tiny_spec(capacities=("256MB", "512MB"))
@@ -869,6 +897,33 @@ class TestExecutorCrashTolerance:
             workers=2, progress=lambda i, n, t: calls.append((i, n))).run(spec)
         assert len(results) == 4
         assert sorted(calls) == [(0, 4), (1, 4), (2, 4), (3, 4)]
+
+
+class TestPrivateQueueCleanup:
+    """``workers > 1`` leaves nothing behind in the temporary directory."""
+
+    @pytest.fixture
+    def private_tmp(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        return tmp_path
+
+    def test_parallel_run_leaves_tmpdir_empty(self, private_tmp):
+        spec = tiny_spec()
+        assert SweepExecutor(workers=2).run(spec) == \
+            SweepExecutor(workers=1).run(spec)
+        assert list(private_tmp.iterdir()) == []
+
+    @needs_fork
+    def test_failed_parallel_run_leaves_tmpdir_empty(self, private_tmp,
+                                                     monkeypatch):
+        _first_trial_raises(monkeypatch)
+        with pytest.raises(RuntimeError, match="permanently failed"):
+            SweepExecutor(workers=2).run(tiny_spec())
+        assert list(private_tmp.iterdir()) == []
 
 
 # --------------------------------------------------------------------- #

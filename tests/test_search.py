@@ -37,7 +37,7 @@ from repro.search.frontier import (
     sram_overhead_bytes,
 )
 from repro.search.space import SearchSpace, candidate_name, default_space
-from repro.sim.registry import DesignBuildContext
+from repro.sim.registry import DESIGNS, DesignBuildContext
 from repro.stats.confidence import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -47,8 +47,13 @@ from repro.utils.units import parse_size
 
 @pytest.fixture
 def queue_root(tmp_path, monkeypatch):
-    """A private trace-store root per test: traces, checkpoints, queue."""
+    """A private trace-store root per test: traces, checkpoints, queue.
+
+    Searches register their ``tune-*`` candidates in the process-wide
+    design registry; the test's registry is a copy, dropped afterwards.
+    """
     monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+    monkeypatch.setattr(DESIGNS, "_entries", dict(DESIGNS._entries))
     return tmp_path
 
 
