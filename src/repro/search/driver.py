@@ -29,9 +29,10 @@ import json
 import math
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dramcache.spec import ComponentSpec, DesignSpec
 from repro.obs.core import emit_event, start_run
@@ -273,15 +274,24 @@ class TuneSearch:
         state.save(path)
         return state
 
-    def register_candidates(self, state: TuneState) -> None:
-        """Install the candidate specs in the design registry.
+    @contextmanager
+    def _candidates_registered(self, state: TuneState) -> Iterator[None]:
+        """Install the candidate specs in the design registry for one call.
 
         Workers fork from this process (or assemble in it), so registering
         here is what lets ``ExperimentSpec`` cells resolve ``tune-*`` names.
-        ``replace=True`` keeps reloads idempotent.
+        When the call returns or raises, the candidates it registered leave
+        again unless they are among ``state.winners``.
         """
+        before = set(DESIGNS)
         for spec in state.candidate_specs():
             DESIGNS.register_spec(spec, replace=True)
+        try:
+            yield
+        finally:
+            for name in state.candidate_names():
+                if name not in before and name not in state.winners:
+                    DESIGNS.unregister(name)
 
     # ------------------------------------------------------------------ #
     # Running
@@ -315,19 +325,19 @@ class TuneSearch:
         resumes from the job store (idempotent submit + lease recovery).
         """
         state = state or self.plan()
-        self.register_candidates(state)
         path = self.state_path(state.token)
         if state.status == "planned":
             state.status = "running"
             state.save(path)
-        with start_run("tune", sweep=state.token,
-                       candidates=len(state.candidates),
-                       rungs=self.config.rungs) as obs_run:
-            for rung in range(self.config.rungs):
-                self._run_rung(state, rung, workers, obs_run)
-                state.save(path)
-        state.frontier = self.build_frontier(state)
-        state.winners = list(state.frontier["winners"])
+        with self._candidates_registered(state):
+            with start_run("tune", sweep=state.token,
+                           candidates=len(state.candidates),
+                           rungs=self.config.rungs) as obs_run:
+                for rung in range(self.config.rungs):
+                    self._run_rung(state, rung, workers, obs_run)
+                    state.save(path)
+            state.frontier = self.build_frontier(state)
+            state.winners = list(state.frontier["winners"])
         state.status = "complete"
         state.save(path)
         return state
@@ -475,7 +485,6 @@ class TuneSearch:
         """
         from repro.sim.executor import run_sweep
 
-        self.register_candidates(state)
         record = self._final_record(state)
         if name is None:
             if not state.winners:
@@ -489,7 +498,8 @@ class TuneSearch:
             config=self.config.experiment_config(),
             sampling=self.config.rung_sampling(final_rung),
         )
-        rerun = run_sweep(spec, workers=1)[0]
+        with self._candidates_registered(state):
+            rerun = run_sweep(spec, workers=1)[0]
         with self.service.archive() as archive:
             archived_set = archive.get(record["sweep_token"])
         if archived_set is None:

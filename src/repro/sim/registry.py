@@ -110,6 +110,10 @@ class DesignRegistry:
         self._entries[key] = entry
         return entry
 
+    def unregister(self, name: str) -> None:
+        """Remove ``name`` from the registry (a no-op when absent)."""
+        self._entries.pop(name.lower(), None)
+
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #

@@ -28,20 +28,18 @@ Layout and lifecycle:
   :data:`DEFAULT_MAX_BYTES` (override with the ``REPRO_TRACE_STORE_BYTES``
   environment variable; ``0``/``none``/``unlimited`` disables the budget), so
   a long-lived dev machine can no longer grow the store without bound.
-* Reads and writes move the packed records themselves: :meth:`TraceStore.load`
-  returns one :data:`~repro.trace.binfmt.RECORD_DTYPE` numpy array made
-  with ``np.frombuffer`` over the decompressed payload, and
+* Entries are raw: the packed :data:`~repro.trace.binfmt.RECORD_DTYPE`
+  records behind the binary header (codec ``none``), with no chunk-index
+  sidecar -- a raw entry is indexed by arithmetic.
   :meth:`TraceStore.put_chunks` writes the generator's record arrays as
-  they come (``collect=True`` returns them joined).  No per-record
-  :class:`MemoryAccess` is built on either path.
-* Entries are gzipped at :data:`COMPRESSLEVEL` (3), not the writer's
-  default 6: on synthetic traces it compresses about three times faster
-  for files a few percent larger, and decompression is no slower.
-* Each entry's chunk-index sidecar (``.rptr.rpti``, see
-  :class:`repro.trace.binfmt.ChunkIndex`) lives and dies with the entry:
-  written through the same atomic rename, removed by eviction, counted by
-  the budget.  ``store.gc()`` additionally sweeps orphaned sidecars and
-  stale temp files.
+  they come (``collect=True`` returns them joined) and
+  :meth:`TraceStore.load` reads the payload into one array in a single
+  read; neither compresses nor builds a per-record :class:`MemoryAccess`.
+  The store is a local cache under a byte budget, not an export format, so
+  it pays no codec on either path (``repro trace gen``/``convert`` still
+  write gzip).  An entry that is not raw -- a gzip entry from an older
+  store, say -- is a miss: it is dropped and the next generation rewrites
+  it raw.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import hashlib
 import os
 import re
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
@@ -59,7 +56,7 @@ from typing import Iterable, List, Optional, Union
 import numpy as np
 
 from repro.obs.core import current as obs_current
-from repro.trace.binfmt import (INDEX_SUFFIX, RECORD_DTYPE,
+from repro.trace.binfmt import (CODEC_NONE, INDEX_SUFFIX, RECORD_DTYPE,
                                 BinaryTraceReader, BinaryTraceWriter,
                                 index_path_for, read_header)
 from repro.trace.errors import TraceFormatError
@@ -69,10 +66,6 @@ from repro.workloads.generator import GENERATOR_VERSION
 from repro.workloads.profile import WorkloadProfile
 
 PathLike = Union[str, Path]
-
-#: Gzip level of store entries (the generate-and-store path is write-bound;
-#: ``repro trace gen``/``convert`` keep the writer's default level).
-COMPRESSLEVEL = 3
 
 #: ``REPRO_TRACE_STORE`` values that disable the store entirely.
 DISABLE_VALUES = frozenset({"off", "none", "0", "disabled", "no"})
@@ -181,13 +174,10 @@ class TraceStore:
         :func:`default_max_bytes` (the ``REPRO_TRACE_STORE_BYTES``
         environment variable, else :data:`DEFAULT_MAX_BYTES`); pass ``None``
         for an explicitly unbounded store.
-    compress:
-        Gzip new entries (recommended; ~6x smaller).
     """
 
     def __init__(self, root: Optional[PathLike] = None,
-                 max_bytes=_BUDGET_UNSET,
-                 compress: bool = True) -> None:
+                 max_bytes=_BUDGET_UNSET) -> None:
         if root is None:
             root = configured_root()
             if root is None:
@@ -201,7 +191,6 @@ class TraceStore:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None)")
         self.max_bytes = max_bytes
-        self.compress = compress
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------ #
@@ -227,56 +216,55 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # Read side
     # ------------------------------------------------------------------ #
-    def open_reader(self, key: str) -> Optional[BinaryTraceReader]:
-        """A streaming reader for ``key``, or ``None`` on a miss.
-
-        A hit refreshes the entry's recency (LRU eviction order).
-        """
-        path = self.path_for(key)
-        if not path.exists():
+    def _lookup(self, path: Path, hit: bool) -> None:
+        """Count one lookup of ``path``; a hit refreshes its LRU recency."""
+        if hit:
+            self.stats.hits += 1
+            os.utime(path)
+        else:
             self.stats.misses += 1
-            obs_current().counter("trace_store_misses")
-            return None
+        obs_current().counter("trace_store_hits" if hit
+                              else "trace_store_misses")
+
+    def open_reader(self, key: str) -> Optional[BinaryTraceReader]:
+        """A streaming reader for ``key``, or ``None`` on a miss."""
+        path = self.path_for(key)
         try:
             read_header(path)  # reject corrupt/foreign files up front
-        except TraceFormatError:
-            self.stats.misses += 1
-            obs_current().counter("trace_store_misses")
+        except (OSError, TraceFormatError):
             self._unlink_entry(path)
+            self._lookup(path, hit=False)
             return None
-        self.stats.hits += 1
-        obs_current().counter("trace_store_hits")
-        os.utime(path)
+        self._lookup(path, hit=True)
         return BinaryTraceReader(path)
 
     def load(self, key: str) -> Optional[np.ndarray]:
         """The trace stored under ``key`` as one packed record array.
 
-        Returns a :data:`~repro.trace.binfmt.RECORD_DTYPE` array over the
-        decompressed payload (``np.frombuffer``: no per-record decode), or
-        ``None`` on a miss.  An entry whose *payload* turns out to be
-        corrupt (truncated gzip stream, a partial record, an access-type
-        code no record can hold, fewer records than the header promises --
-        e.g. a partially copied store directory) is quarantined like a
-        header-level corruption: the file is dropped and the lookup counts
-        as a miss, so callers regenerate instead of crashing.
+        Checks the header, then reads the raw payload into one
+        :data:`~repro.trace.binfmt.RECORD_DTYPE` array; ``None`` on a miss.
+        An entry that holds no raw trace of its header's length -- a
+        compressed entry from an older store, a partial record, an
+        access-type code no record can hold, fewer records than the header
+        promises (e.g. a partially copied store directory) -- is dropped
+        like a header-level corruption and counts as a miss, so callers
+        regenerate (and rewrite it raw) instead of crashing.
         """
-        reader = self.open_reader(key)
-        if reader is None:
-            return None
+        path = self.path_for(key)
         try:
-            trace = reader.read_all_array()
-            if len(trace) != reader.info().access_count:
+            info = read_header(path)
+            if info.codec != CODEC_NONE:
+                raise ValueError(f"{info.codec} entry, not a raw one")
+            trace = BinaryTraceReader(path).read_all_array()
+            if len(trace) != info.access_count:
                 raise ValueError("payload record count disagrees with the "
                                  "header's access count")
-            return trace
-        except (OSError, EOFError, ValueError, IndexError, zlib.error):
-            self.stats.hits -= 1
-            self.stats.misses += 1
-            obs_current().counter("trace_store_hits", -1)
-            obs_current().counter("trace_store_misses")
-            self._unlink_entry(self.path_for(key))
+        except (OSError, ValueError):
+            self._unlink_entry(path)
+            self._lookup(path, hit=False)
             return None
+        self._lookup(path, hit=True)
+        return trace
 
     # ------------------------------------------------------------------ #
     # Write side
@@ -289,33 +277,27 @@ class TraceStore:
 
         ``chunks`` are :data:`~repro.trace.binfmt.RECORD_DTYPE` arrays (what
         :meth:`SyntheticWorkload.iter_chunks` yields), each written byte for
-        byte as it arrives.  The entry is written to a temp file and
-        atomically renamed, so readers never observe partial traces.  With
-        ``collect=True`` the arrays are also returned joined into one -- the
-        same array a later :meth:`load` returns (the executor's
-        write-through path: one pass generates, persists, and materializes).
+        byte as it arrives into a raw entry.  The entry is written to a temp
+        file and atomically renamed, so readers never observe partial
+        traces.  With ``collect=True`` the arrays are also returned joined
+        into one -- the same array a later :meth:`load` returns (the
+        executor's write-through path: one pass generates, persists, and
+        materializes).
         """
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(key)
         tmp = final.with_suffix(f"{_SUFFIX}.tmp.{os.getpid()}")
         collected: Optional[List[np.ndarray]] = [] if collect else None
         try:
-            with BinaryTraceWriter(tmp, num_cores=num_cores,
-                                   compress=self.compress,
-                                   compresslevel=COMPRESSLEVEL) as writer:
+            with BinaryTraceWriter(tmp, num_cores=num_cores, codec=CODEC_NONE,
+                                   write_index=False) as writer:
                 for chunk in chunks:
                     if collected is not None:
                         collected.append(chunk)
                     writer.write_all(chunk)
             os.replace(tmp, final)
-            # The chunk-index sidecar follows its entry through the rename
-            # (readers validate it against the trace header, so a lost or
-            # torn sidecar is only ever a reconstruction, never corruption).
-            if index_path_for(tmp).exists():
-                os.replace(index_path_for(tmp), index_path_for(final))
         finally:
             tmp.unlink(missing_ok=True)
-            index_path_for(tmp).unlink(missing_ok=True)
         self.stats.writes += 1
         obs_current().counter("trace_store_writes")
         self._evict_over_budget(protect=final)
@@ -345,7 +327,7 @@ class TraceStore:
 
     @staticmethod
     def _entry_bytes(path: Path) -> int:
-        """Size of one entry plus its chunk-index sidecar (if any)."""
+        """Size of one entry plus its chunk-index sidecar (older stores)."""
         total = path.stat().st_size
         sidecar = index_path_for(path)
         if sidecar.exists():

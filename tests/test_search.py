@@ -503,6 +503,34 @@ class TestTuneSearchEndToEnd:
                       if row["kind"] == "tune.rung"]
         assert len(events) == 1
 
+    def test_searches_leave_only_their_winners_registered(self, queue_root):
+        base = set(DESIGNS.names())
+        winners = set()
+        for overrides in (dict(seed=2), dict(num_candidates=8, seed=1)):
+            search = TuneSearch(tiny_tune_config(**overrides))
+            state = search.run(workers=1)
+            losers = set(state.candidate_names()) - set(state.winners)
+            assert state.winners and losers
+            winners.update(state.winners)
+            assert set(DESIGNS.names()) == base | winners
+            # Re-running a winner registers the losers only for the call.
+            assert search.verify_winner(state)["identical"]
+            assert set(DESIGNS.names()) == base | winners
+
+    def test_a_failed_search_leaves_no_candidate_registered(
+            self, queue_root, monkeypatch):
+        base = DESIGNS.names()
+        search = TuneSearch(tiny_tune_config(num_candidates=2, rungs=1,
+                                             include_baselines=False))
+
+        def failing_rung(*args, **kwargs):
+            raise RuntimeError("rung failed")
+
+        monkeypatch.setattr(search, "_run_rung", failing_rung)
+        with pytest.raises(RuntimeError, match="rung failed"):
+            search.run(workers=1)
+        assert DESIGNS.names() == base
+
 
 # --------------------------------------------------------------------- #
 # Queue retention prune

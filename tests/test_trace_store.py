@@ -95,20 +95,48 @@ class TestHitMiss:
         assert store.put_chunks(key, [make_trace(10)]) is None
         assert store.contains(key)
 
-    def test_entries_are_gzipped_at_the_store_level(self, store, profile,
-                                                    tmp_path):
-        from repro.trace.binfmt import BinaryTraceWriter
-        from repro.trace.store import COMPRESSLEVEL
+    def test_entries_are_raw_packed_records(self, store, profile):
+        from repro.trace.binfmt import RECORD
 
-        assert COMPRESSLEVEL == 3
         key = store.key(profile, 128, 4, 1, 3000)
         packed = records_to_array(make_trace(3000))
         store.put_chunks(key, [packed], num_cores=4)
-        expected = tmp_path / "expected.rptr"
-        with BinaryTraceWriter(expected, num_cores=4,
-                               compresslevel=COMPRESSLEVEL) as writer:
-            writer.write_all(packed)
-        assert store.path_for(key).read_bytes() == expected.read_bytes()
+        path = store.path_for(key)
+        assert read_header(path).codec == "none"
+        blob = path.read_bytes()
+        assert len(blob) == HEADER_SIZE + RECORD.size * 3000
+        assert blob[HEADER_SIZE:] == packed.tobytes()
+        assert list(store.root.glob("*.rpti")) == []
+
+    def test_gzip_entry_is_one_miss_and_comes_back_raw(self, monkeypatch,
+                                                       tmp_path, tiny_profile):
+        """An entry an older store gzipped is dropped and rewritten raw."""
+        from repro.sim.executor import (cached_trace, clear_caches,
+                                        get_trace_store)
+        from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+        from repro.trace.binfmt import write_trace_bin
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "old"))
+        clear_caches()
+        config = ExperimentConfig(scale=4096, num_accesses=2000, num_cores=2)
+        runner = ExperimentRunner(config)
+        expected = runner.build_trace(tiny_profile)
+        store = get_trace_store()
+        path = store.path_for(store.key(tiny_profile, 4096, 2, config.seed,
+                                        2000))
+        store.root.mkdir(parents=True)
+        write_trace_bin(path, array_to_records(expected), num_cores=2,
+                        compress=True)
+        try:
+            trace = cached_trace(runner, tiny_profile)
+        finally:
+            clear_caches()
+        assert trace.tobytes() == expected.tobytes()
+        assert (store.stats.misses, store.stats.hits,
+                store.stats.writes) == (1, 0, 1)
+        assert read_header(path).codec == "none"
+        assert path.read_bytes()[HEADER_SIZE:] == expected.tobytes()
+        assert list(store.root.glob("*.rpti")) == []
 
     def test_open_reader_streams(self, store, profile):
         key = store.key(profile, 128, 4, 1, 50)
@@ -125,12 +153,14 @@ class TestHitMiss:
         assert not store.path_for(key).exists()  # quarantined
 
     def test_corrupt_payload_treated_as_miss(self, store, profile):
-        """Valid header + truncated gzip payload must not crash a sweep."""
+        """Valid header + truncated raw payload must not crash a sweep."""
+        from repro.trace.binfmt import RECORD
+
         key = store.key(profile, 128, 4, 1, 50)
         store.put(key, make_trace(50))
         path = store.path_for(key)
         blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])  # keep header, cut payload
+        path.write_bytes(blob[:HEADER_SIZE + RECORD.size * 25])  # half
         hits_before = store.stats.hits
         assert store.load(key) is None
         assert store.stats.hits == hits_before  # counted as a miss
@@ -151,12 +181,10 @@ class TestHitMiss:
 
     @pytest.mark.parametrize("damage", ["partial-record", "bad-access-type",
                                         "short-count"])
-    def test_damaged_records_treated_as_miss(self, tmp_path, profile,
-                                             damage):
+    def test_damaged_records_treated_as_miss(self, store, profile, damage):
         """Payloads that read back but hold no valid trace are dropped."""
         from repro.trace.binfmt import RECORD
 
-        store = TraceStore(root=tmp_path / "raw", compress=False)
         key = store.key(profile, 128, 4, 1, 20)
         store.put(key, make_trace(20))
         path = store.path_for(key)
@@ -174,12 +202,9 @@ class TestHitMiss:
     def test_no_partial_files_after_put(self, store, profile):
         key = store.key(profile, 128, 4, 1, 10)
         store.put(key, make_trace(10))
-        # Only the entry and its chunk-index sidecar may remain -- never a
-        # temp file from the atomic-rename dance.
-        leftovers = [p for p in store.root.iterdir()
-                     if p.suffix not in (".rptr", ".rpti")]
-        assert leftovers == []
-        assert (store.root / f"{key}.rptr.rpti").exists()
+        # Only the entry may remain -- never a temp file from the
+        # atomic-rename dance, nor a chunk-index sidecar.
+        assert list(store.root.iterdir()) == [store.path_for(key)]
 
 
 class TestEviction:
