@@ -2,10 +2,10 @@
 
 A from-scratch, trace-driven Python reproduction of *Unison Cache: A Scalable
 and Effective Die-Stacked DRAM Cache* (Jevdjic, Loh, Kaynak, Falsafi --
-MICRO 2014), including the Alloy Cache and Footprint Cache baselines, the
-DRAM timing and SRAM cache substrates, synthetic server-workload generators,
-and a declarative experiment layer that regenerates every table and figure of
-the paper's evaluation.
+MICRO 2014), including the Alloy Cache and Footprint Cache baselines, a DRAM
+timing model, an analytical performance model, synthetic server-workload
+generators, and a declarative experiment layer that regenerates every table
+and figure of the paper's evaluation.
 
 Quickstart -- declare a grid, run it (in parallel, if you like), query and
 persist the results::

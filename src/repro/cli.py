@@ -50,7 +50,7 @@ Examples::
     python -m repro trace gen --workload "Web Search" --accesses 100000 \
                               --out websearch.rptr
     python -m repro trace info websearch.rptr
-    python -m repro trace convert llc_misses.csv llc_misses.rptr --codec zstd
+    python -m repro trace convert llc_misses.csv llc_misses.rptr --codec none
     python -m repro trace store gc
     python -m repro trace formats
     python -m repro queue submit --designs unison alloy --capacities 512MB
@@ -301,10 +301,9 @@ def build_trace_parser() -> argparse.ArgumentParser:
     convert.add_argument("--limit", type=int, default=None, metavar="N",
                          help="convert only the first N accesses")
     convert.add_argument("--codec", default=None,
-                         choices=["none", "gzip", "zstd"],
+                         choices=["none", "gzip"],
                          help="payload codec for binary output (default: "
-                              "gzip; 'zstd' needs the zstandard package or "
-                              "Python >= 3.14)")
+                              "gzip)")
 
     sub.add_parser("formats", help="list known trace formats",
                    description="List every registered trace format.")

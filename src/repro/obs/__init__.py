@@ -27,8 +27,7 @@ from repro.obs.heartbeat import (NULL_HEARTBEAT, WorkerHeartbeat,
                                  worker_heartbeat)
 from repro.obs.ledger import (HEARTBEAT_STALE_SECONDS, LEDGER_SCHEMA_VERSION,
                               RunLedger, summarize)
-from repro.obs.manifest import (find_manifest, iter_manifests, manifest_path,
-                                read_manifest)
+from repro.obs.manifest import find_manifest, manifest_path, read_manifest
 from repro.obs.profiling import (ENV_PROFILE, maybe_profile,
                                  profiling_enabled)
 
@@ -51,7 +50,6 @@ __all__ = [
     "current",
     "emit_event",
     "find_manifest",
-    "iter_manifests",
     "job_context",
     "ledger_path",
     "manifest_path",

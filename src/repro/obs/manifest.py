@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.core import MANIFEST_DIRNAME
 
@@ -54,15 +54,6 @@ def read_manifest(path: Path) -> List[Dict[str, object]]:
     return events
 
 
-def iter_manifests(root: Path) -> Iterator[Path]:
-    """All manifest files under a telemetry root, newest first."""
-    directory = manifest_dir(root)
-    if not directory.is_dir():
-        return iter(())
-    files = sorted(directory.glob("*.jsonl"), reverse=True)
-    return iter(files)
-
-
 def find_manifest(root: Path, run_id: str) -> Optional[Path]:
     path = manifest_path(root, run_id)
     return path if path.is_file() else None
@@ -70,7 +61,6 @@ def find_manifest(root: Path, run_id: str) -> Optional[Path]:
 
 __all__ = [
     "find_manifest",
-    "iter_manifests",
     "manifest_dir",
     "manifest_path",
     "open_manifest",

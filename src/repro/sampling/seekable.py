@@ -9,9 +9,9 @@ provide O(window) access:
   opening a window neither reads nor decodes the prefix, and the page cache
   shares the mapping across readers and processes.
 * :class:`IndexedWindowReader` -- for **compressed** payloads.  Each
-  streaming chunk is an independent codec member (gzip member / zstd frame),
-  and the :class:`~repro.trace.binfmt.ChunkIndex` sidecar maps record
-  indices to member offsets, so only the members covering the window are
+  streaming chunk is an independent gzip member, and the
+  :class:`~repro.trace.binfmt.ChunkIndex` sidecar maps record indices to
+  member offsets, so only the members covering the window are
   decompressed.  Legacy single-member files (written before the sidecar
   existed) degrade gracefully to one seek point at the payload start.
 

@@ -139,20 +139,6 @@ class DesignPoint:
         raise ValueError(f"unknown objective {key!r}")
 
 
-def point_from_record(record, spec: DesignSpec, capacity_bytes: int,
-                      num_cores: int = 16, *,
-                      reference: bool = False) -> DesignPoint:
-    """Build the objective-space point of one sampled/exact result."""
-    return DesignPoint(
-        name=spec.name,
-        miss_ratio=interval_from_record(record, "miss_ratio"),
-        speedup=interval_from_record(record, "speedup"),
-        sram_overhead_bytes=sram_overhead_bytes(spec, capacity_bytes,
-                                                num_cores),
-        reference=reference,
-    )
-
-
 def ci_dominates(a: DesignPoint, b: DesignPoint) -> bool:
     """True when ``a`` dominates ``b`` beyond measurement noise.
 
@@ -234,7 +220,6 @@ __all__ = [
     "dominated_baselines",
     "interval_from_record",
     "pareto_frontier",
-    "point_from_record",
     "prune_by_interval",
     "sram_overhead_bytes",
 ]

@@ -8,7 +8,6 @@ reported in the paper's tables and figures.
 
 from repro.stats.counters import Counter, RatioStat, StatGroup
 from repro.stats.confidence import ConfidenceInterval, mean_confidence_interval
-from repro.stats.histogram import Histogram
 from repro.stats.sampling import (
     AdaptiveStopper,
     WindowSeries,
@@ -24,5 +23,4 @@ __all__ = [
     "WindowSeries",
     "matched_pair_deltas",
     "mean_confidence_interval",
-    "Histogram",
 ]

@@ -29,11 +29,9 @@ from repro.trace.binfmt import (
     BinaryTraceReader,
     BinaryTraceWriter,
     ChunkIndex,
-    available_codecs,
     is_binary_trace,
     read_trace_bin,
     write_trace_bin,
-    zstd_available,
 )
 from repro.trace.adapters import convert_trace, detect_format, open_trace
 from repro.trace.filters import interleave_traces, limit_trace, split_warmup
@@ -58,11 +56,9 @@ __all__ = [
     "BinaryTraceReader",
     "BinaryTraceWriter",
     "ChunkIndex",
-    "available_codecs",
     "is_binary_trace",
     "read_trace_bin",
     "write_trace_bin",
-    "zstd_available",
     "convert_trace",
     "detect_format",
     "open_trace",

@@ -24,7 +24,7 @@ Layout::
                         | num_cores u32 | access_count u64     (20 bytes, LE)
     offset 20: PAYLOAD = access_count x RECORD, as a sequence of per-chunk
                          codec members (gzip members when flags & FLAG_GZIP,
-                         zstd frames when flags & FLAG_ZSTD, raw otherwise)
+                         raw otherwise; any other flag bit is rejected)
 
     RECORD = address u64 | pc u64 | timestamp u64
              | core_id u16 | access_type u8                    (27 bytes, LE)
@@ -34,11 +34,9 @@ produced and patched in place when the writer closes (the header is outside
 the compressed members precisely so this seek-back works for compressed
 traces too; on a non-seekable target the sentinel simply remains).
 
-Compression codecs: ``gzip`` (stdlib, the default), ``zstd`` (used when
-``compression.zstd`` -- Python 3.14+ -- or the third-party ``zstandard``
-package is importable; better ratio and much faster decompression), and
-``none``.  Both compressed codecs concatenate their members transparently on
-sequential reads, so a whole-trace read never consults the chunk index.
+Compression codecs: ``gzip`` (stdlib, the default) and ``none``.  gzip
+concatenates its members transparently on sequential reads, so a whole-trace
+read never consults the chunk index.
 """
 
 from __future__ import annotations
@@ -64,8 +62,6 @@ MAGIC = b"RPTR"
 VERSION = 1
 #: Header flag: the record payload is a sequence of gzip members.
 FLAG_GZIP = 0x0001
-#: Header flag: the record payload is a sequence of zstd frames.
-FLAG_ZSTD = 0x0002
 #: ``access_count`` value meaning "stream was not finalized".
 UNKNOWN_COUNT = 2 ** 64 - 1
 
@@ -89,11 +85,10 @@ DEFAULT_CHUNK_RECORDS = 16384
 #: Codec names accepted by the writer (and reported by the reader).
 CODEC_NONE = "none"
 CODEC_GZIP = "gzip"
-CODEC_ZSTD = "zstd"
-CODECS = (CODEC_NONE, CODEC_GZIP, CODEC_ZSTD)
+CODECS = (CODEC_NONE, CODEC_GZIP)
 
-_CODEC_FLAGS = {CODEC_NONE: 0, CODEC_GZIP: FLAG_GZIP, CODEC_ZSTD: FLAG_ZSTD}
-_DEFAULT_LEVELS = {CODEC_GZIP: 6, CODEC_ZSTD: 3}
+_CODEC_FLAGS = {CODEC_NONE: 0, CODEC_GZIP: FLAG_GZIP}
+_DEFAULT_LEVELS = {CODEC_GZIP: 6}
 
 _TYPE_FROM_CODE = (AccessType.READ, AccessType.WRITE)
 
@@ -101,91 +96,22 @@ _MAX_U64 = 2 ** 64 - 1
 _MAX_U16 = 2 ** 16 - 1
 
 
-# --------------------------------------------------------------------- #
-# Codec backends
-# --------------------------------------------------------------------- #
-def _zstd_backend():
-    """The available zstd implementation, or ``None``.
-
-    Prefers the stdlib ``compression.zstd`` (Python 3.14+) and falls back to
-    the third-party ``zstandard`` package; both expose ``compress``/
-    member-decompression primitives under slightly different names, so this
-    returns a small adapter tuple ``(compress, decompressobj_factory)``.
-    """
-    try:
-        from compression import zstd as _stdlib_zstd  # Python >= 3.14
-
-        return (
-            lambda blob, level: _stdlib_zstd.compress(blob, level),
-            lambda: _stdlib_zstd.ZstdDecompressor(),
-        )
-    except ImportError:
-        pass
-    try:
-        import zstandard as _zstandard
-    except ImportError:
-        return None
-    return (
-        lambda blob, level: _zstandard.ZstdCompressor(level=level).compress(blob),
-        lambda: _zstandard.ZstdDecompressor().decompressobj(),
-    )
-
-
-def zstd_available() -> bool:
-    """True when a zstd implementation is importable."""
-    return _zstd_backend() is not None
-
-
-def available_codecs() -> "tuple[str, ...]":
-    """Codec names usable on this interpreter."""
-    if zstd_available():
-        return CODECS
-    return (CODEC_NONE, CODEC_GZIP)
-
-
-def _codec_from_flags(flags: int, path: PathLike) -> str:
-    if flags & FLAG_ZSTD:
-        return CODEC_ZSTD
-    if flags & FLAG_GZIP:
-        return CODEC_GZIP
-    return CODEC_NONE
-
-
-def _require_zstd(path: PathLike):
-    backend = _zstd_backend()
-    if backend is None:
-        raise TraceFormatError(
-            "zstd-compressed trace but no zstd implementation is available "
-            "(install 'zstandard' or use Python >= 3.14)", path=path,
-        )
-    return backend
-
-
-def _compress_chunk(blob: bytes, codec: str, level: int,
-                    path: PathLike) -> bytes:
+def _compress_chunk(blob: bytes, codec: str, level: int) -> bytes:
     """One chunk of packed records as a complete, standalone codec member."""
     if codec == CODEC_NONE:
         return blob
-    if codec == CODEC_GZIP:
-        # mtime=0 keeps the bytes deterministic across writes.
-        return gzip.compress(blob, compresslevel=level, mtime=0)
-    compress, _ = _require_zstd(path)
-    return compress(blob, level)
+    # mtime=0 keeps the bytes deterministic across writes.
+    return gzip.compress(blob, compresslevel=level, mtime=0)
 
 
-def _decompressobj_factory(codec: str, path: PathLike):
-    """A factory of one-member decompressor objects for ``codec``.
+def _gzip_member():
+    """A decompressor object for one gzip member.
 
-    The returned objects expose ``decompress``, ``eof`` and ``unused_data``
-    (the zlib protocol, which both zstd backends also follow), which is what
-    member-boundary scans and member-range decompression need.
+    It exposes ``decompress``, ``eof`` and ``unused_data`` (the zlib
+    protocol), which is what member-boundary scans and member-range
+    decompression need.
     """
-    if codec == CODEC_GZIP:
-        return lambda: zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
-    if codec == CODEC_ZSTD:
-        _, factory = _require_zstd(path)
-        return factory
-    raise ValueError(f"codec {codec!r} has no decompressor")
+    return zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
 
 
 def decompress_members(blob: bytes, codec: str,
@@ -193,11 +119,10 @@ def decompress_members(blob: bytes, codec: str,
     """Decompress a byte range holding one or more whole codec members."""
     if codec == CODEC_NONE:
         return blob
-    factory = _decompressobj_factory(codec, path)
     parts = []
     view = memoryview(blob)
     while len(view):
-        member = factory()
+        member = _gzip_member()
         parts.append(member.decompress(view))
         if not member.eof:
             raise TraceFormatError(
@@ -271,7 +196,13 @@ def read_header(path: PathLike) -> BinaryTraceInfo:
             f"unsupported binary trace version {version} "
             f"(this reader understands <= {VERSION})", path=path,
         )
-    codec = _codec_from_flags(flags, path)
+    unknown = flags & ~FLAG_GZIP
+    if unknown:
+        raise TraceFormatError(
+            f"unknown header flag bits 0x{unknown:04x} (this reader "
+            f"understands only gzip, 0x{FLAG_GZIP:04x})", path=path,
+        )
+    codec = CODEC_GZIP if flags else CODEC_NONE
     return BinaryTraceInfo(
         path=str(path),
         version=version,
@@ -342,12 +273,6 @@ class ChunkIndex:
             )
         return bisect.bisect_right(self.starts, record_index) - 1
 
-    def chunk_records_of(self, chunk: int) -> int:
-        """Number of records the ``chunk``-th member decodes to."""
-        stop = (self.starts[chunk + 1] if chunk + 1 < len(self.starts)
-                else self.access_count)
-        return stop - self.starts[chunk]
-
     # ------------------------------------------------------------------ #
     def save(self, trace_path: PathLike) -> Path:
         """Write the sidecar next to ``trace_path``; returns its path."""
@@ -383,8 +308,7 @@ class ChunkIndex:
         if (magic != INDEX_MAGIC or version > INDEX_VERSION
                 or len(blob) != INDEX_HEADER.size + entries * INDEX_ENTRY.size):
             return None
-        codec = _codec_from_flags(flags, trace_path)
-        if codec != info.codec or info.access_count != count:
+        if flags != _CODEC_FLAGS[info.codec] or info.access_count != count:
             return None  # stale: the trace was rewritten since
         pairs = list(INDEX_ENTRY.iter_unpack(blob[INDEX_HEADER.size:]))
         starts = tuple(p[0] for p in pairs)
@@ -393,7 +317,7 @@ class ChunkIndex:
                         or offsets[-1] >= info.file_bytes):
             return None
         try:
-            return cls(codec=codec, access_count=count,
+            return cls(codec=info.codec, access_count=count,
                        chunk_records=chunk_records, starts=starts,
                        offsets=offsets)
         except ValueError:
@@ -424,7 +348,6 @@ class ChunkIndex:
                        offsets=offsets)
         starts_list: List[int] = []
         offsets_list: List[int] = []
-        factory = _decompressobj_factory(info.codec, trace_path)
         with Path(trace_path).open("rb") as handle:
             handle.seek(HEADER.size)
             member_offset = HEADER.size
@@ -438,7 +361,7 @@ class ChunkIndex:
                 if not chunk:
                     break
                 if decomp is None:
-                    decomp = factory()
+                    decomp = _gzip_member()
                     starts_list.append(records_seen)
                     offsets_list.append(member_offset)
                     member_bytes = 0
@@ -493,11 +416,10 @@ class BinaryTraceWriter:
         Compress the record payload (the header stays uncompressed).
     compresslevel:
         Codec compression level; ``None`` picks the codec default (gzip 6 --
-        trades a slightly slower write for ~15% smaller files than level 1 --
-        or zstd 3).
+        trades a slightly slower write for ~15% smaller files than level 1).
     codec:
         Payload codec (:data:`CODECS`); ``None`` derives it from ``compress``
-        (gzip when true).  ``"zstd"`` requires a zstd implementation.
+        (gzip when true).
     write_index:
         Write the :class:`ChunkIndex` sidecar on a clean close.
     """
@@ -513,8 +435,6 @@ class BinaryTraceWriter:
             codec = CODEC_GZIP if compress else CODEC_NONE
         if codec not in CODECS:
             raise ValueError(f"unknown codec {codec!r}; known: {CODECS}")
-        if codec == CODEC_ZSTD:
-            _require_zstd(path)
         self._path = Path(path)
         self._num_cores = num_cores
         self._codec = codec
@@ -608,7 +528,7 @@ class BinaryTraceWriter:
         self._index_offsets.append(self._raw.tell())
         blob = b"".join(self._buffer)
         self._raw.write(_compress_chunk(blob, self._codec,
-                                        self._compresslevel, self._path))
+                                        self._compresslevel))
         self._buffer.clear()
         self._buffered = 0
 
@@ -671,8 +591,6 @@ class BinaryTraceReader:
         raw.seek(HEADER.size)
         if info.codec == CODEC_GZIP:
             return gzip.GzipFile(fileobj=raw, mode="rb"), raw
-        if info.codec == CODEC_ZSTD:
-            return _ZstdMemberStream(raw, self._path), raw
         return raw, raw
 
     def iter_chunks(self, chunk_records: int = DEFAULT_CHUNK_RECORDS,
@@ -779,56 +697,6 @@ class BinaryTraceReader:
         return _decode_records(blob[:len(blob) - len(blob) % RECORD.size])
 
 
-class _ZstdMemberStream:
-    """Minimal read-only file object over concatenated zstd frames."""
-
-    def __init__(self, raw: IO[bytes], path: PathLike) -> None:
-        self._raw = raw
-        self._path = path
-        self._factory = _decompressobj_factory(CODEC_ZSTD, path)
-        self._decomp = None
-        self._buffer = b""
-        self._eof = False
-
-    def read(self, size: int = -1) -> bytes:
-        parts = []
-        remaining = size if size >= 0 else None
-        while remaining is None or remaining > 0:
-            if self._buffer:
-                take = (len(self._buffer) if remaining is None
-                        else min(remaining, len(self._buffer)))
-                parts.append(self._buffer[:take])
-                self._buffer = self._buffer[take:]
-                if remaining is not None:
-                    remaining -= take
-                continue
-            if self._eof:
-                break
-            chunk = self._raw.read(1 << 20)
-            if not chunk:
-                if self._decomp is not None:
-                    raise TraceFormatError(
-                        "truncated zstd frame in binary trace payload",
-                        path=self._path,
-                    )
-                self._eof = True
-                break
-            while chunk:
-                if self._decomp is None:
-                    self._decomp = self._factory()
-                self._buffer += self._decomp.decompress(chunk)
-                if self._decomp.eof:
-                    chunk = self._decomp.unused_data
-                    self._decomp = None
-                else:
-                    chunk = b""
-        return b"".join(parts)
-
-    def close(self) -> None:
-        self._decomp = None
-        self._buffer = b""
-
-
 def is_record_array(obj) -> bool:
     """True if ``obj`` is a numpy array of :data:`RECORD_DTYPE` records."""
     return isinstance(obj, np.ndarray) and obj.dtype == RECORD_DTYPE
@@ -862,16 +730,13 @@ __all__ = [
     "CODECS",
     "CODEC_GZIP",
     "CODEC_NONE",
-    "CODEC_ZSTD",
     "DEFAULT_CHUNK_RECORDS",
     "FLAG_GZIP",
-    "FLAG_ZSTD",
     "INDEX_SUFFIX",
     "MAGIC",
     "RECORD_DTYPE",
     "UNKNOWN_COUNT",
     "VERSION",
-    "available_codecs",
     "decompress_members",
     "index_path_for",
     "is_binary_trace",
@@ -879,5 +744,4 @@ __all__ = [
     "read_header",
     "read_trace_bin",
     "write_trace_bin",
-    "zstd_available",
 ]

@@ -59,7 +59,6 @@ from repro.obs.core import current as obs_current
 from repro.trace.binfmt import (CODEC_NONE, INDEX_SUFFIX, RECORD_DTYPE,
                                 BinaryTraceReader, BinaryTraceWriter,
                                 index_path_for, read_header)
-from repro.trace.errors import TraceFormatError
 from repro.trace.record import MemoryAccess
 from repro.utils.units import parse_size
 from repro.workloads.generator import GENERATOR_VERSION
@@ -225,18 +224,6 @@ class TraceStore:
             self.stats.misses += 1
         obs_current().counter("trace_store_hits" if hit
                               else "trace_store_misses")
-
-    def open_reader(self, key: str) -> Optional[BinaryTraceReader]:
-        """A streaming reader for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
-        try:
-            read_header(path)  # reject corrupt/foreign files up front
-        except (OSError, TraceFormatError):
-            self._unlink_entry(path)
-            self._lookup(path, hit=False)
-            return None
-        self._lookup(path, hit=True)
-        return BinaryTraceReader(path)
 
     def load(self, key: str) -> Optional[np.ndarray]:
         """The trace stored under ``key`` as one packed record array.

@@ -123,10 +123,6 @@ class ResidueMapper:
             raise ValueError("page_number must be non-negative")
         return page_number % self.num_sets
 
-    def set_of_block(self, block_address: int) -> int:
-        """Set index for the page containing ``block_address``."""
-        return self.set_of_page(self.page_of(block_address))
-
     def locate(self, block_address: int) -> "BlockLocation":
         """Full decomposition of a block address."""
         page = self.page_of(block_address)

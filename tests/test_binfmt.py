@@ -193,6 +193,17 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="version"):
             read_header(path)
 
+    @pytest.mark.parametrize("flags", [0x0002, 0x0004])
+    def test_unknown_flag_bits_rejected(self, tmp_path, flags):
+        path = tmp_path / "flags.rptr"
+        write_trace_bin(path, sample_trace(10), compress=False)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, 6, flags)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceFormatError,
+                           match=f"unknown header flag bits 0x{flags:04x}"):
+            read_header(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.rptr"
         write_trace_bin(path, sample_trace(10), compress=False)

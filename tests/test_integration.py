@@ -7,15 +7,8 @@ evaluation is built on (who hits, who pays tag latency, who wastes bandwidth).
 
 import pytest
 
-from repro.cache.hierarchy import CacheHierarchy
-from repro.config.system import SystemConfig
-from repro.cpu.cmp import TraceDrivenCmp
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
-from repro.sim.factory import make_design
-from repro.sim.performance import PerformanceModel
 from repro.workloads.cloudsuite import data_analytics, web_search
-from repro.workloads.generator import SyntheticWorkload
-from repro.workloads.profile import WorkloadProfile
 
 
 @pytest.fixture(scope="module")
@@ -100,41 +93,3 @@ class TestCapacityTrends:
         small = runner.run_design("unison", web_search(), "128MB")
         large = runner.run_design("unison", web_search(), "8GB")
         assert abs(large.average_hit_latency - small.average_hit_latency) < 12
-
-
-class TestFullSystemPath:
-    def test_hierarchy_feeds_dram_cache(self):
-        profile = WorkloadProfile(name="mini", working_set="2MB",
-                                  num_code_regions=16, l2_mpki=20.0)
-        system = SystemConfig(num_cores=4)
-        hierarchy = CacheHierarchy(system)
-        raw = SyntheticWorkload(profile, num_cores=4, seed=2).generate(4000)
-        l2_misses = list(hierarchy.filter_stream(raw))
-        assert l2_misses
-        design = make_design("unison", "128MB", scale=1024, num_cores=4)
-        stats = design.run(l2_misses)
-        assert stats.accesses == len(l2_misses)
-
-    def test_cmp_throughput_metric(self):
-        profile = WorkloadProfile(name="mini", working_set="2MB",
-                                  num_code_regions=16, l2_mpki=20.0)
-        system = SystemConfig(num_cores=4)
-        trace = SyntheticWorkload(profile, num_cores=4, seed=2).generate(2000)
-        cmp_fast = TraceDrivenCmp(make_design("ideal", "1GB", scale=1024),
-                                  config=system)
-        cmp_slow = TraceDrivenCmp(make_design("no_cache", "1GB", scale=1024),
-                                  config=system)
-        cmp_fast.run(trace)
-        cmp_slow.run(list(trace))
-        assert (cmp_fast.user_instructions_per_cycle
-                > cmp_slow.user_instructions_per_cycle)
-
-    def test_performance_model_agrees_with_cmp_ordering(self):
-        profile = web_search()
-        runner = ExperimentRunner(
-            ExperimentConfig(scale=4096, num_accesses=8_000, num_cores=4, seed=9)
-        )
-        results = runner.compare_designs(["unison", "no_cache"], profile, "1GB")
-        model = PerformanceModel()
-        assert results["unison"].speedup_vs_no_cache > 1.0
-        assert results["no_cache"].speedup_vs_no_cache == pytest.approx(1.0, abs=0.05)

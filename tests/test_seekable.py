@@ -15,7 +15,6 @@ from repro.trace.binfmt import (
     index_path_for,
     read_trace_bin,
     write_trace_bin,
-    zstd_available,
 )
 from repro.trace.errors import TraceFormatError
 from repro.sampling.seekable import (
@@ -188,38 +187,6 @@ class TestIndexedWindowReader:
         reader = IndexedWindowReader(path)
         assert len(reader.index) == 1
         assert reader.read_window(500, 700) == trace[500:700]
-
-
-class TestZstdCodec:
-    pytestmark = pytest.mark.skipif(
-        not zstd_available(), reason="no zstd implementation available")
-
-    def test_round_trip(self, tmp_path):
-        trace = sample_trace(N_MULTI_CHUNK)
-        path = tmp_path / "t.rptr"
-        write_trace_bin(path, trace, codec="zstd")
-        assert read_trace_bin(path) == trace
-
-    def test_header_reports_codec(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        write_trace_bin(path, sample_trace(10), codec="zstd")
-        assert BinaryTraceReader(path).info().codec == "zstd"
-
-    def test_windows(self, tmp_path):
-        trace = sample_trace(N_MULTI_CHUNK)
-        path = tmp_path / "t.rptr"
-        write_trace_bin(path, trace, codec="zstd")
-        with IndexedWindowReader(path) as reader:
-            assert reader.read_window(17000, 17500) == trace[17000:17500]
-
-
-class TestZstdUnavailable:
-    pytestmark = pytest.mark.skipif(
-        zstd_available(), reason="zstd is available here")
-
-    def test_writer_raises_cleanly(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="zstd"):
-            BinaryTraceWriter(tmp_path / "t.rptr", codec="zstd")
 
 
 class TestOpenWindowReader:

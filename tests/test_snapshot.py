@@ -218,14 +218,14 @@ class TestFlatPayload:
         object(), [1, 2], {"k": [1]}, ((1, 2), [3]), (random.Random(1),),
     ])
     def test_guard_rejects_objects(self, value):
-        from repro.cache.replacement import LruPolicy
-        from repro.dramcache.components import Lookup, LruReplacement
+        from repro.dramcache.components import (Lookup, LruReplacement,
+                                                RandomReplacement)
         from repro.utils.bitvector import BitVector
 
         assert _flat_violations({"buffer": value}) == ["buffer"]
         lookup = Lookup(page=1, set_index=0, offset=0, way=0, block_hit=True,
                         page_hit=True)
-        for obj in (lookup, BitVector(15, 3), LruPolicy(4),
+        for obj in (lookup, BitVector(15, 3), RandomReplacement(),
                     LruReplacement()):
             assert _flat_violations({"buffer": obj}) == ["buffer"]
             assert _flat_violations({"buffer": (obj,)}) == ["buffer"]

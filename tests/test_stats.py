@@ -1,4 +1,4 @@
-"""Tests for counters, ratios, groups, confidence intervals and histograms."""
+"""Tests for counters, ratios, groups and confidence intervals."""
 
 import math
 
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.stats.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.stats.counters import Counter, RatioStat, StatGroup
-from repro.stats.histogram import Histogram
 
 
 class TestCounter:
@@ -140,62 +139,6 @@ class TestConfidence:
         few = mean_confidence_interval([1.0, 2.0, 3.0, 4.0])
         many = mean_confidence_interval([1.0, 2.0, 3.0, 4.0] * 10)
         assert many.half_width < few.half_width
-
-
-class TestHistogram:
-    def test_record_and_count(self):
-        hist = Histogram("footprint")
-        hist.record(3)
-        hist.record(3, 2)
-        hist.record(7)
-        assert hist.count(3) == 3
-        assert hist.total == 4
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h").record(1, -1)
-
-    def test_mean(self):
-        hist = Histogram("h")
-        hist.record(2, 2)
-        hist.record(4, 2)
-        assert hist.mean() == pytest.approx(3.0)
-
-    def test_mean_of_empty_is_zero(self):
-        assert Histogram("h").mean() == 0.0
-
-    def test_percentile(self):
-        hist = Histogram("h")
-        for value in range(1, 11):
-            hist.record(value)
-        assert hist.percentile(0.5) == 5
-        assert hist.percentile(1.0) == 10
-
-    def test_percentile_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            Histogram("h").percentile(0.5)
-
-    def test_percentile_bad_fraction(self):
-        hist = Histogram("h")
-        hist.record(1)
-        with pytest.raises(ValueError):
-            hist.percentile(1.5)
-
-    def test_merge(self):
-        a = Histogram("a")
-        b = Histogram("b")
-        a.record(1)
-        b.record(1)
-        b.record(2)
-        a.merge(b)
-        assert a.count(1) == 2
-        assert a.count(2) == 1
-
-    def test_items_sorted(self):
-        hist = Histogram("h")
-        hist.record(5)
-        hist.record(1)
-        assert [v for v, _ in hist.items()] == [1, 5]
 
 
 class TestConfidenceEdgeCases:

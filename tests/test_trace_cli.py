@@ -151,21 +151,15 @@ class TestTraceConvertCodec:
         assert read_header(dst).codec == "none"
         assert len(read_trace_bin(dst)) == 2
 
-    def test_codec_zstd_round_trips_or_fails_cleanly(self, tmp_path, capsys):
-        from repro.trace.binfmt import read_header, zstd_available
-
+    def test_codec_zstd_is_not_a_choice(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("address,type\n0x1000,R\n")
         dst = tmp_path / "out.rptr"
-        code = main(["trace", "convert", str(src), str(dst),
-                     "--codec", "zstd"])
-        if zstd_available():
-            assert code == 0
-            assert read_header(dst).codec == "zstd"
-            assert len(read_trace_bin(dst)) == 1
-        else:
-            assert code == 1
-            assert "zstd" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "convert", str(src), str(dst), "--codec", "zstd"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'zstd'" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_codec_rejected_for_text_output(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

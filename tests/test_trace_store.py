@@ -138,12 +138,17 @@ class TestHitMiss:
         assert path.read_bytes()[HEADER_SIZE:] == expected.tobytes()
         assert list(store.root.glob("*.rpti")) == []
 
-    def test_open_reader_streams(self, store, profile):
+    @pytest.mark.parametrize("flags", [0x0002, 0x0004])
+    def test_unknown_flag_bits_entry_is_one_miss(self, store, profile, flags):
         key = store.key(profile, 128, 4, 1, 50)
-        trace = make_trace(50)
-        store.put(key, trace)
-        reader = store.open_reader(key)
-        assert list(reader) == trace
+        store.put(key, make_trace(50))
+        path = store.path_for(key)
+        blob = bytearray(path.read_bytes())
+        blob[6:8] = flags.to_bytes(2, "little")  # the header's flags field
+        path.write_bytes(bytes(blob))
+        assert store.load(key) is None
+        assert (store.stats.misses, store.stats.hits) == (1, 0)
+        assert not path.exists()  # quarantined
 
     def test_corrupt_entry_treated_as_miss(self, store, profile):
         key = store.key(profile, 128, 4, 1, 10)
