@@ -11,10 +11,10 @@ Two claims, both on a 1M-access trace:
   confidence level" claim is about performance), while simulating at most
   20% of the accesses.
 * **O(window) trace access.**  Opening a measurement window near the end of
-  an uncompressed binary trace through the mmap reader costs the same as
-  opening one near the beginning -- window-open time must not scale with
-  window offset (this is what makes sampling billion-access traces
-  feasible: cost tracks windows, not trace length).
+  an uncompressed binary trace through its memory-mapped ``FileWindows``
+  provider costs the same as opening one near the beginning -- window-open
+  time must not scale with window offset (this is what makes sampling
+  billion-access traces feasible: cost tracks windows, not trace length).
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import time
 
 from conftest import write_report, write_timings
 
-from repro.engine.trace_array import array_to_records
 from repro.sampling import SamplingConfig, WindowedSampler
-from repro.sampling.seekable import MmapTraceReader
+from repro.sampling.seekable import FileWindows
 from repro.sim.executor import cached_trace
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
 from repro.trace.binfmt import write_trace_bin
@@ -138,7 +137,7 @@ def test_mmap_window_open_does_not_scale_with_offset(results_dir, tmp_path):
     runner = ExperimentRunner(CONFIG)
     trace = cached_trace(runner, profile)
     path = tmp_path / "windows.rptr"
-    write_trace_bin(path, trace, num_cores=4, compress=False)
+    write_trace_bin(path, trace, num_cores=4, codec="none")
 
     window = 4_096
     offsets = {
@@ -156,15 +155,17 @@ def test_mmap_window_open_does_not_scale_with_offset(results_dir, tmp_path):
         return best
 
     timings = {}
-    with MmapTraceReader(path) as reader:
-        # Correctness first: a window deep in the trace decodes exactly.
-        probe = offsets["99%"]
-        assert (reader.read_window(probe, probe + 64)
-                == array_to_records(trace[probe:probe + 64]))
-        for label, offset in offsets.items():
-            timings[label] = best_of(
-                lambda offset=offset: reader.read_window(offset,
-                                                         offset + window))
+    provider = FileWindows(path)
+    # Correctness first: a window deep in the trace reads exactly.
+    probe = offsets["99%"]
+    assert (provider.read_array(probe, probe + 64).tobytes()
+            == trace[probe:probe + 64].tobytes())
+    for label, offset in offsets.items():
+        # tobytes() reads every byte of the window inside the timed call.
+        timings[label] = best_of(
+            lambda offset=offset: provider.read_array(
+                offset, offset + window).tobytes())
+    provider.close()
 
     header = (f"uncompressed trace: {TRACE_ACCESSES} accesses "
               f"({path.stat().st_size} bytes); window = {window} records")

@@ -60,7 +60,7 @@ def tour(workdir: Path, args: argparse.Namespace) -> None:
 
     # 2. The header describes the file without decompressing the payload.
     info = read_header(trace_path)
-    print(f"header: v{info.version} compressed={info.compressed} "
+    print(f"header: v{info.version} codec={info.codec} "
           f"cores={info.num_cores} accesses={info.access_count} "
           f"({info.file_bytes} bytes on disk)")
 

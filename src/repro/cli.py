@@ -317,7 +317,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
         "info", help="print store location plus trace and checkpoint "
                      "entry counts and sizes")
     gc = store_sub.add_parser(
-        "gc", help="collect garbage (stale temp files, orphaned chunk "
+        "gc", help="collect garbage (stale temp files, old chunk "
                    "indexes, combined trace+checkpoint LRU eviction to "
                    "the size budget)")
     gc.add_argument("--max-bytes", default=None, metavar="SIZE",

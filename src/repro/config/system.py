@@ -1,9 +1,10 @@
 """Architectural system parameters (paper Table III).
 
-The defaults reproduce the evaluated system: a 16-core Scale-Out-Processor
-pod with ARM Cortex-A15-like 3-way out-of-order cores at 3 GHz, split 64 KB
-L1 caches, a 4 MB 16-way shared L2, one DDR3-1600 off-chip channel, and a
-four-channel DDR-like die-stacked DRAM with 8 KB rows and a 128-bit bus.
+The defaults reproduce the evaluated system, as far as the trace-driven
+models and the analytical performance model read it: a 16-core
+Scale-Out-Processor pod with out-of-order cores at 3 GHz, a 4 MB 16-way
+shared L2, one DDR3-1600 off-chip channel, and a four-channel DDR-like
+die-stacked DRAM with 8 KB rows and a 128-bit bus.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ class CoreConfig:
     """A single core of the CMP."""
 
     frequency_ghz: float = 3.0
-    issue_width: int = 3
     #: Average memory-level parallelism the out-of-order core can sustain for
     #: off-chip misses.  Used by the analytic performance model; scale-out
     #: server workloads have modest MLP (the paper's motivation cites their
@@ -33,7 +33,7 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class SramCacheConfig:
-    """Configuration of an SRAM cache level (L1 or L2)."""
+    """Configuration of an SRAM cache level (the shared L2)."""
 
     name: str
     size: SizeLike
@@ -117,24 +117,6 @@ class DramChannelConfig:
         cycles = -(-num_bytes // int(self.bus_bytes_per_cycle))
         return cycles
 
-    def cpu_cycles_per_dram_cycle(self, cpu_frequency_ghz: float) -> float:
-        """Conversion factor from DRAM bus cycles to CPU cycles."""
-        return (cpu_frequency_ghz * 1000.0) / self.frequency_mhz
-
-
-def _default_l1() -> SramCacheConfig:
-    return SramCacheConfig(
-        name="L1D", size="64KB", associativity=4, block_size=64,
-        hit_latency_cycles=2,
-    )
-
-
-def _default_l1i() -> SramCacheConfig:
-    return SramCacheConfig(
-        name="L1I", size="64KB", associativity=4, block_size=64,
-        hit_latency_cycles=2,
-    )
-
 
 def _default_l2() -> SramCacheConfig:
     return SramCacheConfig(
@@ -171,8 +153,6 @@ class SystemConfig:
 
     num_cores: int = 16
     core: CoreConfig = field(default_factory=CoreConfig)
-    l1i: SramCacheConfig = field(default_factory=_default_l1i)
-    l1d: SramCacheConfig = field(default_factory=_default_l1)
     l2: SramCacheConfig = field(default_factory=_default_l2)
     offchip_dram: DramChannelConfig = field(default_factory=_default_offchip)
     stacked_dram: DramChannelConfig = field(default_factory=_default_stacked)
@@ -181,16 +161,11 @@ class SystemConfig:
     #: Average off-chip main-memory access latency seen by the L2 miss path
     #: in CPU cycles (queueing included); derived from the DDR3-1600 channel.
     offchip_latency_cycles: int = 220
-    #: Average stacked-DRAM access latency (row activation + CAS + transfer)
-    #: in CPU cycles for a row-buffer miss; ~60 CPU cycles as cited in
-    #: Section V-B ("~60 cycles it takes to access DRAM").
-    stacked_dram_latency_cycles: int = 60
 
     def validate(self) -> None:
         """Validate every nested configuration."""
         if self.num_cores <= 0:
             raise ValueError("num_cores must be positive")
-        for cache in (self.l1i, self.l1d, self.l2):
-            cache.validate()
+        self.l2.validate()
         self.offchip_dram.validate()
         self.stacked_dram.validate()

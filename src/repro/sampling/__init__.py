@@ -6,10 +6,10 @@ many short measurement windows spread over each trace, each preceded by
 warm-up, aggregated with confidence intervals.  This package is that
 methodology for the reproduction's trace-driven models:
 
-* :mod:`repro.sampling.seekable` -- O(window) access into binary traces: an
-  ``mmap``-backed reader for uncompressed ``.rptr`` files and a chunk-index
-  reader for compressed ones, so a window deep in a multi-gigabyte trace
-  opens without decoding the prefix.
+* :mod:`repro.sampling.seekable` -- the window providers the sampler reads
+  windows from: an in-memory trace, or a binary trace file opened as one
+  record array (memory-mapped when raw, so a window deep in a
+  multi-gigabyte trace opens without reading the prefix).
 * :mod:`repro.sampling.windows` -- window placement (systematic or
   seeded-random) and the :class:`~repro.sampling.windows.SamplingConfig`
   describing a sampled measurement.
@@ -32,13 +32,7 @@ executor runs every cell sampled; ``repro sample`` is the CLI entry point.
 """
 
 from repro.sampling.checkpoints import CheckpointStore
-from repro.sampling.seekable import (
-    FileWindows,
-    InMemoryWindows,
-    MmapTraceReader,
-    IndexedWindowReader,
-    open_window_reader,
-)
+from repro.sampling.seekable import FileWindows, InMemoryWindows
 from repro.sampling.windows import (
     MeasurementWindow,
     SamplingConfig,
@@ -56,15 +50,12 @@ __all__ = [
     "CheckpointStore",
     "FileWindows",
     "InMemoryWindows",
-    "IndexedWindowReader",
     "MeasurementWindow",
-    "MmapTraceReader",
     "SampledDesignResult",
     "SampledRun",
     "SamplingConfig",
     "WindowMeasurement",
     "WindowPlan",
     "WindowedSampler",
-    "open_window_reader",
     "plan_windows",
 ]

@@ -297,7 +297,7 @@ def shared_gc(trace_store, checkpoint_store, max_bytes: Optional[int]) -> dict:
 
     Both stores live under the same root and compete for the same disk, so
     ``repro trace store gc`` treats them as one LRU pool: after each store's
-    own garbage sweep (stale temps, orphaned sidecars), entries of *either*
+    own garbage sweep (stale temps, old sidecars), entries of *either*
     kind are evicted least-recently-used-first until the combined size fits
     ``max_bytes``.  A hot checkpoint therefore survives a cold trace and
     vice versa -- the budget buys whichever bytes were used most recently.
@@ -319,23 +319,18 @@ def shared_gc(trace_store, checkpoint_store, max_bytes: Optional[int]) -> dict:
             stat = path.stat()
         except OSError:
             continue
-        pool.append((stat.st_mtime_ns, trace_store._entry_bytes(path),
-                     "trace", path))
+        pool.append((stat.st_mtime_ns, stat.st_size, "trace", path))
     pool.sort(key=lambda item: (item[0], str(item[3])))
     total = sum(size for _, size, _, _ in pool)
     for _, size, kind, path in pool:
         if total <= max_bytes:
             break
-        if kind == "trace":
-            reclaimed = trace_store._unlink_entry(path)
-        else:
-            try:
-                reclaimed = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-        total -= reclaimed if kind == "trace" else size
-        freed[f"{kind}_freed"] += reclaimed if kind == "trace" else size
+        try:
+            path.unlink()
+        except OSError:
+            continue
+        total -= size
+        freed[f"{kind}_freed"] += size
     return freed
 
 

@@ -221,8 +221,8 @@ def _sampled_trial_inputs(trial: ExperimentSpec):
     if not (isinstance(trial.workload, TraceFileWorkload)
             and is_binary_trace(trial.workload.path)):
         # Synthetic (and non-binary file) workloads replay the same cached
-        # trace full runs use; binary files stay on disk and are windowed
-        # through the mmap/chunk-index readers instead.
+        # trace full runs use; binary files are opened by the sampler's
+        # FileWindows instead (mapped, when raw).
         from repro.sampling.checkpoints import trace_token
 
         runner = ExperimentRunner(trial.config, system=trial.system)

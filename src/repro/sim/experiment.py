@@ -36,6 +36,7 @@ from repro.engine import fallback_reason
 from repro.engine.trace_array import records_to_array
 from repro.sim.factory import make_design, unison_design_for_ways
 from repro.sim.performance import PerformanceModel
+from repro.trace.binfmt import check_access_types, open_trace_array
 from repro.trace.pipeline import FileSource
 from repro.trace.record import MemoryAccess
 from repro.utils.units import format_size, parse_size, SizeLike
@@ -233,13 +234,21 @@ class ExperimentRunner:
         """Materialize the workload trace as one packed record array.
 
         Synthetic profiles are generated at the scaled working set; trace
-        file workloads are streamed from disk, truncated to
-        ``config.num_accesses``.  Expand the array with
+        file workloads are read from disk, truncated to
+        ``config.num_accesses`` -- a binary file as its packed records
+        (:func:`~repro.trace.binfmt.open_trace_array`), any other format
+        record by record.  Expand the array with
         :func:`~repro.engine.trace_array.array_to_records` where
         :class:`MemoryAccess` records are wanted.
         """
         if isinstance(profile, TraceFileWorkload):
             source = FileSource(profile.path, fmt=profile.format or None)
+            if source.format == "binary":
+                # A copy, not the file's memory map: a full replay reads
+                # every record anyway, and a trace cached for the process
+                # must not change, or fault, when the file is rewritten.
+                return check_access_types(np.array(open_trace_array(
+                    profile.path, self.config.num_accesses)), profile.path)
             return records_to_array(
                 source.limit(self.config.num_accesses).materialize())
         return np.concatenate(list(self.iter_trace_chunks(profile)))

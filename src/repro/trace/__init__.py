@@ -28,7 +28,6 @@ from repro.trace.binfmt import (
     BinaryTraceInfo,
     BinaryTraceReader,
     BinaryTraceWriter,
-    ChunkIndex,
     is_binary_trace,
     read_trace_bin,
     write_trace_bin,
@@ -55,7 +54,6 @@ __all__ = [
     "BinaryTraceInfo",
     "BinaryTraceReader",
     "BinaryTraceWriter",
-    "ChunkIndex",
     "is_binary_trace",
     "read_trace_bin",
     "write_trace_bin",

@@ -1,22 +1,17 @@
-"""Compact struct-packed binary trace format with streaming access.
+"""Compact struct-packed binary trace format.
 
-This is the format the :class:`repro.trace.store.TraceStore` persists traces
-in.  Design goals, in order: (1) traces far larger than memory stream through
-fixed-size chunks in both directions, (2) loading costs no per-record work:
-the packed payload *is* a :data:`RECORD_DTYPE` numpy array, so
-:meth:`BinaryTraceReader.read_all_array` decodes a whole trace with one
-``np.frombuffer`` (record decode, for callers that want
+This is the format ``repro trace gen``/``convert`` export and the
+:class:`repro.trace.store.TraceStore` persists traces in.  Design goals, in
+order: (1) traces far larger than memory stream through fixed-size chunks in
+both directions, (2) loading costs no per-record work: the packed payload
+*is* a :data:`RECORD_DTYPE` numpy array, so :func:`open_trace_array` opens a
+trace as one array (record decode, for callers that want
 :class:`MemoryAccess` objects, combines :meth:`struct.Struct.iter_unpack`
-with direct ``tuple.__new__`` construction; see :func:`_decode_records`) --
-(3) the file is
-self-describing: a fixed-size **uncompressed** header precedes the (optionally
-compressed) record payload, so ``repro trace info`` can report version,
-core count, and access count without decompressing anything -- and (4) files
-are **seekable at chunk granularity**: each streaming chunk is written as an
-independent compression member, and a sidecar :class:`ChunkIndex` maps record
-indices to the file offsets of those members, so a measurement window deep in
-the trace opens without decoding the prefix (the sampled-simulation layer in
-:mod:`repro.sampling` builds on this).
+with direct ``tuple.__new__`` construction; see :func:`_decode_records`),
+and (3) the file is self-describing: a fixed-size **uncompressed** header
+precedes the (optionally compressed) record payload, so ``repro trace info``
+can report version, core count, and access count without decompressing
+anything.
 
 Layout::
 
@@ -34,20 +29,20 @@ produced and patched in place when the writer closes (the header is outside
 the compressed members precisely so this seek-back works for compressed
 traces too; on a non-seekable target the sentinel simply remains).
 
-Compression codecs: ``gzip`` (stdlib, the default) and ``none``.  gzip
-concatenates its members transparently on sequential reads, so a whole-trace
-read never consults the chunk index.
+Compression codecs: ``gzip`` (level :data:`GZIP_LEVEL`, the default) and
+``none``.  gzip concatenates its members transparently on sequential reads.
+A raw payload is a plain array at a fixed offset, so
+:func:`open_trace_array` memory-maps it: opening costs O(1) and a window
+read touches only the window's pages, wherever it lies in the trace.
 """
 
 from __future__ import annotations
 
-import bisect
 import gzip
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -88,7 +83,9 @@ CODEC_GZIP = "gzip"
 CODECS = (CODEC_NONE, CODEC_GZIP)
 
 _CODEC_FLAGS = {CODEC_NONE: 0, CODEC_GZIP: FLAG_GZIP}
-_DEFAULT_LEVELS = {CODEC_GZIP: 6}
+#: gzip level of every compressed chunk: a slightly slower write than level
+#: 1 for ~15% smaller files.
+GZIP_LEVEL = 6
 
 _TYPE_FROM_CODE = (AccessType.READ, AccessType.WRITE)
 
@@ -96,41 +93,12 @@ _MAX_U64 = 2 ** 64 - 1
 _MAX_U16 = 2 ** 16 - 1
 
 
-def _compress_chunk(blob: bytes, codec: str, level: int) -> bytes:
+def _compress_chunk(blob: bytes, codec: str) -> bytes:
     """One chunk of packed records as a complete, standalone codec member."""
     if codec == CODEC_NONE:
         return blob
     # mtime=0 keeps the bytes deterministic across writes.
-    return gzip.compress(blob, compresslevel=level, mtime=0)
-
-
-def _gzip_member():
-    """A decompressor object for one gzip member.
-
-    It exposes ``decompress``, ``eof`` and ``unused_data`` (the zlib
-    protocol), which is what member-boundary scans and member-range
-    decompression need.
-    """
-    return zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
-
-
-def decompress_members(blob: bytes, codec: str,
-                       path: PathLike = "<memory>") -> bytes:
-    """Decompress a byte range holding one or more whole codec members."""
-    if codec == CODEC_NONE:
-        return blob
-    parts = []
-    view = memoryview(blob)
-    while len(view):
-        member = _gzip_member()
-        parts.append(member.decompress(view))
-        if not member.eof:
-            raise TraceFormatError(
-                "truncated compression member in binary trace payload",
-                path=path,
-            )
-        view = memoryview(member.unused_data)
-    return b"".join(parts)
+    return gzip.compress(blob, GZIP_LEVEL, mtime=0)
 
 
 def _decode_records(blob) -> List[MemoryAccess]:
@@ -151,19 +119,26 @@ def _decode_records(blob) -> List[MemoryAccess]:
     ]
 
 
+def _partial_record(path: PathLike, trailing: int) -> TraceFormatError:
+    """The error for a payload that ends ``trailing`` bytes into a record."""
+    return TraceFormatError(
+        f"truncated binary trace: {trailing} trailing bytes do not form a "
+        f"whole {RECORD.size}-byte record", path=path,
+    )
+
+
 @dataclass(frozen=True)
 class BinaryTraceInfo:
     """Decoded header of a binary trace file."""
 
     path: str
     version: int
-    compressed: bool
     num_cores: int
     #: ``None`` when the stream was never finalized (:data:`UNKNOWN_COUNT`).
     access_count: Optional[int]
     file_bytes: int
     #: Payload codec name (one of :data:`CODECS`).
-    codec: str = CODEC_GZIP
+    codec: str
 
 
 def is_binary_trace(path: PathLike) -> bool:
@@ -206,7 +181,6 @@ def read_header(path: PathLike) -> BinaryTraceInfo:
     return BinaryTraceInfo(
         path=str(path),
         version=version,
-        compressed=codec != CODEC_NONE,
         num_cores=num_cores,
         access_count=None if count == UNKNOWN_COUNT else count,
         file_bytes=path.stat().st_size,
@@ -214,197 +188,11 @@ def read_header(path: PathLike) -> BinaryTraceInfo:
     )
 
 
-# --------------------------------------------------------------------- #
-# Chunk index sidecar
-# --------------------------------------------------------------------- #
-#: Suffix appended to a trace path to name its chunk-index sidecar.
-INDEX_SUFFIX = ".rpti"
-INDEX_MAGIC = b"RPTI"
-INDEX_VERSION = 1
-#: magic | version u16 | flags u16 | chunk_records u32 | access_count u64
-#: | num_entries u64
-INDEX_HEADER = struct.Struct("<4sHHIQQ")
-#: start_record u64 | absolute file offset of the chunk's codec member u64
-INDEX_ENTRY = struct.Struct("<QQ")
-
-
-def index_path_for(trace_path: PathLike) -> Path:
-    """The sidecar path holding the chunk index of ``trace_path``."""
-    trace_path = Path(trace_path)
-    return trace_path.with_name(trace_path.name + INDEX_SUFFIX)
-
-
-@dataclass(frozen=True)
-class ChunkIndex:
-    """Maps record indices to file offsets of per-chunk codec members.
-
-    Entry ``i`` says: the member starting at file offset ``offsets[i]``
-    decodes to records ``[starts[i], starts[i+1])`` (the last entry runs to
-    ``access_count``).  Written as a sidecar by :class:`BinaryTraceWriter`
-    and reconstructable for files that predate the sidecar (see
-    :meth:`reconstruct`); consumed by the seekable readers in
-    :mod:`repro.sampling.seekable`.
-    """
-
-    codec: str
-    access_count: int
-    chunk_records: int
-    #: Record index of the first record of each chunk, ascending.
-    starts: Tuple[int, ...]
-    #: Absolute file offset of each chunk's codec member.
-    offsets: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.starts) != len(self.offsets):
-            raise ValueError("starts and offsets must have equal length")
-        if list(self.starts) != sorted(set(self.starts)):
-            raise ValueError("chunk starts must be strictly ascending")
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def chunk_containing(self, record_index: int) -> int:
-        """Index of the chunk entry holding ``record_index``."""
-        if not self.starts:
-            raise ValueError("empty chunk index has no chunks")
-        if not 0 <= record_index < self.access_count:
-            raise IndexError(
-                f"record {record_index} outside [0, {self.access_count})"
-            )
-        return bisect.bisect_right(self.starts, record_index) - 1
-
-    # ------------------------------------------------------------------ #
-    def save(self, trace_path: PathLike) -> Path:
-        """Write the sidecar next to ``trace_path``; returns its path."""
-        path = index_path_for(trace_path)
-        blob = [INDEX_HEADER.pack(
-            INDEX_MAGIC, INDEX_VERSION, _CODEC_FLAGS[self.codec],
-            self.chunk_records, self.access_count, len(self.starts),
-        )]
-        blob.extend(INDEX_ENTRY.pack(start, offset)
-                    for start, offset in zip(self.starts, self.offsets))
-        path.write_bytes(b"".join(blob))
-        return path
-
-    @classmethod
-    def load(cls, trace_path: PathLike) -> Optional["ChunkIndex"]:
-        """Load and validate the sidecar of ``trace_path``.
-
-        Returns ``None`` when the sidecar is missing, corrupt, or stale
-        (its access count or codec disagrees with the trace header) -- the
-        caller then falls back to :meth:`reconstruct`.
-        """
-        sidecar = index_path_for(trace_path)
-        try:
-            blob = sidecar.read_bytes()
-            info = read_header(trace_path)
-        except (OSError, TraceFormatError):
-            return None
-        if len(blob) < INDEX_HEADER.size:
-            return None
-        magic, version, flags, chunk_records, count, entries = (
-            INDEX_HEADER.unpack_from(blob)
-        )
-        if (magic != INDEX_MAGIC or version > INDEX_VERSION
-                or len(blob) != INDEX_HEADER.size + entries * INDEX_ENTRY.size):
-            return None
-        if flags != _CODEC_FLAGS[info.codec] or info.access_count != count:
-            return None  # stale: the trace was rewritten since
-        pairs = list(INDEX_ENTRY.iter_unpack(blob[INDEX_HEADER.size:]))
-        starts = tuple(p[0] for p in pairs)
-        offsets = tuple(p[1] for p in pairs)
-        if offsets and (offsets[0] < HEADER.size
-                        or offsets[-1] >= info.file_bytes):
-            return None
-        try:
-            return cls(codec=info.codec, access_count=count,
-                       chunk_records=chunk_records, starts=starts,
-                       offsets=offsets)
-        except ValueError:
-            return None
-
-    @classmethod
-    def reconstruct(cls, trace_path: PathLike) -> "ChunkIndex":
-        """Rebuild the index of a trace written without a sidecar.
-
-        Uncompressed traces index in O(1) (records are fixed-size, offsets
-        are arithmetic).  Compressed traces are scanned once for member
-        boundaries (cheap: decompression without record construction); a
-        legacy single-member file naturally yields a one-entry index, which
-        window readers treat as "no interior seek points".
-        """
-        info = read_header(trace_path)
-        if info.access_count is None:
-            raise TraceFormatError(
-                "cannot index a non-finalized trace (unknown access count)",
-                path=trace_path,
-            )
-        count = info.access_count
-        if info.codec == CODEC_NONE:
-            starts = tuple(range(0, count, DEFAULT_CHUNK_RECORDS))
-            offsets = tuple(HEADER.size + s * RECORD.size for s in starts)
-            return cls(codec=info.codec, access_count=count,
-                       chunk_records=DEFAULT_CHUNK_RECORDS, starts=starts,
-                       offsets=offsets)
-        starts_list: List[int] = []
-        offsets_list: List[int] = []
-        with Path(trace_path).open("rb") as handle:
-            handle.seek(HEADER.size)
-            member_offset = HEADER.size
-            records_seen = 0
-            decomp = None
-            member_bytes = 0
-            pending = b""
-            while True:
-                chunk = pending or handle.read(1 << 20)
-                pending = b""
-                if not chunk:
-                    break
-                if decomp is None:
-                    decomp = _gzip_member()
-                    starts_list.append(records_seen)
-                    offsets_list.append(member_offset)
-                    member_bytes = 0
-                consumed = len(chunk)
-                member_bytes += len(decomp.decompress(chunk))
-                if decomp.eof:
-                    unused = decomp.unused_data
-                    consumed -= len(unused)
-                    records_seen += member_bytes // RECORD.size
-                    pending = unused
-                    decomp = None
-                member_offset += consumed
-            if decomp is not None:
-                raise TraceFormatError(
-                    "truncated compression member while indexing",
-                    path=trace_path,
-                )
-        return cls(codec=info.codec, access_count=count,
-                   chunk_records=DEFAULT_CHUNK_RECORDS,
-                   starts=tuple(starts_list), offsets=tuple(offsets_list))
-
-    @classmethod
-    def ensure(cls, trace_path: PathLike, save: bool = True) -> "ChunkIndex":
-        """The index of ``trace_path``: loaded, else reconstructed (+saved)."""
-        index = cls.load(trace_path)
-        if index is not None:
-            return index
-        index = cls.reconstruct(trace_path)
-        if save:
-            try:
-                index.save(trace_path)
-            except OSError:
-                pass  # read-only directory: the in-memory index still works
-        return index
-
-
 class BinaryTraceWriter:
     """Stream accesses into a binary trace file; a context manager.
 
-    Each buffered chunk is written as an independent codec member and its
-    ``(first record, file offset)`` pair is recorded; on a clean close the
-    pairs become the :class:`ChunkIndex` sidecar, so readers can open a
-    window anywhere in the trace without decoding the prefix.
+    Each buffered chunk of :data:`DEFAULT_CHUNK_RECORDS` records is written
+    as an independent codec member.
 
     Parameters
     ----------
@@ -412,41 +200,23 @@ class BinaryTraceWriter:
         Destination file.
     num_cores:
         Core count recorded in the header (0 = unspecified).
-    compress:
-        Compress the record payload (the header stays uncompressed).
-    compresslevel:
-        Codec compression level; ``None`` picks the codec default (gzip 6 --
-        trades a slightly slower write for ~15% smaller files than level 1).
     codec:
-        Payload codec (:data:`CODECS`); ``None`` derives it from ``compress``
-        (gzip when true).
-    write_index:
-        Write the :class:`ChunkIndex` sidecar on a clean close.
+        Payload codec (:data:`CODECS`); the header stays uncompressed.
     """
 
     def __init__(self, path: PathLike, num_cores: int = 0,
-                 compress: bool = True,
-                 compresslevel: Optional[int] = None,
-                 codec: Optional[str] = None,
-                 write_index: bool = True) -> None:
+                 codec: str = CODEC_GZIP) -> None:
         if num_cores < 0:
             raise ValueError("num_cores must be non-negative")
-        if codec is None:
-            codec = CODEC_GZIP if compress else CODEC_NONE
         if codec not in CODECS:
             raise ValueError(f"unknown codec {codec!r}; known: {CODECS}")
         self._path = Path(path)
         self._num_cores = num_cores
         self._codec = codec
-        self._compresslevel = (compresslevel if compresslevel is not None
-                               else _DEFAULT_LEVELS.get(codec, 0))
-        self._write_index = write_index
         self._raw: Optional[IO[bytes]] = None
         self._buffer: List[bytes] = []
         self._buffered = 0
         self._count = 0
-        self._index_starts: List[int] = []
-        self._index_offsets: List[int] = []
 
     def __enter__(self) -> "BinaryTraceWriter":
         self._raw = self._path.open("wb")
@@ -524,11 +294,7 @@ class BinaryTraceWriter:
     def _flush(self) -> None:
         if not self._buffer:
             return
-        self._index_starts.append(self._count - self._buffered)
-        self._index_offsets.append(self._raw.tell())
-        blob = b"".join(self._buffer)
-        self._raw.write(_compress_chunk(blob, self._codec,
-                                        self._compresslevel))
+        self._raw.write(_compress_chunk(b"".join(self._buffer), self._codec))
         self._buffer.clear()
         self._buffered = 0
 
@@ -536,8 +302,7 @@ class BinaryTraceWriter:
         """Finish the payload and patch the final access count in place.
 
         With ``finalize=False`` the header keeps the :data:`UNKNOWN_COUNT`
-        sentinel, marking the stream as aborted/incomplete (and no chunk
-        index is written).
+        sentinel, marking the stream as aborted/incomplete.
         """
         if self._raw is None:
             return
@@ -545,19 +310,6 @@ class BinaryTraceWriter:
         if finalize and self._raw.seekable():
             self._raw.seek(0)
             self._raw.write(self._header(self._count))
-            if self._write_index:
-                try:
-                    ChunkIndex(
-                        codec=self._codec, access_count=self._count,
-                        chunk_records=DEFAULT_CHUNK_RECORDS,
-                        starts=tuple(self._index_starts),
-                        offsets=tuple(self._index_offsets),
-                    ).save(self._path)
-                except OSError:
-                    # The sidecar is an optional accelerator (readers
-                    # reconstruct it on demand); failing to write it must
-                    # not fail the completed trace write.
-                    pass
         self._raw.close()
         self._raw = None
 
@@ -566,11 +318,8 @@ class BinaryTraceReader:
     """Iterate over a binary trace file; re-iterable and streaming.
 
     Iterating never materializes more than one chunk
-    (:data:`DEFAULT_CHUNK_RECORDS` records) at a time.  For random access
-    into uncompressed traces see
-    :class:`repro.sampling.seekable.MmapTraceReader`; the :meth:`read_window`
-    here is the streaming fallback (it skips the prefix without constructing
-    records, but still reads through it).
+    (:data:`DEFAULT_CHUNK_RECORDS` records) at a time.  To replay a trace,
+    or windows of it, open it as one array with :func:`open_trace_array`.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -615,11 +364,7 @@ class BinaryTraceReader:
                     blob = blob[:-trailing]
                 yield _decode_records(blob)
             if pending:
-                raise TraceFormatError(
-                    f"truncated binary trace: {len(pending)} trailing bytes "
-                    f"do not form a whole {RECORD.size}-byte record",
-                    path=self._path,
-                )
+                raise _partial_record(self._path, len(pending))
         finally:
             payload.close()
             raw.close()
@@ -637,11 +382,7 @@ class BinaryTraceReader:
             payload.close()
             raw.close()
         if len(blob) % RECORD.size:
-            raise TraceFormatError(
-                f"truncated binary trace: {len(blob) % RECORD.size} trailing "
-                f"bytes do not form a whole {RECORD.size}-byte record",
-                path=self._path,
-            )
+            raise _partial_record(self._path, len(blob) % RECORD.size)
         return blob
 
     def read_all_array(self):
@@ -652,13 +393,9 @@ class BinaryTraceReader:
         write (1) raises :class:`TraceFormatError` (no record could hold
         it).
         """
-        array = np.frombuffer(self._read_payload(), dtype=RECORD_DTYPE)
-        if len(array) and int(array["access_type"].max()) > 1:
-            raise TraceFormatError(
-                "binary trace holds an access-type code other than "
-                "read (0) or write (1)", path=self._path,
-            )
-        return array
+        return check_access_types(
+            np.frombuffer(self._read_payload(), dtype=RECORD_DTYPE),
+            self._path)
 
     def read_all(self) -> List[MemoryAccess]:
         """Read the whole trace into a list.
@@ -670,49 +407,85 @@ class BinaryTraceReader:
         """
         return _decode_records(self._read_payload())
 
-    def read_window(self, start: int, stop: int) -> List[MemoryAccess]:
-        """Records ``[start, stop)``, skipping the prefix without decoding.
-
-        The prefix is still *read* (and decompressed, for compressed
-        payloads) -- this is the sequential fallback.  The seekable readers
-        in :mod:`repro.sampling.seekable` open windows in O(window) instead.
-        """
-        if start < 0 or stop < start:
-            raise ValueError("need 0 <= start <= stop")
-        payload, raw = self._open_payload()
-        try:
-            skip = start * RECORD.size
-            if payload is raw:
-                raw.seek(HEADER.size + skip)
-            else:
-                while skip > 0:
-                    blob = payload.read(min(skip, 1 << 20))
-                    if not blob:
-                        return []
-                    skip -= len(blob)
-            blob = payload.read((stop - start) * RECORD.size)
-        finally:
-            payload.close()
-            raw.close()
-        return _decode_records(blob[:len(blob) - len(blob) % RECORD.size])
-
 
 def is_record_array(obj) -> bool:
     """True if ``obj`` is a numpy array of :data:`RECORD_DTYPE` records."""
     return isinstance(obj, np.ndarray) and obj.dtype == RECORD_DTYPE
 
 
+def check_access_types(records: np.ndarray,
+                       path: PathLike = "<memory>") -> np.ndarray:
+    """``records``, once every access-type code is read (0) or write (1).
+
+    Any other code raises :class:`TraceFormatError` (no record could hold
+    it).
+    """
+    if len(records) and int(records["access_type"].max()) > 1:
+        raise TraceFormatError(
+            "binary trace holds an access-type code other than "
+            "read (0) or write (1)", path=path,
+        )
+    return records
+
+
+def open_trace_array(path: PathLike,
+                     limit: Optional[int] = None) -> np.ndarray:
+    """The first ``limit`` records of a binary trace file as one array.
+
+    A raw payload (codec ``none``) is memory-mapped: opening costs O(1)
+    whatever the trace's length, and a slice reads only its own pages.  A
+    gzip payload is decompressed once, up to ``limit`` records.  Either
+    way no record is decoded one by one.
+
+    A non-finalized header, or a payload that ends inside a record or
+    before the records its header promises, raises
+    :class:`TraceFormatError`.  Access-type codes are left to
+    :func:`check_access_types`, so that a caller reading windows of a
+    mapped trace checks only what it reads.
+    """
+    path = Path(path)
+    info = read_header(path)
+    if info.access_count is None:
+        raise TraceFormatError(
+            "cannot open a non-finalized trace (unknown access count)",
+            path=path,
+        )
+    count = (info.access_count if limit is None
+             else min(limit, info.access_count))
+    want = count * RECORD.size
+    if info.codec == CODEC_NONE:
+        payload_bytes = info.file_bytes - HEADER.size
+    else:
+        with path.open("rb") as raw:
+            raw.seek(HEADER.size)
+            with gzip.GzipFile(fileobj=raw, mode="rb") as payload:
+                blob = payload.read(want)
+        payload_bytes = len(blob)
+    if payload_bytes % RECORD.size:
+        raise _partial_record(path, payload_bytes % RECORD.size)
+    if payload_bytes < want:
+        raise TraceFormatError(
+            f"truncated binary trace: the payload holds "
+            f"{payload_bytes // RECORD.size} records, the header promises "
+            f"{info.access_count}", path=path,
+        )
+    if info.codec != CODEC_NONE:
+        return np.frombuffer(blob, dtype=RECORD_DTYPE)
+    if count == 0:
+        return np.empty(0, dtype=RECORD_DTYPE)
+    # asarray drops the memmap subclass; the mapping lives on as its base.
+    return np.asarray(np.memmap(path, dtype=RECORD_DTYPE, mode="r",
+                                offset=HEADER.size, shape=(count,)))
+
+
 def write_trace_bin(path: PathLike, accesses: Iterable[MemoryAccess],
-                    num_cores: int = 0, compress: bool = True,
-                    codec: Optional[str] = None,
-                    write_index: bool = True) -> int:
+                    num_cores: int = 0, codec: str = CODEC_GZIP) -> int:
     """Write all accesses to ``path`` in binary form; returns the count.
 
     ``accesses`` may be records or a :data:`RECORD_DTYPE` array (written
     byte for byte).
     """
-    with BinaryTraceWriter(path, num_cores=num_cores, compress=compress,
-                           codec=codec, write_index=write_index) as writer:
+    with BinaryTraceWriter(path, num_cores=num_cores, codec=codec) as writer:
         writer.write_all(accesses)
         return writer.count
 
@@ -726,21 +499,20 @@ __all__ = [
     "BinaryTraceInfo",
     "BinaryTraceReader",
     "BinaryTraceWriter",
-    "ChunkIndex",
     "CODECS",
     "CODEC_GZIP",
     "CODEC_NONE",
     "DEFAULT_CHUNK_RECORDS",
     "FLAG_GZIP",
-    "INDEX_SUFFIX",
+    "GZIP_LEVEL",
     "MAGIC",
     "RECORD_DTYPE",
     "UNKNOWN_COUNT",
     "VERSION",
-    "decompress_members",
-    "index_path_for",
+    "check_access_types",
     "is_binary_trace",
     "is_record_array",
+    "open_trace_array",
     "read_header",
     "read_trace_bin",
     "write_trace_bin",

@@ -29,8 +29,7 @@ Layout and lifecycle:
   environment variable; ``0``/``none``/``unlimited`` disables the budget), so
   a long-lived dev machine can no longer grow the store without bound.
 * Entries are raw: the packed :data:`~repro.trace.binfmt.RECORD_DTYPE`
-  records behind the binary header (codec ``none``), with no chunk-index
-  sidecar -- a raw entry is indexed by arithmetic.
+  records behind the binary header (codec ``none``).
   :meth:`TraceStore.put_chunks` writes the generator's record arrays as
   they come (``collect=True`` returns them joined) and
   :meth:`TraceStore.load` reads the payload into one array in a single
@@ -56,9 +55,8 @@ from typing import Iterable, List, Optional, Union
 import numpy as np
 
 from repro.obs.core import current as obs_current
-from repro.trace.binfmt import (CODEC_NONE, INDEX_SUFFIX, RECORD_DTYPE,
-                                BinaryTraceReader, BinaryTraceWriter,
-                                index_path_for, read_header)
+from repro.trace.binfmt import (CODEC_NONE, RECORD_DTYPE, BinaryTraceReader,
+                                BinaryTraceWriter, read_header)
 from repro.trace.record import MemoryAccess
 from repro.utils.units import parse_size
 from repro.workloads.generator import GENERATOR_VERSION
@@ -276,8 +274,8 @@ class TraceStore:
         tmp = final.with_suffix(f"{_SUFFIX}.tmp.{os.getpid()}")
         collected: Optional[List[np.ndarray]] = [] if collect else None
         try:
-            with BinaryTraceWriter(tmp, num_cores=num_cores, codec=CODEC_NONE,
-                                   write_index=False) as writer:
+            with BinaryTraceWriter(tmp, num_cores=num_cores,
+                                   codec=CODEC_NONE) as writer:
                 for chunk in chunks:
                     if collected is not None:
                         collected.append(chunk)
@@ -313,34 +311,24 @@ class TraceStore:
         return len(self.entries())
 
     @staticmethod
-    def _entry_bytes(path: Path) -> int:
-        """Size of one entry plus its chunk-index sidecar (older stores)."""
-        total = path.stat().st_size
-        sidecar = index_path_for(path)
-        if sidecar.exists():
-            total += sidecar.stat().st_size
-        return total
-
-    def _unlink_entry(self, path: Path) -> int:
-        """Remove one entry and its sidecar; returns bytes freed."""
-        freed = 0
-        for victim in (path, index_path_for(path)):
-            try:
-                freed += victim.stat().st_size
-            except OSError:
-                continue
-            victim.unlink(missing_ok=True)
+    def _unlink_entry(path: Path) -> int:
+        """Remove one entry; returns bytes freed."""
+        try:
+            freed = path.stat().st_size
+        except OSError:
+            return 0
+        path.unlink(missing_ok=True)
         return freed
 
     def total_bytes(self) -> int:
-        """Bytes currently occupied by store entries and their sidecars."""
-        return sum(self._entry_bytes(p) for p in self.entries())
+        """Bytes currently occupied by store entries."""
+        return sum(p.stat().st_size for p in self.entries())
 
     def _evict_over_budget(self, protect: Optional[Path] = None) -> int:
         if self.max_bytes is None:
             return 0
         entries = self.entries()
-        total = sum(self._entry_bytes(p) for p in entries)
+        total = sum(p.stat().st_size for p in entries)
         freed = 0
         for path in entries:
             if total <= self.max_bytes:
@@ -371,10 +359,10 @@ class TraceStore:
         Three passes: (1) stale temp files from crashed writers (only
         files older than an hour -- a younger temp may belong to a live
         writer mid-``put_chunks``, whose ``os.replace`` must not be pulled
-        out from under it), (2) orphaned chunk-index sidecars whose trace
-        entry is gone, (3) LRU eviction down to ``max_bytes`` (defaulting
-        to the store's own budget; pass ``None`` to skip the eviction
-        pass).
+        out from under it), (2) ``.rpti`` chunk-index sidecars, which older
+        stores wrote and nothing reads any more, (3) LRU eviction down to
+        ``max_bytes`` (defaulting to the store's own budget; pass ``None``
+        to skip the eviction pass).
         """
         if max_bytes is _BUDGET_UNSET:
             max_bytes = self.max_bytes
@@ -390,20 +378,18 @@ class TraceStore:
                     freed += stat.st_size
                 except OSError:
                     continue
-            entry_names = {p.name for p in self.root.glob(f"*{_SUFFIX}")}
-            for sidecar in self.root.glob(f"*{_SUFFIX}{INDEX_SUFFIX}"):
-                if sidecar.name[:-len(INDEX_SUFFIX)] not in entry_names:
-                    try:
-                        freed += sidecar.stat().st_size
-                        sidecar.unlink()
-                    except OSError:
-                        continue
+            for sidecar in self.root.glob("*.rptr.rpti"):
+                try:
+                    freed += sidecar.stat().st_size
+                    sidecar.unlink()
+                except OSError:
+                    continue
         if max_bytes is not None:
             freed += self.evict_to(max_bytes)
         return freed
 
     def clear(self) -> int:
-        """Remove every entry (and its sidecar); returns the number removed."""
+        """Remove every entry; returns the number removed."""
         removed = 0
         for path in self.entries():
             self._unlink_entry(path)

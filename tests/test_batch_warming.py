@@ -166,30 +166,28 @@ class TestReadArray:
 
     @pytest.mark.parametrize("codec", ["none", "gzip"])
     def test_window_readers(self, tmp_path, tiny_trace, codec):
-        from repro.engine import array_to_records
-        from repro.sampling.seekable import open_window_reader
-
-        path = self._written(tmp_path, tiny_trace, codec)
-        with open_window_reader(path) as reader:
-            for start, stop in [(0, 50), (123, 1234), (1990, 2000),
-                                (0, 2000), (1500, 99999), (40, 40)]:
-                arr = reader.read_array(start, stop)
-                records = reader.read_window(start, stop)
-                assert arr.tobytes() == records_to_array(records).tobytes()
-                assert array_to_records(arr) == list(records)
-
-    def test_window_providers(self, tmp_path, tiny_trace):
         from repro.sampling.seekable import FileWindows, InMemoryWindows
 
-        path = self._written(tmp_path, tiny_trace, "none")
         memory = InMemoryWindows(tiny_trace)
-        disk = FileWindows(path, limit=1800)
-        assert (memory.read_array(100, 900).tobytes()
-                == records_to_array(tiny_trace[100:900]).tobytes())
+        disk = FileWindows(self._written(tmp_path, tiny_trace, codec),
+                           limit=1800)
+        for start, stop in [(0, 50), (123, 1234), (1790, 1800),
+                            (0, 1800), (40, 40)]:
+            assert (disk.read_array(start, stop).tobytes()
+                    == memory.read_array(start, stop).tobytes())
         # The provider honours its limit when clipping array reads too.
         assert (disk.read_array(1700, 5000).tobytes()
                 == records_to_array(tiny_trace[1700:1800]).tobytes())
         disk.close()
+
+    def test_window_providers(self, tmp_path, tiny_trace):
+        from repro.sampling.seekable import InMemoryWindows
+
+        memory = InMemoryWindows(tiny_trace)
+        assert (memory.read_array(100, 900).tobytes()
+                == records_to_array(tiny_trace[100:900]).tobytes())
+        assert (memory.read_array(1990, 99999).tobytes()
+                == records_to_array(tiny_trace[1990:]).tobytes())
 
     def test_decode_roundtrip(self, tiny_trace):
         from repro.engine import array_to_records, decode_array

@@ -14,7 +14,6 @@ from repro.trace.binfmt import (
     VERSION,
     BinaryTraceReader,
     BinaryTraceWriter,
-    index_path_for,
     is_binary_trace,
     read_header,
     read_trace_bin,
@@ -50,8 +49,6 @@ class TestRecordArrays:
         assert write_trace_bin(packed, records_to_array(trace), num_cores=4,
                                codec=codec) == len(trace)
         assert packed.read_bytes() == records.read_bytes()
-        assert (index_path_for(packed).read_bytes()
-                == index_path_for(records).read_bytes())
 
     def test_arrays_and_records_mix_across_chunk_boundaries(self, tmp_path):
         from repro.engine.trace_array import records_to_array
@@ -59,9 +56,9 @@ class TestRecordArrays:
         trace = sample_trace(2 * DEFAULT_CHUNK_RECORDS + 50)
         reference = tmp_path / "reference.rptr"
         mixed = tmp_path / "mixed.rptr"
-        write_trace_bin(reference, trace, compress=True)
+        write_trace_bin(reference, trace, codec="gzip")
         cut_a, cut_b = 1000, DEFAULT_CHUNK_RECORDS + 7
-        with BinaryTraceWriter(mixed, compress=True) as writer:
+        with BinaryTraceWriter(mixed, codec="gzip") as writer:
             writer.write_all(trace[:cut_a])
             writer.write_all(records_to_array(trace[cut_a:cut_b]))
             writer.write(trace[cut_b])
@@ -80,11 +77,12 @@ class TestRecordArrays:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_round_trip(self, tmp_path, compress):
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_round_trip(self, tmp_path, compressed):
         trace = sample_trace(1000)
         path = tmp_path / "t.rptr"
-        count = write_trace_bin(path, trace, num_cores=4, compress=compress)
+        count = write_trace_bin(path, trace, num_cores=4,
+                                codec="gzip" if compressed else "none")
         assert count == 1000
         assert read_trace_bin(path) == trace
 
@@ -144,7 +142,7 @@ class TestHeader:
         write_trace_bin(path, sample_trace(42), num_cores=8)
         info = read_header(path)
         assert info.version == VERSION
-        assert info.compressed
+        assert info.codec == "gzip"
         assert info.num_cores == 8
         assert info.access_count == 42
         assert info.file_bytes == path.stat().st_size
@@ -152,7 +150,7 @@ class TestHeader:
     def test_header_is_uncompressed(self, tmp_path):
         """``trace info`` must work without decompressing the payload."""
         path = tmp_path / "t.rptr"
-        write_trace_bin(path, sample_trace(10), compress=True)
+        write_trace_bin(path, sample_trace(10), codec="gzip")
         with path.open("rb") as handle:
             assert handle.read(4) == MAGIC
 
@@ -196,7 +194,7 @@ class TestErrors:
     @pytest.mark.parametrize("flags", [0x0002, 0x0004])
     def test_unknown_flag_bits_rejected(self, tmp_path, flags):
         path = tmp_path / "flags.rptr"
-        write_trace_bin(path, sample_trace(10), compress=False)
+        write_trace_bin(path, sample_trace(10), codec="none")
         blob = bytearray(path.read_bytes())
         struct.pack_into("<H", blob, 6, flags)
         path.write_bytes(bytes(blob))
@@ -206,7 +204,7 @@ class TestErrors:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.rptr"
-        write_trace_bin(path, sample_trace(10), compress=False)
+        write_trace_bin(path, sample_trace(10), codec="none")
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])  # cut into the last record
         with pytest.raises(TraceFormatError, match="truncated"):

@@ -19,7 +19,6 @@ class TestSystemConfig:
         assert config.num_cores == 16
         assert config.l2.size_bytes == 4 * 1024 ** 2
         assert config.l2.associativity == 16
-        assert config.l1d.size_bytes == 64 * 1024
         assert config.stacked_dram.num_channels == 4
         assert config.stacked_dram.bus_width_bits == 128
         assert config.stacked_dram.row_buffer_bytes == 8 * 1024

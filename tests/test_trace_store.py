@@ -126,7 +126,7 @@ class TestHitMiss:
                                         2000))
         store.root.mkdir(parents=True)
         write_trace_bin(path, array_to_records(expected), num_cores=2,
-                        compress=True)
+                        codec="gzip")
         try:
             trace = cached_trace(runner, tiny_profile)
         finally:

@@ -158,25 +158,45 @@ class TestWindowedSampler:
         assert abs(sampled.speedup_vs_no_cache - full.speedup_vs_no_cache) \
             < 0.15 * full.speedup_vs_no_cache
 
+    @pytest.mark.parametrize("stored", ["raw", "gzip", "text"])
     def test_binary_trace_file_windows_seekably(self, fast_config,
                                                 fast_sampling, tiny_profile,
-                                                tmp_path):
+                                                tmp_path, stored):
+        """A trace file gives the same answer however it is stored.
+
+        The file holds more accesses than the run reads, so every path
+        also truncates it to ``num_accesses``.
+        """
+        from dataclasses import replace
+
+        from repro.engine.trace_array import array_to_records
         from repro.trace.binfmt import write_trace_bin
+        from repro.trace.io import write_trace
         from repro.workloads.tracefile import TraceFileWorkload
 
-        runner = ExperimentRunner(fast_config)
-        trace = runner.build_trace(tiny_profile)
-        path = tmp_path / "w.rptr"
-        write_trace_bin(path, trace, num_cores=4, compress=False)
+        trace = ExperimentRunner(fast_config).build_trace(tiny_profile)
+        config = replace(fast_config, num_accesses=20_000)
+        injected = trace[:config.num_accesses]
+        if stored == "text":
+            path = tmp_path / "w.trace"
+            write_trace(path, array_to_records(trace))
+        else:
+            path = tmp_path / "w.rptr"
+            write_trace_bin(path, trace, num_cores=4,
+                            codec="none" if stored == "raw" else "gzip")
         workload = TraceFileWorkload(path=str(path))
 
-        sampler = WindowedSampler(fast_sampling, config=fast_config)
+        full = run_sweep(SweepSpec(designs=("unison",),
+                                   workloads=(f"trace:{path}",),
+                                   capacities=("1GB",), config=config))
+        assert list(full) == [ExperimentRunner(config).run_design(
+            "unison", workload, "1GB", trace=injected)]
+
+        sampler = WindowedSampler(fast_sampling, config=config)
         from_file = sampler.compare(["unison"], workload, "1GB")
-        in_memory = sampler.compare(["unison"], workload, "1GB", trace=trace)
-        file_result = from_file.results()[0]
-        mem_result = in_memory.results()[0]
-        assert file_result.miss_ratio == mem_result.miss_ratio
-        assert file_result.speedup_vs_no_cache == mem_result.speedup_vs_no_cache
+        in_memory = sampler.compare(["unison"], workload, "1GB",
+                                    trace=injected)
+        assert from_file.results() == in_memory.results()
 
     def test_label_and_duplicate_validation(self, fast_config, fast_sampling,
                                             tiny_profile):
