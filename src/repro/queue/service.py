@@ -9,8 +9,8 @@ The service is the glue between the declarative layer
 1. **Plan.**  Every trial becomes one idempotent job -- or, for sampled
    trials, one job per batch of measurement windows, so a single expensive
    cell parallelizes across workers.  Jobs are keyed by the trial's full
-   identity (:meth:`~repro.sim.spec.ExperimentSpec.identity`) and grouped by
-   trace for affinity scheduling (:func:`group_trials_by_trace`).
+   identity (:meth:`~repro.sim.spec.ExperimentSpec.identity`) and labelled
+   by trace token for affinity scheduling (:func:`_trace_group`).
 2. **Run.**  Workers -- in-process, forked, or entirely separate ``repro
    queue work`` processes on the same store -- lease jobs, execute them, and
    stream results back.  A worker killed mid-job costs only that job's
@@ -43,14 +43,10 @@ from repro.queue.jobstore import (
     JobStore,
     PlannedJob,
 )
-from repro.sim.executor import (
-    TraceKey,
-    assemble_sampled_trial,
-    sampled_window_plan,
-    trace_key,
-)
+from repro.sim.executor import assemble_sampled_trial, sampled_window_plan
 from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
+from repro.trace.store import trace_token
 
 PathLike = Union[str, Path]
 
@@ -102,37 +98,14 @@ def _chunk(values: Sequence[int], size: int) -> List[List[int]]:
             for start in range(0, len(values), size)]
 
 
-def group_trials_by_trace(trials: Sequence[ExperimentSpec],
-                          ) -> List[List[int]]:
-    """Partition trial indices into groups sharing one materialized trace.
+def _trace_group(trial: ExperimentSpec) -> str:
+    """The trial's trace-affinity label: jobs with one label replay one trace.
 
-    Groups keep first-appearance order and preserve the in-group trial
-    order.
-    """
-    groups: Dict[TraceKey, List[int]] = {}
-    for index, trial in enumerate(trials):
-        key = trace_key(trial.workload, trial.config)
-        groups.setdefault(key, []).append(index)
-    return list(groups.values())
-
-
-def _trace_groups(trials: Sequence[ExperimentSpec]) -> Dict[int, str]:
-    """Per-trial trace-affinity label: jobs in one group replay one trace.
-
-    Each :func:`group_trials_by_trace` group is labelled with its hashed
-    generator-versioned trace token, so labels stay stable across
+    The label hashes the trial's trace token, so it stays stable across
     processes and sessions.
     """
-    from repro.sampling.checkpoints import trace_token
-
-    labels: Dict[int, str] = {}
-    for group in group_trials_by_trace(trials):
-        token = trace_token(trials[group[0]].workload,
-                            trials[group[0]].config)
-        label = hashlib.sha256(token.encode("utf-8")).hexdigest()[:16]
-        for index in group:
-            labels[index] = label
-    return labels
+    token = trace_token(trial.workload, trial.config)
+    return hashlib.sha256(token.encode("utf-8")).hexdigest()[:16]
 
 
 def _job_key(trial: ExperimentSpec, kind: str,
@@ -178,18 +151,18 @@ def plan_sweep(spec: SweepSpec,
     plan is computable up front split into one job per ``window_batch``
     consecutive windows of the measurement order (so an early-terminating
     assembly consumes the first jobs and discards the speculative tail);
-    sampled trials that cannot be pre-planned fall back to one whole-trial
-    job.  The sweep token hashes the ordered job keys, so the same spec
+    sampled trials over a non-binary trace file, whose length is unknown
+    until it is read, fall back to one whole-trial job, and a binary one
+    whose header is unreadable or never finalized raises here, before any
+    job is written.  The sweep token hashes the ordered job keys, so the same spec
     always resubmits to the same sweep -- and any change to a design, trace,
     or parameter yields a new token instead of colliding with stale rows.
     """
     if window_batch < 0:
         raise ValueError("window_batch must be non-negative")
     jobs: List[PlannedJob] = []
-    trials = spec.trials()
-    groups = _trace_groups(trials)
-    for trial_index, trial in enumerate(trials):
-        group = groups[trial_index]
+    for trial_index, trial in enumerate(spec.trials()):
+        group = _trace_group(trial)
         plan = sampled_window_plan(trial) if window_batch else None
         if plan is not None:
             for part, indices in enumerate(_chunk(plan.order, window_batch)):
@@ -560,6 +533,5 @@ __all__ = [
     "SweepPlan",
     "SweepService",
     "default_queue_dir",
-    "group_trials_by_trace",
     "plan_sweep",
 ]

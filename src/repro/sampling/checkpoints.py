@@ -15,9 +15,11 @@ Keying and invalidation
 A checkpoint is valid only for the exact (trace, design, prologue) it was
 produced by, so the file name is a SHA-256 over:
 
-* the **trace identity** -- for synthetic workloads the same profile/config
-  fields (plus generator version) that key the trace store; for trace files
-  the resolved path, size, and mtime;
+* the **trace identity** -- :func:`repro.trace.store.trace_token`, the one
+  identity every trace cache keys on (for synthetic workloads the fields
+  that key the trace store, generator version included; for trace files
+  the resolved path, size and mtime), or :func:`sequence_token` for a
+  sequence the caller injected;
 * the **design identity** -- the registry entry's stable token, the
   canonical :meth:`repro.dramcache.spec.DesignSpec.token`, so *changing any
   component or parameter of a design invalidates its stale checkpoints*;
@@ -47,8 +49,6 @@ from typing import Optional
 from repro.dramcache.base import StateSnapshot
 from repro.obs.core import current as obs_current
 from repro.trace.store import configured_root
-from repro.workloads.profile import WorkloadProfile
-from repro.workloads.tracefile import TraceFileWorkload
 
 #: Bumped whenever the stored snapshot layout changes incompatibly.
 #: Version 5: flat buffers (dotted buffer names -> tuples, dicts, scalars)
@@ -78,33 +78,6 @@ def default_root() -> Optional[Path]:
     return None if root is None else root / "checkpoints"
 
 
-def trace_token(workload, config) -> str:
-    """Stable identity of the access stream a checkpoint was warmed on.
-
-    Synthetic workloads reuse the trace store's canonical
-    :func:`repro.trace.store.trace_key_string` verbatim, so the checkpoint
-    key and the trace-store key can never drift apart: anything that
-    regenerates a trace (a new generator version, a new identity field)
-    invalidates the warm states built on the old one.
-    """
-    if isinstance(workload, WorkloadProfile):
-        from repro.trace.store import trace_key_string
-
-        return "synthetic:" + trace_key_string(
-            workload, config.scale, config.num_cores, config.seed,
-            config.num_accesses,
-        )
-    if isinstance(workload, TraceFileWorkload):
-        path = Path(workload.path).resolve()
-        try:
-            stat = path.stat()
-            stamp = f"{stat.st_size}:{stat.st_mtime_ns}"
-        except OSError:
-            stamp = "missing"
-        return (f"file:{path};{stamp};accesses={config.num_accesses}")
-    return f"opaque:{workload!r};accesses={config.num_accesses}"
-
-
 def sequence_token(trace) -> str:
     """Identity of an explicitly injected, pre-materialized access sequence.
 
@@ -112,11 +85,10 @@ def sequence_token(trace) -> str:
     the caller hands it, which need not be the canonical trace of the
     (workload, config) pair -- so checkpoints for injected traces key on a
     digest over the *full* sequence content.  Any single-record difference
-    changes the token; callers that know a cheaper authoritative identity
-    (the sweep executor injecting the canonical cached trace) pass it as
-    ``trace_identity`` instead and skip the hash.  The token depends only
-    on the records, not on their representation: a packed record array
-    and the equal record list hash alike.
+    changes the token.  A sampler that loads its own trace names it by
+    :func:`repro.trace.store.trace_token` instead and skips the hash.  The
+    token depends only on the records, not on their representation: a
+    packed record array and the equal record list hash alike.
     """
     from repro.engine.trace_array import as_records
 
@@ -342,5 +314,4 @@ __all__ = [
     "design_token",
     "sequence_token",
     "shared_gc",
-    "trace_token",
 ]

@@ -2,6 +2,13 @@
 
 One sampled run of N designs over one trace proceeds as:
 
+0. **Load** -- the sampler opens its own trace: a binary trace file as
+   :class:`~repro.sampling.seekable.FileWindows`, any other workload
+   through :func:`repro.sim.executor.cached_trace`, the same cache and
+   trace store a full replay uses.  The stream is named by
+   :func:`repro.trace.store.trace_token`, which keys its checkpoints and
+   window baselines; a trace the caller injects is named by its content
+   digest instead, and its baselines are not cached.
 1. **Plan** -- :func:`repro.sampling.windows.plan_windows` places up to
    ``max_windows`` windows over the measurement region and fixes a
    deterministic shuffled measurement order.
@@ -28,9 +35,10 @@ One sampled run of N designs over one trace proceeds as:
    and their reassembly (:meth:`WindowedSampler.assemble_run`) feeds the
    same walk from the jobs' results.
 
-Everything derives from ``(SamplingConfig, ExperimentConfig, trace)``; no
-global state, so sampled sweeps are bit-identical between the serial and
-process-parallel executors.
+Everything derives from ``(SamplingConfig, ExperimentConfig, trace)``; the
+process-wide caches hold only values determined by their keys, so sampled
+sweeps are bit-identical between the serial and process-parallel
+executors.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ from repro.stats.confidence import ConfidenceInterval
 from repro.stats.sampling import AdaptiveStopper, WindowSeries, matched_pair_deltas
 from repro.trace.binfmt import is_binary_trace
 from repro.trace.record import MemoryAccess
+from repro.trace.store import trace_token
 from repro.utils.units import format_size, parse_size, SizeLike
 from repro.workloads.tracefile import TraceFileWorkload
 
@@ -217,7 +226,7 @@ class WindowedSampler:
     Warm states persist in the on-disk checkpoint store
     (:mod:`repro.sampling.checkpoints`) whenever it is enabled
     (``REPRO_TRACE_STORE`` / ``REPRO_CHECKPOINTS``).  Checkpoints are keyed
-    on the trace identity, the design's registry token (its component spec),
+    on the trace token, the design's registry token (its component spec),
     the build parameters, and the prologue extent -- a hit skips the one
     long replay entirely, bit-identically.
     """
@@ -233,16 +242,28 @@ class WindowedSampler:
     # ------------------------------------------------------------------ #
     def _provider(self, workload: Workload,
                   trace: Optional[Sequence[MemoryAccess]]):
-        """The window source for a workload (seekable file when possible)."""
+        """The window source of a run and the identity of its stream.
+
+        Returns ``(provider, identity)``.  An injected ``trace`` need not
+        be the canonical trace of the (workload, config) pair, so it has no
+        cheap identity (``None``).  Otherwise the sampler loads the trace
+        itself and the identity is its :func:`trace_token`: a binary trace
+        file is opened by :class:`FileWindows`, any other workload comes
+        from :func:`repro.sim.executor.cached_trace`, the same trace (and
+        trace-store entry) a full replay of it uses.
+        """
         if trace is not None:
-            return InMemoryWindows(trace)
+            return InMemoryWindows(trace), None
+        identity = trace_token(workload, self.config)
         if (isinstance(workload, TraceFileWorkload)
                 and is_binary_trace(workload.path)):
-            # The payoff case: windows open in O(window) straight from disk,
-            # so the trace is never fully decoded, let alone materialized.
-            return FileWindows(workload.path, limit=self.config.num_accesses)
+            # A raw file is mapped, so a window reads only its own pages.
+            return (FileWindows(workload.path,
+                                limit=self.config.num_accesses), identity)
+        from repro.sim.executor import cached_trace
+
         runner = ExperimentRunner(self.config, system=self.system)
-        return InMemoryWindows(runner.build_trace(workload))
+        return InMemoryWindows(cached_trace(runner, workload)), identity
 
     def _measure_window(self, provider, plan: WindowPlan, window_index: int,
                         designs, profile, identity: Optional[str],
@@ -304,17 +325,12 @@ class WindowedSampler:
                 capacity: SizeLike,
                 trace: Optional[Sequence[MemoryAccess]] = None,
                 associativity: Optional[int] = None,
-                labels: Optional[Sequence[str]] = None,
-                trace_identity: Optional[str] = None) -> SampledRun:
+                labels: Optional[Sequence[str]] = None) -> SampledRun:
         """Sample every design over the *same* windows (matched pairs).
 
-        ``trace`` injects a pre-materialized access sequence (the sweep
-        executor's cached traces); otherwise the workload decides -- binary
-        trace files are windowed seekably, synthetic profiles are generated.
-        ``trace_identity`` names the injected sequence for checkpoint
-        keying when the caller knows its authoritative identity (the
-        executor passes the generator-versioned trace token); without it an
-        injected sequence is identified by a full content hash.
+        ``trace`` injects a pre-materialized access sequence, identified by
+        a full content hash; otherwise the sampler loads the workload's
+        trace itself (see :meth:`_provider`).
         """
         if not design_names:
             raise ValueError("need at least one design to sample")
@@ -328,10 +344,9 @@ class WindowedSampler:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate sampled design labels: {labels}")
 
-        identity = self._stream_identity(workload, trace, trace_identity)
         with self._warmed(design_names, workload, capacity, trace,
-                          associativity, trace_identity) as (provider, plan,
-                                                             designs):
+                          associativity) as (provider, identity, plan,
+                                             designs):
             with obs_current().span("measure") as span:
                 return self._walk(
                     plan, labels,
@@ -340,34 +355,6 @@ class WindowedSampler:
                         span),
                     workload.name, capacity,
                 )
-
-    def _stream_identity(self, workload, trace,
-                         trace_identity) -> Optional[str]:
-        """The measured access stream's authoritative identity, if cheap.
-
-        An injected sequence need not be the canonical trace of the
-        (workload, config) pair, so it is identified only by the caller's
-        ``trace_identity`` (``None`` without one); a stream the workload
-        opens itself is named by its trace token.
-        """
-        from repro.sampling.checkpoints import trace_token
-
-        if trace is not None:
-            return trace_identity
-        return trace_token(workload, self.config)
-
-    def _stream_token(self, workload, trace, trace_identity, store) -> str:
-        """The checkpoint-keying identity of the measured access stream.
-
-        The stream's identity, or for a stream without a cheap one the
-        digest of its full content; ``""`` when there is no ``store``.
-        """
-        from repro.sampling.checkpoints import sequence_token
-
-        if store is None:
-            return ""
-        identity = self._stream_identity(workload, trace, trace_identity)
-        return identity if identity is not None else sequence_token(trace)
 
     def _stoppers(self, plan: WindowPlan) -> Dict[str, AdaptiveStopper]:
         """One adaptive stopper per tracked metric, sized to the plan."""
@@ -458,25 +445,28 @@ class WindowedSampler:
 
     @contextmanager
     def _warmed(self, design_names, workload, capacity, trace,
-                associativity, trace_identity):
+                associativity):
         """Open the window source, plan the windows, build every design warm.
 
-        Yields ``(provider, plan, [(design, checkpoint)])`` and closes the
-        provider on exit: the shared setup of :meth:`compare` and
-        :meth:`measure_windows`, so both start every window from the same
-        warm state.
+        Yields ``(provider, identity, plan, [(design, checkpoint)])`` and
+        closes the provider on exit: the shared setup of :meth:`compare`
+        and :meth:`measure_windows`, so both start every window from the
+        same warm state.  Checkpoints key on the stream's ``identity``, or
+        on the content digest of an injected trace.
         """
-        from repro.sampling.checkpoints import CheckpointStore
+        from repro.sampling.checkpoints import CheckpointStore, sequence_token
 
         obs_run = obs_current()
         with obs_run.span("trace_load"):
-            provider = self._provider(workload, trace)
+            provider, identity = self._provider(workload, trace)
         try:
             plan = plan_windows(provider.total, self.config.warmup_fraction,
                                 self.sampling)
             store = CheckpointStore.default()
-            stream_token = self._stream_token(workload, trace, trace_identity,
-                                              store)
+            stream_token = ""
+            if store is not None:
+                stream_token = (identity if identity is not None
+                                else sequence_token(trace))
             # The checkpoint prologue is the sampled path's functional
             # warming: it shows up in the ledger under the same "warmup"
             # phase a full replay's warm-up does.
@@ -484,7 +474,7 @@ class WindowedSampler:
                 designs = self._checkpoint_designs(
                     provider, design_names, capacity, associativity, plan,
                     store, stream_token, span)
-            yield provider, plan, designs
+            yield provider, identity, plan, designs
         finally:
             provider.close()
 
@@ -542,7 +532,6 @@ class WindowedSampler:
                         window_indices: Sequence[int],
                         trace: Optional[Sequence[MemoryAccess]] = None,
                         associativity: Optional[int] = None,
-                        trace_identity: Optional[str] = None,
                         ) -> Dict[int, WindowMeasurement]:
         """Measure an explicit subset of the planned windows for one design.
 
@@ -556,10 +545,9 @@ class WindowedSampler:
         from repro.sim.registry import DESIGNS
 
         DESIGNS.resolve(design_name)
-        identity = self._stream_identity(workload, trace, trace_identity)
         with self._warmed([design_name], workload, capacity, trace,
-                          associativity, trace_identity) as (provider, plan,
-                                                             designs):
+                          associativity) as (provider, identity, plan,
+                                             designs):
             for index in window_indices:
                 if not 0 <= index < len(plan.windows):
                     raise ValueError(
@@ -602,8 +590,7 @@ class WindowedSampler:
                    capacity: SizeLike,
                    trace: Optional[Sequence[MemoryAccess]] = None,
                    associativity: Optional[int] = None,
-                   label: Optional[str] = None,
-                   trace_identity: Optional[str] = None) -> ExperimentResult:
+                   label: Optional[str] = None) -> ExperimentResult:
         """Sample one design and aggregate into an :class:`ExperimentResult`.
 
         The sampled counterpart of
@@ -615,7 +602,6 @@ class WindowedSampler:
             [design_name], workload, capacity, trace=trace,
             associativity=associativity,
             labels=[label] if label is not None else None,
-            trace_identity=trace_identity,
         )
         with obs_current().span("assemble"):
             return run.results()[0]

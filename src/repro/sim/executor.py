@@ -4,21 +4,28 @@ The executor turns a :class:`repro.sim.spec.SweepSpec` into a
 :class:`repro.sim.resultset.ResultSet`.  Two properties make large grids
 tractable:
 
-* **Trace/baseline reuse.**  Synthetic traces are deterministic functions of
-  ``(profile, scale, num_cores, seed, num_accesses)`` and the no-DRAM-cache
-  baseline replay depends only on the trace and the warm-up split (or, for
-  a sampled window, on the trace and the window's bounds), so both are
-  cached process-wide under those keys.  A cached trace is one packed
-  record array (:mod:`repro.engine.trace_array`) whichever way it was
-  built, so every later cell slices it instead of decoding it again.  An
-  N-cell grid that shares workloads and configurations pays for each
-  distinct trace and baseline once, not N times -- and because every
-  design in a cell group replays the *same* cached trace, comparisons stay
-  fair automatically.  Behind the in-memory layer sits the persistent
-  on-disk :class:`repro.trace.store.TraceStore`: a generated trace is
-  streamed into the store as it is produced and replayed from there by
-  every later process, sweep, and benchmark run with the same key, so each
-  distinct trace is generated once *ever* (disable or relocate via the
+* **Trace/baseline reuse.**  A trace has one identity,
+  :func:`repro.trace.store.trace_token` of ``(workload, config)``: for a
+  synthetic workload its generator-versioned profile and run parameters,
+  for a trace file its path, size and mtime (so a rewritten file is a new
+  trace).  :func:`cached_trace` is the one way a trial gets a trace --
+  full replays and the windowed sampler alike, save that the sampler
+  opens a binary trace file as windows of the file -- and caches it
+  process-wide under that token.  The no-DRAM-cache
+  baseline of accesses ``[start, stop)`` is a pure function of them, so
+  :func:`window_baseline` caches it under ``(token, start, stop)``: a full
+  replay's measured region and a sampled window are the same kind of key.
+  A cached trace is one packed record array
+  (:mod:`repro.engine.trace_array`) whichever way it was built, so every
+  later cell slices it instead of decoding it again.  An N-cell grid that
+  shares workloads and configurations pays for each distinct trace and
+  baseline once, not N times -- and because every design in a cell group
+  replays the *same* cached trace, comparisons stay fair automatically.
+  Behind the in-memory layer sits the persistent on-disk
+  :class:`repro.trace.store.TraceStore`: a generated trace is streamed
+  into the store as it is produced and replayed from there by every later
+  process, sweep, and benchmark run with the same key, so each distinct
+  trace is generated once *ever* (disable or relocate via the
   ``REPRO_TRACE_STORE`` environment variable).
 
 * **Deterministic parallelism.**  ``workers > 1`` runs the sweep on a private
@@ -37,7 +44,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,21 +53,15 @@ from repro.obs.core import current as obs_current, start_run
 from repro.sim.experiment import ExperimentResult, ExperimentRunner, Workload
 from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
-from repro.trace.store import TraceStore, configured_root
+from repro.trace.store import TraceStore, configured_root, trace_token
 from repro.workloads.profile import WorkloadProfile
 
-#: Cache key of a materialized trace (see module docstring).
-TraceKey = Tuple[Workload, int, int, int, int]
-
-#: Cache key of a no-cache baseline: a full replay's ``(TraceKey, warm-up
-#: fraction)``, or a sampled window's ``(stream identity, start, stop)``.
-BaselineKey = Union[Tuple[TraceKey, float], Tuple[str, int, int]]
-
-# Process-wide caches.  Worker processes get their own copies (pre-seeded by
+# Process-wide caches, keyed on the trace token (baselines also on the
+# replayed bounds).  Worker processes get their own copies (pre-seeded by
 # fork with the parent's contents); entries are deterministic in the key, so
 # sharing across sweeps and processes never changes results.
-_TRACE_CACHE: Dict[TraceKey, np.ndarray] = {}
-_BASELINE_CACHE: Dict[BaselineKey, DramCacheStats] = {}
+_TRACE_CACHE: Dict[str, np.ndarray] = {}
+_BASELINE_CACHE: Dict[Tuple[str, int, int], DramCacheStats] = {}
 
 # The process-wide on-disk trace store (see repro.trace.store).  Rebuilt
 # lazily whenever REPRO_TRACE_STORE changes, so tests and callers can point
@@ -82,13 +83,6 @@ def get_trace_store() -> Optional[TraceStore]:
     return _TRACE_STORE
 
 
-def trace_key(profile: Workload,
-              config) -> TraceKey:
-    """The identity of a materialized trace."""
-    return (profile, config.scale, config.num_cores, config.seed,
-            config.num_accesses)
-
-
 def clear_caches() -> None:
     """Drop the in-memory trace and baseline caches (mainly for tests).
 
@@ -106,11 +100,13 @@ def cached_trace(runner: ExperimentRunner,
                  profile: Workload) -> np.ndarray:
     """The trace for (profile, runner.config), built once per process.
 
-    Lookup order: the in-memory cache, then the on-disk trace store
-    (shared across processes and runs), then generation -- which streams
-    chunk-by-chunk into the store while materializing, so a synthetic trace
-    is generated once *ever* per distinct key rather than once per process.
-    Trace-file workloads are simply loaded (they are already on disk).
+    Lookup order: the in-memory cache (keyed on :func:`trace_token`), then
+    the on-disk trace store (shared across processes and runs), then
+    generation -- which streams chunk-by-chunk into the store while
+    materializing, so a synthetic trace is generated once *ever* per
+    distinct key rather than once per process.  Trace-file workloads are
+    simply loaded (they are already on disk); a file rewritten since its
+    last load has a new token, so it is read again.
 
     Every path returns the same type: one packed
     :data:`~repro.engine.trace_array.RECORD_DTYPE` array (a store hit, the
@@ -118,8 +114,8 @@ def cached_trace(runner: ExperimentRunner,
     is no usable store), so a first sweep and a repeat sweep replay
     identical objects.
     """
-    key = trace_key(profile, runner.config)
-    trace = _TRACE_CACHE.get(key)
+    token = trace_token(profile, runner.config)
+    trace = _TRACE_CACHE.get(token)
     if trace is not None:
         return trace
 
@@ -145,31 +141,32 @@ def cached_trace(runner: ExperimentRunner,
 
     if trace is None:
         trace = runner.build_trace(profile)
-    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE[token] = trace
     return trace
 
 
 def cached_baseline(runner: ExperimentRunner, profile: Workload,
                     trace) -> DramCacheStats:
-    """The no-cache baseline for (profile, runner.config), replayed once."""
-    key = (trace_key(profile, runner.config), runner.config.warmup_fraction)
-    baseline = _BASELINE_CACHE.get(key)
-    if baseline is None:
-        _, measure = runner.split_trace(trace)
-        baseline = runner.no_cache_baseline(measure)
-        _BASELINE_CACHE[key] = baseline
-    return baseline
+    """The no-cache baseline of a full replay's measured region, once.
+
+    ``trace`` is :func:`cached_trace`'s trace for (profile, runner.config);
+    its measured region is one :func:`window_baseline` key.
+    """
+    _, measure = runner.split_trace(trace)
+    return window_baseline(trace_token(profile, runner.config),
+                           len(trace) - len(measure), len(trace), measure)
 
 
 def window_baseline(identity: Optional[str], start: int, stop: int,
                     measure) -> DramCacheStats:
-    """The no-cache baseline of one sampled window, replayed once.
+    """The no-cache baseline of accesses ``[start, stop)``, replayed once.
 
     The baseline of ``measure`` (accesses ``[start, stop)`` of the stream
     named ``identity``) is a pure function of those accesses, so every
-    design measured over the same trace and window plan shares one replay.
-    ``identity`` is the stream's authoritative identity (a trace token);
-    ``None`` -- a stream with no cheap identity -- replays uncached.
+    design measured over the same trace and bounds shares one replay: a
+    sampled window's, or a full replay's measured region.  ``identity`` is
+    the stream's :func:`trace_token`; ``None`` -- an injected stream with
+    no cheap identity -- replays uncached.
     """
     key = (identity, start, stop)
     baseline = _BASELINE_CACHE.get(key) if identity is not None else None
@@ -184,16 +181,21 @@ def run_trial(trial: ExperimentSpec) -> ExperimentResult:
     """Run one trial, reusing the process-wide trace/baseline caches.
 
     A trial carrying a ``sampling`` config runs through the checkpointed
-    windowed sampler instead of a full replay; both paths share the cached
-    trace, and a binary trace-file workload is windowed seekably (never
-    fully materialized) on the sampled path.
+    windowed sampler instead of a full replay; the sampler loads its trace
+    itself, through the same :func:`cached_trace` (a binary trace-file
+    workload is opened as :class:`~repro.sampling.seekable.FileWindows`
+    on that path).
     """
     with start_run("trial", design=trial.design, label=trial.result_label,
                    workload=trial.workload.name,
                    capacity=str(trial.capacity),
                    sampled=trial.sampling is not None) as obs_run:
         if trial.sampling is not None:
-            return _run_sampled_trial(trial)
+            return _sampler(trial).run_design(
+                trial.design, trial.workload, trial.capacity,
+                associativity=trial.associativity,
+                label=trial.label,
+            )
         runner = ExperimentRunner(trial.config, system=trial.system)
         with obs_run.span("trace_load"):
             trace = cached_trace(runner, trial.workload)
@@ -208,64 +210,29 @@ def run_trial(trial: ExperimentSpec) -> ExperimentResult:
         )
 
 
-def _sampled_trial_inputs(trial: ExperimentSpec):
-    """The (sampler, trace, trace_identity) triple of a sampled trial."""
+def _sampler(trial: ExperimentSpec):
+    """The windowed sampler of a sampled trial."""
     from repro.sampling.runner import WindowedSampler
-    from repro.trace.binfmt import is_binary_trace
-    from repro.workloads.tracefile import TraceFileWorkload
 
-    sampler = WindowedSampler(trial.sampling, config=trial.config,
-                              system=trial.system)
-    trace = None
-    trace_identity = None
-    if not (isinstance(trial.workload, TraceFileWorkload)
-            and is_binary_trace(trial.workload.path)):
-        # Synthetic (and non-binary file) workloads replay the same cached
-        # trace full runs use; binary files are opened by the sampler's
-        # FileWindows instead (mapped, when raw).
-        from repro.sampling.checkpoints import trace_token
-
-        runner = ExperimentRunner(trial.config, system=trial.system)
-        with obs_current().span("trace_load"):
-            trace = cached_trace(runner, trial.workload)
-        # The cached trace is canonical for (workload, config) by
-        # construction, so on-disk checkpoints key on the authoritative
-        # generator-versioned identity rather than a content hash.
-        trace_identity = trace_token(trial.workload, trial.config)
-    return sampler, trace, trace_identity
-
-
-def _run_sampled_trial(trial: ExperimentSpec) -> ExperimentResult:
-    sampler, trace, trace_identity = _sampled_trial_inputs(trial)
-    return sampler.run_design(
-        trial.design, trial.workload, trial.capacity,
-        trace=trace,
-        associativity=trial.associativity,
-        label=trial.label,
-        trace_identity=trace_identity,
-    )
+    return WindowedSampler(trial.sampling, config=trial.config,
+                           system=trial.system)
 
 
 def sampled_trial_total(trial: ExperimentSpec) -> Optional[int]:
     """The window provider's trace length, computed without opening it.
 
-    ``None`` means the length cannot be known up front (a non-binary trace
-    file, or a binary stream that was never finalized), in which case the
-    work queue falls back to scheduling the whole trial as one job.
+    ``None`` means only that the trial replays a non-binary trace file,
+    whose length is known once it is read; the work queue then schedules
+    the whole trial as one job.  A binary file whose header cannot be read
+    or was never finalized raises here, as the trial itself would.
     """
-    from repro.trace.binfmt import is_binary_trace, read_header
-    from repro.trace.errors import TraceFormatError
+    from repro.trace.binfmt import finalized_header, is_binary_trace
     from repro.workloads.tracefile import TraceFileWorkload
 
     if isinstance(trial.workload, TraceFileWorkload):
         if not is_binary_trace(trial.workload.path):
             return None
-        try:
-            count = read_header(trial.workload.path).access_count
-        except (TraceFormatError, OSError):
-            return None
-        if count is None:
-            return None
+        count = finalized_header(trial.workload.path).access_count
         return min(count, trial.config.num_accesses)
     # Synthetic traces materialize exactly num_accesses records.
     return trial.config.num_accesses
@@ -300,12 +267,9 @@ def run_trial_windows(trial: ExperimentSpec,
                    workload=trial.workload.name,
                    capacity=str(trial.capacity),
                    windows=len(window_indices)):
-        sampler, trace, trace_identity = _sampled_trial_inputs(trial)
-        return sampler.measure_windows(
+        return _sampler(trial).measure_windows(
             trial.design, trial.workload, trial.capacity, window_indices,
-            trace=trace,
             associativity=trial.associativity,
-            trace_identity=trace_identity,
         )
 
 
@@ -320,19 +284,16 @@ def assemble_sampled_trial(trial: ExperimentSpec,
     (speculatively measured batches) are discarded, and a window missing
     before it raises ``ValueError``.
     """
-    from repro.sampling.runner import WindowedSampler
-
     plan = sampled_window_plan(trial)
     if plan is None:
         raise ValueError(
             f"trial {trial.describe()} cannot be window-planned up front"
         )
-    sampler = WindowedSampler(trial.sampling, config=trial.config,
-                              system=trial.system)
     with obs_current().span("assemble"):
-        run = sampler.assemble_run(trial.result_label, measurements,
-                                   workload_name=trial.workload.name,
-                                   capacity=trial.capacity, plan=plan)
+        run = _sampler(trial).assemble_run(
+            trial.result_label, measurements,
+            workload_name=trial.workload.name, capacity=trial.capacity,
+            plan=plan)
         return run.results()[0]
 
 
@@ -398,5 +359,4 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = 1,
 __all__ = ["SweepExecutor", "run_sweep", "run_trial", "run_trial_windows",
            "assemble_sampled_trial", "sampled_trial_total",
            "sampled_window_plan", "cached_trace", "cached_baseline",
-           "window_baseline", "trace_key", "clear_caches", "TraceKey",
-           "get_trace_store"]
+           "window_baseline", "clear_caches", "get_trace_store"]

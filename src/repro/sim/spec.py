@@ -122,16 +122,16 @@ class ExperimentSpec:
         """The canonical identity string of everything this trial computes.
 
         Combines the design's registry token (its full component recipe),
-        the trace identity (profile fields + generator version for synthetic
-        workloads, path/size/mtime for files), every build and run parameter,
-        and the model behavior version.  Two trials with equal identities are
+        the trace token (profile fields + generator version for synthetic
+        workloads, path/size/mtime and any format override for files),
+        every build and run parameter, and the model behavior version.  Two trials with equal identities are
         guaranteed to produce bit-identical results, so the work queue uses
         a hash of this string as the idempotency key of the trial's jobs --
         and any change to a design, a workload, the generator, or the model
         implementation yields new keys instead of reusing stale results.
         """
         from repro.dramcache.base import MODEL_BEHAVIOR_VERSION
-        from repro.sampling.checkpoints import trace_token
+        from repro.trace.store import trace_token
 
         system = "default" if self.system is None else repr(self.system)
         return "|".join([

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Union
@@ -119,6 +120,20 @@ def _decode_records(blob) -> List[MemoryAccess]:
     ]
 
 
+def _read(payload: IO[bytes], path: PathLike, size: int = -1) -> bytes:
+    """``payload.read(size)``; a damaged gzip stream is a format error.
+
+    A gzip payload cut short, or one whose bytes no longer match its
+    checksum, raises ``EOFError``, ``zlib.error`` or
+    ``gzip.BadGzipFile``; callers see :class:`TraceFormatError` instead.
+    """
+    try:
+        return payload.read(size)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as error:
+        raise TraceFormatError(f"corrupt gzip payload: {error}",
+                               path=path) from error
+
+
 def _partial_record(path: PathLike, trailing: int) -> TraceFormatError:
     """The error for a payload that ends ``trailing`` bytes into a record."""
     return TraceFormatError(
@@ -186,6 +201,21 @@ def read_header(path: PathLike) -> BinaryTraceInfo:
         file_bytes=path.stat().st_size,
         codec=codec,
     )
+
+
+def finalized_header(path: PathLike) -> BinaryTraceInfo:
+    """:func:`read_header`, refusing a trace whose writer never finished.
+
+    A non-finalized header has no access count, so no reader can tell a
+    complete payload from a cut one: :class:`TraceFormatError`.
+    """
+    info = read_header(path)
+    if info.access_count is None:
+        raise TraceFormatError(
+            "cannot open a non-finalized trace (unknown access count)",
+            path=path,
+        )
+    return info
 
 
 class BinaryTraceWriter:
@@ -352,7 +382,7 @@ class BinaryTraceReader:
         try:
             pending = b""
             while True:
-                blob = payload.read(chunk_bytes)
+                blob = _read(payload, self._path, chunk_bytes)
                 if not blob:
                     break
                 if pending:
@@ -377,7 +407,7 @@ class BinaryTraceReader:
         """The whole decompressed record payload (whole records only)."""
         payload, raw = self._open_payload()
         try:
-            blob = payload.read()
+            blob = _read(payload, self._path)
         finally:
             payload.close()
             raw.close()
@@ -437,29 +467,27 @@ def open_trace_array(path: PathLike,
     gzip payload is decompressed once, up to ``limit`` records.  Either
     way no record is decoded one by one.
 
-    A non-finalized header, or a payload that ends inside a record or
-    before the records its header promises, raises
-    :class:`TraceFormatError`.  Access-type codes are left to
+    A non-finalized header, a payload that ends inside a record or
+    before the records its header promises, or a damaged gzip stream
+    raises :class:`TraceFormatError`.  When ``limit`` covers the whole
+    trace a gzip payload is read to its end, so every member's checksum
+    and length trailer is verified.  Access-type codes are left to
     :func:`check_access_types`, so that a caller reading windows of a
     mapped trace checks only what it reads.
     """
     path = Path(path)
-    info = read_header(path)
-    if info.access_count is None:
-        raise TraceFormatError(
-            "cannot open a non-finalized trace (unknown access count)",
-            path=path,
-        )
+    info = finalized_header(path)
     count = (info.access_count if limit is None
              else min(limit, info.access_count))
     want = count * RECORD.size
     if info.codec == CODEC_NONE:
         payload_bytes = info.file_bytes - HEADER.size
     else:
+        whole = count == info.access_count
         with path.open("rb") as raw:
             raw.seek(HEADER.size)
             with gzip.GzipFile(fileobj=raw, mode="rb") as payload:
-                blob = payload.read(want)
+                blob = _read(payload, path, -1 if whole else want)
         payload_bytes = len(blob)
     if payload_bytes % RECORD.size:
         raise _partial_record(path, payload_bytes % RECORD.size)
@@ -470,7 +498,7 @@ def open_trace_array(path: PathLike,
             f"{info.access_count}", path=path,
         )
     if info.codec != CODEC_NONE:
-        return np.frombuffer(blob, dtype=RECORD_DTYPE)
+        return np.frombuffer(blob, dtype=RECORD_DTYPE, count=count)
     if count == 0:
         return np.empty(0, dtype=RECORD_DTYPE)
     # asarray drops the memmap subclass; the mapping lives on as its base.
@@ -510,6 +538,7 @@ __all__ = [
     "UNKNOWN_COUNT",
     "VERSION",
     "check_access_types",
+    "finalized_header",
     "is_binary_trace",
     "is_record_array",
     "open_trace_array",

@@ -61,6 +61,7 @@ from repro.trace.record import MemoryAccess
 from repro.utils.units import parse_size
 from repro.workloads.generator import GENERATOR_VERSION
 from repro.workloads.profile import WorkloadProfile
+from repro.workloads.tracefile import TraceFileWorkload
 
 PathLike = Union[str, Path]
 
@@ -145,6 +146,37 @@ def trace_key_string(profile: WorkloadProfile, scale: int, num_cores: int,
     parts.append(f"seed={seed}")
     parts.append(f"num_accesses={num_accesses}")
     return "|".join(parts)
+
+
+def trace_token(workload, config) -> str:
+    """The one identity of the access stream ``(workload, config)`` replays.
+
+    Every cache of a trace or of anything computed from one keys on this
+    string: the executor's in-memory traces and no-cache baselines, the
+    sampler's checkpoints, the queue's trace-affinity groups and
+    :meth:`repro.sim.spec.ExperimentSpec.identity`.  A synthetic workload
+    is named by :func:`trace_key_string` verbatim, so the token and the
+    store key can never drift apart; a trace file by its resolved path,
+    size and mtime (a rewritten file is a new stream) and its format
+    override when it has one.  Only fields that change the records take
+    part: a trace file read at another scale, seed or core count is the
+    same stream.
+    """
+    if isinstance(workload, WorkloadProfile):
+        return "synthetic:" + trace_key_string(
+            workload, config.scale, config.num_cores, config.seed,
+            config.num_accesses,
+        )
+    if isinstance(workload, TraceFileWorkload):
+        path = Path(workload.path).resolve()
+        try:
+            stat = path.stat()
+            stamp = f"{stat.st_size}:{stat.st_mtime_ns}"
+        except OSError:
+            stamp = "missing"
+        fmt = f";format={workload.format}" if workload.format else ""
+        return f"file:{path};{stamp}{fmt};accesses={config.num_accesses}"
+    return f"opaque:{workload!r};accesses={config.num_accesses}"
 
 
 @dataclass
@@ -408,4 +440,5 @@ __all__ = [
     "default_max_bytes",
     "default_root",
     "trace_key_string",
+    "trace_token",
 ]

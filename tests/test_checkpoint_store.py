@@ -13,12 +13,12 @@ from repro.sampling.checkpoints import (
     CheckpointStore,
     checkpoints_enabled,
     design_token,
-    trace_token,
 )
 from repro.sampling.runner import WindowedSampler
 from repro.sampling.windows import SamplingConfig
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.factory import make_design
+from repro.trace.store import trace_token
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profile import WorkloadProfile
 

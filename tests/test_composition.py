@@ -23,7 +23,7 @@ from repro.dramcache.components import (
 )
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.spec import ComponentSpec, DesignSpec
-from repro.queue.service import group_trials_by_trace
+from repro.queue.service import plan_sweep
 from repro.sim.executor import run_trial
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.factory import make_design
@@ -299,12 +299,14 @@ class TestStoreAwareScheduling:
                                     num_cores=2),
         )
         trials = spec.trials()
-        groups = group_trials_by_trace(trials)
+        groups = {}
+        for job in plan_sweep(spec).jobs:
+            groups.setdefault(job.trace_group, set()).add(job.trial_index)
         # Two workloads -> two groups covering all trials exactly once.
         assert len(groups) == 2
-        flattened = sorted(i for group in groups for i in group)
+        flattened = sorted(i for group in groups.values() for i in group)
         assert flattened == list(range(len(trials)))
-        for group in groups:
+        for group in groups.values():
             keys = {trials[i].workload for i in group}
             assert len(keys) == 1
 

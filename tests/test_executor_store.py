@@ -236,3 +236,93 @@ class TestTraceFileWorkloads:
         with pytest.raises(ValueError, match="[Uu]nknown workload"):
             SweepSpec(designs=("unison",), workloads=("No Such Workload",),
                       capacities=("256MB",))
+
+
+class TestOneTraceIdentity:
+    """Every trace cache keys on ``trace_token``; the sampler uses them too."""
+
+    @staticmethod
+    def _write(path, count):
+        from repro.trace.binfmt import write_trace_bin
+        from repro.trace.io import write_trace
+        from repro.workloads import workload_by_name
+
+        trace = SyntheticWorkload(workload_by_name("Web Search"),
+                                  num_cores=2, seed=1).generate(count)
+        if path.suffix == ".rptr":
+            write_trace_bin(path, trace)
+        else:
+            write_trace(path, trace)
+
+    def test_rewritten_trace_file_is_read_again(self, tmp_path, store_root):
+        path = tmp_path / "w.rptr"
+        self._write(path, 500)
+        spec = SweepSpec(designs=("unison",), workloads=(f"trace:{path}",),
+                         capacities=("1GB",),
+                         config=ExperimentConfig(scale=8192,
+                                                 num_accesses=1000,
+                                                 num_cores=2))
+        (trial,) = spec.trials()
+        runner = ExperimentRunner(trial.config)
+        assert len(cached_trace(runner, trial.workload)) == 500
+        before = run_sweep(spec)
+
+        self._write(path, 300)
+        assert len(cached_trace(runner, trial.workload)) == 300
+        after = run_sweep(spec)
+        clear_caches()
+        assert after == run_sweep(spec)
+        assert after != before
+
+    def test_rewritten_text_trace_is_sampled_again(self, tmp_path,
+                                                   store_root):
+        from repro.sampling.windows import SamplingConfig
+
+        path = tmp_path / "w.trace"
+        self._write(path, 500)
+        spec = SweepSpec(designs=("unison",), workloads=(f"trace:{path}",),
+                         capacities=("1GB",),
+                         config=ExperimentConfig(scale=8192,
+                                                 num_accesses=1000,
+                                                 num_cores=2),
+                         sampling=SamplingConfig(window_accesses=50,
+                                                 warmup_accesses=50,
+                                                 checkpoint_accesses=100,
+                                                 min_windows=2,
+                                                 max_windows=2))
+        before = run_sweep(spec)
+
+        self._write(path, 300)
+        after = run_sweep(spec)
+        clear_caches()
+        assert after == run_sweep(spec)
+        assert after != before
+
+    def test_sampler_loads_its_trace_through_the_store(
+            self, store_root, monkeypatch):
+        from repro.sampling.runner import WindowedSampler
+        from repro.sampling.windows import SamplingConfig
+        from repro.workloads import workload_by_name
+
+        generated = []
+        original = ExperimentRunner.iter_trace_chunks
+
+        def counting(self, profile):
+            generated.append(profile.name)
+            return original(self, profile)
+
+        monkeypatch.setattr(ExperimentRunner, "iter_trace_chunks", counting)
+        sampler = WindowedSampler(
+            SamplingConfig(window_accesses=200, warmup_accesses=200,
+                           checkpoint_accesses=1000, min_windows=2,
+                           max_windows=2),
+            config=ExperimentConfig(scale=8192, num_accesses=6000,
+                                    num_cores=2))
+        profile = workload_by_name("Web Search")
+        runs = []
+        for _ in range(2):
+            clear_caches()
+            runs.append(sampler.compare(["unison"], profile, "1GB"))
+        assert generated == ["Web Search"]
+        assert len(get_trace_store().entries()) == 1
+        assert runs[0].to_resultset() == runs[1].to_resultset()

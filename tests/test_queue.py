@@ -426,6 +426,28 @@ class TestPlanning:
         assert [job.kind for job in plan.jobs] == ["trial", "trial"]
         assert [job.trial_index for job in plan.jobs] == [0, 1]
 
+    def test_non_finalized_binary_trace_refused_at_plan_time(
+            self, queue_root, tmp_path):
+        from repro.trace.binfmt import BinaryTraceWriter
+        from repro.trace.errors import TraceFormatError
+        from repro.workloads.generator import SyntheticWorkload
+
+        path = tmp_path / "open.rptr"
+        with pytest.raises(RuntimeError):
+            with BinaryTraceWriter(path) as writer:
+                writer.write_all(SyntheticWorkload(
+                    workload_by_name("Web Search"), num_cores=4,
+                    seed=1).generate(2000))
+                raise RuntimeError("abort")
+        spec = sampled_spec(workloads=(f"trace:{path}",))
+        with pytest.raises(TraceFormatError, match="non-finalized"):
+            plan_sweep(spec)
+        service = SweepService(max_attempts=2)
+        with pytest.raises(TraceFormatError, match="non-finalized"):
+            service.run(spec)
+        with service.store() as store:
+            assert store.sweeps() == []
+
     def test_sampled_trials_decompose_into_window_batches(self, queue_root):
         plan = plan_sweep(sampled_spec())
         kinds = {job.kind for job in plan.jobs}

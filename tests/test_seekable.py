@@ -13,6 +13,7 @@ from repro.trace.binfmt import (
     MAGIC,
     RECORD,
     VERSION,
+    BinaryTraceReader,
     BinaryTraceWriter,
     open_trace_array,
     write_trace_bin,
@@ -122,6 +123,26 @@ class TestOpenTraceArray:
         path.write_bytes(HEADER.pack(MAGIC, VERSION, 0, 4, 12)
                          + trace.tobytes())
         assert open_trace_array(path).tobytes() == trace[:12].tobytes()
+
+
+class TestCorruptGzipPayload:
+    """A damaged gzip payload is a format error on every read path."""
+
+    @pytest.mark.parametrize("damage", [4, 10, 100, "flip"])
+    def test_damaged_payload_raises_format_error(self, tmp_path, damage):
+        path = tmp_path / "t.rptr"
+        write_trace_bin(path, sample_trace(1000), codec="gzip")
+        blob = bytearray(path.read_bytes())
+        if damage == "flip":
+            blob[HEADER.size + (len(blob) - HEADER.size) // 2] ^= 0xFF
+        else:
+            del blob[-damage:]
+        path.write_bytes(bytes(blob))
+        reader = BinaryTraceReader(path)
+        for read in (lambda: open_trace_array(path), lambda: list(reader),
+                     reader.read_all_array):
+            with pytest.raises(TraceFormatError):
+                read()
 
 
 def _corrupt_access_type(path, record):

@@ -305,9 +305,8 @@ class TestRestoreGuards:
         workload = tiny_profile_module
 
         def checkpoint_designs():
-            with sampler._warmed(["unison"], workload, "1GB", None, None,
-                                 None) as (provider, plan, _):
-                stream = sampler._stream_token(workload, None, None, store)
+            with sampler._warmed(["unison"], workload, "1GB", None,
+                                 None) as (provider, stream, plan, _):
                 return sampler._checkpoint_designs(
                     provider, ["unison"], "1GB", None, plan, store,
                     stream, NullSpanStub()), plan, stream

@@ -245,6 +245,22 @@ class TestSampleCli:
         assert code == 0
         assert "unison" in capsys.readouterr().out
 
+    def test_sample_reports_a_cut_trace(self, tmp_path, capsys):
+        trace_path = tmp_path / "cut.rptr"
+        main(["trace", "gen", "--accesses", "9000", "--cores", "2",
+              "--scale", "8192", "--out", str(trace_path)])
+        trace_path.write_bytes(trace_path.read_bytes()[:-10])
+        capsys.readouterr()
+        code = main(["sample", "--designs", "unison",
+                     "--workload", str(trace_path), "--capacity", "1GB",
+                     "--scale", "8192", "--accesses", "9000",
+                     "--windows", "2", "--window-accesses", "500",
+                     "--warmup-accesses", "500",
+                     "--checkpoint-accesses", "1000", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sample_rejects_unknown_design(self, capsys):
         assert main(["sample", "--designs", "nope"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -324,17 +324,13 @@ class TestWindowBaselines:
                                                fixed_sampling, tiny_profile,
                                                baseline_replays, batch):
         from repro.engine import set_batch_enabled
-        from repro.sampling.checkpoints import trace_token
-        from repro.sim.executor import cached_trace, clear_caches
+        from repro.sim.executor import clear_caches
 
         sampler = WindowedSampler(fixed_sampling, config=fast_config)
-        identity = trace_token(tiny_profile, fast_config)
         set_batch_enabled(batch)
         try:
             clear_caches()
-            trace = cached_trace(ExperimentRunner(fast_config), tiny_profile)
-            shared = [sampler.compare([name], tiny_profile, "1GB",
-                                      trace=trace, trace_identity=identity)
+            shared = [sampler.compare([name], tiny_profile, "1GB")
                       for name in self.DESIGNS]
             shared_replays = list(baseline_replays)
             grid = SweepSpec(designs=self.DESIGNS,
@@ -346,9 +342,7 @@ class TestWindowBaselines:
             singles = []
             for name in self.DESIGNS:
                 clear_caches()
-                cold.append(sampler.compare([name], tiny_profile, "1GB",
-                                            trace=trace,
-                                            trace_identity=identity))
+                cold.append(sampler.compare([name], tiny_profile, "1GB"))
                 clear_caches()
                 singles.extend(run_sweep(SweepSpec(
                     designs=(name,), workloads=(tiny_profile,),
@@ -374,9 +368,7 @@ class TestWindowBaselines:
         executor.clear_caches()
         sampler = WindowedSampler(fixed_sampling, config=fast_config)
         sampler.compare(["alloy"], tiny_profile, "1GB")
-        windows = [key for key in executor._BASELINE_CACHE
-                   if isinstance(key[0], str)]
-        assert len(windows) == 3
+        assert len(executor._BASELINE_CACHE) == 3
         sampler.compare(["unison"], tiny_profile, "1GB")
         assert len(baseline_replays) == 3  # the second run replayed none
 
