@@ -12,32 +12,40 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import format_table, write_report
+from conftest import bench_config, format_table, write_report
 
-from repro.workloads.cloudsuite import ALL_WORKLOADS
+from repro.sim.executor import run_sweep
+from repro.sim.spec import SweepSpec
+from repro.workloads.cloudsuite import CLOUDSUITE_WORKLOADS, tpch_queries
 
-
-def _capacities_for(workload_name: str):
-    if "TPC-H" in workload_name:
-        return ("1GB", "8GB")
-    return ("128MB", "1GB")
+ASSOCIATIVITIES = (1, 4, 32)
 
 
-def _measure(runner):
+def _measure():
+    # One Unison grid per capacity range; each associativity override is
+    # labelled with its canonical variant name (unison-dm, unison,
+    # unison-32way), and the executor's shared cache generates each
+    # workload trace and no-cache baseline once.
+    ways_axis = tuple({"associativity": ways} for ways in ASSOCIATIVITIES)
+    sweeps = (
+        SweepSpec(designs=("unison",), workloads=CLOUDSUITE_WORKLOADS,
+                  capacities=("128MB", "1GB"), config=bench_config(),
+                  overrides=ways_axis),
+        SweepSpec(designs=("unison",), workloads=(tpch_queries(),),
+                  capacities=("1GB", "8GB"), config=bench_config(),
+                  overrides=ways_axis),
+    )
     results = {}
-    for profile in ALL_WORKLOADS:
-        for capacity in _capacities_for(profile.name):
-            sweep = runner.associativity_sweep(profile, capacity,
-                                               associativities=(1, 4, 32))
-            results[(profile.name, capacity)] = {
-                ways: result.miss_ratio for ways, result in sweep.items()
-            }
+    for spec in sweeps:
+        for trial, result in zip(spec.trials(), run_sweep(spec)):
+            cell = results.setdefault((result.workload, result.capacity), {})
+            cell[trial.associativity] = result.miss_ratio
     return results
 
 
 @pytest.mark.benchmark(group="fig5")
-def test_fig5_associativity_sweep(benchmark, runner, results_dir):
-    results = benchmark.pedantic(_measure, args=(runner,), rounds=1, iterations=1)
+def test_fig5_associativity(benchmark, results_dir):
+    results = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
     rows = []
     for (workload, capacity), ratios in results.items():

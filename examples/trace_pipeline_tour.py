@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Tour of the streaming trace subsystem.
+"""Tour of the trace subsystem.
 
-Walks through the full trace lifecycle without ever materializing more than
-one chunk at a time where it matters:
+Walks through the full trace lifecycle:
 
 1. stream a synthetic workload trace straight to a compact binary file;
 2. inspect its self-describing header;
-3. build a lazy :class:`repro.TraceSource` pipeline over it (window, core
-   select, address remap, deterministic downsample) and persist the result;
+3. open it as one packed record array and transform it by indexing (a
+   window slice, a core mask, an address remap, a seeded sample), then
+   write the result back out;
 4. ingest an external CSV trace and replay it through a DRAM-cache sweep as
    a first-class workload next to a synthetic one.
 
@@ -25,9 +25,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ExperimentConfig, FileSource, SweepSpec, run_sweep
+import numpy as np
+
+from repro import ExperimentConfig, SweepSpec, run_sweep
 from repro.sim.experiment import ExperimentRunner
-from repro.trace.binfmt import BinaryTraceWriter, read_header
+from repro.trace.binfmt import (BinaryTraceWriter, open_trace_array,
+                                read_header, write_trace_bin)
 from repro.workloads.cloudsuite import workload_by_name
 
 
@@ -64,16 +67,17 @@ def tour(workdir: Path, args: argparse.Namespace) -> None:
           f"cores={info.num_cores} accesses={info.access_count} "
           f"({info.file_bytes} bytes on disk)")
 
-    # 3. A lazy pipeline: steady-state window, two cores, addresses folded
-    #    into 256 MB, a deterministic 25% sample.  Nothing runs until the
-    #    terminal .write() streams it out.
+    # 3. The file as one packed record array, transformed by indexing:
+    #    steady-state window, two cores, addresses folded into 256 MB, a
+    #    seeded 25% sample.  write_trace_bin writes the array byte for byte.
+    trace = open_trace_array(trace_path)
+    window = trace[count // 4:3 * count // 4]
+    kept = window[np.isin(window["core_id"], (0, 1))].copy()
+    kept["address"] %= 256 << 20
+    sampled = kept[np.random.default_rng(7).random(len(kept)) < 0.25]
     sampled_path = workdir / "sampled.rptr"
-    pipeline = (FileSource(trace_path)
-                .window(count // 4, 3 * count // 4)
-                .cores(0, 1)
-                .remap_addresses(lambda a: a % (256 << 20))
-                .downsample(0.25, seed=7))
-    written = pipeline.write(sampled_path)
+    written = write_trace_bin(sampled_path, sampled,
+                              num_cores=config.num_cores)
     print(f"pipeline kept {written} accesses -> {sampled_path}")
 
     # 4. Ingest an external CSV trace (the kind a real system would dump)
@@ -82,9 +86,10 @@ def tour(workdir: Path, args: argparse.Namespace) -> None:
     csv_path = workdir / "external.csv"
     with csv_path.open("w") as handle:
         handle.write("pc,address,type\n")
-        for access in FileSource(sampled_path).limit(20_000):
-            code = "W" if access.is_write else "R"
-            handle.write(f"{access.pc:#x},{access.address:#x},{code}\n")
+        for record in sampled[:20_000]:
+            code = "W" if record["access_type"] else "R"
+            handle.write(f"{int(record['pc']):#x},"
+                         f"{int(record['address']):#x},{code}\n")
     print(f"exported an external-style CSV trace -> {csv_path}")
 
     spec = SweepSpec(

@@ -83,11 +83,8 @@ from repro.sim import (
 )
 from repro.trace import (
     AccessType,
-    FileSource,
     MemoryAccess,
-    SyntheticSource,
     TraceFormatError,
-    TraceSource,
     TraceStore,
 )
 from repro.workloads import (
@@ -129,9 +126,6 @@ __all__ = [
     "AccessType",
     "MemoryAccess",
     "TraceFormatError",
-    "TraceSource",
-    "FileSource",
-    "SyntheticSource",
     "TraceStore",
     "WorkloadProfile",
     "SyntheticWorkload",

@@ -1683,7 +1683,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.quiet:
             print(f"[{index + 1}/{total}] {trial.describe()}", file=sys.stderr)
 
-    results = run_sweep(spec, workers=args.jobs or None, progress=progress)
+    try:
+        results = run_sweep(spec, workers=args.jobs or None,
+                            progress=progress)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if not args.quiet:
         print()

@@ -20,8 +20,8 @@ BLOCK_SIZE = 64
 ROW_BUFFER_SIZE = 8 * 1024
 
 #: Footprint history table entries (the 144 KB table of Table II) --
-#: shared default of Unison Cache, Footprint Cache, and the footprint
-#: fetch-policy component.
+#: default of the footprint fetch-policy component, which Unison Cache and
+#: Footprint Cache both use.
 FOOTPRINT_TABLE_ENTRIES = 16 * 1024
 
 #: Singleton table entries (Section III-A.4), shared like the above.
@@ -46,8 +46,9 @@ class UnisonCacheConfig:
     """Unison Cache organization (Section IV-C.1 defaults).
 
     The default is the paper's main design point: four-way set-associative,
-    960-byte pages (15 blocks), two sets per 8 KB DRAM row, way prediction
-    enabled, footprint prediction parameters inherited from Footprint Cache.
+    960-byte pages (15 blocks), two sets per 8 KB DRAM row.  The way
+    predictor and footprint predictor are components of the design, sized
+    by their builders in :mod:`repro.dramcache.components`.
     """
 
     capacity: SizeLike = "1GB"
@@ -59,12 +60,8 @@ class UnisonCacheConfig:
     #: bit, valid/dirty bit vectors, LRU bits, (PC, offset) pair) -- 8 bytes
     #: per page as drawn in Figure 2.
     tag_bytes_per_page: int = 8
-    use_way_prediction: bool = True
     #: Way-predictor index width: 12-bit XOR hash (16-bit above 4 GB).
     way_predictor_index_bits: int = 12
-    #: Footprint history table entries (144 KB table as in Table II).
-    footprint_table_entries: int = FOOTPRINT_TABLE_ENTRIES
-    singleton_table_entries: int = SINGLETON_TABLE_ENTRIES
     #: Extra CPU cycles on a hit to stream the set's tag metadata (two bursts
     #: over the 128-bit TSV bus = 2 CPU cycles, Section III-A.6).
     tag_read_overhead_cycles: int = 2
@@ -180,9 +177,6 @@ class AlloyCacheConfig:
     block_size: int = BLOCK_SIZE
     tag_bytes: int = 8
     row_buffer_size: int = ROW_BUFFER_SIZE
-    use_miss_predictor: bool = True
-    miss_predictor_entries_per_core: int = 256
-    miss_predictor_latency_cycles: int = 1
 
     @property
     def capacity_bytes(self) -> int:
@@ -249,8 +243,6 @@ class FootprintCacheConfig:
     associativity: int = 32
     block_size: int = BLOCK_SIZE
     row_buffer_size: int = ROW_BUFFER_SIZE
-    footprint_table_entries: int = FOOTPRINT_TABLE_ENTRIES
-    singleton_table_entries: int = SINGLETON_TABLE_ENTRIES
 
     @property
     def capacity_bytes(self) -> int:

@@ -570,8 +570,7 @@ def _build_way_predictor(context: "DesignBuildContext", tags,
     associativity = getattr(tags, "associativity", 1)
     if associativity <= 1:
         # A direct-mapped organization knows the way; prediction degenerates
-        # to the plain lookup path (matches the legacy use_way_prediction
-        # gating) while still reporting perfect accuracy.
+        # to the plain lookup path while still reporting perfect accuracy.
         return OracleWayPrediction()
     if index_bits is None:
         # The predictor is sized for the *paper* capacity (Section IV).

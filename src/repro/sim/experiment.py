@@ -23,7 +23,8 @@ benchmarks and examples build on those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from itertools import islice
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,10 +35,10 @@ from repro.dramcache.base import DramCacheModel
 from repro.dramcache.stats import DramCacheStats
 from repro.engine import fallback_reason
 from repro.engine.trace_array import records_to_array
-from repro.sim.factory import make_design, unison_design_for_ways
+from repro.sim.factory import make_design
 from repro.sim.performance import PerformanceModel
+from repro.trace.adapters import open_trace, resolve_format
 from repro.trace.binfmt import check_access_types, open_trace_array
-from repro.trace.pipeline import FileSource
 from repro.trace.record import MemoryAccess
 from repro.utils.units import format_size, parse_size, SizeLike
 from repro.workloads.generator import SyntheticWorkload
@@ -242,15 +243,17 @@ class ExperimentRunner:
         :class:`MemoryAccess` records are wanted.
         """
         if isinstance(profile, TraceFileWorkload):
-            source = FileSource(profile.path, fmt=profile.format or None)
-            if source.format == "binary":
+            fmt = resolve_format(profile.format or None, profile.path).name
+            if fmt == "binary":
                 # A copy, not the file's memory map: a full replay reads
                 # every record anyway, and a trace cached for the process
                 # must not change, or fault, when the file is rewritten.
                 return check_access_types(np.array(open_trace_array(
                     profile.path, self.config.num_accesses)), profile.path)
-            return records_to_array(
-                source.limit(self.config.num_accesses).materialize())
+            # islice never pulls the record after the limit, so nothing
+            # past it is read (or parsed).
+            return records_to_array(list(islice(
+                open_trace(profile.path, fmt), self.config.num_accesses)))
         return np.concatenate(list(self.iter_trace_chunks(profile)))
 
     def split_trace(self, trace: Sequence[MemoryAccess]) -> "tuple[Sequence[MemoryAccess], Sequence[MemoryAccess]]":
@@ -338,39 +341,3 @@ class ExperimentRunner:
             else:
                 result.extra[key] = float(value)
         return result
-
-    # ------------------------------------------------------------------ #
-    # Sweeps
-    # ------------------------------------------------------------------ #
-    def compare_designs(self, design_names: Sequence[str],
-                        profile: WorkloadProfile, capacity: SizeLike,
-                        ) -> Dict[str, ExperimentResult]:
-        """Run several designs over the *same* trace (fair comparison)."""
-        trace = self.build_trace(profile)
-        return {
-            name: self.run_design(name, profile, capacity, trace=trace)
-            for name in design_names
-        }
-
-    def sweep_capacities(self, design_name: str, profile: WorkloadProfile,
-                         capacities: Sequence[SizeLike],
-                         ) -> List[ExperimentResult]:
-        """Run one design across a range of capacities (one trace per capacity)."""
-        return [
-            self.run_design(design_name, profile, capacity)
-            for capacity in capacities
-        ]
-
-    def associativity_sweep(self, profile: WorkloadProfile, capacity: SizeLike,
-                            associativities: Sequence[int] = (1, 4, 32),
-                            ) -> Dict[int, ExperimentResult]:
-        """Unison Cache miss ratio versus associativity (Figure 5)."""
-        trace = self.build_trace(profile)
-        results: Dict[int, ExperimentResult] = {}
-        for ways in associativities:
-            name, label = unison_design_for_ways(ways)
-            results[ways] = self.run_design(
-                name, profile, capacity, trace=trace, associativity=ways,
-                label=label,
-            )
-        return results

@@ -1,24 +1,23 @@
-"""Memory access traces: records, codecs, pipelines, and the trace store.
+"""Memory access traces: records, codecs, format registry, and the trace store.
 
 The reproduction is trace-driven: workload generators produce streams of
 :class:`repro.trace.record.MemoryAccess` records (the L2-miss stream that the
-DRAM cache observes), which the cache models consume.  Around that record
-type this package provides:
+DRAM cache observes), which the cache models consume.  In memory a trace is
+one packed :data:`~repro.trace.binfmt.RECORD_DTYPE` array; it is windowed,
+filtered and remapped by indexing that array.  Around it this package
+provides:
 
 * :mod:`repro.trace.io` -- the line-oriented text codec (inspectable with
   standard tools, gzip-transparent);
 * :mod:`repro.trace.binfmt` -- the compact struct-packed binary codec with a
-  self-describing header and chunked streaming in both directions;
-* :mod:`repro.trace.adapters` -- ingestion of external formats
-  (ChampSim-style, CSV) and format conversion;
-* :mod:`repro.trace.pipeline` -- :class:`TraceSource`, a re-iterable stream
-  with composable lazy transforms (window, core select, address remap,
-  downsample, interleave);
+  self-describing header; :func:`~repro.trace.binfmt.open_trace_array` gives
+  a binary file as one record array;
+* :mod:`repro.trace.adapters` -- the format registry: ingestion of external
+  formats (ChampSim-style, CSV, gem5), :func:`open_trace` (a record stream
+  from a file in any readable format) and format conversion;
 * :mod:`repro.trace.store` -- the on-disk :class:`TraceStore` that lets every
   distinct synthetic trace be generated once, ever, across processes and
-  runs;
-* :mod:`repro.trace.filters` -- plain generator transforms that also plug
-  into pipelines via :meth:`TraceSource.transform`.
+  runs.
 """
 
 from repro.trace.record import AccessType, MemoryAccess
@@ -33,14 +32,6 @@ from repro.trace.binfmt import (
     write_trace_bin,
 )
 from repro.trace.adapters import convert_trace, detect_format, open_trace
-from repro.trace.filters import interleave_traces, limit_trace, split_warmup
-from repro.trace.pipeline import (
-    FileSource,
-    IterableSource,
-    SyntheticSource,
-    TraceSource,
-    as_source,
-)
 from repro.trace.store import TraceStore
 
 __all__ = [
@@ -60,13 +51,5 @@ __all__ = [
     "convert_trace",
     "detect_format",
     "open_trace",
-    "interleave_traces",
-    "limit_trace",
-    "split_warmup",
-    "FileSource",
-    "IterableSource",
-    "SyntheticSource",
-    "TraceSource",
-    "as_source",
     "TraceStore",
 ]

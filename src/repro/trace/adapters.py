@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
@@ -402,13 +403,14 @@ def convert_trace(src: PathLike, dst: PathLike,
     """Stream ``src`` into ``dst``, converting formats; returns the count.
 
     Formats default to auto-detection (by magic, then suffix).  ``limit``
-    truncates the output to the first N accesses.  A binary source's core
+    truncates the output to the first N accesses; nothing past them is
+    read, and a negative limit is a :class:`ValueError`.  A binary source's core
     count carries over into a binary destination's header.  ``codec``
     selects the binary payload codec (:data:`repro.trace.binfmt.CODECS`) and
     is rejected for non-binary destinations.
     """
-    from repro.trace.filters import limit_trace
-
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
     fmt_in = resolve_format(in_format, src)
     fmt_out = resolve_format(out_format, dst, for_writing=True)
     if codec is not None and fmt_out.name != "binary":
@@ -419,7 +421,7 @@ def convert_trace(src: PathLike, dst: PathLike,
                  if fmt_in.name == "binary" else 0)
     stream: Iterable[MemoryAccess] = fmt_in.reader(src)
     if limit is not None:
-        stream = limit_trace(stream, limit)
+        stream = islice(stream, limit)
     if codec is not None:
         return binfmt.write_trace_bin(dst, stream, num_cores=num_cores,
                                       codec=codec)

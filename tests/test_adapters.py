@@ -228,10 +228,18 @@ class TestConvert:
 
     def test_convert_limit(self, tmp_path):
         src = tmp_path / "t.csv"
-        src.write_text("address\n" + "\n".join(hex(i) for i in range(50)))
+        rows = [hex(i) for i in range(10)] + ["not-an-address"]
+        rows += [hex(i) for i in range(10, 50)]
+        src.write_text("address\n" + "\n".join(rows))
         dst = tmp_path / "t.rptr"
+        # The limit stops reading before the malformed eleventh row.
         assert convert_trace(src, dst, limit=10) == 10
-        assert len(read_trace_bin(dst)) == 10
+        assert [a.address for a in read_trace_bin(dst)] == list(range(10))
+        with pytest.raises(TraceFormatError):
+            convert_trace(src, tmp_path / "all.rptr")
+        with pytest.raises(ValueError):
+            convert_trace(src, tmp_path / "negative.rptr", limit=-1)
+        assert not (tmp_path / "negative.rptr").exists()
 
     def test_binary_to_binary_preserves_core_count(self, tmp_path):
         from repro.trace.binfmt import read_header

@@ -16,6 +16,7 @@ from repro.sim.executor import (
 )
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
 from repro.sim.spec import SweepSpec
+from repro.trace.errors import TraceFormatError
 from repro.workloads.generator import SyntheticWorkload
 
 
@@ -164,6 +165,42 @@ class TestOneTraceType:
         from_file = cached_trace(runner, TraceFileWorkload(str(path)))
         assert from_file.dtype == synthetic.dtype
         assert from_file.tobytes() == synthetic.tobytes()
+
+
+    @pytest.mark.parametrize("suffix", ["trace", "csv"])
+    def test_trace_file_is_read_up_to_the_limit(self, tiny_profile, tmp_path,
+                                                suffix):
+        from repro.engine.trace_array import array_to_records
+        from repro.trace.io import format_access
+        from repro.workloads.tracefile import TraceFileWorkload
+
+        config = ExperimentConfig(scale=64, num_accesses=300, num_cores=4)
+        runner = ExperimentRunner(config)
+        synthetic = runner.build_trace(tiny_profile)
+        if suffix == "csv":
+            def row(a):
+                return (f"{a.pc:#x},{a.address:#x},"
+                        f"{'W' if a.is_write else 'R'},{a.core_id},"
+                        f"{a.timestamp}")
+            lines = ["pc,address,type,core,timestamp"]
+            bad = "0x0,not-an-address,R,0,0"
+        else:
+            row, lines, bad = format_access, [], "not a trace line"
+        records = array_to_records(synthetic)
+        lines += [row(a) for a in records[:200]] + [bad]
+        lines += [row(a) for a in records[200:]]
+        path = tmp_path / f"cut.{suffix}"
+        path.write_text("\n".join(lines) + "\n")
+
+        # The file is malformed past its first 200 records, which is all a
+        # 200-access trial reads.
+        limited = ExperimentRunner(ExperimentConfig(scale=64,
+                                                    num_accesses=200,
+                                                    num_cores=4))
+        trace = limited.build_trace(TraceFileWorkload(str(path)))
+        assert trace.tobytes() == synthetic[:200].tobytes()
+        with pytest.raises(TraceFormatError):
+            runner.build_trace(TraceFileWorkload(str(path)))
 
 
 class TestTraceFileWorkloads:

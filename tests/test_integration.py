@@ -7,7 +7,9 @@ evaluation is built on (who hits, who pays tag latency, who wastes bandwidth).
 
 import pytest
 
+from repro.sim.executor import run_sweep
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+from repro.sim.spec import SweepSpec
 from repro.workloads.cloudsuite import data_analytics, web_search
 
 
@@ -20,10 +22,12 @@ def runner():
 
 @pytest.fixture(scope="module")
 def comparison(runner):
-    """All four designs over the same Web Search trace."""
-    return runner.compare_designs(
-        ["unison", "alloy", "footprint", "ideal"], web_search(), "1GB"
-    )
+    """All four designs over the same Web Search trace, by design name."""
+    results = run_sweep(SweepSpec(
+        designs=("unison", "alloy", "footprint", "ideal"),
+        workloads=(web_search(),), capacities=("1GB",), config=runner.config,
+    ))
+    return {result.design: result for result in results}
 
 
 class TestDesignComparison:

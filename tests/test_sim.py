@@ -9,9 +9,11 @@ from repro.dramcache.components import (
 )
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.stats import DramCacheStats
+from repro.sim.executor import run_sweep
 from repro.sim.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
 from repro.sim.factory import DESIGN_NAMES, make_design
 from repro.sim.performance import PerformanceModel
+from repro.sim.spec import SweepSpec
 from repro.workloads.cloudsuite import web_search
 from repro.workloads.profile import WorkloadProfile
 
@@ -127,6 +129,16 @@ def fast_profile():
     return web_search()
 
 
+@pytest.fixture(scope="module")
+def fast_comparison(fast_runner, fast_profile):
+    """Unison and Alloy over the same Web Search trace, by design name."""
+    results = run_sweep(SweepSpec(designs=("unison", "alloy"),
+                                  workloads=(fast_profile,),
+                                  capacities=("1GB",),
+                                  config=fast_runner.config))
+    return {result.design: result for result in results}
+
+
 class TestExperimentRunner:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -146,28 +158,32 @@ class TestExperimentRunner:
         assert result.capacity == "1GB"
         assert result.workload == fast_profile.name
 
-    def test_compare_designs_uses_same_trace(self, fast_runner, fast_profile):
-        results = fast_runner.compare_designs(["unison", "alloy"], fast_profile, "1GB")
-        assert set(results) == {"unison", "alloy"}
-        assert (results["unison"].accesses_measured
-                == results["alloy"].accesses_measured)
+    def test_designs_in_one_sweep_share_the_trace(self, fast_comparison):
+        assert set(fast_comparison) == {"unison", "alloy"}
+        # 12000 accesses, two thirds of them warm-up.
+        assert (fast_comparison["unison"].accesses_measured
+                == fast_comparison["alloy"].accesses_measured == 4000)
 
-    def test_page_based_beats_block_based_hit_ratio(self, fast_runner, fast_profile):
-        results = fast_runner.compare_designs(["unison", "alloy"], fast_profile, "1GB")
-        assert results["unison"].miss_ratio < results["alloy"].miss_ratio
+    def test_page_based_beats_block_based_hit_ratio(self, fast_comparison):
+        assert (fast_comparison["unison"].miss_ratio
+                < fast_comparison["alloy"].miss_ratio)
 
-    def test_capacity_sweep_miss_ratio_non_increasing_on_average(self, fast_profile):
-        runner = ExperimentRunner(ExperimentConfig(scale=2048, num_accesses=12_000,
-                                                   num_cores=4, seed=3))
-        results = runner.sweep_capacities("unison", fast_profile,
-                                          ["128MB", "1GB"])
+    def test_capacity_sweep_miss_ratio_non_increasing_on_average(self, fast_runner,
+                                                                 fast_profile):
+        results = run_sweep(SweepSpec(designs=("unison",),
+                                      workloads=(fast_profile,),
+                                      capacities=("128MB", "1GB"),
+                                      config=fast_runner.config))
         assert results[0].miss_ratio >= results[1].miss_ratio - 0.02
 
-    def test_associativity_sweep_shape(self, fast_runner, fast_profile):
-        results = fast_runner.associativity_sweep(fast_profile, "1GB",
-                                                  associativities=(1, 4))
-        assert set(results) == {1, 4}
-        assert results[4].miss_ratio <= results[1].miss_ratio + 0.02
+    def test_associativity_grid_shape(self, fast_runner, fast_profile):
+        results = run_sweep(SweepSpec(
+            designs=("unison",), workloads=(fast_profile,),
+            capacities=("1GB",), config=fast_runner.config,
+            overrides=({"associativity": 1}, {"associativity": 4}),
+        ))
+        assert results.designs == ("unison-dm", "unison")
+        assert results[1].miss_ratio <= results[0].miss_ratio + 0.02
 
     def test_ideal_design_reports_zero_miss(self, fast_runner, fast_profile):
         result = fast_runner.run_design("ideal", fast_profile, "1GB")

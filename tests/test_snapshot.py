@@ -220,13 +220,11 @@ class TestFlatPayload:
     def test_guard_rejects_objects(self, value):
         from repro.dramcache.components import (Lookup, LruReplacement,
                                                 RandomReplacement)
-        from repro.utils.bitvector import BitVector
 
         assert _flat_violations({"buffer": value}) == ["buffer"]
         lookup = Lookup(page=1, set_index=0, offset=0, way=0, block_hit=True,
                         page_hit=True)
-        for obj in (lookup, BitVector(15, 3), RandomReplacement(),
-                    LruReplacement()):
+        for obj in (lookup, RandomReplacement(), LruReplacement()):
             assert _flat_violations({"buffer": obj}) == ["buffer"]
             assert _flat_violations({"buffer": (obj,)}) == ["buffer"]
             assert _flat_violations({"buffer": {1: obj}}) == ["buffer"]

@@ -120,11 +120,13 @@ class TestUnisonLabels:
         with pytest.raises(ValueError):
             unison_design_for_ways(0)
 
-    def test_associativity_sweep_labels_non_canonical_ways(self):
-        runner = ExperimentRunner(FAST_CONFIG)
-        results = runner.associativity_sweep(web_search(), "1GB",
-                                             associativities=(8,))
-        assert results[8].design == "unison-8way"
+    def test_sweep_labels_non_canonical_ways(self):
+        results = run_sweep(SweepSpec(
+            designs=("unison",), workloads=(web_search(),),
+            capacities=("1GB",), config=FAST_CONFIG,
+            overrides=({"associativity": 8},),
+        ))
+        assert results.designs == ("unison-8way",)
 
 
 class TestSpecs:

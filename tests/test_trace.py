@@ -1,10 +1,9 @@
-"""Tests for trace records, trace file I/O, and stream filters."""
+"""Tests for trace records and trace file I/O."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.trace.errors import TraceFormatError
-from repro.trace.filters import interleave_traces, limit_trace, split_warmup
 from repro.trace.io import format_access, parse_access, read_trace, write_trace
 from repro.trace.record import BLOCK_SIZE, AccessType, MemoryAccess
 
@@ -158,38 +157,3 @@ class TestTraceIo:
     def test_property_line_round_trip(self, accesses):
         for access in accesses:
             assert parse_access(format_access(access)) == access
-
-
-class TestFilters:
-    def _trace(self, n, core=0, start=0):
-        return [MemoryAccess(address=i * 64, pc=0, core_id=core, timestamp=start + i)
-                for i in range(n)]
-
-    def test_limit_trace(self):
-        assert len(list(limit_trace(self._trace(10), 3))) == 3
-        assert len(list(limit_trace(self._trace(2), 10))) == 2
-
-    def test_limit_trace_negative(self):
-        with pytest.raises(ValueError):
-            list(limit_trace(self._trace(1), -1))
-
-    def test_split_warmup(self):
-        warm, measure = split_warmup(self._trace(9), 2 / 3)
-        assert len(warm) == 6
-        assert len(measure) == 3
-
-    def test_split_warmup_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            split_warmup(self._trace(3), 1.0)
-
-    def test_interleave_orders_by_timestamp(self):
-        a = [MemoryAccess(address=0, pc=0, core_id=0, timestamp=t) for t in (0, 4, 8)]
-        b = [MemoryAccess(address=64, pc=0, core_id=1, timestamp=t) for t in (1, 2, 9)]
-        merged = list(interleave_traces([a, b]))
-        timestamps = [m.timestamp for m in merged]
-        assert timestamps == sorted(timestamps)
-        assert len(merged) == 6
-
-    def test_interleave_empty_inputs(self):
-        assert list(interleave_traces([])) == []
-        assert list(interleave_traces([[], []])) == []

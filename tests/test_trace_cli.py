@@ -138,6 +138,22 @@ class TestSweepBackCompat:
         assert main(["sweep", "--list-designs"]) == 0
         assert "unison" in capsys.readouterr().out
 
+    def test_sweep_reports_a_cut_trace(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        trace_path = tmp_path / "cut.rptr"
+        main(["trace", "gen", "--accesses", "9000", "--cores", "2",
+              "--scale", "8192", "--out", str(trace_path)])
+        trace_path.write_bytes(trace_path.read_bytes()[:-10])
+        capsys.readouterr()
+        code = main(["sweep", "--designs", "unison",
+                     "--workloads", f"trace:{trace_path}",
+                     "--capacities", "1GB", "--scale", "8192",
+                     "--accesses", "9000", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep_results.json").exists()
+
 
 class TestTraceConvertCodec:
     def test_codec_none_yields_uncompressed(self, tmp_path):
