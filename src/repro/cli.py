@@ -908,15 +908,16 @@ def _print_queue_status(data: dict, include_jobs: bool) -> None:
     if include_jobs and data["jobs"]:
         print()
         print(f"  {'seq':>4} {'kind':<8} {'state':<8} {'att':>3} "
-              f"{'seconds':>8}  owner/error")
+              f"{'seconds':>8} {'cost':<6}  owner/error")
         for job in data["jobs"]:
             seconds = ("" if job["run_seconds"] is None
                        else f"{job['run_seconds']:.2f}")
+            cost = "scalar" if job["cost_scalar"] else ""
             detail = job["lease_owner"] or ""
             if job["state"] == "failed" and job["error"]:
                 detail = job["error"]
             print(f"  {job['seq']:>4} {job['kind']:<8} {job['state']:<8} "
-                  f"{job['attempts']:>3} {seconds:>8}  {detail}")
+                  f"{job['attempts']:>3} {seconds:>8} {cost:<6}  {detail}")
     elif not include_jobs:
         failed = [job for job in data["jobs"] if job["state"] == "failed"]
         for job in failed[:5]:
@@ -1683,10 +1684,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.quiet:
             print(f"[{index + 1}/{total}] {trial.describe()}", file=sys.stderr)
 
+    from repro.queue.service import SweepFailedError
+
     try:
         results = run_sweep(spec, workers=args.jobs or None,
                             progress=progress)
-    except ValueError as error:
+    except (SweepFailedError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -787,7 +787,7 @@ _NO_PREDICTION_TYPES = (NoHitPrediction, OracleWayPrediction,
 _WRITEBACK_TYPES = (WritebackDirtyPolicy, DropDirtyPolicy)
 _REPLACEMENT_TYPES = (LruReplacement, RandomReplacement, RripReplacement)
 # SRRIP on in-DRAM page tags stays on the scalar engine: it is the scalar
-# fallback the benchmark's tune_queue workload measures (ROADMAP item 5).
+# fallback the benchmark's tune_queue workload measures (ROADMAP item 4).
 # The page kernel runs it bit-identically; only this gate holds it back.
 _DRAM_PAGE_REPLACEMENT_TYPES = (LruReplacement, RandomReplacement)
 _STATELESS_FETCH_TYPES = (DemandBlockFetch, FullPageFetch)

@@ -25,6 +25,7 @@ from repro.queue.service import (
     DEFAULT_WINDOW_BATCH,
     ENV_QUEUE_DIR,
     SubmitOutcome,
+    SweepFailedError,
     SweepPlan,
     SweepService,
     default_queue_dir,
@@ -48,6 +49,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "STATES",
     "SubmitOutcome",
+    "SweepFailedError",
     "SweepPlan",
     "SweepService",
     "default_owner",

@@ -48,8 +48,9 @@ from repro.obs.core import emit_event
 
 PathLike = Union[str, Path]
 
-#: Bump on incompatible changes to the tables below.
-SCHEMA_VERSION = 1
+#: Bump on incompatible changes to the tables below.  A v1 store (no cost
+#: column) is migrated in place when opened for writing.
+SCHEMA_VERSION = 2
 
 #: Job states.
 PENDING = "pending"
@@ -68,8 +69,10 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: attempt (1st retry after BACKOFF, 2nd after 2*BACKOFF, ...).
 RETRY_BACKOFF_SECONDS = 1.0
 
-#: Lease order of runnable jobs: each trial's first job before any sibling.
-_LEASE_ORDER = "sweep, part > 0, seq"
+#: Lease order of runnable jobs: each trial's first job before any sibling,
+#: then the costliest estimate first (a scalar-engine design), then
+#: submission order.
+_LEASE_ORDER = "sweep, part > 0, cost_scalar DESC, seq"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -103,12 +106,18 @@ CREATE TABLE IF NOT EXISTS jobs (
     started_at   REAL,
     finished_at  REAL,
     run_seconds  REAL,
+    cost_scalar  INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (sweep, seq)
 );
 CREATE UNIQUE INDEX IF NOT EXISTS jobs_by_key ON jobs (sweep, key);
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, lease_expiry);
 CREATE INDEX IF NOT EXISTS jobs_by_trial ON jobs (sweep, trial_index, state);
 """
+
+#: What turns a v1 store into v2: the cost estimate's column.  Rows that
+#: existed before read as unestimated (0) and so keep their order.
+_MIGRATE_V1 = ("ALTER TABLE jobs"
+               " ADD COLUMN cost_scalar INTEGER NOT NULL DEFAULT 0")
 
 
 def default_owner() -> str:
@@ -170,6 +179,9 @@ class Job:
     started_at: Optional[float]
     finished_at: Optional[float]
     run_seconds: Optional[float]
+    #: Cost estimate: 1 when the job's design warms and replays on the
+    #: scalar engine (no batch kernel covers it), else 0.
+    cost_scalar: int
 
 
 @dataclass(frozen=True)
@@ -182,10 +194,22 @@ class PlannedJob:
     kind: str
     trace_group: str
     payload: bytes
+    #: The cost estimate (see :class:`Job`); unestimated jobs tie at 0.
+    cost_scalar: int = 0
 
 
 def _job_from_row(row: sqlite3.Row) -> Job:
-    return Job(**{name: row[name] for name in Job.__dataclass_fields__})
+    # A v1 store opened read-only is never migrated, so it may lack the cost
+    # column; its jobs read as unestimated, as migration would leave them.
+    present = row.keys()
+    return Job(**{name: row[name] if name in present else 0
+                  for name in Job.__dataclass_fields__})
+
+
+def error_summary(error: Optional[str]) -> Optional[str]:
+    """The last line of a job's recorded traceback: its exception summary."""
+    lines = (error or "").strip().splitlines()
+    return lines[-1] if lines else None
 
 
 class JobStore:
@@ -244,6 +268,12 @@ class JobStore:
                     "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
+            elif int(row["value"]) == 1:
+                self._conn.execute(_MIGRATE_V1)
+                self._conn.execute(
+                    "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                    (str(SCHEMA_VERSION),),
+                )
             elif int(row["value"]) != SCHEMA_VERSION:
                 raise ValueError(
                     f"job store {self.path} has schema v{row['value']}, this "
@@ -289,10 +319,11 @@ class JobStore:
                 cursor = self._conn.execute(
                     "INSERT OR IGNORE INTO jobs (sweep, seq, key, trial_index,"
                     " part, kind, trace_group, payload, state, attempts,"
-                    " max_attempts, lease_expiry, created_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0, ?, 0, ?)",
+                    " max_attempts, lease_expiry, created_at, cost_scalar) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0, ?, 0, ?, ?)",
                     (token, seq, job.key, job.trial_index, job.part, job.kind,
-                     job.trace_group, job.payload, PENDING, max_attempts, now),
+                     job.trace_group, job.payload, PENDING, max_attempts, now,
+                     job.cost_scalar),
                 )
                 new += cursor.rowcount
         return new
@@ -331,22 +362,29 @@ class JobStore:
         and the caller waits.  An expired lease holds nothing, and neither
         does one :meth:`recover` has reclaimed.
 
-        Runnable jobs lease in ``sweep, part > 0, seq`` order: every trial's
-        first job (part 0, the one that warms and saves the prologue its
-        siblings are held for) before any sibling, then the rest by ``seq``.
+        Runnable jobs lease in ``sweep, part > 0, cost, seq`` order:
+        every trial's first job (part 0, the one that warms and saves the
+        prologue its siblings are held for) before any sibling; among those,
+        the costliest estimate first -- a design on the scalar engine before
+        any batch-kernel one -- and ties by ``seq``.  Starting the longest
+        job first keeps one slow trial's chain (its prologue, then its held
+        siblings) from starting last and leaving the other workers idle at
+        the end (longest processing time first, Graham 1969).  Jobs without
+        an estimate (a migrated v1 store) tie and lease by ``seq`` as before.
+
+        The lease time (``started_at``) is read once the write lock is
+        held, so it orders jobs as they were leased.
         """
         from repro.sampling.checkpoints import checkpoints_enabled
 
-        now = time.time() if now is None else now
         eligible = (
             "((state = ? AND lease_expiry <= ?) OR"
             " (state = ? AND lease_expiry <= ?)) AND attempts < max_attempts"
         )
-        params: List[object] = [PENDING, now, LEASED, now]
+        hold = checkpoints_enabled()
         if sweep is not None:
             eligible += " AND sweep = ?"
-            params.append(sweep)
-        if checkpoints_enabled():
+        if hold:
             eligible += (
                 " AND NOT (kind = 'windows'"
                 " AND EXISTS (SELECT 1 FROM jobs AS sib"
@@ -358,8 +396,13 @@ class JobStore:
                 "  AND sib.trial_index = jobs.trial_index"
                 "  AND sib.state = ?))"
             )
-            params += [LEASED, now, DONE]
         with self._txn():
+            now = time.time() if now is None else now
+            params: List[object] = [PENDING, now, LEASED, now]
+            if sweep is not None:
+                params.append(sweep)
+            if hold:
+                params += [LEASED, now, DONE]
             row = None
             if prefer_group is not None:
                 row = self._conn.execute(
@@ -594,4 +637,5 @@ __all__ = [
     "STATES",
     "TERMINAL_STATES",
     "default_owner",
+    "error_summary",
 ]

@@ -31,7 +31,7 @@ import hashlib
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -42,6 +42,7 @@ from repro.queue.jobstore import (
     FAILED,
     JobStore,
     PlannedJob,
+    error_summary,
 )
 from repro.sim.executor import assemble_sampled_trial, sampled_window_plan
 from repro.sim.resultset import ResultSet
@@ -61,6 +62,14 @@ DEFAULT_WINDOW_BATCH = 4
 
 JOB_STORE_FILENAME = "jobs.sqlite"
 ARCHIVE_FILENAME = "archive.sqlite"
+
+
+class SweepFailedError(RuntimeError):
+    """A sweep has permanently failed jobs.
+
+    The message is one line: each failed job (up to three) with its trial
+    and exception summary.  The full tracebacks stay in the job rows.
+    """
 
 
 def default_queue_dir() -> Optional[Path]:
@@ -106,6 +115,35 @@ def _trace_group(trial: ExperimentSpec) -> str:
     """
     token = trace_token(trial.workload, trial.config)
     return hashlib.sha256(token.encode("utf-8")).hexdigest()[:16]
+
+
+def _estimate_costs(plan: SweepPlan) -> List[PlannedJob]:
+    """The plan's jobs, each with the cost estimate the store leases by.
+
+    A job's estimate is 1 when its trial's design runs on the scalar engine
+    (no batch kernel covers it), decided the way the engine decides it, on
+    a built design (:func:`repro.engine.batch.fallback_reason`); each
+    distinct build is made once.  The estimate orders leases only; it
+    enters no key, ``seq`` or token.
+    """
+    from repro.engine.batch import fallback_reason
+    from repro.sim.factory import make_design
+
+    trials = plan.spec.trials()
+    scalar_by_build: Dict[tuple, int] = {}
+    jobs = []
+    for job in plan.jobs:
+        trial = trials[job.trial_index]
+        build = (trial.design, trial.capacity, trial.config.scale,
+                 trial.config.num_cores, trial.associativity)
+        if build not in scalar_by_build:
+            design = make_design(trial.design, trial.capacity,
+                                 scale=trial.config.scale,
+                                 num_cores=trial.config.num_cores,
+                                 associativity=trial.associativity)
+            scalar_by_build[build] = int(fallback_reason(design) is not None)
+        jobs.append(replace(job, cost_scalar=scalar_by_build[build]))
+    return jobs
 
 
 def _job_key(trial: ExperimentSpec, kind: str,
@@ -213,12 +251,20 @@ class SweepService:
 
     # ------------------------------------------------------------------ #
     def submit(self, spec: SweepSpec) -> SubmitOutcome:
-        """Plan a sweep into the job store (idempotent); returns what's new."""
+        """Plan a sweep into the job store (idempotent); returns what's new.
+
+        A sweep the store does not hold yet is inserted with each job's cost
+        estimate; resubmitting one the store holds (the sweep row and its
+        jobs are written in one transaction) estimates nothing.
+        """
         plan = plan_sweep(spec, window_batch=self.window_batch)
         spec_blob = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
         with self.store() as store:
+            jobs = plan.jobs
+            if store.sweep_row(plan.token) is None:
+                jobs = _estimate_costs(plan)
             new = store.submit(plan.token, spec.describe(), spec_blob,
-                               plan.jobs, max_attempts=self.max_attempts)
+                               jobs, max_attempts=self.max_attempts)
         with self.archive() as archive:
             archive.register(plan.token, spec.describe(), len(spec.trials()))
         return SubmitOutcome(token=plan.token, new_jobs=new,
@@ -244,7 +290,8 @@ class SweepService:
                  token: Optional[str] = None) -> ResultSet:
         """Reassemble a finished sweep's jobs in exact grid order.
 
-        Raises ``RuntimeError`` while jobs are outstanding or failed.  Trial
+        Raises ``RuntimeError`` while jobs are outstanding, and
+        :class:`SweepFailedError` when any failed for good.  Trial
         results and aggregated sampled results are streamed into the archive
         as a side effect, and the archived copy is authoritative: a token
         whose archive row set is already complete assembles straight from
@@ -267,10 +314,11 @@ class SweepService:
                 failures = store.failed_jobs(plan.token)
                 detail = "; ".join(
                     f"job {job.seq} (trial {job.trial_index}, "
-                    f"{trials[job.trial_index].describe()}): {job.error}"
+                    f"{trials[job.trial_index].describe()}): "
+                    f"{error_summary(job.error)}"
                     for job in failures[:3]
                 )
-                raise RuntimeError(
+                raise SweepFailedError(
                     f"sweep {plan.token} has {counts[FAILED]} permanently "
                     f"failed jobs: {detail}"
                 )
@@ -530,6 +578,7 @@ __all__ = [
     "JOB_STORE_FILENAME",
     "NO_QUEUE_DIR",
     "SubmitOutcome",
+    "SweepFailedError",
     "SweepPlan",
     "SweepService",
     "default_queue_dir",

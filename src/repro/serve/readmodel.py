@@ -40,7 +40,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.manifest import find_manifest, read_manifest
 from repro.queue.archive import ResultArchive
-from repro.queue.jobstore import JobStore
+from repro.queue.jobstore import JobStore, error_summary
 from repro.queue.service import (
     ARCHIVE_FILENAME,
     JOB_STORE_FILENAME,
@@ -343,7 +343,8 @@ class ReadModel:
             "started_at": job.started_at,
             "finished_at": job.finished_at,
             "run_seconds": job.run_seconds,
-            "error": ((job.error or "").strip().splitlines() or [None])[-1],
+            "cost_scalar": bool(job.cost_scalar),
+            "error": error_summary(job.error),
         }
 
     def workers(self, sweep: Optional[str] = None,

@@ -39,6 +39,7 @@ writer, for the native formats); :func:`detect_format` sniffs a file, and
 from __future__ import annotations
 
 import csv
+import os
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -407,7 +408,9 @@ def convert_trace(src: PathLike, dst: PathLike,
     read, and a negative limit is a :class:`ValueError`.  A binary source's core
     count carries over into a binary destination's header.  ``codec``
     selects the binary payload codec (:data:`repro.trace.binfmt.CODECS`) and
-    is rejected for non-binary destinations.
+    is rejected for non-binary destinations.  ``dst`` appears only once the
+    conversion is complete: a source that turns malformed mid-stream leaves
+    no partial file, and any earlier ``dst`` untouched.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
@@ -422,10 +425,21 @@ def convert_trace(src: PathLike, dst: PathLike,
     stream: Iterable[MemoryAccess] = fmt_in.reader(src)
     if limit is not None:
         stream = islice(stream, limit)
-    if codec is not None:
-        return binfmt.write_trace_bin(dst, stream, num_cores=num_cores,
-                                      codec=codec)
-    return fmt_out.writer(dst, stream, num_cores)
+    # A temporary sibling, renamed into place; its name keeps ``dst``'s
+    # suffixes, which select the text writer's compression.
+    dst = Path(dst)
+    tmp = dst.with_name(f".tmp{os.getpid()}-{dst.name}")
+    try:
+        if codec is not None:
+            count = binfmt.write_trace_bin(tmp, stream, num_cores=num_cores,
+                                           codec=codec)
+        else:
+            count = fmt_out.writer(tmp, stream, num_cores)
+        os.replace(tmp, dst)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
 
 
 __all__ = [

@@ -241,6 +241,28 @@ class TestConvert:
             convert_trace(src, tmp_path / "negative.rptr", limit=-1)
         assert not (tmp_path / "negative.rptr").exists()
 
+    @pytest.mark.parametrize("name", ["b.rptr", "b.trace", "b.trace.gz"])
+    def test_source_malformed_mid_stream_leaves_no_partial_file(
+            self, tmp_path, name):
+        src = tmp_path / "in.csv"
+        src.write_text("address,type\n0x1000,R\n0x2000,W\nbad\n0x3000,R\n")
+        dst = tmp_path / name
+        with pytest.raises(TraceFormatError):
+            convert_trace(src, dst)
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["in.csv"]
+        # An earlier destination survives a failed conversion untouched.
+        good = tmp_path / "good.csv"
+        good.write_text("address\n0x40\n")
+        assert convert_trace(good, dst) == 1
+        before = dst.read_bytes()
+        with pytest.raises(TraceFormatError):
+            convert_trace(src, dst)
+        assert dst.read_bytes() == before
+        assert [a.address for a in open_trace(dst)] == [0x40]
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            sorted(["in.csv", "good.csv", name])
+
     def test_binary_to_binary_preserves_core_count(self, tmp_path):
         from repro.trace.binfmt import read_header
 

@@ -101,6 +101,33 @@ def window_jobs(parts_per_trial, groups=None, kind="windows") -> list:
     ]
 
 
+def costed_jobs(costs) -> list:
+    """Window-batch rows with cost estimates: ``costs[t]`` lists trial
+    ``t``'s ``cost_scalar`` per part."""
+    return [
+        PlannedJob(key=f"t{trial}-w{part}", trial_index=trial, part=part,
+                   kind="windows", trace_group="g", payload=b"p",
+                   cost_scalar=scalar)
+        for trial, parts in enumerate(costs)
+        for part, scalar in enumerate(parts)
+    ]
+
+
+@pytest.fixture
+def rrip_page_design():
+    """An SRRIP design on in-DRAM page tags: no kernel covers it, so it
+    warms and replays on the scalar engine."""
+    from repro.dramcache.spec import ComponentSpec, DesignSpec
+    from repro.sim.registry import DESIGNS
+
+    spec = DesignSpec(name="t-cost-rrip", tags=ComponentSpec("dram-page"),
+                      fetch=ComponentSpec("demand"),
+                      replacement=ComponentSpec("rrip"))
+    DESIGNS.register_spec(spec)
+    yield spec.name
+    DESIGNS.unregister(spec.name)
+
+
 def dead_local_owner() -> str:
     """A lease owner naming a local PID that provably exited."""
     child = subprocess.Popen(["sleep", "0"])
@@ -411,6 +438,103 @@ class TestWakeSignal:
 
 
 # --------------------------------------------------------------------- #
+# Lease order by cost estimate
+# --------------------------------------------------------------------- #
+class TestCostOrder:
+    """Among first jobs, and among the rest, the costliest leases first."""
+
+    @pytest.fixture(autouse=True)
+    def checkpoints_on(self, queue_root, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+
+    #: Trial 2 runs scalar; trials 0, 1 and 3 tie.
+    COSTS = [[0, 0], [0, 0], [1, 1], [0, 0]]
+
+    def test_scalar_first_job_leases_first_and_ties_go_by_seq(
+            self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, costed_jobs(self.COSTS))
+            order = []
+            while (job := store.lease("a", 60)) is not None:
+                order.append((job.trial_index, job.part))
+                assert store.complete("tok", job.seq, b"r", "a")
+            assert order == [(2, 0), (0, 0), (1, 0), (3, 0),
+                             (2, 1), (0, 1), (1, 1), (3, 1)]
+
+    def test_siblings_stay_held_until_their_trial_has_a_done_job(
+            self, tmp_path):
+        with JobStore(tmp_path / "jobs.sqlite") as store:
+            store.submit("tok", "d", None, costed_jobs(self.COSTS))
+            first = [store.lease(owner, 60) for owner in "abcd"]
+            assert [job.trial_index for job in first] == [2, 0, 1, 3]
+            assert store.lease("e", 60) is None
+            # Trial 0's prologue is done: its sibling leases, while the
+            # costlier scalar trial 2's stays held behind its live lease.
+            assert store.complete("tok", first[1].seq, b"r", "b")
+            job = store.lease("e", 60)
+            assert (job.trial_index, job.part) == (0, 1)
+            assert store.lease("f", 60) is None
+
+    def test_v1_store_opens_migrates_and_leases(self, tmp_path):
+        import sqlite3
+
+        from repro.queue.jobstore import SCHEMA_VERSION
+
+        path = tmp_path / "jobs.sqlite"
+        conn = sqlite3.connect(str(path))
+        conn.executescript(V1_SCHEMA)
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        conn.execute("INSERT INTO sweeps VALUES ('tok', 'd', NULL, 4, 0)")
+        for seq, (trial, part) in enumerate([(0, 0), (0, 1), (1, 0),
+                                             (1, 1)]):
+            conn.execute(
+                "INSERT INTO jobs (sweep, seq, key, trial_index, part, kind,"
+                " trace_group, payload, state, max_attempts, created_at)"
+                " VALUES ('tok', ?, ?, ?, ?, 'windows', 'g', x'00',"
+                " 'pending', 3, 0)", (seq, f"k{seq}", trial, part))
+        conn.commit()
+        conn.close()
+        # A read-only open does not migrate; its rows read as unestimated.
+        with JobStore(path, readonly=True) as store:
+            assert [job.cost_scalar for job in store.jobs("tok")] == [0] * 4
+        with JobStore(path) as store:
+            version = store._conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()[0]
+            assert int(version) == SCHEMA_VERSION == 2
+            order = []
+            while (job := store.lease("a", 60)) is not None:
+                order.append((job.trial_index, job.part))
+                assert store.complete("tok", job.seq, b"r", "a")
+            # Unestimated rows tie, so they lease in the v1 order.
+            assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
+            assert store.submit("new", "d", None,
+                                costed_jobs(self.COSTS)) == 8
+            assert store.lease("a", 60).trial_index == 2
+        with JobStore(path) as store:  # a second open finds v2
+            assert store.counts("tok")[DONE] == 4
+
+
+#: The jobs table as schema v1 wrote it (before the cost columns).
+V1_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE sweeps (token TEXT PRIMARY KEY, description TEXT NOT NULL,
+    spec BLOB, total INTEGER NOT NULL, created_at REAL NOT NULL);
+CREATE TABLE jobs (
+    sweep TEXT NOT NULL, seq INTEGER NOT NULL, key TEXT NOT NULL,
+    trial_index INTEGER NOT NULL, part INTEGER NOT NULL, kind TEXT NOT NULL,
+    trace_group TEXT NOT NULL, payload BLOB NOT NULL, state TEXT NOT NULL,
+    attempts INTEGER NOT NULL DEFAULT 0, max_attempts INTEGER NOT NULL,
+    lease_owner TEXT, lease_expiry REAL NOT NULL DEFAULT 0, result BLOB,
+    error TEXT, created_at REAL NOT NULL, started_at REAL,
+    finished_at REAL, run_seconds REAL, PRIMARY KEY (sweep, seq));
+CREATE UNIQUE INDEX jobs_by_key ON jobs (sweep, key);
+CREATE INDEX jobs_by_state ON jobs (state, lease_expiry);
+CREATE INDEX jobs_by_trial ON jobs (sweep, trial_index, state);
+"""
+
+
+# --------------------------------------------------------------------- #
 # Planning
 # --------------------------------------------------------------------- #
 class TestPlanning:
@@ -447,6 +571,54 @@ class TestPlanning:
             service.run(spec)
         with service.store() as store:
             assert store.sweeps() == []
+
+    def test_submit_marks_scalar_designs(self, queue_root, rrip_page_design,
+                                         monkeypatch):
+        spec = tiny_spec(designs=("unison", rrip_page_design))
+        service = SweepService()
+        token = service.submit(spec).token
+        with service.store() as store:
+            assert [job.cost_scalar for job in store.jobs(token)] == [0, 1]
+        # Planning alone estimates nothing, and the estimate never reaches
+        # the keys or token: without the batch engine every design runs
+        # scalar, and the same spec submits to the same token.
+        assert [job.cost_scalar for job in plan_sweep(spec).jobs] == [0, 0]
+        monkeypatch.setenv("REPRO_BATCH", "0")
+        other = SweepService(queue_root / "other")
+        assert other.submit(spec).token == token
+        with other.store() as store:
+            assert [job.cost_scalar for job in store.jobs(token)] == [1, 1]
+
+    def test_only_a_new_sweep_builds_its_designs_once_each(
+            self, queue_root, monkeypatch):
+        import repro.queue.service as service_module
+        import repro.sim.factory as factory
+
+        builds, estimates = [], []
+        make_design = factory.make_design
+        estimate_costs = service_module._estimate_costs
+
+        def counted_build(name, *args, **kwargs):
+            builds.append(name)
+            return make_design(name, *args, **kwargs)
+
+        def counted_estimate(plan):
+            estimates.append(plan.token)
+            return estimate_costs(plan)
+
+        monkeypatch.setattr(factory, "make_design", counted_build)
+        monkeypatch.setattr(service_module, "_estimate_costs",
+                            counted_estimate)
+        spec = sampled_spec()
+        service = SweepService()
+        token = service.submit(spec).token
+        # Several window jobs per trial, one build per design.
+        assert sorted(builds) == ["alloy", "unison"]
+        # Resubmitting, running and assembling estimate nothing again.
+        assert service.submit(spec).new_jobs == 0
+        service.run(spec)
+        service.run(spec)
+        assert estimates == [token]
 
     def test_sampled_trials_decompose_into_window_batches(self, queue_root):
         plan = plan_sweep(sampled_spec())
@@ -919,6 +1091,22 @@ class TestExecutorCrashTolerance:
             workers=2, progress=lambda i, n, t: calls.append((i, n))).run(spec)
         assert len(results) == 4
         assert sorted(calls) == [(0, 4), (1, 4), (2, 4), (3, 4)]
+
+
+class TestCriticalPathFirst:
+    @needs_fork
+    def test_scalar_trial_starts_first_and_results_match_serial(
+            self, queue_root, rrip_page_design, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+        spec = sampled_spec(designs=("unison", rrip_page_design))
+        serial = SweepExecutor(workers=1).run(spec)
+        service = SweepService(queue_root / "queue", window_batch=1)
+        assert service.run(spec, workers=2) == serial
+        with service.store() as store:
+            jobs = store.jobs(plan_sweep(spec, window_batch=1).token)
+        first = min(jobs, key=lambda job: job.started_at)
+        assert (first.trial_index, first.part) == (1, 0)
+        assert first.cost_scalar == 1
 
 
 class TestPrivateQueueCleanup:

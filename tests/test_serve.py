@@ -119,6 +119,8 @@ class TestReadModel:
         assert detail["token"] == served.token
         assert detail["counts"]["done"] == detail["total"] > 0
         assert all(job["state"] == "done" for job in detail["jobs"])
+        # Each job shows the cost estimate it was leased by.
+        assert all(job["cost_scalar"] is False for job in detail["jobs"])
         assert detail["workers"]["available"]
 
     def test_runs_listing_and_sweep_summary(self, served):

@@ -138,7 +138,9 @@ class TestSweepBackCompat:
         assert main(["sweep", "--list-designs"]) == 0
         assert "unison" in capsys.readouterr().out
 
-    def test_sweep_reports_a_cut_trace(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_reports_a_cut_trace(self, tmp_path, capsys, monkeypatch,
+                                       jobs):
         monkeypatch.chdir(tmp_path)
         trace_path = tmp_path / "cut.rptr"
         main(["trace", "gen", "--accesses", "9000", "--cores", "2",
@@ -148,7 +150,7 @@ class TestSweepBackCompat:
         code = main(["sweep", "--designs", "unison",
                      "--workloads", f"trace:{trace_path}",
                      "--capacities", "1GB", "--scale", "8192",
-                     "--accesses", "9000", "--quiet"])
+                     "--accesses", "9000", "--jobs", jobs, "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
