@@ -1,8 +1,8 @@
 """Shared infrastructure for the benchmark harness.
 
 Each benchmark module regenerates one table or figure of the paper's
-evaluation.  The heavy lifting is one call into
-:class:`repro.sim.experiment.ExperimentRunner`; the ``benchmark`` fixture
+evaluation.  The heavy lifting is one trial or sweep through
+:mod:`repro.sim.executor`; the ``benchmark`` fixture
 wraps that call (``rounds=1`` -- these are experiments, not micro-benchmarks),
 and the resulting rows are appended to ``benchmarks/results/`` so that
 EXPERIMENTS.md can reference the measured numbers.
@@ -37,8 +37,9 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.sim.executor import cached_baseline, cached_trace  # noqa: E402
+from repro.sim.executor import run_trial  # noqa: E402
 from repro.sim.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner  # noqa: E402
+from repro.sim.spec import ExperimentSpec  # noqa: E402
 from repro.workloads.profile import WorkloadProfile  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -83,18 +84,11 @@ class TraceCache:
     def __init__(self, experiment_runner: ExperimentRunner) -> None:
         self.runner = experiment_runner
 
-    def trace_for(self, profile: WorkloadProfile) -> list:
-        return cached_trace(self.runner, profile)
-
     def run(self, design: str, profile: WorkloadProfile, capacity,
             associativity=None) -> ExperimentResult:
-        trace = self.trace_for(profile)
-        return self.runner.run_design(
-            design, profile, capacity,
-            trace=trace,
-            associativity=associativity,
-            baseline_stats=cached_baseline(self.runner, profile, trace),
-        )
+        return run_trial(ExperimentSpec(design, profile, capacity,
+                                        config=self.runner.config,
+                                        associativity=associativity))
 
 
 @pytest.fixture(scope="session")

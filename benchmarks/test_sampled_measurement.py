@@ -25,8 +25,9 @@ from conftest import write_report, write_timings
 
 from repro.sampling import SamplingConfig, WindowedSampler
 from repro.sampling.seekable import FileWindows
-from repro.sim.executor import cached_trace
+from repro.sim.executor import cached_trace, run_trial
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+from repro.sim.spec import ExperimentSpec
 from repro.trace.binfmt import write_trace_bin
 from repro.workloads.cloudsuite import workload_by_name
 
@@ -55,11 +56,10 @@ CONFIG = ExperimentConfig(scale=512, num_accesses=TRACE_ACCESSES,
 
 def test_sampled_unison_matches_full_replay(results_dir):
     profile = workload_by_name("Web Search")
-    runner = ExperimentRunner(CONFIG)
-    trace = cached_trace(runner, profile)
+    trace = cached_trace(ExperimentRunner(CONFIG), profile)
 
     start = time.perf_counter()
-    full = runner.run_design("unison", profile, "1GB", trace=trace)
+    full = run_trial(ExperimentSpec("unison", profile, "1GB", config=CONFIG))
     full_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

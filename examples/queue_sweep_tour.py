@@ -5,8 +5,8 @@ Walks the full lifecycle of a queue-backed sweep and demonstrates every
 durability guarantee the subsystem makes:
 
 1. plan a sweep into idempotent on-disk jobs (``SweepService.submit``) --
-   sampled cells decompose into window-batch jobs, full-replay cells stay
-   whole;
+   sampled cells decompose into window-batch jobs, and a full-replay cell
+   is one job (its one window);
 2. start a standalone worker process (the same thing ``repro queue work``
    runs), let it finish part of the sweep, and ``kill -9`` it mid-job;
 3. resume: dead leases are reclaimed instantly, only unfinished jobs run,

@@ -133,8 +133,7 @@ def main() -> int:
               f"{token2[:12]}…")
         worker = threading.Thread(
             target=work,
-            kwargs=dict(db_path=service.db_path, sweep=token2,
-                        archive_path=service.archive_path),
+            kwargs=dict(db_path=service.db_path, sweep=token2),
             daemon=True)
         worker.start()
         last = None

@@ -43,13 +43,15 @@ the shell.
 Long traces measure through checkpointed windowed sampling (the paper's
 SimFlex-style methodology, :mod:`repro.sampling`) instead of full replay:
 add ``sampling=SamplingConfig()`` to a sweep, or use
-``repro sample --designs unison alloy`` from the shell.  For one-off trials
-the lower-level :class:`ExperimentRunner` remains available::
+``repro sample --designs unison alloy`` from the shell.  A one-off trial
+is one :class:`ExperimentSpec` through :func:`run_trial`::
 
-    from repro import ExperimentRunner, ExperimentConfig, workload_by_name
+    from repro import ExperimentConfig, ExperimentSpec
+    from repro.sim.executor import run_trial
 
-    runner = ExperimentRunner(ExperimentConfig(scale=256, num_accesses=60_000))
-    result = runner.run_design("unison", workload_by_name("Web Search"), "1GB")
+    result = run_trial(ExperimentSpec(
+        "unison", "Web Search", "1GB",
+        config=ExperimentConfig(scale=256, num_accesses=60_000)))
 """
 
 from repro.baselines import NoDramCache

@@ -1061,7 +1061,6 @@ def _queue_work(args: argparse.Namespace) -> int:
         max_jobs=args.max_jobs,
         drain=not args.no_drain,
         throttle=args.throttle,
-        archive_path=service.archive_path,
     )
     print(f"executed {executed} jobs")
     return 0

@@ -5,7 +5,7 @@ The binary trace format (:mod:`repro.trace.binfmt`) packs each access into a
 dtype laid out *exactly* like it.  An array of it is therefore the packed
 payload itself: the trace store hands sweeps such arrays
 (``np.frombuffer`` over the decompressed payload, no per-record work),
-``split_trace`` and the window providers slice them without copying, and
+the window providers slice them without copying, and
 :func:`make_columns` turns a slice into the column lists the fused kernels
 loop over.  :class:`~repro.trace.record.MemoryAccess` records are built
 only where a caller asks for records: the scalar engine

@@ -1,9 +1,9 @@
 """Persistent, schema-versioned archive of sweep results.
 
-Every finished trial streams its :class:`~repro.sim.experiment.ExperimentResult`
-into this SQLite archive as workers complete jobs, so a sweep's results are
-durable *while it runs*, not only after a final export -- and every archived
-sweep can be re-read as a bit-identical
+Every assembled sweep writes each trial's
+:class:`~repro.sim.experiment.ExperimentResult` into this SQLite archive
+(while it runs, a finished job's measurements are already durable in its
+job row), and every archived sweep can be re-read as a bit-identical
 :class:`~repro.sim.resultset.ResultSet` without re-simulating anything
 (floats round-trip exactly through the JSON records, the same guarantee
 ``ResultSet.to_json`` makes).

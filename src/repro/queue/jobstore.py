@@ -1,7 +1,8 @@
 """SQLite-backed durable job store for sweep execution.
 
 A :class:`JobStore` is the on-disk heart of the work-queue architecture:
-every sweep cell (and every sampled-window batch) becomes one
+every batch of a sweep cell's measurement windows (a full-replay cell's
+one window, or several of a sampled cell's) becomes one
 schema-versioned row that survives worker crashes, process kills, and
 machine reboots.  The row's lifecycle is::
 
@@ -153,17 +154,18 @@ def _owner_is_dead(owner: Optional[str]) -> bool:
 
 @dataclass(frozen=True)
 class Job:
-    """One job row (a sweep cell or a sampled-window batch)."""
+    """One job row (a batch of one sweep cell's measurement windows)."""
 
     sweep: str
     seq: int
     key: str
     #: Index of the trial in ``SweepSpec.trials()`` this job belongs to.
     trial_index: int
-    #: Ordinal among the jobs of one trial (0 for whole-trial jobs).
+    #: Ordinal among the jobs of one trial (0: the trial's first job).
     part: int
-    #: ``"trial"`` (one full sweep cell) or ``"windows"`` (a batch of
-    #: sampled measurement windows of one cell).
+    #: ``"windows"``: a batch of one cell's planned measurement windows.
+    #: The only kind; a row of any other kind (an older store's) fails
+    #: when it runs, and resubmitting its spec re-plans it.
     kind: str
     #: Trace-affinity group: jobs sharing a group replay the same trace.
     trace_group: str
@@ -353,7 +355,7 @@ class JobStore:
         worker that just replayed one trace asks for more jobs on the same
         trace before touching a new one.
 
-        With the checkpoint store enabled, a ``windows`` job is *held* while
+        With the checkpoint store enabled, a job is *held* while
         another job of its trial is under a live lease and no job of that
         trial is done yet: the running job is warming the trial's prologue
         and will save it as a checkpoint, which the held siblings then load
@@ -386,8 +388,7 @@ class JobStore:
             eligible += " AND sweep = ?"
         if hold:
             eligible += (
-                " AND NOT (kind = 'windows'"
-                " AND EXISTS (SELECT 1 FROM jobs AS sib"
+                " AND NOT (EXISTS (SELECT 1 FROM jobs AS sib"
                 "  WHERE sib.sweep = jobs.sweep"
                 "  AND sib.trial_index = jobs.trial_index"
                 "  AND sib.state = ? AND sib.lease_expiry > ?)"

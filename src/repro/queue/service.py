@@ -6,23 +6,26 @@ The service is the glue between the declarative layer
 (:mod:`repro.queue.worker`), and the persistent
 :class:`~repro.queue.archive.ResultArchive`:
 
-1. **Plan.**  Every trial becomes one idempotent job -- or, for sampled
-   trials, one job per batch of measurement windows, so a single expensive
-   cell parallelizes across workers.  Jobs are keyed by the trial's full
-   identity (:meth:`~repro.sim.spec.ExperimentSpec.identity`) and labelled
-   by trace token for affinity scheduling (:func:`_trace_group`).
+1. **Plan.**  Every trial becomes idempotent window jobs, one per batch of
+   its planned measurement windows: a full-replay trial is the one-window
+   plan, so one job, and a sampled trial spreads over several workers.
+   Jobs are keyed by the trial's full identity
+   (:meth:`~repro.sim.spec.ExperimentSpec.identity`) and window indices,
+   and labelled by trace token for affinity scheduling
+   (:func:`_trace_group`).
 2. **Run.**  Workers -- in-process, forked, or entirely separate ``repro
    queue work`` processes on the same store -- lease jobs, execute them, and
    stream results back.  A worker killed mid-job costs only that job's
    lease.
 3. **Assemble.**  Finished rows reassemble in exact grid order into a
    :class:`~repro.sim.resultset.ResultSet` that is bit-identical to the
-   serial ``SweepExecutor(workers=1)`` run -- sampled trials run the same
-   stop walk as the serial sampler, looking windows up in their finished
-   batches, and discard speculative windows past the termination point.
-4. **Archive.**  Every assembled sweep (and every trial as it finishes) is
-   written to the schema-versioned result archive, so re-running a sweep
-   whose token is already archived costs zero simulation.
+   serial ``SweepExecutor(workers=1)`` run -- a full-replay trial's result
+   is its one window, and sampled trials run the same stop walk as the
+   serial sampler, looking windows up in their finished batches, and
+   discard speculative windows past the termination point.
+4. **Archive.**  Every assembled sweep is written, trial by trial, to the
+   schema-versioned result archive, so re-running a sweep whose token is
+   already archived costs zero simulation.
 """
 
 from __future__ import annotations
@@ -146,11 +149,8 @@ def _estimate_costs(plan: SweepPlan) -> List[PlannedJob]:
     return jobs
 
 
-def _job_key(trial: ExperimentSpec, kind: str,
-             indices: Optional[Sequence[int]] = None) -> str:
-    payload = trial.identity() + f"|kind={kind}"
-    if indices is not None:
-        payload += f"|windows={tuple(indices)}"
+def _job_key(trial: ExperimentSpec, indices: Sequence[int]) -> str:
+    payload = trial.identity() + f"|kind=windows|windows={tuple(indices)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -181,46 +181,39 @@ class SubmitOutcome:
         return self.total_jobs - self.new_jobs
 
 
+def _check_window_batch(window_batch: int) -> None:
+    if window_batch < 1:
+        raise ValueError("window_batch must be positive")
+
+
 def plan_sweep(spec: SweepSpec,
                window_batch: int = DEFAULT_WINDOW_BATCH) -> SweepPlan:
     """Compile a sweep into its job list and deterministic token.
 
-    Full-replay trials become one job each.  Sampled trials whose window
-    plan is computable up front split into one job per ``window_batch``
+    Every trial's window plan splits into one job per ``window_batch``
     consecutive windows of the measurement order (so an early-terminating
-    assembly consumes the first jobs and discards the speculative tail);
-    sampled trials over a non-binary trace file, whose length is unknown
-    until it is read, fall back to one whole-trial job, and a binary one
-    whose header is unreadable or never finalized raises here, before any
-    job is written.  The sweep token hashes the ordered job keys, so the same spec
-    always resubmits to the same sweep -- and any change to a design, trace,
-    or parameter yields a new token instead of colliding with stale rows.
+    assembly consumes the first jobs and discards the speculative tail): a
+    full-replay trial is one job, window ``(0,)``.  The plan needs the
+    trace's length, so a trace file whose header is unreadable or never
+    finalized, or a text trace that does not parse, raises here, before
+    any job is written.  The sweep token hashes the ordered job keys, so
+    the same spec always resubmits to the same sweep -- and any change to
+    a design, trace, or parameter yields a new token instead of colliding
+    with stale rows.
     """
-    if window_batch < 0:
-        raise ValueError("window_batch must be non-negative")
+    _check_window_batch(window_batch)
     jobs: List[PlannedJob] = []
     for trial_index, trial in enumerate(spec.trials()):
         group = _trace_group(trial)
-        plan = sampled_window_plan(trial) if window_batch else None
-        if plan is not None:
-            for part, indices in enumerate(_chunk(plan.order, window_batch)):
-                payload = pickle.dumps(
-                    {"kind": "windows", "trial": trial, "indices": indices},
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                jobs.append(PlannedJob(
-                    key=_job_key(trial, "windows", indices),
-                    trial_index=trial_index, part=part, kind="windows",
-                    trace_group=group, payload=payload,
-                ))
-        else:
+        plan = sampled_window_plan(trial)
+        for part, indices in enumerate(_chunk(plan.order, window_batch)):
             payload = pickle.dumps(
-                {"kind": "trial", "trial": trial},
+                {"kind": "windows", "trial": trial, "indices": indices},
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             jobs.append(PlannedJob(
-                key=_job_key(trial, "trial"),
-                trial_index=trial_index, part=0, kind="trial",
+                key=_job_key(trial, indices),
+                trial_index=trial_index, part=part, kind="windows",
                 trace_group=group, payload=payload,
             ))
     token = hashlib.sha256(
@@ -236,6 +229,7 @@ class SweepService:
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  lease_seconds: float = 300.0,
                  window_batch: int = DEFAULT_WINDOW_BATCH) -> None:
+        _check_window_batch(window_batch)
         self.queue_dir = _require_queue_dir(queue_dir)
         self.db_path = self.queue_dir / JOB_STORE_FILENAME
         self.archive_path = self.queue_dir / ARCHIVE_FILENAME
@@ -291,11 +285,11 @@ class SweepService:
         """Reassemble a finished sweep's jobs in exact grid order.
 
         Raises ``RuntimeError`` while jobs are outstanding, and
-        :class:`SweepFailedError` when any failed for good.  Trial
-        results and aggregated sampled results are streamed into the archive
-        as a side effect, and the archived copy is authoritative: a token
-        whose archive row set is already complete assembles straight from
-        the archive without touching job payloads.
+        :class:`SweepFailedError` when any failed for good.  Every trial's
+        result is written to the archive as a side effect, and the archived
+        copy is authoritative: a token whose archive row set is already
+        complete assembles straight from the archive without touching job
+        payloads.
         """
         plan = plan_sweep(spec, window_batch=self.window_batch)
         if token is not None and token != plan.token:
@@ -333,8 +327,7 @@ class SweepService:
         for job in done:
             by_trial.setdefault(job.trial_index, []).append(job)
         results = []
-        with start_run("assemble", sweep=plan.token,
-                       trials=len(trials)) as obs_run, \
+        with start_run("assemble", sweep=plan.token, trials=len(trials)), \
                 self.archive() as archive:
             for trial_index, trial in enumerate(trials):
                 jobs = by_trial.get(trial_index, [])
@@ -342,17 +335,13 @@ class SweepService:
                     raise RuntimeError(
                         f"trial {trial_index} has no finished jobs"
                     )
-                if jobs[0].kind == "trial":
-                    with obs_run.span("assemble"):
-                        result = pickle.loads(jobs[0].result)
-                else:
-                    measurements: Dict[int, object] = {}
-                    for job in jobs:
-                        measurements.update(pickle.loads(job.result))
-                    # assemble_sampled_trial attributes its stop walk (and
-                    # its per-window convergence events) to this run's
-                    # "assemble" phase via obs.current().
-                    result = assemble_sampled_trial(trial, measurements)
+                measurements: Dict[int, object] = {}
+                for job in jobs:
+                    measurements.update(pickle.loads(job.result))
+                # assemble_sampled_trial attributes its stop walk (and its
+                # per-window convergence events) to this run's "assemble"
+                # phase via obs.current().
+                result = assemble_sampled_trial(trial, measurements)
                 archive.put(plan.token, trial_index, result)
                 results.append(result)
             archive.mark_complete(plan.token)
@@ -407,15 +396,15 @@ class SweepService:
                         progress=progress)
 
     def _stored_window_batch(self, token: str) -> int:
-        """Windows per job of a submitted sweep (0: no window-batch jobs).
+        """Windows per job of a submitted sweep.
 
         A trial's first job carries its largest batch, so the largest of
         those re-plans every trial into the same jobs and token.
         """
         with self.store() as store:
             jobs = store.jobs(token)
-        return max((len(pickle.loads(job.payload)["indices"]) for job in jobs
-                    if job.kind == "windows" and job.part == 0), default=0)
+        return max(len(pickle.loads(job.payload)["indices"]) for job in jobs
+                   if job.part == 0)
 
     # ------------------------------------------------------------------ #
     def _fire_progress_all(self, spec: SweepSpec, progress) -> None:
@@ -444,7 +433,6 @@ class SweepService:
                     kwargs={
                         "sweep": token,
                         "lease_seconds": self.lease_seconds,
-                        "archive_path": self.archive_path,
                         "wake": wake,
                     },
                     daemon=True,
@@ -474,7 +462,6 @@ class SweepService:
         if unfinished:
             work(self.db_path, sweep=token,
                  lease_seconds=self.lease_seconds,
-                 archive_path=self.archive_path,
                  on_job=lambda job: reporter.poll(self))
         reporter.poll(self)
 

@@ -17,15 +17,14 @@ The loop is deliberately boring:
    holds back a sampled trial's sibling window jobs while its first job is
    still warming the prologue (:meth:`JobStore.lease`), so each prologue is
    warmed once and then loaded from the checkpoint store.
-3. Execute the pickled payload -- a whole trial via
-   :func:`repro.sim.executor.run_trial` or a batch of sampled measurement
-   windows via :func:`repro.sim.executor.run_trial_windows`.
+3. Execute the pickled payload -- a batch of a trial's planned measurement
+   windows (a full replay's one window, or several of a sampled trial's)
+   via :func:`repro.sim.executor.run_trial_windows`.
 4. Report ``complete`` (owner-guarded, so a stolen lease makes the late
    completion a harmless no-op) or ``fail`` (retries with backoff until the
    job's attempts are exhausted), then wake the other workers through the
-   :class:`WakeSignal` if there is one.  Whole-trial results also stream
-   into the result archive immediately, making them durable before the
-   sweep ends.
+   :class:`WakeSignal` if there is one.  The finished measurements wait in
+   the job row until the sweep is assembled and archived.
 
 When a lease comes back empty while other workers still hold jobs, a
 draining worker waits for the next completion: on its :class:`WakeSignal`,
@@ -41,7 +40,7 @@ import pickle
 import time
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.obs.core import emit_event, job_context
 from repro.obs.heartbeat import worker_heartbeat
@@ -92,31 +91,18 @@ class WakeSignal:
 def execute_job(payload: bytes) -> bytes:
     """Run one job payload; returns the pickled result blob.
 
-    Payloads are self-contained ``{"kind": ..., "trial": ExperimentSpec,
-    ...}`` pickles, so any process with the package importable can execute
-    any job -- workers need no sweep-level context.
+    Payloads are self-contained ``{"kind": "windows", "trial":
+    ExperimentSpec, "indices": [...]}`` pickles, so any process with the
+    package importable can execute any job -- workers need no sweep-level
+    context.
     """
-    from repro.sim.executor import run_trial, run_trial_windows
+    from repro.sim.executor import run_trial_windows
 
     data = pickle.loads(payload)
-    kind = data["kind"]
-    if kind == "trial":
-        result = run_trial(data["trial"])
-    elif kind == "windows":
-        result = run_trial_windows(data["trial"], data["indices"])
-    else:
-        raise ValueError(f"unknown job kind {kind!r}")
+    if data["kind"] != "windows":
+        raise ValueError(f"unknown job kind {data['kind']!r}")
+    result = run_trial_windows(data["trial"], data["indices"])
     return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _archive_trial_result(archive_path: Optional[PathLike], job: Job,
-                          result_blob: bytes) -> None:
-    if archive_path is None or job.kind != "trial":
-        return
-    from repro.queue.archive import ResultArchive
-
-    with ResultArchive(archive_path) as archive:
-        archive.put(job.sweep, job.trial_index, pickle.loads(result_blob))
 
 
 def work(db_path: PathLike,
@@ -127,7 +113,6 @@ def work(db_path: PathLike,
          poll_seconds: float = DEFAULT_POLL_SECONDS,
          drain: bool = True,
          throttle: float = 0.0,
-         archive_path: Optional[PathLike] = None,
          on_job: Optional[Callable[[Job], None]] = None,
          wake: Optional[WakeSignal] = None) -> int:
     """Lease and run jobs until there is nothing left; returns jobs run.
@@ -176,11 +161,8 @@ def work(db_path: PathLike,
                         store.fail(job.sweep, job.seq,
                                    traceback.format_exc(limit=20), owner)
                     else:
-                        if store.complete(job.sweep, job.seq, result_blob,
-                                          owner):
-                            _archive_trial_result(archive_path, job,
-                                                  result_blob)
-                        else:
+                        if not store.complete(job.sweep, job.seq,
+                                              result_blob, owner):
                             # The lease expired mid-run and another worker
                             # reclaimed (and will redo) the job; our
                             # deterministic result is discarded.  Silent

@@ -2,10 +2,10 @@
 
 One sampled run of N designs over one trace proceeds as:
 
-0. **Load** -- the sampler opens its own trace: a binary trace file as
-   :class:`~repro.sampling.seekable.FileWindows`, any other workload
-   through :func:`repro.sim.executor.cached_trace`, the same cache and
-   trace store a full replay uses.  The stream is named by
+0. **Load** -- the sampler opens its own trace: a raw binary trace file
+   as :class:`~repro.sampling.seekable.FileWindows` (memory-mapped), any
+   other workload through :func:`repro.sim.executor.cached_trace`, which
+   decodes it once per process.  The stream is named by
    :func:`repro.trace.store.trace_token`, which keys its checkpoints and
    window baselines; a trace the caller injects is named by its content
    digest instead, and its baselines are not cached.
@@ -34,6 +34,14 @@ One sampled run of N designs over one trace proceeds as:
    (:meth:`WindowedSampler.measure_windows`) run only the window routine,
    and their reassembly (:meth:`WindowedSampler.assemble_run`) feeds the
    same walk from the jobs' results.
+
+A full replay is the one-window plan (``WindowedSampler(None, ...)``, see
+:func:`~repro.sampling.windows.plan_windows`): no prologue, so each design
+is measured as built -- no snapshot, restore or stored checkpoint -- over
+the window ``[split, n)``, warmed from ``[0, split)`` by the window
+routine.  Its result is that one measurement as it stands
+(:meth:`WindowedSampler.window_result`): no stop walk, no ``sampling_*``
+extras.
 
 Everything derives from ``(SamplingConfig, ExperimentConfig, trace)``; the
 process-wide caches hold only values determined by their keys, so sampled
@@ -72,7 +80,7 @@ from repro.sim.performance import PerformanceModel
 from repro.sim.resultset import ResultSet
 from repro.stats.confidence import ConfidenceInterval
 from repro.stats.sampling import AdaptiveStopper, WindowSeries, matched_pair_deltas
-from repro.trace.binfmt import is_binary_trace
+from repro.trace.binfmt import CODEC_NONE, is_binary_trace, read_header
 from repro.trace.record import MemoryAccess
 from repro.trace.store import trace_token
 from repro.utils.units import format_size, parse_size, SizeLike
@@ -202,12 +210,9 @@ class SampledRun:
             user_ipc=total("user_ipc") / n,
         )
         extra_keys = sorted({k for w in windows for k in w.extra_metrics})
-        for key in extra_keys:
-            value = sum(w.extra_metrics.get(key, 0.0) for w in windows) / n
-            if key in ExperimentResult.METRIC_FIELDS:
-                setattr(result, key, value)
-            else:
-                result.extra[key] = value
+        _set_design_metrics(result, (
+            (key, sum(w.extra_metrics.get(key, 0.0) for w in windows) / n)
+            for key in extra_keys))
         result.extra.update({
             "sampling_windows": float(n),
             "sampling_windows_planned": float(len(self.plan.windows)),
@@ -220,8 +225,23 @@ class SampledRun:
         return result
 
 
+def _set_design_metrics(result: ExperimentResult, metrics) -> None:
+    """Record a design's ``(key, value)`` metrics on ``result``.
+
+    :data:`ExperimentResult.METRIC_FIELDS` keys set their field; every
+    other key becomes a float in ``result.extra``.
+    """
+    for key, value in metrics:
+        if key in ExperimentResult.METRIC_FIELDS:
+            setattr(result, key, value)
+        else:
+            result.extra[key] = float(value)
+
+
 class WindowedSampler:
     """Runs checkpointed, window-scheduled, adaptively-terminated trials.
+
+    ``sampling=None`` runs the one-window plan of a full replay.
 
     Warm states persist in the on-disk checkpoint store
     (:mod:`repro.sampling.checkpoints`) whenever it is enabled
@@ -234,7 +254,7 @@ class WindowedSampler:
     def __init__(self, sampling: Optional[SamplingConfig] = None,
                  config: Optional[ExperimentConfig] = None,
                  system: Optional[SystemConfig] = None) -> None:
-        self.sampling = sampling or SamplingConfig()
+        self.sampling = sampling
         self.config = config or ExperimentConfig()
         self.system = system or SystemConfig()
         self.performance = PerformanceModel(self.system)
@@ -247,23 +267,25 @@ class WindowedSampler:
         Returns ``(provider, identity)``.  An injected ``trace`` need not
         be the canonical trace of the (workload, config) pair, so it has no
         cheap identity (``None``).  Otherwise the sampler loads the trace
-        itself and the identity is its :func:`trace_token`: a binary trace
-        file is opened by :class:`FileWindows`, any other workload comes
-        from :func:`repro.sim.executor.cached_trace`, the same trace (and
-        trace-store entry) a full replay of it uses.
+        itself and the identity is its :func:`trace_token`: a raw binary
+        trace file is mapped by :class:`FileWindows`; any other workload,
+        a gzip binary file included, comes from
+        :func:`repro.sim.executor.cached_trace`, so it is decoded (or
+        generated) once per process.
         """
         if trace is not None:
             return InMemoryWindows(trace), None
         identity = trace_token(workload, self.config)
         if (isinstance(workload, TraceFileWorkload)
-                and is_binary_trace(workload.path)):
+                and is_binary_trace(workload.path)
+                and read_header(workload.path).codec == CODEC_NONE):
             # A raw file is mapped, so a window reads only its own pages.
             return (FileWindows(workload.path,
                                 limit=self.config.num_accesses), identity)
         from repro.sim.executor import cached_trace
 
-        runner = ExperimentRunner(self.config, system=self.system)
-        return InMemoryWindows(cached_trace(runner, workload)), identity
+        return (InMemoryWindows(cached_trace(ExperimentRunner(self.config),
+                                             workload)), identity)
 
     def _measure_window(self, provider, plan: WindowPlan, window_index: int,
                         designs, profile, identity: Optional[str],
@@ -277,8 +299,9 @@ class WindowedSampler:
         ``identity`` and window, see
         :func:`repro.sim.executor.window_baseline`), then per design
         restores the checkpoint, warms, and measures.  The one window
-        routine of :meth:`compare` and :meth:`measure_windows`.  With
-        telemetry on, those steps are timed as the ``baseline``,
+        routine of :meth:`compare` and :meth:`measure_windows`.  A design
+        without a checkpoint (the one-window plan's) is measured as built.
+        With telemetry on, those steps are timed as the ``baseline``,
         ``restore``, ``window_warm`` and ``replay`` phases inside the
         caller's ``measure`` span.
         """
@@ -294,8 +317,9 @@ class WindowedSampler:
                                        measure)
         outcomes = []
         for design, checkpoint in designs:
-            with obs_run.span("restore"):
-                design.restore_state(checkpoint)
+            if checkpoint is not None:
+                with obs_run.span("restore"):
+                    design.restore_state(checkpoint)
             with obs_run.span("window_warm"):
                 if len(warmup):
                     warm_up(design, warmup, span)
@@ -332,6 +356,10 @@ class WindowedSampler:
         a full content hash; otherwise the sampler loads the workload's
         trace itself (see :meth:`_provider`).
         """
+        if self.sampling is None:
+            raise ValueError("compare needs a SamplingConfig; a sampler "
+                             "without one measures the one-window plan "
+                             "(run_design)")
         if not design_names:
             raise ValueError("need at least one design to sample")
         from repro.sim.registry import DESIGNS
@@ -344,9 +372,10 @@ class WindowedSampler:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate sampled design labels: {labels}")
 
-        with self._warmed(design_names, workload, capacity, trace,
-                          associativity) as (provider, identity, plan,
-                                             designs):
+        with self._opened(workload, trace) as (provider, identity, plan):
+            designs = self._start_states(provider, identity, plan,
+                                         design_names, capacity,
+                                         associativity, trace)
             with obs_current().span("measure") as span:
                 return self._walk(
                     plan, labels,
@@ -392,89 +421,92 @@ class WindowedSampler:
         obs_run.event("window", index=window_index, measured=measured,
                       **fields)
 
-    def _checkpoint_designs(self, provider, design_names, capacity,
-                            associativity, plan, store, stream_token, span):
-        """Build every design warm: restore its checkpoint or replay once.
+    def _start_states(self, provider, identity, plan, design_names,
+                      capacity, associativity, trace):
+        """Build every design at the plan's start state.
 
-        Returns ``[(design, checkpoint)]``; ``span`` (the enclosing warmup
-        span) is tagged with which warming engine ran per design.
+        Returns ``[(design, checkpoint)]``, timed as the ``warmup`` phase.
+        Without a prologue the design as built is the start state: nothing
+        is warmed or stored, and a one-window plan measures the design as
+        it is (checkpoint ``None``) while a longer plan rewinds it to a
+        snapshot.  Otherwise each design restores its checkpoint from the
+        store or replays the prologue once -- the one long replay, tagging
+        the ``warmup`` span with the warming engine -- and saves it.
+        Stored checkpoints key on the stream's ``identity``, or on the
+        content digest of an injected trace.
         """
-        from repro.sampling.checkpoints import design_token
+        from repro.sampling.checkpoints import (
+            CheckpointStore,
+            design_token,
+            sequence_token,
+        )
 
+        store = CheckpointStore.default() if plan.checkpoint_accesses else None
+        if store is not None:
+            stream_token = (identity if identity is not None
+                            else sequence_token(trace))
         prologue = None
         designs = []
-        for name in design_names:
-            design = make_design(
-                name, capacity, scale=self.config.scale,
-                num_cores=self.config.num_cores, associativity=associativity,
-            )
-            checkpoint = None
-            key = None
-            if store is not None:
-                key = store.key(
-                    trace=stream_token,
-                    design=design_token(name),
-                    capacity=format_size(parse_size(capacity)),
-                    scale=self.config.scale,
+        with obs_current().span("warmup") as span:
+            for name in design_names:
+                design = make_design(
+                    name, capacity, scale=self.config.scale,
                     num_cores=self.config.num_cores,
                     associativity=associativity,
-                    checkpoint_start=plan.checkpoint_start,
-                    checkpoint_stop=plan.checkpoint_stop,
                 )
-                checkpoint = store.load(key)
-                if checkpoint is not None:
-                    try:
-                        design.restore_state(checkpoint)
-                    except ValueError:
-                        # Stale shape (e.g. a design redefined in-process
-                        # under the same token): fall back to warming.
-                        checkpoint = None
-            if checkpoint is None:
-                # The one long replay: functional warming up to the
-                # measurement region, frozen once, restored before every
-                # window -- and persisted so later processes skip it too.
-                if prologue is None:
-                    prologue = provider.read_array(plan.checkpoint_start,
-                                                   plan.checkpoint_stop)
-                warm_up(design, prologue, span)
-                checkpoint = design.snapshot_state()
+                if not plan.checkpoint_accesses:
+                    designs.append((design, design.snapshot_state()
+                                    if len(plan.windows) > 1 else None))
+                    continue
+                checkpoint = None
                 if store is not None:
-                    store.save(key, checkpoint)
-            designs.append((design, checkpoint))
+                    key = store.key(
+                        trace=stream_token,
+                        design=design_token(name),
+                        capacity=format_size(parse_size(capacity)),
+                        scale=self.config.scale,
+                        num_cores=self.config.num_cores,
+                        associativity=associativity,
+                        checkpoint_start=plan.checkpoint_start,
+                        checkpoint_stop=plan.checkpoint_stop,
+                    )
+                    checkpoint = store.load(key)
+                    if checkpoint is not None:
+                        try:
+                            design.restore_state(checkpoint)
+                        except ValueError:
+                            # Stale shape (e.g. a design redefined
+                            # in-process under the same token): fall back
+                            # to warming.
+                            checkpoint = None
+                if checkpoint is None:
+                    # Functional warming up to the measurement region,
+                    # frozen once, restored before every window -- and
+                    # persisted so later processes skip it too.
+                    if prologue is None:
+                        prologue = provider.read_array(plan.checkpoint_start,
+                                                       plan.checkpoint_stop)
+                    warm_up(design, prologue, span)
+                    checkpoint = design.snapshot_state()
+                    if store is not None:
+                        store.save(key, checkpoint)
+                designs.append((design, checkpoint))
         return designs
 
     @contextmanager
-    def _warmed(self, design_names, workload, capacity, trace,
-                associativity):
-        """Open the window source, plan the windows, build every design warm.
+    def _opened(self, workload, trace):
+        """Open the window source and plan its windows.
 
-        Yields ``(provider, identity, plan, [(design, checkpoint)])`` and
-        closes the provider on exit: the shared setup of :meth:`compare`
-        and :meth:`measure_windows`, so both start every window from the
-        same warm state.  Checkpoints key on the stream's ``identity``, or
-        on the content digest of an injected trace.
+        Yields ``(provider, identity, plan)`` and closes the provider on
+        exit: the shared setup of :meth:`compare` and
+        :meth:`measure_windows`, which then build their designs at the
+        plan's start state (:meth:`_start_states`).
         """
-        from repro.sampling.checkpoints import CheckpointStore, sequence_token
-
-        obs_run = obs_current()
-        with obs_run.span("trace_load"):
+        with obs_current().span("trace_load"):
             provider, identity = self._provider(workload, trace)
         try:
-            plan = plan_windows(provider.total, self.config.warmup_fraction,
-                                self.sampling)
-            store = CheckpointStore.default()
-            stream_token = ""
-            if store is not None:
-                stream_token = (identity if identity is not None
-                                else sequence_token(trace))
-            # The checkpoint prologue is the sampled path's functional
-            # warming: it shows up in the ledger under the same "warmup"
-            # phase a full replay's warm-up does.
-            with obs_run.span("warmup") as span:
-                designs = self._checkpoint_designs(
-                    provider, design_names, capacity, associativity, plan,
-                    store, stream_token, span)
-            yield provider, identity, plan, designs
+            yield provider, identity, plan_windows(
+                provider.total, self.config.warmup_fraction, self.sampling)
         finally:
             provider.close()
 
@@ -545,9 +577,7 @@ class WindowedSampler:
         from repro.sim.registry import DESIGNS
 
         DESIGNS.resolve(design_name)
-        with self._warmed([design_name], workload, capacity, trace,
-                          associativity) as (provider, identity, plan,
-                                             designs):
+        with self._opened(workload, trace) as (provider, identity, plan):
             for index in window_indices:
                 if not 0 <= index < len(plan.windows):
                     raise ValueError(
@@ -555,6 +585,9 @@ class WindowedSampler:
                         f"({len(plan.windows)} windows); was the trace "
                         f"modified after the sweep was planned?"
                     )
+            designs = self._start_states(provider, identity, plan,
+                                         [design_name], capacity,
+                                         associativity, trace)
             with obs_current().span("measure") as span:
                 return {
                     index: self._measure_window(provider, plan, index,
@@ -586,22 +619,50 @@ class WindowedSampler:
 
         return self._walk(plan, [label], lookup, workload_name, capacity)
 
+    def window_result(self, label: str, measurement: WindowMeasurement,
+                      workload_name: str,
+                      capacity: SizeLike) -> ExperimentResult:
+        """The result of a one-window run: its one measurement as it stands.
+
+        The full-replay result -- no stop walk, no averaging and no
+        ``sampling_*`` extras.
+        """
+        result = ExperimentResult(
+            design=label,
+            workload=workload_name,
+            capacity=format_size(parse_size(capacity)),
+            scale=self.config.scale,
+            accesses_measured=measurement.window.measure_accesses,
+            **{name: getattr(measurement, name)
+               for name in MEAN_FIELDS + SUM_FIELDS},
+            speedup_vs_no_cache=measurement.speedup_vs_no_cache,
+            user_ipc=measurement.user_ipc,
+        )
+        _set_design_metrics(result, measurement.extra_metrics.items())
+        return result
+
     def run_design(self, design_name: str, workload: Workload,
                    capacity: SizeLike,
                    trace: Optional[Sequence[MemoryAccess]] = None,
                    associativity: Optional[int] = None,
                    label: Optional[str] = None) -> ExperimentResult:
-        """Sample one design and aggregate into an :class:`ExperimentResult`.
+        """Measure one design into an :class:`ExperimentResult`.
 
-        The sampled counterpart of
-        :meth:`repro.sim.experiment.ExperimentRunner.run_design`, and the
-        entry point the sweep executor uses for trials with a ``sampling=``
-        axis.
+        The entry point of :func:`repro.sim.executor.run_trial`.  The
+        one-window plan measures its window (:meth:`measure_windows`) and
+        reports it (:meth:`window_result`); a sampled run takes the live
+        stop walk (:meth:`compare`) and aggregates it.
         """
+        label = design_name if label is None else label
+        if self.sampling is None:
+            measured = self.measure_windows(design_name, workload, capacity,
+                                            [0], trace=trace,
+                                            associativity=associativity)
+            return self.window_result(label, measured[0], workload.name,
+                                      capacity)
         run = self.compare(
             [design_name], workload, capacity, trace=trace,
-            associativity=associativity,
-            labels=[label] if label is not None else None,
+            associativity=associativity, labels=[label],
         )
         with obs_current().span("assemble"):
             return run.results()[0]

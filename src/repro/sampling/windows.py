@@ -13,6 +13,10 @@ plan built here mirrors the SimFlex discipline the paper samples with:
   that stops after a prefix of the plan has measured an unbiased spread of
   the region rather than its left edge.
 
+A full replay is the degenerate plan (no ``SamplingConfig``): no prologue
+and one window, the measurement region itself, warmed from the start of
+the trace.
+
 Everything is a pure function of ``(total_accesses, warmup_fraction,
 SamplingConfig)`` -- no global state -- so serial and process-parallel sweep
 executions sample identical windows.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 #: Window placement strategies.
 PLACEMENT_SYSTEMATIC = "systematic"
@@ -138,22 +142,33 @@ class WindowPlan:
 
 
 def plan_windows(total_accesses: int, warmup_fraction: float,
-                 config: SamplingConfig) -> WindowPlan:
+                 config: Optional[SamplingConfig]) -> WindowPlan:
     """Place measurement windows over a trace of ``total_accesses``.
 
-    The measurement region is ``[total * warmup_fraction, total)`` -- the
-    same region a full replay measures -- and the checkpoint prologue is the
-    ``checkpoint_accesses`` immediately before it.  Window count is capped
-    so windows can never overlap under systematic placement; degenerate
-    traces (region smaller than one window) collapse to a single window
-    covering the region.
+    The measurement region is ``[total * warmup_fraction, total)`` and the
+    checkpoint prologue is the ``checkpoint_accesses`` immediately before
+    it.  Window count is capped so windows can never overlap under
+    systematic placement; degenerate traces (region smaller than one
+    window) collapse to a single window covering the region.
+
+    ``config=None`` plans a full replay: an empty prologue and one window,
+    the whole region (empty for an empty trace), warmed from the first
+    access.
     """
-    if total_accesses <= 0:
-        raise ValueError("total_accesses must be positive")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-
     region_start = int(total_accesses * warmup_fraction)
+    if config is None:
+        return WindowPlan(
+            total_accesses=total_accesses, checkpoint_start=0,
+            checkpoint_stop=0,
+            windows=(MeasurementWindow(index=0, warmup_start=0,
+                                       start=region_start,
+                                       stop=total_accesses),),
+            order=(0,),
+        )
+    if total_accesses <= 0:
+        raise ValueError("total_accesses must be positive")
     region_len = total_accesses - region_start
     window = min(config.window_accesses, region_len)
     count = max(1, min(config.max_windows, region_len // max(1, window)))

@@ -17,11 +17,12 @@
 * :mod:`repro.sim.performance` -- the analytic performance model that converts
   measured DRAM-cache behaviour into the user-IPC / speedup numbers of
   Figures 7 and 8.
-* :mod:`repro.sim.experiment` -- the single-trial experiment runner: warm-up,
-  measurement, and a uniform result record.
+* :mod:`repro.sim.experiment` -- experiment configuration, trace building,
+  the warm/replay helpers, and the uniform result record.
 
-The SimFlex-style windowed sampler lives in :mod:`repro.sampling` and plugs
-into sweeps via ``SweepSpec(sampling=SamplingConfig())``.
+The SimFlex-style windowed sampler lives in :mod:`repro.sampling` and
+measures every trial: a full replay is its one-window plan, and
+``SweepSpec(sampling=SamplingConfig())`` switches a sweep to many windows.
 
 Only the registry is imported eagerly; everything else loads on first
 attribute access (PEP 562).  This keeps :mod:`repro.sim.registry` importable

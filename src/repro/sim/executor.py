@@ -8,13 +8,11 @@ tractable:
   :func:`repro.trace.store.trace_token` of ``(workload, config)``: for a
   synthetic workload its generator-versioned profile and run parameters,
   for a trace file its path, size and mtime (so a rewritten file is a new
-  trace).  :func:`cached_trace` is the one way a trial gets a trace --
-  full replays and the windowed sampler alike, save that the sampler
-  opens a binary trace file as windows of the file -- and caches it
-  process-wide under that token.  The no-DRAM-cache
-  baseline of accesses ``[start, stop)`` is a pure function of them, so
-  :func:`window_baseline` caches it under ``(token, start, stop)``: a full
-  replay's measured region and a sampled window are the same kind of key.
+  trace).  :func:`cached_trace` is the one way a trial gets a trace, save
+  that a raw binary trace file is memory-mapped instead, and caches it
+  process-wide under that token.  The no-DRAM-cache baseline of accesses
+  ``[start, stop)`` is a pure function of them, so
+  :func:`window_baseline` caches it under ``(token, start, stop)``.
   A cached trace is one packed record array
   (:mod:`repro.engine.trace_array`) whichever way it was built, so every
   later cell slices it instead of decoding it again.  An N-cell grid that
@@ -28,10 +26,15 @@ tractable:
   trace is generated once *ever* (disable or relocate via the
   ``REPRO_TRACE_STORE`` environment variable).
 
+* **One measurement path.**  Every trial is measured by the windowed
+  sampler's one window routine (:func:`run_trial`): a full replay is the
+  one-window plan -- one window ``[split, n)`` warmed from ``[0, split)``
+  -- and a sampled trial is many windows after a checkpointed prologue.
+
 * **Deterministic parallelism.**  ``workers > 1`` runs the sweep on a private
   :class:`repro.queue.service.SweepService` in a temporary directory that
-  is removed when the run returns: forked workers lease jobs (one per
-  full-replay trial, one per window batch of a sampled trial), a worker
+  is removed when the run returns: forked workers lease jobs (a full-replay
+  trial's one window, or one batch of a sampled trial's windows), a worker
   that dies costs only its job, and the jobs reassemble in grid order.
   Each trial is self-contained (its spec carries the full configuration,
   and per-trial seeding is derived from the spec, never from process
@@ -48,6 +51,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.no_cache import NoDramCache
 from repro.dramcache.stats import DramCacheStats
 from repro.obs.core import current as obs_current, start_run
 from repro.sim.experiment import ExperimentResult, ExperimentRunner, Workload
@@ -145,33 +149,20 @@ def cached_trace(runner: ExperimentRunner,
     return trace
 
 
-def cached_baseline(runner: ExperimentRunner, profile: Workload,
-                    trace) -> DramCacheStats:
-    """The no-cache baseline of a full replay's measured region, once.
-
-    ``trace`` is :func:`cached_trace`'s trace for (profile, runner.config);
-    its measured region is one :func:`window_baseline` key.
-    """
-    _, measure = runner.split_trace(trace)
-    return window_baseline(trace_token(profile, runner.config),
-                           len(trace) - len(measure), len(trace), measure)
-
-
 def window_baseline(identity: Optional[str], start: int, stop: int,
                     measure) -> DramCacheStats:
     """The no-cache baseline of accesses ``[start, stop)``, replayed once.
 
     The baseline of ``measure`` (accesses ``[start, stop)`` of the stream
     named ``identity``) is a pure function of those accesses, so every
-    design measured over the same trace and bounds shares one replay: a
-    sampled window's, or a full replay's measured region.  ``identity`` is
-    the stream's :func:`trace_token`; ``None`` -- an injected stream with
-    no cheap identity -- replays uncached.
+    design measured over the same trace and bounds shares one replay.
+    ``identity`` is the stream's :func:`trace_token`; ``None`` -- an
+    injected stream with no cheap identity -- replays uncached.
     """
     key = (identity, start, stop)
     baseline = _BASELINE_CACHE.get(key) if identity is not None else None
     if baseline is None:
-        baseline = ExperimentRunner.no_cache_baseline(measure)
+        baseline = NoDramCache().run(measure)
         if identity is not None:
             _BASELINE_CACHE[key] = baseline
     return baseline
@@ -180,66 +171,54 @@ def window_baseline(identity: Optional[str], start: int, stop: int,
 def run_trial(trial: ExperimentSpec) -> ExperimentResult:
     """Run one trial, reusing the process-wide trace/baseline caches.
 
-    A trial carrying a ``sampling`` config runs through the checkpointed
-    windowed sampler instead of a full replay; the sampler loads its trace
-    itself, through the same :func:`cached_trace` (a binary trace-file
-    workload is opened as :class:`~repro.sampling.seekable.FileWindows`
-    on that path).
+    Every trial runs through the windowed sampler: a full replay as the
+    one-window plan, a trial carrying a ``sampling`` config as a
+    checkpointed, adaptively terminated sampled run.  The sampler loads
+    the trace itself (see :func:`cached_trace`).
     """
     with start_run("trial", design=trial.design, label=trial.result_label,
                    workload=trial.workload.name,
                    capacity=str(trial.capacity),
-                   sampled=trial.sampling is not None) as obs_run:
-        if trial.sampling is not None:
-            return _sampler(trial).run_design(
-                trial.design, trial.workload, trial.capacity,
-                associativity=trial.associativity,
-                label=trial.label,
-            )
-        runner = ExperimentRunner(trial.config, system=trial.system)
-        with obs_run.span("trace_load"):
-            trace = cached_trace(runner, trial.workload)
-        with obs_run.span("baseline"):
-            baseline = cached_baseline(runner, trial.workload, trace)
-        return runner.run_design(
+                   sampled=trial.sampling is not None):
+        return _sampler(trial).run_design(
             trial.design, trial.workload, trial.capacity,
-            trace=trace,
             associativity=trial.associativity,
             label=trial.label,
-            baseline_stats=baseline,
         )
 
 
 def _sampler(trial: ExperimentSpec):
-    """The windowed sampler of a sampled trial."""
+    """The windowed sampler of a trial (the one-window plan when full)."""
     from repro.sampling.runner import WindowedSampler
 
     return WindowedSampler(trial.sampling, config=trial.config,
                            system=trial.system)
 
 
-def sampled_trial_total(trial: ExperimentSpec) -> Optional[int]:
-    """The window provider's trace length, computed without opening it.
+def sampled_trial_total(trial: ExperimentSpec) -> int:
+    """The length of the trace a trial measures.
 
-    ``None`` means only that the trial replays a non-binary trace file,
-    whose length is known once it is read; the work queue then schedules
-    the whole trial as one job.  A binary file whose header cannot be read
-    or was never finalized raises here, as the trial itself would.
+    A synthetic trace is exactly ``num_accesses`` long, and a binary trace
+    file's length is read off its header, so neither is opened; a binary
+    file whose header cannot be read or was never finalized raises here,
+    as the trial itself would.  Any other trace file is read through
+    :func:`cached_trace` (once per process: forked workers inherit it), so
+    a malformed one raises here too.
     """
     from repro.trace.binfmt import finalized_header, is_binary_trace
     from repro.workloads.tracefile import TraceFileWorkload
 
-    if isinstance(trial.workload, TraceFileWorkload):
-        if not is_binary_trace(trial.workload.path):
-            return None
+    if not isinstance(trial.workload, TraceFileWorkload):
+        return trial.config.num_accesses
+    if is_binary_trace(trial.workload.path):
         count = finalized_header(trial.workload.path).access_count
         return min(count, trial.config.num_accesses)
-    # Synthetic traces materialize exactly num_accesses records.
-    return trial.config.num_accesses
+    return len(cached_trace(ExperimentRunner(trial.config), trial.workload))
 
 
 def sampled_window_plan(trial: ExperimentSpec):
-    """The trial's window plan, or ``None`` when it cannot be pre-planned.
+    """The trial's window plan: the one-window plan of a full replay, or
+    the windows of a sampled trial.
 
     The plan is a pure function of (trace length, warm-up fraction,
     sampling config), so the queue planner, every window-batch worker, and
@@ -247,20 +226,16 @@ def sampled_window_plan(trial: ExperimentSpec):
     """
     from repro.sampling.windows import plan_windows
 
-    if trial.sampling is None:
-        return None
-    total = sampled_trial_total(trial)
-    if total is None:
-        return None
-    return plan_windows(total, trial.config.warmup_fraction, trial.sampling)
+    return plan_windows(sampled_trial_total(trial),
+                        trial.config.warmup_fraction, trial.sampling)
 
 
 def run_trial_windows(trial: ExperimentSpec,
                       window_indices: Sequence[int]) -> Dict[int, object]:
-    """Measure a batch of a sampled trial's windows (a work-queue job).
+    """Measure a batch of a trial's planned windows (a work-queue job).
 
     Returns ``{window_index: WindowMeasurement}`` from the same window
-    routine the serial sampled path runs, so batches measured by different
+    routine the serial path runs, so batches measured by different
     workers reassemble exactly.
     """
     with start_run("windows", design=trial.design, label=trial.result_label,
@@ -276,24 +251,24 @@ def run_trial_windows(trial: ExperimentSpec,
 def assemble_sampled_trial(trial: ExperimentSpec,
                            measurements: Dict[int, object],
                            ) -> ExperimentResult:
-    """Aggregate window-batch measurements into the trial's final result.
+    """Build a trial's final result from its window-job measurements.
 
-    Runs the same stop walk as the serial sampled path over the plan's
+    A full replay's one window is its result as measured.  A sampled trial
+    runs the same stop walk as the serial sampled path over the plan's
     measurement order, so the aggregation stops at exactly the window the
     serial run would have stopped at; measurements past that point
     (speculatively measured batches) are discarded, and a window missing
     before it raises ``ValueError``.
     """
-    plan = sampled_window_plan(trial)
-    if plan is None:
-        raise ValueError(
-            f"trial {trial.describe()} cannot be window-planned up front"
-        )
+    sampler = _sampler(trial)
     with obs_current().span("assemble"):
-        run = _sampler(trial).assemble_run(
+        if trial.sampling is None:
+            return sampler.window_result(trial.result_label, measurements[0],
+                                         trial.workload.name, trial.capacity)
+        run = sampler.assemble_run(
             trial.result_label, measurements,
             workload_name=trial.workload.name, capacity=trial.capacity,
-            plan=plan)
+            plan=sampled_window_plan(trial))
         return run.results()[0]
 
 
@@ -358,5 +333,5 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = 1,
 
 __all__ = ["SweepExecutor", "run_sweep", "run_trial", "run_trial_windows",
            "assemble_sampled_trial", "sampled_trial_total",
-           "sampled_window_plan", "cached_trace", "cached_baseline",
+           "sampled_window_plan", "cached_trace",
            "window_baseline", "clear_caches", "get_trace_store"]

@@ -1,6 +1,6 @@
-"""Experiment runner.
+"""Experiment configuration, traces, and the measurement primitives.
 
-The runner reproduces the paper's methodology at laptop scale:
+The reproduction follows the paper's methodology at laptop scale:
 
 1. build a DRAM cache design for a given *paper* capacity, structurally
    identical to the paper's configuration but with the number of sets scaled
@@ -14,33 +14,30 @@ The runner reproduces the paper's methodology at laptop scale:
    the speedup over a no-DRAM-cache system computed by the analytic
    performance model.
 
-This is the single-trial layer.  Grids of trials are declared with
-:class:`repro.sim.spec.SweepSpec` and executed -- serially or across worker
-processes, with trace/baseline reuse -- by :mod:`repro.sim.executor`; the
-benchmarks and examples build on those.
+This module holds the pieces: :class:`ExperimentConfig`, the trace builder
+(:class:`ExperimentRunner`), :class:`ExperimentResult`, and the warm,
+replay and read-out helpers.  Steps 2-3 run in one place, the windowed
+sampler's window routine (:mod:`repro.sampling.runner`), where a full
+replay is the plan with one window.  Trials and grids of them are declared
+with :class:`repro.sim.spec.SweepSpec` and executed -- serially or across
+worker processes, with trace/baseline reuse -- by
+:mod:`repro.sim.executor`; the benchmarks and examples build on those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.baselines.no_cache import NoDramCache
-from repro.config.system import SystemConfig
 from repro.obs.core import current as obs_current, emit_event
 from repro.dramcache.base import DramCacheModel
-from repro.dramcache.stats import DramCacheStats
 from repro.engine import fallback_reason
 from repro.engine.trace_array import records_to_array
-from repro.sim.factory import make_design
-from repro.sim.performance import PerformanceModel
 from repro.trace.adapters import open_trace, resolve_format
 from repro.trace.binfmt import check_access_types, open_trace_array
-from repro.trace.record import MemoryAccess
-from repro.utils.units import format_size, parse_size, SizeLike
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.tracefile import TraceFileWorkload
@@ -180,8 +177,8 @@ def measured_fields(design: DramCacheModel,
 
     Row activations count from ``activations_before`` (off-chip, stacked),
     read when measurement began; every other field comes straight off the
-    design's cache stats.  Full replay and each sampled window read their
-    results through this one helper.
+    design's cache stats.  The window routine reads every measurement
+    through this one helper.
     """
     fields: Dict[str, Union[int, float]] = {
         "offchip_row_activations": (design.memory.row_activations
@@ -197,13 +194,13 @@ def measured_fields(design: DramCacheModel,
 
 
 class ExperimentRunner:
-    """Builds designs, replays workloads, and produces :class:`ExperimentResult`."""
+    """Builds the workload trace of an experiment configuration.
 
-    def __init__(self, config: Optional[ExperimentConfig] = None,
-                 system: Optional[SystemConfig] = None) -> None:
+    Designs are measured over it by :func:`repro.sim.executor.run_trial`.
+    """
+
+    def __init__(self, config: Optional[ExperimentConfig] = None) -> None:
         self.config = config or ExperimentConfig()
-        self.system = system or SystemConfig()
-        self.performance = PerformanceModel(self.system)
 
     # ------------------------------------------------------------------ #
     # Trace construction
@@ -245,9 +242,9 @@ class ExperimentRunner:
         if isinstance(profile, TraceFileWorkload):
             fmt = resolve_format(profile.format or None, profile.path).name
             if fmt == "binary":
-                # A copy, not the file's memory map: a full replay reads
-                # every record anyway, and a trace cached for the process
-                # must not change, or fault, when the file is rewritten.
+                # A copy, not the file's memory map: a trace cached for
+                # the process must not change, or fault, when the file is
+                # rewritten.
                 return check_access_types(np.array(open_trace_array(
                     profile.path, self.config.num_accesses)), profile.path)
             # islice never pulls the record after the limit, so nothing
@@ -255,89 +252,3 @@ class ExperimentRunner:
             return records_to_array(list(islice(
                 open_trace(profile.path, fmt), self.config.num_accesses)))
         return np.concatenate(list(self.iter_trace_chunks(profile)))
-
-    def split_trace(self, trace: Sequence[MemoryAccess]) -> "tuple[Sequence[MemoryAccess], Sequence[MemoryAccess]]":
-        """Split a trace into its (warm-up, measurement) portions."""
-        split = int(len(trace) * self.config.warmup_fraction)
-        return trace[:split], trace[split:]
-
-    # ------------------------------------------------------------------ #
-    # Running designs
-    # ------------------------------------------------------------------ #
-    def run_design(self, design_name: str, profile: Workload,
-                   capacity: SizeLike,
-                   trace: Optional[Sequence[MemoryAccess]] = None,
-                   associativity: Optional[int] = None,
-                   label: Optional[str] = None,
-                   baseline_stats: Optional[DramCacheStats] = None,
-                   ) -> ExperimentResult:
-        """Run one design over one workload at one (paper) capacity.
-
-        ``label`` overrides the design name recorded in the result (used when
-        a variant is built from a base entry with overrides, e.g.
-        ``unison-8way``).  ``baseline_stats`` injects a pre-computed no-cache
-        baseline over the same measurement window, letting sweep executors
-        replay the baseline once per trace instead of once per cell.
-        """
-        obs_run = obs_current()
-        if trace is None:
-            with obs_run.span("trace_load"):
-                trace = self.build_trace(profile)
-        warmup, measure = self.split_trace(trace)
-
-        design = make_design(
-            design_name, capacity, scale=self.config.scale,
-            num_cores=self.config.num_cores, associativity=associativity,
-        )
-        with obs_run.span("warmup") as warm_span:
-            warm_up(design, warmup, warm_span)
-        activations_before = (design.memory.row_activations,
-                              design.stacked.row_activations)
-        with obs_run.span("measure") as measure_span:
-            replay(design, measure, measure_span)
-        obs_run.counter("accesses", len(measure))
-        obs_run.counter("warmup_accesses", len(warmup))
-
-        if baseline_stats is None:
-            with obs_run.span("baseline"):
-                baseline_stats = self.no_cache_baseline(measure)
-        speedup = self.performance.speedup(
-            design.cache_stats, baseline_stats, profile
-        )
-        estimate = self.performance.estimate(design.cache_stats, profile)
-
-        return self._result_from(
-            design, label or design_name, profile, capacity, len(measure),
-            activations_before, speedup, estimate.user_ipc,
-        )
-
-    @staticmethod
-    def no_cache_baseline(measure: Iterable[MemoryAccess]) -> DramCacheStats:
-        """Replay ``measure`` through a no-DRAM-cache system (speedup baseline)."""
-        baseline = NoDramCache()
-        baseline.run(measure)
-        return baseline.cache_stats
-
-    def _result_from(self, design: DramCacheModel, design_name: str,
-                     profile: WorkloadProfile, capacity: SizeLike,
-                     measured: int,
-                     activations_before: "tuple[int, int]",
-                     speedup: Optional[float],
-                     user_ipc: Optional[float]) -> ExperimentResult:
-        result = ExperimentResult(
-            design=design_name,
-            workload=profile.name,
-            capacity=format_size(parse_size(capacity)),
-            scale=self.config.scale,
-            accesses_measured=measured,
-            **measured_fields(design, activations_before),
-            speedup_vs_no_cache=speedup,
-            user_ipc=user_ipc,
-        )
-
-        for key, value in design.extra_metrics().items():
-            if key in ExperimentResult.METRIC_FIELDS:
-                setattr(result, key, value)
-            else:
-                result.extra[key] = float(value)
-        return result

@@ -13,9 +13,10 @@ from repro.sim.executor import (
     clear_caches,
     get_trace_store,
     run_sweep,
+    run_trial,
 )
 from repro.sim.experiment import ExperimentConfig, ExperimentRunner
-from repro.sim.spec import SweepSpec
+from repro.sim.spec import ExperimentSpec, SweepSpec
 from repro.trace.errors import TraceFormatError
 from repro.workloads.generator import SyntheticWorkload
 
@@ -216,14 +217,15 @@ class TestTraceFileWorkloads:
         path = tmp_path / "tiny.rptr"
         write_trace_bin(path, trace, num_cores=4)
 
-        synthetic = runner.run_design("unison", tiny_profile, "256MB",
-                                      trace=trace)
+        synthetic = run_trial(ExperimentSpec("unison", tiny_profile, "256MB",
+                                             config=config))
 
         from repro.workloads.tracefile import TraceFileWorkload
 
         replayed = TraceFileWorkload(path=str(path), name=tiny_profile.name,
                                      l2_mpki=tiny_profile.l2_mpki)
-        from_file = runner.run_design("unison", replayed, "256MB")
+        from_file = run_trial(ExperimentSpec("unison", replayed, "256MB",
+                                             config=config))
         assert from_file == synthetic
 
     def test_trace_file_workload_in_sweep_spec(self, tmp_path, store_root,

@@ -7,25 +7,25 @@ evaluation is built on (who hits, who pays tag latency, who wastes bandwidth).
 
 import pytest
 
-from repro.sim.executor import run_sweep
-from repro.sim.experiment import ExperimentConfig, ExperimentRunner
-from repro.sim.spec import SweepSpec
+from repro.sim.executor import run_sweep, run_trial
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.spec import ExperimentSpec, SweepSpec
 from repro.workloads.cloudsuite import data_analytics, web_search
 
+CONFIG = ExperimentConfig(scale=2048, num_accesses=16_000, num_cores=8,
+                          seed=5)
+
+
+def run(design, profile, capacity):
+    return run_trial(ExperimentSpec(design, profile, capacity, config=CONFIG))
+
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(
-        ExperimentConfig(scale=2048, num_accesses=16_000, num_cores=8, seed=5)
-    )
-
-
-@pytest.fixture(scope="module")
-def comparison(runner):
+def comparison():
     """All four designs over the same Web Search trace, by design name."""
     results = run_sweep(SweepSpec(
         designs=("unison", "alloy", "footprint", "ideal"),
-        workloads=(web_search(),), capacities=("1GB",), config=runner.config,
+        workloads=(web_search(),), capacities=("1GB",), config=CONFIG,
     ))
     return {result.design: result for result in results}
 
@@ -83,17 +83,17 @@ class TestDesignComparison:
 
 
 class TestCapacityTrends:
-    def test_larger_cache_never_much_worse(self, runner):
-        small = runner.run_design("unison", data_analytics(), "128MB")
-        large = runner.run_design("unison", data_analytics(), "1GB")
+    def test_larger_cache_never_much_worse(self):
+        small = run("unison", data_analytics(), "128MB")
+        large = run("unison", data_analytics(), "1GB")
         assert large.miss_ratio <= small.miss_ratio + 0.05
 
-    def test_footprint_tag_latency_grows_with_capacity(self, runner):
-        small = runner.run_design("footprint", web_search(), "128MB")
-        large = runner.run_design("footprint", web_search(), "8GB")
+    def test_footprint_tag_latency_grows_with_capacity(self):
+        small = run("footprint", web_search(), "128MB")
+        large = run("footprint", web_search(), "8GB")
         assert large.average_hit_latency > small.average_hit_latency
 
-    def test_unison_hit_latency_capacity_independent(self, runner):
-        small = runner.run_design("unison", web_search(), "128MB")
-        large = runner.run_design("unison", web_search(), "8GB")
+    def test_unison_hit_latency_capacity_independent(self):
+        small = run("unison", web_search(), "128MB")
+        large = run("unison", web_search(), "8GB")
         assert abs(large.average_hit_latency - small.average_hit_latency) < 12

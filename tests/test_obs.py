@@ -496,7 +496,7 @@ class TestQueueTelemetry:
     def test_backoff_failed_and_reclaim_events_reach_ledger(self, obs_on,
                                                             tmp_path):
         def one_job():
-            return [PlannedJob(key="k0", trial_index=0, part=0, kind="trial",
+            return [PlannedJob(key="k0", trial_index=0, part=0, kind="windows",
                                trace_group="g", payload=b"p")]
 
         now = 1000.0
@@ -571,7 +571,8 @@ class TestCli:
         token = self._drain_tiny_sweep(tmp_path, monkeypatch)
         assert main(["runs", "list"]) == 0
         out = capsys.readouterr().out
-        assert "trial" in out and token[:8] in out
+        # A queued full-replay cell runs as its one-window job.
+        assert "windows" in out and token[:8] in out
 
         assert main(["runs", "show", token]) == 0
         out = capsys.readouterr().out

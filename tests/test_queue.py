@@ -84,17 +84,18 @@ def sampled_spec(**kwargs) -> SweepSpec:
 
 def planned(n: int) -> list:
     return [
-        PlannedJob(key=f"key-{i}", trial_index=i, part=0, kind="trial",
+        PlannedJob(key=f"key-{i}", trial_index=i, part=0, kind="windows",
                    trace_group="g", payload=b"payload-%d" % i)
         for i in range(n)
     ]
 
 
-def window_jobs(parts_per_trial, groups=None, kind="windows") -> list:
+def window_jobs(parts_per_trial, groups=None) -> list:
     """Window-batch rows: ``parts_per_trial[t]`` jobs for trial ``t``."""
     return [
         PlannedJob(key=f"t{trial}-w{part}", trial_index=trial, part=part,
-                   kind=kind, trace_group=(groups or {}).get(trial, "g"),
+                   kind="windows",
+                   trace_group=(groups or {}).get(trial, "g"),
                    payload=b"p")
         for trial, parts in enumerate(parts_per_trial)
         for part in range(parts)
@@ -219,7 +220,7 @@ class TestJobStore:
 
     def test_prefer_group_affinity(self, tmp_path):
         jobs = [
-            PlannedJob(key=f"k{i}", trial_index=i, part=0, kind="trial",
+            PlannedJob(key=f"k{i}", trial_index=i, part=0, kind="windows",
                        trace_group=group, payload=b"p")
             for i, group in enumerate(["a", "b", "a"])
         ]
@@ -284,12 +285,6 @@ class TestPrologueHold:
             assert store.recover() == 1
             assert store.lease("b", 60).seq == first.seq
             assert store.job("tok", first.seq).lease_owner == "b"
-
-    def test_trial_jobs_are_never_held(self, tmp_path):
-        with JobStore(tmp_path / "jobs.sqlite") as store:
-            store.submit("tok", "d", None, window_jobs([2], kind="trial"))
-            assert store.lease("a", 60).part == 0
-            assert store.lease("b", 60).part == 1
 
     def test_prefer_group_cannot_bypass_the_hold(self, tmp_path):
         with JobStore(tmp_path / "jobs.sqlite") as store:
@@ -547,8 +542,62 @@ class TestPlanning:
 
     def test_full_replay_trials_plan_one_job_each(self, queue_root):
         plan = plan_sweep(tiny_spec())
-        assert [job.kind for job in plan.jobs] == ["trial", "trial"]
+        assert [job.kind for job in plan.jobs] == ["windows", "windows"]
         assert [job.trial_index for job in plan.jobs] == [0, 1]
+        assert [pickle.loads(job.payload)["indices"]
+                for job in plan.jobs] == [[0], [0]]
+        assert plan_sweep(tiny_spec(), window_batch=1).token == plan.token
+
+    def test_window_batch_must_be_positive(self, queue_root, capsys):
+        from repro.cli import main
+
+        for batch in (0, -1):
+            with pytest.raises(ValueError,
+                               match="window_batch must be positive"):
+                plan_sweep(tiny_spec(), window_batch=batch)
+            with pytest.raises(ValueError,
+                               match="window_batch must be positive"):
+                SweepService(window_batch=batch)
+        assert main(["queue", "submit", "--designs", "unison",
+                     "--window-batch", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: window_batch must be positive"]
+        assert not (queue_root / "queue").exists()
+
+    def test_text_trace_is_planned_up_front(self, queue_root, tmp_path):
+        from repro.engine.trace_array import array_to_records
+        from repro.sim.experiment import ExperimentRunner
+        from repro.trace.io import write_trace
+
+        config = ExperimentConfig(scale=2048, num_accesses=12_000)
+        path = tmp_path / "web.trace"
+        write_trace(path, array_to_records(ExperimentRunner(config)
+                                           .build_trace(workload_by_name(
+                                               "Web Search"))))
+        spec = sampled_spec(workloads=(f"trace:{path}",))
+        per_trial = {}
+        for job in plan_sweep(spec).jobs:
+            per_trial[job.trial_index] = per_trial.get(job.trial_index, 0) + 1
+        assert sorted(per_trial) == [0, 1]
+        assert all(count > 1 for count in per_trial.values())
+        assert (SweepService().run(spec, workers=2)
+                == SweepExecutor(workers=1).run(spec))
+
+    def test_malformed_text_trace_refused_at_plan_time(self, queue_root,
+                                                       tmp_path):
+        from repro.trace.errors import TraceFormatError
+
+        path = tmp_path / "bad.trace"
+        path.write_text("not a trace line\n")
+        spec = sampled_spec(workloads=(f"trace:{path}",))
+        with pytest.raises(TraceFormatError):
+            plan_sweep(spec)
+        service = SweepService(max_attempts=2)
+        with pytest.raises(TraceFormatError):
+            service.run(spec)
+        with service.store() as store:
+            assert store.sweeps() == []
 
     def test_non_finalized_binary_trace_refused_at_plan_time(
             self, queue_root, tmp_path):
@@ -804,10 +853,17 @@ class TestWindowReassembly:
         with pytest.raises(ValueError, match=f"window {missing} has no"):
             assemble_sampled_trial(trial, measurements)
 
-    def test_window_index_outside_plan_is_rejected(self, trial):
+    def test_window_index_outside_plan_is_rejected(self, trial, monkeypatch):
+        import repro.sampling.runner as runner_module
+
+        builds = []
+        monkeypatch.setattr(runner_module, "make_design",
+                            lambda *args, **kwargs: builds.append(args))
         plan = sampled_window_plan(trial)
         with pytest.raises(ValueError, match="outside the plan"):
             run_trial_windows(trial, [len(plan.windows)])
+        # Refused before any design is built, so before any prologue warms.
+        assert builds == []
 
     def test_compare_measures_what_window_jobs_measure(self, queue_root):
         """The shared-baseline live loop and the per-design job path agree."""
@@ -993,7 +1049,8 @@ class TestQueueWriteVerbsResolvePrefixes:
     def test_prune(self, token, capsys):
         from repro.cli import main
 
-        assert main(["queue", "work"]) == 0
+        # Assembly archives the sweep; only an archived sweep prunes.
+        assert main(["queue", "resume", token, "--quiet"]) == 0
         capsys.readouterr()
         self._rejects(["queue", "prune", "deadbeef"], capsys, "deadbeef")
         assert main(["queue", "prune", token[:8]]) == 0
@@ -1042,14 +1099,14 @@ def _first_trial_raises(monkeypatch):
     import repro.queue.jobstore as jobstore_module
     import repro.sim.executor as executor_module
 
-    real = executor_module.run_trial
+    real = executor_module.run_trial_windows
 
-    def run_or_raise(trial):
+    def run_or_raise(trial, indices):
         if trial.design == "unison":
             raise RuntimeError("simulated deterministic failure")
-        return real(trial)
+        return real(trial, indices)
 
-    monkeypatch.setattr(executor_module, "run_trial", run_or_raise)
+    monkeypatch.setattr(executor_module, "run_trial_windows", run_or_raise)
     monkeypatch.setattr(jobstore_module, "RETRY_BACKOFF_SECONDS", 0.01)
 
 

@@ -9,11 +9,11 @@ from repro.dramcache.components import (
 )
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.stats import DramCacheStats
-from repro.sim.executor import run_sweep
+from repro.sim.executor import run_sweep, run_trial
 from repro.sim.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
 from repro.sim.factory import DESIGN_NAMES, make_design
 from repro.sim.performance import PerformanceModel
-from repro.sim.spec import SweepSpec
+from repro.sim.spec import ExperimentSpec, SweepSpec
 from repro.workloads.cloudsuite import web_search
 from repro.workloads.profile import WorkloadProfile
 
@@ -149,7 +149,8 @@ class TestExperimentRunner:
             ExperimentConfig(num_accesses=0)
 
     def test_run_design_produces_result(self, fast_runner, fast_profile):
-        result = fast_runner.run_design("unison", fast_profile, "1GB")
+        result = run_trial(ExperimentSpec("unison", fast_profile, "1GB",
+                                          config=fast_runner.config))
         assert isinstance(result, ExperimentResult)
         assert 0.0 <= result.miss_ratio <= 1.0
         assert result.miss_ratio_percent == pytest.approx(100 * result.miss_ratio)
@@ -186,6 +187,7 @@ class TestExperimentRunner:
         assert results[1].miss_ratio <= results[0].miss_ratio + 0.02
 
     def test_ideal_design_reports_zero_miss(self, fast_runner, fast_profile):
-        result = fast_runner.run_design("ideal", fast_profile, "1GB")
+        result = run_trial(ExperimentSpec("ideal", fast_profile, "1GB",
+                                          config=fast_runner.config))
         assert result.miss_ratio == 0.0
         assert result.speedup_vs_no_cache > 1.0

@@ -285,14 +285,17 @@ class TestRestoreGuards:
             design.restore_state(StateSnapshot(good.design_name, bad_state))
 
     def test_checkpoint_designs_fall_back_to_warming(self, tmp_path,
-                                                     tiny_profile_module):
+                                                     tiny_profile_module,
+                                                     monkeypatch):
         """A stored checkpoint that does not fit is warmed over, not used."""
         from repro.sampling.checkpoints import CheckpointStore
         from repro.sampling.runner import WindowedSampler
         from repro.sampling.windows import SamplingConfig
         from repro.sim.experiment import ExperimentConfig
 
-        store = CheckpointStore(tmp_path / "ckpt")
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+        store = CheckpointStore.default()
         config = ExperimentConfig(num_accesses=6000, scale=4096,
                                   num_cores=4, seed=3)
         sampling = SamplingConfig(max_windows=2, min_windows=2,
@@ -303,11 +306,10 @@ class TestRestoreGuards:
         workload = tiny_profile_module
 
         def checkpoint_designs():
-            with sampler._warmed(["unison"], workload, "1GB", None,
-                                 None) as (provider, stream, plan, _):
-                return sampler._checkpoint_designs(
-                    provider, ["unison"], "1GB", None, plan, store,
-                    stream, NullSpanStub()), plan, stream
+            with sampler._opened(workload, None) as (provider, stream, plan):
+                return sampler._start_states(
+                    provider, stream, plan, ["unison"], "1GB", None,
+                    None), plan, stream
 
         (cold,), plan, stream = checkpoint_designs()
         key = store.key(trace=stream, design=_design_token("unison"),
@@ -343,13 +345,6 @@ def _make_random_unison():
     return spec.build(DesignBuildContext(
         paper_capacity_bytes=paper, scaled_capacity_bytes=paper // 4096,
         scale=4096, num_cores=4))
-
-
-class NullSpanStub:
-    """The telemetry span ``_checkpoint_designs`` tags, as a no-op."""
-
-    def add(self, name, amount=1):
-        pass
 
 
 def _design_token(name):

@@ -5,6 +5,7 @@ round-trips, the serial/parallel sweep executor equivalence, and the CLI.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,49 @@ LEGACY_DESIGN_NAMES = (
 
 FAST_CONFIG = ExperimentConfig(scale=4096, num_accesses=6_000, num_cores=4,
                                seed=11)
+
+
+def legacy_full_replay(trial: ExperimentSpec) -> ExperimentResult:
+    """A full replay the way a dedicated full-replay loop ran it.
+
+    Warm a fresh design over ``[0, split)`` -- an empty slice at
+    ``warmup_fraction=0`` -- then replay ``[split, n)`` and take the speedup
+    against a no-DRAM-cache replay of the same accesses.  Built from the
+    primitives only, as an oracle for the one-window plan of
+    :func:`run_trial`.
+    """
+    from repro.baselines.no_cache import NoDramCache
+    from repro.sim.experiment import measured_fields
+    from repro.sim.performance import PerformanceModel
+
+    trace = ExperimentRunner(trial.config).build_trace(trial.workload)
+    split = int(len(trace) * trial.config.warmup_fraction)
+    design = make_design(trial.design, trial.capacity,
+                         scale=trial.config.scale,
+                         num_cores=trial.config.num_cores,
+                         associativity=trial.associativity)
+    design.warm_up_array(trace[:split])
+    before = (design.memory.row_activations, design.stacked.row_activations)
+    design.run(trace[split:])
+    baseline = NoDramCache()
+    baseline.run(trace[split:])
+    model = PerformanceModel()
+    result = ExperimentResult(
+        design=trial.result_label, workload=trial.workload.name,
+        capacity=trial.capacity, scale=trial.config.scale,
+        accesses_measured=len(trace) - split,
+        **measured_fields(design, before),
+        speedup_vs_no_cache=model.speedup(design.cache_stats,
+                                          baseline.cache_stats,
+                                          trial.workload),
+        user_ipc=model.estimate(design.cache_stats, trial.workload).user_ipc,
+    )
+    for key, value in design.extra_metrics().items():
+        if key in ExperimentResult.METRIC_FIELDS:
+            setattr(result, key, value)
+        else:
+            result.extra[key] = float(value)
+    return result
 
 
 def make_result(design="unison", workload="Web Search", capacity="1GB",
@@ -275,10 +319,23 @@ class TestExecutor:
     def test_trial_matches_legacy_runner(self):
         trial = ExperimentSpec(design="unison", workload=web_search(),
                                capacity="1GB", config=FAST_CONFIG)
-        via_executor = run_trial(trial)
-        legacy = ExperimentRunner(FAST_CONFIG).run_design(
-            "unison", web_search(), "1GB")
-        assert via_executor == legacy
+        assert run_trial(trial) == legacy_full_replay(trial)
+
+    @pytest.mark.parametrize("design", ["unison", "alloy", "footprint",
+                                        "loh_hill"])
+    def test_zero_warmup_full_replay_matches_legacy_runner(self, design):
+        """At ``warmup_fraction=0`` the window routine resets the stats
+        where a full-replay loop warmed over an empty slice: same result,
+        and no ``sampling_*`` extra."""
+        trial = ExperimentSpec(design=design, workload=web_search(),
+                               capacity="1GB",
+                               config=replace(FAST_CONFIG,
+                                              warmup_fraction=0.0))
+        result = run_trial(trial)
+        assert result == legacy_full_replay(trial)
+        assert result.accesses_measured == FAST_CONFIG.num_accesses
+        assert not [key for key in result.extra
+                    if key.startswith("sampling_")]
 
     def test_trace_and_baseline_are_shared(self, tmp_path, monkeypatch):
         # A fresh store directory so no earlier test pre-stored the traces.

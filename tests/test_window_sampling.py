@@ -1,5 +1,7 @@
 """Tests for window planning, the windowed sampler, and sweep wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sampling import SamplingConfig, WindowedSampler, plan_windows
@@ -145,9 +147,9 @@ class TestWindowedSampler:
         """Sanity at unit-test scale: the sampled estimate must land in the
         right neighbourhood of the full replay (tight agreement is the
         benchmark suite's job)."""
-        runner = ExperimentRunner(fast_config)
-        trace = runner.build_trace(tiny_profile)
-        full = runner.run_design("unison", tiny_profile, "1GB", trace=trace)
+        trace = ExperimentRunner(fast_config).build_trace(tiny_profile)
+        full = run_trial(ExperimentSpec("unison", tiny_profile, "1GB",
+                                        config=fast_config))
         sampling = SamplingConfig(window_accesses=2_000,
                                   warmup_accesses=1_000,
                                   checkpoint_accesses=6_000,
@@ -167,8 +169,6 @@ class TestWindowedSampler:
         The file holds more accesses than the run reads, so every path
         also truncates it to ``num_accesses``.
         """
-        from dataclasses import replace
-
         from repro.engine.trace_array import array_to_records
         from repro.trace.binfmt import write_trace_bin
         from repro.trace.io import write_trace
@@ -189,7 +189,7 @@ class TestWindowedSampler:
         full = run_sweep(SweepSpec(designs=("unison",),
                                    workloads=(f"trace:{path}",),
                                    capacities=("1GB",), config=config))
-        assert list(full) == [ExperimentRunner(config).run_design(
+        assert list(full) == [WindowedSampler(None, config=config).run_design(
             "unison", workload, "1GB", trace=injected)]
 
         sampler = WindowedSampler(fast_sampling, config=config)
@@ -203,6 +203,9 @@ class TestWindowedSampler:
         sampler = WindowedSampler(fast_sampling, config=fast_config)
         with pytest.raises(ValueError, match="duplicate"):
             sampler.compare(["unison", "unison"], tiny_profile, "1GB")
+        with pytest.raises(ValueError, match="needs a SamplingConfig"):
+            WindowedSampler(None, config=fast_config).compare(
+                ["unison"], tiny_profile, "1GB")
         run = sampler.compare(["unison", "unison"], tiny_profile, "1GB",
                               labels=["a", "b"])
         assert set(run.designs) == {"a", "b"}
@@ -221,18 +224,23 @@ class TestSweepWiring:
         for trial in spec.trials():
             assert trial.sampling == fast_sampling
 
-    def test_override_can_mix_full_and_sampled(self, fast_config,
-                                               fast_sampling, tiny_profile):
-        spec = SweepSpec(
+    @staticmethod
+    def mixed_spec(config, sampling, profile) -> SweepSpec:
+        """One design twice: a full-replay cell and a sampled cell."""
+        return SweepSpec(
             designs=("unison",),
-            workloads=(tiny_profile,),
+            workloads=(profile,),
             capacities=("1GB",),
-            config=fast_config,
+            config=config,
             overrides=(
                 {"label": "full"},
-                {"label": "sampled", "sampling": fast_sampling},
+                {"label": "sampled", "sampling": sampling},
             ),
         )
+
+    def test_override_can_mix_full_and_sampled(self, fast_config,
+                                               fast_sampling, tiny_profile):
+        spec = self.mixed_spec(fast_config, fast_sampling, tiny_profile)
         trials = spec.trials()
         assert trials[0].sampling is None
         assert trials[1].sampling == fast_sampling
@@ -243,6 +251,22 @@ class TestSweepWiring:
         assert by_design["sampled"].extra["sampling_windows"] >= 3
         assert by_design["sampled"].accesses_measured \
             < by_design["full"].accesses_measured
+
+    def test_mixed_sweep_through_the_queue_matches_serial(
+            self, fast_config, fast_sampling, tiny_profile, tmp_path,
+            monkeypatch):
+        from repro.queue import SweepService
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+        spec = self.mixed_spec(fast_config, fast_sampling, tiny_profile)
+        serial = run_sweep(spec)
+        queued = SweepService().run(spec, workers=2)
+        assert queued.to_json() == serial.to_json()
+        full_only = run_sweep(SweepSpec(
+            designs=("unison",), workloads=(tiny_profile,),
+            capacities=("1GB",), config=fast_config))
+        assert [r for r in queued if r.design == "full"] == [
+            replace(full_only[0], design="full")]
 
     def test_sampling_mapping_coerced(self, fast_config, tiny_profile):
         spec = ExperimentSpec(
