@@ -141,20 +141,16 @@ def _apply_batch_arguments(args: argparse.Namespace) -> None:
         set_batch_enabled(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run a DRAM-cache design sweep (Jevdjic et al., MICRO'14 "
-                    "reproduction) and export the results.",
-    )
+def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sweep-grid arguments shared by ``repro`` and ``repro queue submit``."""
     parser.add_argument("--designs", nargs="+", default=["unison", "alloy"],
                         metavar="NAME",
-                        help="registered design names (default: unison alloy; "
-                             "see --list-designs)")
+                        help="registered design names (default: unison "
+                             "alloy; see 'repro designs')")
     parser.add_argument("--workloads", nargs="+", default=["Web Search"],
                         metavar="NAME",
                         help="workload names (default: 'Web Search'; "
-                             "see --list-workloads)")
+                             "see 'repro --list-workloads')")
     parser.add_argument("--capacities", nargs="+", default=["256MB", "1GB"],
                         metavar="SIZE",
                         help="paper-scale capacities (default: 256MB 1GB)")
@@ -168,6 +164,44 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 4)")
     parser.add_argument("--seed", type=int, default=1,
                         help="workload generator seed (default: 1)")
+
+
+def _sampling_config(**overrides: object):
+    """A :class:`SamplingConfig` with every non-``None`` override applied.
+
+    An explicit ``max_windows`` budget also lowers the adaptive-termination
+    minimum, which would otherwise exceed a small budget.
+    """
+    from repro.sampling import SamplingConfig
+
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if "max_windows" in overrides:
+        overrides["min_windows"] = min(SamplingConfig().min_windows,
+                                       overrides["max_windows"])
+    return SamplingConfig(**overrides)
+
+
+def _grid_spec(args: argparse.Namespace, sampling=None) -> SweepSpec:
+    """The sweep the :func:`_add_grid_arguments` flags describe."""
+    return SweepSpec(
+        designs=args.designs,
+        workloads=args.workloads,
+        capacities=args.capacities,
+        config=ExperimentConfig(
+            scale=args.scale, num_accesses=args.accesses,
+            num_cores=args.cores, seed=args.seed,
+        ),
+        sampling=sampling,
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Run a DRAM-cache design sweep (Jevdjic et al., MICRO'14 "
+                    "reproduction) and export the results.",
+    )
+    _add_grid_arguments(parser)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes; 1 = serial, 0 = one per CPU "
                              "(default: 1)")
@@ -554,29 +588,21 @@ def build_sample_parser() -> argparse.ArgumentParser:
 
 def sample_main(argv: List[str]) -> int:
     """Entry point of ``repro sample``."""
-    from repro.sampling import SamplingConfig, WindowedSampler
+    from repro.sampling import WindowedSampler
     from repro.sim.spec import _coerce_workload
 
     args = build_sample_parser().parse_args(argv)
     _apply_telemetry_arguments(args)
     _apply_batch_arguments(args)
-    overrides = {
-        "max_windows": args.windows,
-        "window_accesses": args.window_accesses,
-        "warmup_accesses": args.warmup_accesses,
-        "checkpoint_accesses": args.checkpoint_accesses,
-        "target_relative_error": args.target_error,
-        "placement": args.placement,
-        "seed": args.sampling_seed,
-    }
-    if args.windows is not None:
-        # A small explicit budget also lowers the adaptive-termination
-        # minimum, which would otherwise exceed it.
-        overrides["min_windows"] = min(SamplingConfig().min_windows,
-                                       args.windows)
     try:
-        sampling = SamplingConfig(
-            **{k: v for k, v in overrides.items() if v is not None}
+        sampling = _sampling_config(
+            max_windows=args.windows,
+            window_accesses=args.window_accesses,
+            warmup_accesses=args.warmup_accesses,
+            checkpoint_accesses=args.checkpoint_accesses,
+            target_relative_error=args.target_error,
+            placement=args.placement,
+            seed=args.sampling_seed,
         )
         workload = _coerce_workload(args.workload)
         config = ExperimentConfig(
@@ -634,62 +660,6 @@ def sample_main(argv: List[str]) -> int:
 # --------------------------------------------------------------------- #
 # repro queue ...
 # --------------------------------------------------------------------- #
-def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sweep-grid arguments shared by ``repro`` and ``repro queue submit``."""
-    parser.add_argument("--designs", nargs="+", default=["unison", "alloy"],
-                        metavar="NAME",
-                        help="registered design names (default: unison alloy)")
-    parser.add_argument("--workloads", nargs="+", default=["Web Search"],
-                        metavar="NAME",
-                        help="workload names (default: 'Web Search')")
-    parser.add_argument("--capacities", nargs="+", default=["256MB", "1GB"],
-                        metavar="SIZE",
-                        help="paper-scale capacities (default: 256MB 1GB)")
-    parser.add_argument("--scale", type=int, default=2048,
-                        help="capacity scale-down factor (default: 2048)")
-    parser.add_argument("--accesses", type=int, default=12_000,
-                        help="accesses per trial (default: 12000)")
-    parser.add_argument("--cores", type=int, default=4,
-                        help="interleaved cores (default: 4)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="workload generator seed (default: 1)")
-    parser.add_argument("--sampled", action="store_true",
-                        help="run every trial through checkpointed windowed "
-                             "sampling (cells decompose into window-batch "
-                             "jobs)")
-    parser.add_argument("--windows", type=int, default=None, metavar="N",
-                        help="sampled-mode window budget")
-    parser.add_argument("--window-accesses", type=int, default=None,
-                        metavar="N", help="sampled-mode accesses per window")
-
-
-def _queue_spec(args: argparse.Namespace) -> SweepSpec:
-    sampling = None
-    if args.sampled:
-        from repro.sampling import SamplingConfig
-
-        overrides = {
-            "max_windows": args.windows,
-            "window_accesses": args.window_accesses,
-        }
-        if args.windows is not None:
-            overrides["min_windows"] = min(SamplingConfig().min_windows,
-                                           args.windows)
-        sampling = SamplingConfig(
-            **{k: v for k, v in overrides.items() if v is not None}
-        )
-    return SweepSpec(
-        designs=args.designs,
-        workloads=args.workloads,
-        capacities=args.capacities,
-        config=ExperimentConfig(
-            scale=args.scale, num_accesses=args.accesses,
-            num_cores=args.cores, seed=args.seed,
-        ),
-        sampling=sampling,
-    )
-
-
 def build_queue_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro queue",
@@ -709,6 +679,14 @@ def build_queue_parser() -> argparse.ArgumentParser:
                     "trial's full identity; re-submitting an existing sweep "
                     "adds no jobs.")
     _add_grid_arguments(submit)
+    submit.add_argument("--sampled", action="store_true",
+                        help="run every trial through checkpointed windowed "
+                             "sampling (cells decompose into window-batch "
+                             "jobs)")
+    submit.add_argument("--windows", type=int, default=None, metavar="N",
+                        help="sampled-mode window budget")
+    submit.add_argument("--window-accesses", type=int, default=None,
+                        metavar="N", help="sampled-mode accesses per window")
     submit.add_argument("--window-batch", type=int, default=None, metavar="N",
                         help="windows per job for sampled trials (default: 4)")
     submit.add_argument("--max-attempts", type=int, default=None, metavar="N",
@@ -818,7 +796,11 @@ def _sweep_token(service, ref: str) -> str:
 
 def _queue_submit(args: argparse.Namespace) -> int:
     service = _queue_service(args)
-    spec = _queue_spec(args)
+    sampling = None
+    if args.sampled:
+        sampling = _sampling_config(max_windows=args.windows,
+                                    window_accesses=args.window_accesses)
+    spec = _grid_spec(args, sampling)
     outcome = service.submit(spec)
     print(f"sweep {outcome.token}")
     print(f"  {spec.describe()}")
@@ -1657,17 +1639,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
 
     try:
-        spec = SweepSpec(
-            designs=args.designs,
-            workloads=args.workloads,
-            capacities=args.capacities,
-            config=ExperimentConfig(
-                scale=args.scale,
-                num_accesses=args.accesses,
-                num_cores=args.cores,
-                seed=args.seed,
-            ),
-        )
+        spec = _grid_spec(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -17,9 +17,9 @@ This is the durable sink behind the operator CLI:
 * ``repro runs compare`` -- two of the above side by side;
 * ``repro top`` / ``repro queue status --watch`` -- live worker heartbeats.
 
-Like the job store and result archive, the ledger is multi-process safe
-(WAL + busy timeout, short transactions) and refuses databases written by
-an incompatible schema version.
+Like the job store and result archive, the ledger is a
+:class:`~repro.utils.sqlstore.SqliteStore`: multi-process safe, written in
+short transactions, and refusing files of an incompatible schema version.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-PathLike = Union[str, Path]
+from repro.utils.sqlstore import SqliteStore
 
 #: Bump on incompatible changes to the tables below.
 LEDGER_SCHEMA_VERSION = 1
@@ -110,67 +109,12 @@ _COLUMN_LABELS = ("label", "design", "workload", "capacity", "sweep",
                   "job_seq")
 
 
-class RunLedger:
+class RunLedger(SqliteStore):
     """SQLite-backed store of runs, phases, metrics, events, heartbeats."""
 
-    def __init__(self, path: PathLike, readonly: bool = False) -> None:
-        self.path = Path(path)
-        self.readonly = readonly
-        if readonly:
-            # Query-only connection: never takes write locks, so readers
-            # (``repro serve``, ``repro runs``) cannot block live workers.
-            # Read-only opens of a WAL database can raise OperationalError
-            # when the -shm file is missing; callers fall back to a
-            # writable connection in that case.
-            if not self.path.is_file():
-                raise FileNotFoundError(f"no run ledger at {self.path}")
-            self._conn = sqlite3.connect(
-                f"file:{self.path}?mode=ro", uri=True, timeout=30.0
-            )
-            self._conn.row_factory = sqlite3.Row
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is not None and int(row["value"]) != LEDGER_SCHEMA_VERSION:
-                raise ValueError(
-                    f"run ledger {self.path} has schema v{row['value']}, "
-                    f"this build expects v{LEDGER_SCHEMA_VERSION}"
-                )
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path), timeout=30.0)
-        self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.DatabaseError:
-            pass
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value)"
-                    " VALUES ('schema_version', ?)",
-                    (str(LEDGER_SCHEMA_VERSION),),
-                )
-            elif int(row["value"]) != LEDGER_SCHEMA_VERSION:
-                raise ValueError(
-                    f"run ledger {self.path} has schema v{row['value']}, "
-                    f"this build expects v{LEDGER_SCHEMA_VERSION}"
-                )
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    DESCRIPTION = "run ledger"
+    SCHEMA = _SCHEMA
+    VERSION = LEDGER_SCHEMA_VERSION
 
     # ------------------------------------------------------------------ #
     # Write side
@@ -179,7 +123,7 @@ class RunLedger:
         """Persist one finished run (the dict :meth:`Run.to_record` builds)."""
         labels = dict(record.get("labels") or {})
         columns = {key: labels.pop(key, None) for key in _COLUMN_LABELS}
-        with self._conn:
+        with self._txn():
             self._conn.execute(
                 "INSERT OR REPLACE INTO runs (run_id, kind, label, design,"
                 " workload, capacity, sweep, job_seq, host, pid, started_at,"
@@ -214,7 +158,7 @@ class RunLedger:
     def record_event(self, kind: str, sweep: Optional[str] = None,
                      run_id: Optional[str] = None,
                      detail: Optional[Dict[str, object]] = None) -> None:
-        with self._conn:
+        with self._txn():
             self._conn.execute(
                 "INSERT INTO events (ts, kind, sweep, run_id, detail)"
                 " VALUES (?, ?, ?, ?, ?)",
@@ -229,7 +173,7 @@ class RunLedger:
     def heartbeat(self, owner: str, **fields) -> None:
         """Upsert one worker's heartbeat row (missing fields preserved)."""
         now = time.time()
-        with self._conn:
+        with self._txn():
             self._conn.execute(
                 "INSERT INTO heartbeats (owner, status, started_at,"
                 " updated_at) VALUES (?, 'starting', ?, ?)"

@@ -12,7 +12,8 @@ The archive lives next to the job store (``<trace store>/queue/`` by
 default), keyed by the sweep's spec token, which makes it the durable
 complement of the :class:`~repro.queue.jobstore.JobStore`: the job store can
 be pruned once a sweep is archived, and a re-submitted sweep whose token is
-already archived costs zero simulation.
+already archived costs zero simulation.  It opens, version-checks and
+transacts as every :class:`~repro.utils.sqlstore.SqliteStore`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ import json
 import sqlite3
 import time
 from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.sim.experiment import ExperimentResult
 from repro.sim.resultset import ResultSet
-
-PathLike = Union[str, Path]
+from repro.utils.sqlstore import SqliteStore
 
 #: Bump on incompatible changes to the archive tables.
 ARCHIVE_SCHEMA_VERSION = 1
@@ -53,72 +52,25 @@ CREATE TABLE IF NOT EXISTS results (
 );
 """
 
+#: The query behind :meth:`ResultArchive.list_sweeps`' metadata dicts.
+_SWEEP_META = (
+    "SELECT s.token, s.description, s.total,"
+    " (SELECT COUNT(*) FROM results r WHERE r.sweep = s.token) AS records,"
+    " s.created_at, s.completed_at FROM sweeps s"
+)
 
-class ResultArchive:
+
+class ResultArchive(SqliteStore):
     """Archived :class:`ResultSet` rows keyed by sweep token."""
 
-    def __init__(self, path: PathLike, readonly: bool = False) -> None:
-        self.path = Path(path)
-        self.readonly = readonly
-        if readonly:
-            # A read-only connection never takes write locks, so readers
-            # (e.g. ``repro serve``) cannot stall concurrent workers.  WAL
-            # databases whose -shm file is missing refuse read-only opens
-            # with SQLITE_CANTOPEN; callers should catch OperationalError
-            # and fall back to a writable connection.
-            if not self.path.is_file():
-                raise FileNotFoundError(f"no result archive at {self.path}")
-            self._conn = sqlite3.connect(
-                f"file:{self.path}?mode=ro", uri=True, timeout=30.0
-            )
-            self._conn.row_factory = sqlite3.Row
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is not None and int(row["value"]) != ARCHIVE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"result archive {self.path} has schema v{row['value']}, "
-                    f"this build expects v{ARCHIVE_SCHEMA_VERSION}"
-                )
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path), timeout=30.0)
-        self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.DatabaseError:
-            pass
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(ARCHIVE_SCHEMA_VERSION),),
-                )
-            elif int(row["value"]) != ARCHIVE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"result archive {self.path} has schema v{row['value']}, "
-                    f"this build expects v{ARCHIVE_SCHEMA_VERSION}"
-                )
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "ResultArchive":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    DESCRIPTION = "result archive"
+    SCHEMA = _SCHEMA
+    VERSION = ARCHIVE_SCHEMA_VERSION
 
     # ------------------------------------------------------------------ #
     def register(self, token: str, description: str, total: int) -> None:
         """Record a sweep's shape (idempotent)."""
-        with self._conn:
+        with self._txn():
             self._conn.execute(
                 "INSERT OR IGNORE INTO sweeps"
                 " (token, description, total, created_at) VALUES (?, ?, ?, ?)",
@@ -133,7 +85,7 @@ class ResultArchive:
         record, so REPLACE semantics are safe under concurrent workers.
         """
         record = json.dumps(asdict(result), sort_keys=True)
-        with self._conn:
+        with self._txn():
             self._conn.execute(
                 "INSERT OR REPLACE INTO results"
                 " (sweep, trial_index, record, created_at) VALUES (?, ?, ?, ?)",
@@ -141,7 +93,7 @@ class ResultArchive:
             )
 
     def mark_complete(self, token: str) -> None:
-        with self._conn:
+        with self._txn():
             self._conn.execute(
                 "UPDATE sweeps SET completed_at = ? WHERE token = ?"
                 " AND completed_at IS NULL",
@@ -168,15 +120,10 @@ class ResultArchive:
         bit-identical to the one a serial in-memory sweep produces.
         """
         total = self.total(token)
-        rows = self._conn.execute(
-            "SELECT record FROM results WHERE sweep = ? ORDER BY trial_index",
-            (token,),
-        ).fetchall()
-        if total is None or len(rows) != total:
+        records = self.records(token)
+        if total is None or len(records) != total:
             return None
-        return ResultSet.from_records(
-            json.loads(row["record"]) for row in rows
-        )
+        return ResultSet.from_records(records)
 
     def records(self, token: str) -> List[dict]:
         """All archived result records of ``token``, in trial order.
@@ -192,10 +139,7 @@ class ResultArchive:
         return [json.loads(row["record"]) for row in rows]
 
     def tokens(self) -> List[str]:
-        rows = self._conn.execute(
-            "SELECT token FROM sweeps ORDER BY created_at"
-        ).fetchall()
-        return [row["token"] for row in rows]
+        return [row["token"] for row in self.sweeps()]
 
     def sweeps(self) -> List[sqlite3.Row]:
         return self._conn.execute(
@@ -212,37 +156,20 @@ class ResultArchive:
         globbing the archive directory.
         """
         rows = self._conn.execute(
-            "SELECT s.token, s.description, s.total, s.created_at,"
-            "       s.completed_at,"
-            "       (SELECT COUNT(*) FROM results r WHERE r.sweep = s.token)"
-            "       AS records"
-            " FROM sweeps s ORDER BY s.created_at, s.token"
-        ).fetchall()
+            f"{_SWEEP_META} ORDER BY s.created_at, s.token").fetchall()
         return [self._sweep_dict(row) for row in rows]
 
     def sweep_meta(self, token: str) -> Optional[Dict[str, object]]:
         """Metadata dict of one sweep (see :meth:`list_sweeps`), or ``None``."""
         row = self._conn.execute(
-            "SELECT s.token, s.description, s.total, s.created_at,"
-            "       s.completed_at,"
-            "       (SELECT COUNT(*) FROM results r WHERE r.sweep = s.token)"
-            "       AS records"
-            " FROM sweeps s WHERE s.token = ?",
-            (token,),
-        ).fetchone()
+            f"{_SWEEP_META} WHERE s.token = ?", (token,)).fetchone()
         return None if row is None else self._sweep_dict(row)
 
     @staticmethod
     def _sweep_dict(row: sqlite3.Row) -> Dict[str, object]:
-        return {
-            "token": row["token"],
-            "description": row["description"],
-            "total": row["total"],
-            "records": row["records"],
-            "created_at": row["created_at"],
-            "completed_at": row["completed_at"],
-            "complete": row["records"] >= row["total"] and row["total"] > 0,
-        }
+        meta: Dict[str, object] = dict(row)
+        meta["complete"] = row["records"] >= row["total"] and row["total"] > 0
+        return meta
 
 
 __all__ = ["ARCHIVE_SCHEMA_VERSION", "ResultArchive"]

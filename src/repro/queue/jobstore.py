@@ -24,10 +24,10 @@ Design points:
   mid-job simply lets the lease expire (or is detected as a dead local
   process), after which :meth:`recover` returns the job to ``pending`` --
   so a ``kill -9`` costs only the jobs that were in flight.
-* **Concurrency without a server.**  SQLite in WAL mode with immediate
-  transactions gives atomic lease handoff between any number of worker
-  processes sharing the database file; there is no coordinator process to
-  run or crash.
+* **Concurrency without a server.**  Immediate transactions on the shared
+  file (:mod:`repro.utils.sqlstore` says how every store opens) give
+  atomic lease handoff between any number of worker processes; there is
+  no coordinator process to run or crash.
 * **Observability.**  Rows carry attempt counts, lease owners, and
   created/started/finished timestamps plus the measured run time, so
   ``repro queue status`` can report what ran where, how often, and for how
@@ -40,14 +40,11 @@ import os
 import socket
 import sqlite3
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.core import emit_event
-
-PathLike = Union[str, Path]
+from repro.utils.sqlstore import SqliteStore
 
 #: Bump on incompatible changes to the tables below.  A v1 store (no cost
 #: column) is migrated in place when opened for writing.
@@ -214,84 +211,18 @@ def error_summary(error: Optional[str]) -> Optional[str]:
     return lines[-1] if lines else None
 
 
-class JobStore:
-    """Durable queue of sweep jobs in one SQLite file."""
+class JobStore(SqliteStore):
+    """Durable queue of sweep jobs in one SQLite file.
 
-    def __init__(self, path: PathLike, readonly: bool = False) -> None:
-        self.path = Path(path)
-        self.readonly = readonly
-        if readonly:
-            # Query-only open for status readers (``repro serve``/``top``):
-            # no write locks, no schema creation.  Read-only WAL opens can
-            # raise OperationalError when the -shm file is missing; callers
-            # fall back to a writable connection.
-            if not self.path.is_file():
-                raise FileNotFoundError(f"no job store at {self.path}")
-            self._conn = sqlite3.connect(
-                f"file:{self.path}?mode=ro", uri=True, timeout=30.0
-            )
-            self._conn.row_factory = sqlite3.Row
-            self._conn.isolation_level = None
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path), timeout=30.0)
-        self._conn.row_factory = sqlite3.Row
-        self._conn.isolation_level = None  # explicit transactions only
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.DatabaseError:
-            pass  # e.g. a filesystem without WAL support; default journal
-        self._init_schema()
+    Opened, version-checked and transacted as every
+    :class:`~repro.utils.sqlstore.SqliteStore`; a writable open migrates a
+    v1 store in place, a read-only one reads it unmigrated.
+    """
 
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "JobStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Schema
-    # ------------------------------------------------------------------ #
-    def _init_schema(self) -> None:
-        # executescript() commits any open transaction, so it runs outside
-        # _txn(); the version check-and-set below is the transactional part.
-        self._conn.executescript(_SCHEMA)
-        with self._txn():
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
-            elif int(row["value"]) == 1:
-                self._conn.execute(_MIGRATE_V1)
-                self._conn.execute(
-                    "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                    (str(SCHEMA_VERSION),),
-                )
-            elif int(row["value"]) != SCHEMA_VERSION:
-                raise ValueError(
-                    f"job store {self.path} has schema v{row['value']}, this "
-                    f"build expects v{SCHEMA_VERSION}; use a fresh --db path"
-                )
-
-    @contextmanager
-    def _txn(self) -> Iterator[sqlite3.Connection]:
-        """An IMMEDIATE transaction (write lock taken up front)."""
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield self._conn
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        self._conn.execute("COMMIT")
+    DESCRIPTION = "job store"
+    SCHEMA = _SCHEMA
+    VERSION = SCHEMA_VERSION
+    MIGRATIONS = {1: _MIGRATE_V1}
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -339,6 +270,14 @@ class JobStore:
         return self._conn.execute(
             "SELECT * FROM sweeps ORDER BY created_at"
         ).fetchall()
+
+    def delete_sweep(self, token: str) -> int:
+        """Drop a sweep's row and its job rows; returns the jobs deleted."""
+        with self._txn():
+            cursor = self._conn.execute(
+                "DELETE FROM jobs WHERE sweep = ?", (token,))
+            self._conn.execute("DELETE FROM sweeps WHERE token = ?", (token,))
+        return cursor.rowcount
 
     # ------------------------------------------------------------------ #
     # Leasing
@@ -580,9 +519,13 @@ class JobStore:
         return {row["trial_index"]: (row["done"], row["total"])
                 for row in rows}
 
-    def jobs(self, sweep: str) -> List[Job]:
+    def jobs(self, sweep: str, state: Optional[str] = None) -> List[Job]:
+        """A sweep's jobs in ``seq`` order, only those in ``state`` if given."""
+        where, params = "sweep = ?", [sweep]
+        if state is not None:
+            where, params = where + " AND state = ?", params + [state]
         rows = self._conn.execute(
-            "SELECT * FROM jobs WHERE sweep = ? ORDER BY seq", (sweep,)
+            f"SELECT * FROM jobs WHERE {where} ORDER BY seq", params
         ).fetchall()
         return [_job_from_row(row) for row in rows]
 
@@ -593,18 +536,10 @@ class JobStore:
         return None if row is None else _job_from_row(row)
 
     def done_jobs(self, sweep: str) -> List[Job]:
-        rows = self._conn.execute(
-            "SELECT * FROM jobs WHERE sweep = ? AND state = ? ORDER BY seq",
-            (sweep, DONE),
-        ).fetchall()
-        return [_job_from_row(row) for row in rows]
+        return self.jobs(sweep, DONE)
 
     def failed_jobs(self, sweep: str) -> List[Job]:
-        rows = self._conn.execute(
-            "SELECT * FROM jobs WHERE sweep = ? AND state = ? ORDER BY seq",
-            (sweep, FAILED),
-        ).fetchall()
-        return [_job_from_row(row) for row in rows]
+        return self.jobs(sweep, FAILED)
 
     def timing(self, sweep: str) -> Dict[str, float]:
         """Aggregate observability numbers for one sweep's finished jobs."""

@@ -468,12 +468,7 @@ class SweepService:
     def prune(self, token: str) -> int:
         """Drop a sweep's job rows (the archive keeps its results)."""
         with self.store() as store:
-            with store._txn() as conn:
-                cursor = conn.execute(
-                    "DELETE FROM jobs WHERE sweep = ?", (token,)
-                )
-                conn.execute("DELETE FROM sweeps WHERE token = ?", (token,))
-            return cursor.rowcount
+            return store.delete_sweep(token)
 
     def prune_retention(self, keep_days: float = 7.0,
                         keep_archived: int = 0,

@@ -11,7 +11,7 @@ JSON-ready dicts.  Three contracts hold everywhere:
   written by an instrumented run works even when the environment no
   longer enables telemetry.
 * **No lock spans a render.**  Every method opens short-lived
-  connections -- read-only (``mode=ro``) when the database allows it --
+  connections through :func:`repro.utils.sqlstore.open_readonly`,
   fetches all rows, and closes them before any SVG or HTML is built.
 * **Missing stores degrade, they don't crash.**  Listing endpoints
   report ``available: false`` with a reason -- also when there is no
@@ -26,7 +26,6 @@ renders these same dicts, so its ``--json`` output is the endpoint's body.
 from __future__ import annotations
 
 import json
-import sqlite3
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -48,6 +47,7 @@ from repro.queue.service import (
     default_queue_dir,
 )
 from repro.sim.resultset import ResultSet
+from repro.utils.sqlstore import open_readonly
 
 PathLike = Union[str, Path]
 
@@ -72,20 +72,6 @@ def _text(path: Optional[Path]) -> Optional[str]:
 def _open_existing(cls, path: Optional[Path]):
     """``open_readonly`` of an existing store file, else ``None``."""
     return open_readonly(cls, path) if _is_file(path) else None
-
-
-def open_readonly(cls, path: PathLike):
-    """Open a store read-only, falling back to a writable connection.
-
-    Read-only opens of a WAL database raise ``SQLITE_CANTOPEN`` when the
-    companion ``-shm`` file is missing (a cleanly shut down writer removes
-    it); the writable fallback recreates it.  Either way the caller
-    fetches rows and closes immediately, so no lock outlives the query.
-    """
-    try:
-        return cls(path, readonly=True)
-    except sqlite3.OperationalError:
-        return cls(path)
 
 
 class ReadModel:

@@ -10,6 +10,8 @@ DRAM timing model are written in terms of:
   the Alloy Cache miss predictor.
 * :mod:`repro.utils.residue` -- modulo-by-(2^n - 1) residue arithmetic used by
   Unison Cache's non-power-of-two set-index computation.
+* :mod:`repro.utils.sqlstore` -- how the job store, result archive and run
+  ledger open, version-check and transact on their SQLite files.
 
 Page footprints and valid/dirty block sets are plain ``int`` bit masks.
 """
